@@ -21,6 +21,9 @@ real bug:
   <lock>`` read or written outside a ``with <lock>`` block.
 * **REP006 float-equality** -- ``==``/``!=`` against float literals, the
   water-filling NaN-via-underflow bug class.
+* **REP007 stream-json-dump** -- ``json.dump`` to a file object, which
+  runs the pure-Python encoder where ``json.dumps`` runs the C one; the
+  store's envelope write paid as much for it as for the file create.
 
 Violations are suppressed inline with ``# repro: allow[RULE-ID] -- reason``
 on (any line of) the offending statement.  The engine is dependency-free

@@ -24,7 +24,7 @@ from .engine import (
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
-        description="Repo-specific static analysis: the REP001-REP006 "
+        description="Repo-specific static analysis: the REP001-REP007 "
                     "invariant rules over Python sources.")
     parser.add_argument("paths", nargs="*", default=["src/repro"],
                         help="files or directories to analyse "

@@ -16,6 +16,7 @@ from .rep003_seed_discipline import SeedDisciplineRule
 from .rep004_registry_bypass import RegistryBypassRule
 from .rep005_lock_discipline import LockDisciplineRule
 from .rep006_float_equality import FloatEqualityRule
+from .rep007_stream_json import StreamJsonDumpRule
 
 RULE_CLASSES = [
     NondeterministicOrderRule,
@@ -24,6 +25,7 @@ RULE_CLASSES = [
     RegistryBypassRule,
     LockDisciplineRule,
     FloatEqualityRule,
+    StreamJsonDumpRule,
 ]
 
 __all__ = ["RULE_CLASSES"]

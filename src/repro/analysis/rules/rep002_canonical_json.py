@@ -39,34 +39,36 @@ class NonCanonicalJsonRule(Rule):
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         if ctx.module == _CANONICAL_MODULE:
             return
-        # Names ``dumps``/``dump`` bound via ``from json import ...`` count
-        # too; track what this file imported them as.
-        json_aliases: set[str] = set()
-        direct_names: set[str] = set()
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.Import):
+        for node, name in json_calls(ctx.tree, ("dumps", "dump")):
+            yield ctx.finding(
+                self, node,
+                f"raw json.{name} outside repro.store.canonical; a keyed "
+                "path here forks the cache-key definition")
+
+
+def json_calls(tree: ast.AST, names: tuple[str, ...]
+               ) -> Iterator[tuple[ast.Call, str]]:
+    """``(call, name)`` for every call of ``json.<name>`` in ``tree``,
+    including names bound via ``from json import ...`` (under any alias)."""
+    json_aliases: set[str] = set()
+    direct_names: dict[str, str] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name == "json":
+                    json_aliases.add(alias.asname or "json")
+        elif isinstance(node, ast.ImportFrom):
+            if node.module == "json" and node.level == 0:
                 for alias in node.names:
-                    if alias.name == "json":
-                        json_aliases.add(alias.asname or "json")
-            elif isinstance(node, ast.ImportFrom):
-                if node.module == "json" and node.level == 0:
-                    for alias in node.names:
-                        if alias.name in ("dumps", "dump"):
-                            direct_names.add(alias.asname or alias.name)
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            func = node.func
-            flagged = False
-            if isinstance(func, ast.Attribute) and func.attr in ("dumps", "dump"):
-                if isinstance(func.value, ast.Name) \
-                        and func.value.id in json_aliases:
-                    flagged = True
-            elif isinstance(func, ast.Name) and func.id in direct_names:
-                flagged = True
-            if flagged:
-                yield ctx.finding(
-                    self, node,
-                    f"raw json.{func.attr if isinstance(func, ast.Attribute) else func.id}"  # noqa: E501
-                    " outside repro.store.canonical; a keyed path here forks "
-                    "the cache-key definition")
+                    if alias.name in names:
+                        direct_names[alias.asname or alias.name] = alias.name
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Attribute) and func.attr in names:
+            if isinstance(func.value, ast.Name) \
+                    and func.value.id in json_aliases:
+                yield node, func.attr
+        elif isinstance(func, ast.Name) and func.id in direct_names:
+            yield node, direct_names[func.id]

@@ -46,7 +46,8 @@ import os
 import threading
 import time
 from collections import Counter, OrderedDict, deque
-from collections.abc import Mapping, Sequence
+from collections.abc import Callable, Mapping, Sequence
+from functools import partial
 from typing import Any
 
 from ..core.columnar import _KEY_ATTR, ProblemBatch, problem_content_key
@@ -55,6 +56,7 @@ from ..core.problems import BiCritProblem, SolveResult
 from ..core.schedule import Execution, Schedule, TaskDecision
 from ..simulation import run_monte_carlo
 from ..solvers import SolverContext, get_solver
+from ..solvers.batch import LazyScheduleResult
 from ..solvers.batch import solve_batch as _kernel_solve_batch
 from ..solvers.dispatch import solve as _kernel_solve
 from ..store import Coalescer, ResultStore
@@ -310,7 +312,7 @@ class Engine:
                                    **options)
             return result, False, (time.perf_counter() - t0) * 1e3
 
-        hit = self._cache_lookup(key, problem)
+        hit = self._cache_lookup(key, lambda: problem)
         if hit is not None:
             return hit, True, 0.0
 
@@ -327,7 +329,7 @@ class Engine:
             # Re-check under the flight: a result published between our
             # lookup and the claim (by a thread whose flight just retired)
             # would otherwise be recomputed.
-            hit = self._cache_lookup(key, problem)
+            hit = self._cache_lookup(key, lambda: problem)
             if hit is not None:
                 self._coalescer.resolve(flight, result=hit)
                 return hit, True, 0.0
@@ -348,9 +350,13 @@ class Engine:
     # ------------------------------------------------------------------
     # the two-level cache (in-memory LRU over the persistent store)
     # ------------------------------------------------------------------
-    def _cache_lookup(self, key: str,
-                      problem: BiCritProblem) -> SolveResult | None:
-        """LRU first, then the persistent tier; promotes store hits."""
+    def _cache_lookup(self, key: str, problem: Callable[[], BiCritProblem]
+                      ) -> SolveResult | None:
+        """LRU first, then the persistent tier; promotes store hits.
+
+        ``problem`` is called only to rebuild a record the store actually
+        holds, so a miss never materialises the instance.
+        """
         with self._lock:
             hit = self._results.get(key)
             if hit is not None:
@@ -359,7 +365,7 @@ class Engine:
         if self.store is None:
             return None
         payload = self.store.get(key, STORE_NAMESPACE)
-        result = (self._result_from_payload(payload, problem)
+        result = (self._result_from_payload(payload, problem())
                   if payload is not None else None)
         with self._lock:
             if result is None:
@@ -390,8 +396,12 @@ class Engine:
         intra-task intervals with re-executions), so the stored form
         round-trips to a real :class:`Schedule` against the interned
         problem -- simulate and the object layer work on a store hit.
+        Columnar rows give those lists straight from the kernel's speeds,
+        so no ``Problem`` or ``Schedule`` is built to store them.
         """
-        schedule = result.schedule
+        executions = (result.pending_executions()
+                      if isinstance(result, LazyScheduleResult) else None)
+        schedule = result.schedule if executions is None else None
         payload: dict[str, Any] = {
             "status": result.status,
             "solver": result.solver,
@@ -405,10 +415,12 @@ class Engine:
             except TypeError:
                 continue       # drop non-JSON metadata, keep the record
         if schedule is not None:
-            payload["schedule"] = {"executions": {
+            executions = {
                 str(t): [[[float(f), float(d)] for f, d in e.intervals]
                          for e in decision.executions]
-                for t, decision in schedule.decisions.items()}}
+                for t, decision in schedule.decisions.items()}
+        if executions is not None:
+            payload["schedule"] = {"executions": executions}
         return payload
 
     @staticmethod
@@ -472,7 +484,8 @@ class Engine:
         for i, key in enumerate(keys):
             # Two-level peel: the in-memory LRU, then the persistent tier
             # (_cache_lookup counts hits and promotes store hits itself).
-            hit = self._cache_lookup(key, resolved[i]) if use_cache else None
+            hit = (self._cache_lookup(key, partial(resolved.__getitem__, i))
+                   if use_cache else None)
             if hit is not None:
                 out[i] = (hit, True)
             else:
@@ -646,7 +659,7 @@ class Engine:
                             misses.append(i)
             else:
                 for i, key in enumerate(keys):
-                    hit = self._cache_lookup(key, batch.problem(i))
+                    hit = self._cache_lookup(key, partial(batch.problem, i))
                     if hit is not None:
                         out[i] = (hit, True)
                     else:

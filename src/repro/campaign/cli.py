@@ -191,8 +191,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     record = outcome.record
     if args.json:
         # repro: allow[REP002] -- human-facing report on stdout, not a keyed path
-        json.dump(record, sys.stdout, indent=1)
-        print()
+        print(json.dumps(record, indent=1))
     else:
         source = "cache" if outcome.cached else f"{outcome.elapsed_seconds:.2f}s run"
         print(render_result(record["result"],
@@ -304,8 +303,7 @@ def cmd_cache(args: argparse.Namespace) -> int:
     stats = store.stats()
     if args.json:
         # repro: allow[REP002] -- human-facing report on stdout, not a keyed path
-        json.dump(stats, sys.stdout, indent=1)
-        print()
+        print(json.dumps(stats, indent=1))
         return 0
     print(f"store root: {stats['root']}")
     rows = [{"namespace": ns, **counts}

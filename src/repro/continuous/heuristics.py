@@ -171,6 +171,34 @@ def _energy_gain_estimate(problem: TriCritProblem, schedule: Schedule,
     return current_energy - candidate_energy
 
 
+#: Relative tolerance (of the deadline) under which two slacks are one score.
+_SLACK_TIE_TOL = 1e-9
+
+
+def _rank_by_slack(tasks: list[TaskId], slacks: dict[TaskId, float],
+                   index: dict[TaskId, int], deadline: float) -> list[TaskId]:
+    """``tasks`` by decreasing slack, ties broken by topological ``index``.
+
+    Slacks come out of a numerical solve, so tasks that are symmetric in
+    the instance (every task of a single-processor chain, say) get slacks
+    a few ulps apart in an order set by the solver's float noise.  Slacks
+    within ``_SLACK_TIE_TOL * deadline`` of the run's largest count as
+    equal and are ordered by ``index``, so the candidates do not depend on
+    that noise.
+    """
+    tol = _SLACK_TIE_TOL * deadline
+    by_slack = sorted(tasks, key=lambda t: slacks.get(t, 0.0), reverse=True)
+    ranked: list[TaskId] = []
+    run: list[TaskId] = []
+    for t in by_slack:
+        if run and slacks.get(run[0], 0.0) - slacks.get(t, 0.0) > tol:
+            ranked.extend(sorted(run, key=index.__getitem__))
+            run = []
+        run.append(t)
+    ranked.extend(sorted(run, key=index.__getitem__))
+    return ranked
+
+
 def _greedy_growth(problem: TriCritProblem, *, score: str,
                    candidates_per_round: int, method: str,
                    solver_name: str) -> SolveResult:
@@ -182,6 +210,7 @@ def _greedy_growth(problem: TriCritProblem, *, score: str,
                            metadata={"message": "no reliable schedule without re-execution"})
     reexec: frozenset[TaskId] = frozenset()
     positive = [t for t in problem.graph.tasks() if problem.graph.weight(t) > 0]
+    topo_index = {t: k for k, t in enumerate(problem.graph.topological_order())}
     solves = 1
     rounds = 0
     while True:
@@ -198,7 +227,8 @@ def _greedy_growth(problem: TriCritProblem, *, score: str,
                 reverse=True,
             )
         elif score == "slack":
-            scored = sorted(remaining, key=lambda t: slacks.get(t, 0.0), reverse=True)
+            scored = _rank_by_slack(remaining, slacks, topo_index,
+                                    problem.deadline)
         else:  # pragma: no cover - defensive
             raise ValueError(f"unknown score {score!r}")
         best_candidate: SolveResult | None = None

@@ -51,7 +51,7 @@ import numpy as np
 
 from ..core.columnar import KIND_BICRIT, KIND_TRICRIT, ProblemBatch
 from ..core.problems import BiCritProblem, SolveResult, TriCritProblem
-from ..core.schedule import Schedule, TaskDecision
+from ..core.schedule import Execution, Schedule, TaskDecision
 from ..dag.taskgraph import TaskId
 from .context import SolverContext, speed_model_kind
 from .descriptors import InadmissibleSolverError, Solver
@@ -215,6 +215,14 @@ class LazyScheduleResult(SolveResult):
     @schedule.setter
     def schedule(self, value: Schedule | None) -> None:
         self._schedule = value
+
+    def pending_executions(self) -> dict[str, list[list[list[float]]]] | None:
+        """The unbuilt schedule's ``{task: [[[f, duration]], ...]}`` interval
+        lists, straight from the kernel's speeds, when the builder can give
+        them without a ``Problem`` (columnar fast rows); ``None`` once the
+        schedule is built or for any other builder."""
+        executions = getattr(self._schedule_builder, "executions", None)
+        return executions() if executions is not None else None
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         built = "built" if self._schedule is not None else "lazy"
@@ -1125,27 +1133,34 @@ def _tricrit_chain_chunk(problems: list[BiCritProblem],
 class _WireScheduleBuilder:
     """Deferred schedule for a columnar fast row, built from its payload.
 
-    The wire response path reads ``result.wire_view`` and never touches
-    ``result.schedule``; only out-of-band consumers (the persistent result
-    store, direct library callers) pay for materialising the ``Problem``
-    here.  Picklable, so columnar results survive the campaign pool.
+    The wire response path reads ``result.wire_view`` and the persistent
+    store reads :meth:`executions`; neither touches ``result.schedule``.
+    Only direct library callers pay for materialising the ``Problem`` here.
+    ``speeds`` and ``weights`` are in payload task order, which is the
+    parsed graph's task order.  Picklable, so columnar results survive the
+    campaign pool.
     """
 
     payload: Any
     speeds: dict[str, list[float]]
+    weights: list[float]
+
+    def executions(self) -> dict[str, list[list[list[float]]]]:
+        """Each task's executions as ``[[f, duration]]`` interval lists.
+
+        ``Execution.at_speed``'s arithmetic: a zero-weight execution lasts
+        0.0, and a re-executed task has two executions of the full weight.
+        """
+        return {t: [[[f, w / f if w > 0 else 0.0]] for f in fs]
+                for (t, fs), w in zip(self.speeds.items(), self.weights)}
 
     def __call__(self) -> Schedule:
         from ..core.problem_io import problem_from_dict
         problem = problem_from_dict(self.payload)
-        graph = problem.graph
-        decisions = {}
-        for t in graph.tasks():
-            fs = self.speeds[t]
-            w = graph.weight(t)
-            if len(fs) == 2:
-                decisions[t] = TaskDecision.reexecuted(t, w, fs[0], fs[1])
-            else:
-                decisions[t] = TaskDecision.single(t, w, fs[0])
+        decisions = {
+            t: TaskDecision(t, tuple(Execution.from_intervals(run)
+                                     for run in runs))
+            for t, runs in self.executions().items()}
         return Schedule(problem.mapping, problem.platform, decisions)
 
 
@@ -1282,8 +1297,9 @@ def _solve_chain_columnar(batch: ProblemBatch, rows: np.ndarray,
         fmax_row = fmax_l[row]
         o0 = offsets_l[i]
         o1 = offsets_l[i + 1]
+        row_weights = weights_l[o0:o1]
         speeds = {t: [row_speed] if w > 0 else [fmax_row]
-                  for t, w in zip(task_ids[i], weights_l[o0:o1])}
+                  for t, w in zip(task_ids[i], row_weights)}
         # Chain-routed rows are bicrit, single-processor, in-order chains:
         # (tasks, positive_tasks) pins down the whole dispatch record.
         memo_key = (o1 - o0, num_positive_l[i])
@@ -1293,7 +1309,7 @@ def _solve_chain_columnar(batch: ProblemBatch, rows: np.ndarray,
                                           plan.auto)
             dispatch_memo[memo_key] = dispatch
         result = LazyScheduleResult(
-            builder=_WireScheduleBuilder(payloads[i], speeds),
+            builder=_WireScheduleBuilder(payloads[i], speeds, row_weights),
             energy=row_energy, status="optimal",
             solver="continuous-closed-form[chain]",
             metadata={"route": "chain", "closed_form_energy": row_energy,
@@ -1372,7 +1388,8 @@ def _solve_fork_columnar(batch: ProblemBatch, rows: np.ndarray,
             speeds[ids[1 + col]] = ([float(child_speed[row, col])] if w > 0
                                     else [fmax_row])
         result = LazyScheduleResult(
-            builder=_WireScheduleBuilder(batch.payloads[i], speeds),
+            builder=_WireScheduleBuilder(batch.payloads[i], speeds,
+                                         batch.row_weights(i).tolist()),
             energy=row_energy, status="optimal",
             solver="continuous-closed-form[fork]",
             metadata={"route": "fork", "closed_form_energy": row_energy,
@@ -1456,7 +1473,8 @@ def _tricrit_columnar_chunk(batch: ProblemBatch, rows: list[int], n: int,
         speeds: dict[str, list[float]] = {}
         reexec_names: list[str] = []
         cursor = 0
-        for t, w in zip(batch.task_ids[i], batch.row_weights(i)):
+        row_weights = batch.row_weights(i).tolist()
+        for t, w in zip(batch.task_ids[i], row_weights):
             if w > 0:
                 fv = float(f[cursor])
                 if masks[s, cursor]:
@@ -1468,7 +1486,8 @@ def _tricrit_columnar_chunk(batch: ProblemBatch, rows: list[int], n: int,
             else:
                 speeds[t] = [fmax_row]
         result = LazyScheduleResult(
-            builder=_WireScheduleBuilder(batch.payloads[i], speeds),
+            builder=_WireScheduleBuilder(batch.payloads[i], speeds,
+                                         row_weights),
             energy=float(energy[row, s]), status="optimal",
             solver=label,
             metadata={"reexecuted": sorted(reexec_names),

@@ -231,7 +231,6 @@ class ResultStore:
         record or this one -- never a prefix.
         """
         path = self.path_for(key, namespace)
-        path.parent.mkdir(parents=True, exist_ok=True)
         envelope = {
             "v": ENVELOPE_VERSION,
             "key": key,
@@ -240,16 +239,27 @@ class ResultStore:
             "checksum": content_checksum(payload),
             "payload": payload,
         }
+        # One-shot ``json.dumps`` runs CPython's C encoder; ``json.dump`` to
+        # a file streams through the pure-Python one.  ASCII output, so the
+        # bytes equal a UTF-8 text write of the same string.
+        # repro: allow[REP002] -- envelope body only; its key and checksum
+        # were computed upstream via canonical_blob
+        data = json.dumps(envelope, separators=(",", ":")).encode()
         tmp = path.with_suffix(
             f".tmp-{os.getpid()}-{threading.get_ident()}")
         try:
-            with tmp.open("w", encoding="utf-8") as fh:
-                # repro: allow[REP002] -- envelope body only; its key and
-                # checksum were computed upstream via canonical_blob
-                json.dump(envelope, fh, separators=(",", ":"))
+            try:
+                with tmp.open("wb") as fh:
+                    fh.write(data)
+            except FileNotFoundError:
+                # First write into this shard, or the tree was removed.
+                path.parent.mkdir(parents=True, exist_ok=True)
+                with tmp.open("wb") as fh:
+                    fh.write(data)
             tmp.replace(path)
-        finally:
+        except BaseException:
             tmp.unlink(missing_ok=True)
+            raise
         try:
             stat = path.stat()
         except OSError:

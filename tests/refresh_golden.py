@@ -9,14 +9,18 @@ and compare field by field.
 Regenerate intentionally -- after a change that is *supposed* to alter
 experiment output -- with::
 
-    make refresh-golden
+    make refresh-golden                                  # every scenario
+    python tests/refresh_golden.py e9-heuristics         # named scenarios
 
 and commit the resulting JSON diffs alongside the change that caused them.
+Each snapshot records the Python, numpy and scipy versions it was
+generated with under ``environment`` (the replay ignores that field).
 """
 
 from __future__ import annotations
 
 import json
+import platform
 import sys
 from pathlib import Path
 
@@ -28,14 +32,27 @@ from repro.campaign.registry import iter_scenarios     # noqa: E402
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
 
-def main() -> int:
+def main(names: list[str]) -> int:
+    import numpy
+    import scipy
+
+    environment = {"python": platform.python_version(),
+                   "numpy": numpy.__version__, "scipy": scipy.__version__}
     GOLDEN_DIR.mkdir(exist_ok=True)
-    for spec in iter_scenarios():
+    specs = list(iter_scenarios())
+    unknown = set(names) - {spec.name for spec in specs}
+    if unknown:
+        print(f"unknown scenarios: {sorted(unknown)}", file=sys.stderr)
+        return 2
+    for spec in specs:
+        if names and spec.name not in names:
+            continue
         params = spec.params(smoke=True)
         result = spec.runner(**params)
         payload = {
             "scenario": spec.name,
             "experiment": spec.experiment,
+            "environment": environment,
             "params": canonicalize(params),
             "result": canonicalize(result),
         }
@@ -48,4 +65,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(main(sys.argv[1:]))

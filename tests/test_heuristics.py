@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.continuous.exhaustive import best_known_tricrit, solve_tricrit_exhaustive
 from repro.continuous.heuristics import (
@@ -147,3 +149,31 @@ class TestExhaustive:
         exact = solve_tricrit_exhaustive(problem)
         best = best_of_heuristics(problem)
         assert exact.energy <= best.energy + 1e-6
+
+
+class TestMethodIndependence:
+    """The heuristics' choices must not depend on the convex backend.
+
+    SLSQP and trust-constr return the same optimum up to float noise; on
+    instances with symmetric tasks (a single-processor chain gives every
+    task the same slack) that noise used to pick the candidates.  Layered
+    DAGs are left out: there SLSQP can stop at a feasible but not optimal
+    point, a solver-quality difference rather than noise.
+    """
+
+    # The example is a chain whose slack ranking SLSQP's noise used to flip.
+    @settings(max_examples=6, deadline=None, derandomize=True)
+    @example(family="chain", seed=3, slack=3.0)
+    @given(family=st.sampled_from(["chain", "fork"]),
+           seed=st.integers(min_value=0, max_value=2**16),
+           slack=st.sampled_from([1.5, 2.0, 3.0]))
+    def test_same_result_under_slsqp_and_trust_constr(self, family, seed, slack):
+        if family == "chain":
+            problem = make_problem(generators.random_chain(5, seed=seed), 1, slack)
+        else:
+            problem = make_problem(generators.random_fork(4, seed=seed), 5, slack)
+        for heuristic in (heuristic_parallel_slack, heuristic_energy_gain):
+            a = heuristic(problem, method="slsqp")
+            b = heuristic(problem, method="trust-constr")
+            assert a.metadata.get("reexecuted") == b.metadata.get("reexecuted")
+            assert a.energy == pytest.approx(b.energy, rel=1e-6)
