@@ -56,7 +56,7 @@ from ..core.problems import BiCritProblem, SolveResult
 from ..core.schedule import Execution, Schedule, TaskDecision
 from ..simulation import run_monte_carlo
 from ..solvers import SolverContext, get_solver
-from ..solvers.batch import LazyScheduleResult
+from ..solvers.batch import schedule_executions
 from ..solvers.batch import solve_batch as _kernel_solve_batch
 from ..solvers.dispatch import solve as _kernel_solve
 from ..store import Coalescer, ResultStore
@@ -396,12 +396,11 @@ class Engine:
         intra-task intervals with re-executions), so the stored form
         round-trips to a real :class:`Schedule` against the interned
         problem -- simulate and the object layer work on a store hit.
-        Columnar rows give those lists straight from the kernel's speeds,
-        so no ``Problem`` or ``Schedule`` is built to store them.
+        :func:`~repro.solvers.batch.schedule_executions` owns that format
+        (columnar rows give it without building a ``Problem`` or
+        ``Schedule``).
         """
-        executions = (result.pending_executions()
-                      if isinstance(result, LazyScheduleResult) else None)
-        schedule = result.schedule if executions is None else None
+        executions = schedule_executions(result)
         payload: dict[str, Any] = {
             "status": result.status,
             "solver": result.solver,
@@ -414,11 +413,6 @@ class Engine:
                 payload["metadata"][str(k)] = canonicalize(v)
             except TypeError:
                 continue       # drop non-JSON metadata, keep the record
-        if schedule is not None:
-            executions = {
-                str(t): [[[float(f), float(d)] for f, d in e.intervals]
-                         for e in decision.executions]
-                for t, decision in schedule.decisions.items()}
         if executions is not None:
             payload["schedule"] = {"executions": executions}
         return payload

@@ -216,14 +216,6 @@ class LazyScheduleResult(SolveResult):
     def schedule(self, value: Schedule | None) -> None:
         self._schedule = value
 
-    def pending_executions(self) -> dict[str, list[list[list[float]]]] | None:
-        """The unbuilt schedule's ``{task: [[[f, duration]], ...]}`` interval
-        lists, straight from the kernel's speeds, when the builder can give
-        them without a ``Problem`` (columnar fast rows); ``None`` once the
-        schedule is built or for any other builder."""
-        executions = getattr(self._schedule_builder, "executions", None)
-        return executions() if executions is not None else None
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         built = "built" if self._schedule is not None else "lazy"
         return (f"LazyScheduleResult(solver={self.solver!r}, "
@@ -1162,6 +1154,27 @@ class _WireScheduleBuilder:
                                      for run in runs))
             for t, runs in self.executions().items()}
         return Schedule(problem.mapping, problem.platform, decisions)
+
+
+def schedule_executions(result: SolveResult
+                        ) -> dict[str, list[list[list[float]]]] | None:
+    """``result``'s schedule as ``{task: [[[f, duration], ...], ...]}``,
+    every execution's interval list (``None`` without a schedule).
+
+    This is the persistent store's record format.  An unbuilt columnar row
+    gives it straight from the kernel's speeds
+    (:meth:`_WireScheduleBuilder.executions`), so no ``Problem`` or
+    ``Schedule`` is built to store it.
+    """
+    if isinstance(result, LazyScheduleResult) and isinstance(
+            result._schedule_builder, _WireScheduleBuilder):
+        return result._schedule_builder.executions()
+    schedule = result.schedule
+    if schedule is None:
+        return None
+    return {str(t): [[[float(f), float(d)] for f, d in e.intervals]
+                     for e in decision.executions]
+            for t, decision in schedule.decisions.items()}
 
 
 def _columnar_dispatch(batch: ProblemBatch, i: int, solver_name: str,

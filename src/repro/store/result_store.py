@@ -249,13 +249,13 @@ class ResultStore:
             f".tmp-{os.getpid()}-{threading.get_ident()}")
         try:
             try:
-                with tmp.open("wb") as fh:
-                    fh.write(data)
+                fh = tmp.open("wb")
             except FileNotFoundError:
                 # First write into this shard, or the tree was removed.
                 path.parent.mkdir(parents=True, exist_ok=True)
-                with tmp.open("wb") as fh:
-                    fh.write(data)
+                fh = tmp.open("wb")
+            with fh:
+                fh.write(data)
             tmp.replace(path)
         except BaseException:
             tmp.unlink(missing_ok=True)

@@ -9,8 +9,7 @@ and compare field by field.
 Regenerate intentionally -- after a change that is *supposed* to alter
 experiment output -- with::
 
-    make refresh-golden                                  # every scenario
-    python tests/refresh_golden.py e9-heuristics         # named scenarios
+    make refresh-golden
 
 and commit the resulting JSON diffs alongside the change that caused them.
 Each snapshot records the Python, numpy and scipy versions it was
@@ -32,21 +31,14 @@ from repro.campaign.registry import iter_scenarios     # noqa: E402
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
 
-def main(names: list[str]) -> int:
+def main() -> int:
     import numpy
     import scipy
 
     environment = {"python": platform.python_version(),
                    "numpy": numpy.__version__, "scipy": scipy.__version__}
     GOLDEN_DIR.mkdir(exist_ok=True)
-    specs = list(iter_scenarios())
-    unknown = set(names) - {spec.name for spec in specs}
-    if unknown:
-        print(f"unknown scenarios: {sorted(unknown)}", file=sys.stderr)
-        return 2
-    for spec in specs:
-        if names and spec.name not in names:
-            continue
+    for spec in iter_scenarios():
         params = spec.params(smoke=True)
         result = spec.runner(**params)
         payload = {
@@ -65,4 +57,4 @@ def main(names: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    raise SystemExit(main(sys.argv[1:]))
+    raise SystemExit(main())

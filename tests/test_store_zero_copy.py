@@ -26,7 +26,7 @@ from repro.api.types import SolveBatchRequest
 from repro.core.columnar import ProblemBatch
 from repro.core.problem_io import problem_from_dict, problem_to_dict
 from repro.core.schedule import TaskDecision
-from repro.solvers.batch import LazyScheduleResult, solve_batch
+from repro.solvers.batch import LazyScheduleResult, schedule_executions, solve_batch
 from repro.store import ResultStore
 from repro.store.canonical import canonical_blob
 
@@ -69,13 +69,11 @@ class TestRecordWithoutSchedule:
         for payload, result in zip(payloads, results):
             if not isinstance(result, LazyScheduleResult):
                 continue        # infeasible rows and fmin-clamped fork rows
-            executions = result.pending_executions()
-            assert executions is not None
-            assert executions == _reference_executions(
+            assert schedule_executions(result) == _reference_executions(
                 payload, result.wire_view["speeds"])
             lean = Engine._result_to_payload(result)
+            assert result._schedule is None               # still unbuilt
             assert result.schedule is not None            # forces the build
-            assert result.pending_executions() is None
             full = Engine._result_to_payload(result)
             assert canonical_blob(lean) == canonical_blob(full)
             # Same key order too, so the envelope files are byte-identical.
@@ -85,7 +83,7 @@ class TestRecordWithoutSchedule:
         results = solve_batch(
             ProblemBatch.from_wire([ZERO_WEIGHT_CHAIN, REEXECUTED_TRICRIT]),
             "auto")
-        chain, tricrit = (r.pending_executions() for r in results)
+        chain, tricrit = (schedule_executions(r) for r in results)
         assert chain["T1"] == [[[1.0, 0.0]]]
         assert [len(runs) for runs in tricrit.values()] == [2, 1, 2]
 
