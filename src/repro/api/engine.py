@@ -13,10 +13,11 @@ the life of the process:
 * an **LRU result cache** -- solve results keyed by the same canonical
   content hash the campaign cache uses (problem JSON + solver + options);
   a repeat solve is a dictionary lookup, flagged ``cached`` in the response;
-* a **batched submit path** -- :meth:`submit_batch` routes whole instance
-  lists through :func:`repro.solvers.batch.solve_batch`, which groups
-  homogeneous (structure x speed model x solver) runs into single vectorized
-  programs, while cache hits are peeled off first;
+* a **batched submit path** -- :meth:`submit_batch` and :meth:`solve_batch`
+  turn whole instance lists into one columnar
+  :class:`~repro.core.columnar.ProblemBatch`, peel cache hits off by key,
+  and hand the misses to :func:`repro.solvers.batch.solve_batch`, which
+  solves each route (chain, fork, TRI-CRIT chain) as one array program;
 * an optional **persistent store tier** -- when constructed with a
   :class:`repro.store.ResultStore`, the LRU becomes a write-through view
   over the shared on-disk tier (``results`` namespace): computed results
@@ -444,63 +445,99 @@ class Engine:
             return None
 
     def submit_batch(self, problems: Sequence[Any], solver: str = "auto", *,
-                     contexts: Sequence[SolverContext] | None = None,
-                     options: Mapping[str, Any] | None = None,
-                     use_cache: bool = True) -> list[tuple[SolveResult, bool]]:
+                     options: Mapping[str, Any] | None = None
+                     ) -> list[tuple[SolveResult, bool]]:
         """Solve many instances; cache hits are peeled off, the misses run
-        through the vectorized batch kernel as homogeneous groups.
+        through the vectorized batch kernel.
 
+        ``problems`` may mix wire payload dicts and ``Problem`` objects; it
+        becomes one :class:`ProblemBatch` (``from_any``), so this and the
+        wire :meth:`solve_batch` share one admission, peel and store path.
         Returns ``(result, was_cached)`` pairs in input order.  One
         inadmissible instance fails the whole request (matching the scalar
         dispatch semantics of :func:`repro.solvers.batch.plan_batch`);
         like :meth:`submit`, library exceptions propagate unchanged on this
         object layer.
         """
-        options = dict(options or {})
-        if self.max_batch is not None and len(problems) > self.max_batch:
-            raise ApiError(SIZE_LIMIT,
-                           f"batch has {len(problems)} instances, engine "
-                           f"limit is {self.max_batch}",
-                           detail={"instances": len(problems),
-                                   "max_batch": self.max_batch})
-        resolved = [self.resolve_problem(p) for p in problems]
-        for problem in resolved:
-            self._check_size(problem)
-        self._check_solver_name(solver)
-        if contexts is not None and len(contexts) != len(resolved):
-            raise ApiError(INVALID_REQUEST,
-                           "contexts must match problems one-to-one")
+        with paused_gc():
+            return self._submit_rows(ProblemBatch.from_any(problems), solver,
+                                     dict(options or {}))
 
-        keys = self._batch_request_keys(
-            [problem_content_key(p) for p in resolved], solver, options)
-        out: list[tuple[SolveResult, bool] | None] = [None] * len(resolved)
+    def _submit_rows(self, batch: ProblemBatch, solver: str,
+                     options: dict[str, Any]
+                     ) -> list[tuple[SolveResult, bool]]:
+        """Admission checks over columns, masked cache peel, and the miss
+        rows handed to the batch kernel as a (sub-)``ProblemBatch``.
+
+        Admission order (batch size, row parses, task caps, solver name)
+        and errors match the scalar :meth:`submit` row by row.
+        """
+        n_rows = len(batch)
+        if self.max_batch is not None and n_rows > self.max_batch:
+            raise ApiError(SIZE_LIMIT,
+                           f"batch has {n_rows} instances, engine "
+                           f"limit is {self.max_batch}",
+                           detail={"instances": n_rows,
+                                   "max_batch": self.max_batch})
+        # Fallback rows (payloads the strict columnar parser declined)
+        # materialise through the interning resolver, in row order, so
+        # parse errors surface where the scalar path raises them (a
+        # ``Problem`` row passes through as itself).  Fast rows already
+        # parsed strictly and cannot fail.
+        for i in batch.fallback_indices():
+            batch.set_problem(i, self.resolve_problem(batch.payloads[i]))
+        if self.max_tasks is not None:
+            fallback = batch.columns["fallback"]
+            num_positive = batch.columns["num_positive"]
+            if fallback.any() or (n_rows and
+                                  num_positive.max() > self.max_tasks):
+                # Row-order walk so the reported instance is the first one
+                # over the cap; skipped entirely on the all-fast,
+                # all-within-limit common case.  Positive-weight counting
+                # mirrors the scalar ``_check_size``.
+                for i in range(n_rows):
+                    if fallback[i]:
+                        self._check_size(batch.problem(i))
+                    elif num_positive[i] > self.max_tasks:
+                        n = int(num_positive[i])
+                        raise ApiError(
+                            SIZE_LIMIT,
+                            f"instance has {n} tasks, engine limit is "
+                            f"{self.max_tasks}",
+                            detail={"tasks": n, "max_tasks": self.max_tasks})
+        self._check_solver_name(solver)
+        keys = self._batch_request_keys(batch.content_keys(), solver, options)
+        out: list[tuple[SolveResult, bool] | None] = [None] * n_rows
         misses: list[int] = []
-        for i, key in enumerate(keys):
-            # Two-level peel: the in-memory LRU, then the persistent tier
-            # (_cache_lookup counts hits and promotes store hits itself).
-            hit = (self._cache_lookup(key, partial(resolved.__getitem__, i))
-                   if use_cache else None)
-            if hit is not None:
-                out[i] = (hit, True)
-            else:
-                misses.append(i)
-        if use_cache:
+        if self.store is None:
+            # LRU-only peel under one lock acquisition; never touches
+            # ``batch.problem(i)``, keeping the all-miss path zero-copy.
             with self._lock:
-                self._counters["cache_misses"] += len(misses)
+                for i, key in enumerate(keys):
+                    hit = self._results.get(key)
+                    if hit is not None:
+                        self._counters["cache_hits"] += 1
+                        out[i] = (hit, True)
+                    else:
+                        misses.append(i)
+        else:
+            for i, key in enumerate(keys):
+                hit = self._cache_lookup(key, partial(batch.problem, i))
+                if hit is not None:
+                    out[i] = (hit, True)
+                else:
+                    misses.append(i)
+        with self._lock:
+            self._counters["cache_misses"] += len(misses)
         if misses:
-            miss_problems = [resolved[i] for i in misses]
-            miss_contexts = ([contexts[i] for i in misses]
-                             if contexts is not None else None)
-            results = _kernel_solve_batch(miss_problems, solver,
-                                          contexts=miss_contexts, **options)
+            sub = batch if len(misses) == n_rows else batch.take(misses)
+            results = _kernel_solve_batch(sub, solver, **options)
             with self._lock:
                 for i, result in zip(misses, results):
                     out[i] = (result, False)
-                    if use_cache:
-                        self._results.put(keys[i], result)
-            if use_cache:
-                for i, result in zip(misses, results):
-                    self._store_put(keys[i], result)
+                    self._results.put(keys[i], result)
+            for i, result in zip(misses, results):
+                self._store_put(keys[i], result)
         return [pair for pair in out if pair is not None]
 
     # ------------------------------------------------------------------
@@ -560,124 +597,31 @@ class Engine:
     def solve_batch(self, request: SolveBatchRequest) -> SolveBatchResponse:
         """``POST /v1/solve-batch``: grouped vectorized evaluation.
 
-        Wire payloads (all-``Mapping`` problem lists, or a request that
-        already carries a parsed :class:`ProblemBatch`) take the columnar
-        path: struct-of-arrays from JSON to kernel, no per-instance
-        ``Problem`` objects on the all-miss hot path.  Lists containing
-        in-process ``Problem`` objects keep the legacy object path.
+        The request's parsed :class:`ProblemBatch` (or its problem list,
+        wire payloads and ``Problem`` objects alike, via ``from_any``) goes
+        through the same admission, peel and kernel path as
+        :meth:`submit_batch`: struct-of-arrays from JSON to kernel, no
+        per-instance ``Problem`` objects on the all-miss hot path.
         """
         t0 = time.perf_counter()
-        batch = getattr(request, "batch", None)
-        if batch is None and request.problems and all(
-                isinstance(p, Mapping) for p in request.problems):
+        batch = request.batch
+        if batch is None:
+            batch = ProblemBatch.from_any(request.problems)
+        # In-process consumers get the same GC relief as the HTTP server
+        # scope (nested pauses are depth-counted no-ops).
+        with paused_gc():
             try:
-                batch = ProblemBatch.from_wire(request.problems)
-            except Exception:
-                # The object path owns the authoritative validation errors.
-                batch = None
-        if batch is not None:
-            # In-process consumers get the same GC relief as the HTTP
-            # server scope (nested pauses are depth-counted no-ops).
-            with paused_gc():
-                return self._solve_batch_columnar(batch, request.solver,
-                                                  dict(request.options), t0)
-        try:
-            pairs = self.submit_batch(request.problems, request.solver,
-                                      options=request.options)
-        except Exception as exc:
-            raise self._translate(exc) from exc
-        executed = sum(1 for _, cached in pairs if not cached)
-        per_miss_ms = ((time.perf_counter() - t0) * 1e3 / executed
-                       if executed else 0.0)
-        return SolveBatchResponse(results=[
-            self._build_response(result, cached=cached,
-                                 elapsed_ms=0.0 if cached else per_miss_ms)
-            for result, cached in pairs])
-
-    def _solve_batch_columnar(self, batch: ProblemBatch, solver: str,
-                              options: dict[str, Any],
-                              t0: float) -> SolveBatchResponse:
-        """Columnar ``/v1/solve-batch``: admission checks over columns,
-        masked cache peel, and the miss rows handed to the batch kernel as
-        a (sub-)``ProblemBatch`` -- semantics identical to the object path
-        (same admission order, same errors, same counters, same keys)."""
-        try:
-            n_rows = len(batch)
-            if self.max_batch is not None and n_rows > self.max_batch:
-                raise ApiError(SIZE_LIMIT,
-                               f"batch has {n_rows} instances, engine "
-                               f"limit is {self.max_batch}",
-                               detail={"instances": n_rows,
-                                       "max_batch": self.max_batch})
-            # Fallback rows (payloads the strict columnar parser declined)
-            # materialise through the interning resolver, in row order, so
-            # parse errors surface exactly where the object path raises
-            # them.  Fast rows already parsed strictly and cannot fail.
-            for i in batch.fallback_indices():
-                batch.set_problem(i, self.resolve_problem(batch.payloads[i]))
-            if self.max_tasks is not None:
-                fallback = batch.columns["fallback"]
-                num_positive = batch.columns["num_positive"]
-                if fallback.any() or (n_rows and
-                                      num_positive.max() > self.max_tasks):
-                    # Row-order walk so the reported instance matches the
-                    # object path; skipped entirely on the all-fast,
-                    # all-within-limit common case.  Positive-weight counting
-                    # mirrors the scalar ``_check_size``.
-                    for i in range(n_rows):
-                        n = (SolverContext.for_problem(batch.problem(i))
-                             .num_positive_tasks if fallback[i]
-                             else int(num_positive[i]))
-                        if n > self.max_tasks:
-                            raise ApiError(
-                                SIZE_LIMIT,
-                                f"instance has {n} tasks, engine limit is "
-                                f"{self.max_tasks}",
-                                detail={"tasks": n,
-                                        "max_tasks": self.max_tasks})
-            self._check_solver_name(solver)
-            keys = self._batch_request_keys(batch.content_keys(), solver,
-                                            options)
-            out: list[tuple[SolveResult, bool] | None] = [None] * n_rows
-            misses: list[int] = []
-            if self.store is None:
-                # LRU-only peel under one lock acquisition; never touches
-                # ``batch.problem(i)``, keeping the all-miss path zero-copy.
-                with self._lock:
-                    for i, key in enumerate(keys):
-                        hit = self._results.get(key)
-                        if hit is not None:
-                            self._counters["cache_hits"] += 1
-                            out[i] = (hit, True)
-                        else:
-                            misses.append(i)
-            else:
-                for i, key in enumerate(keys):
-                    hit = self._cache_lookup(key, partial(batch.problem, i))
-                    if hit is not None:
-                        out[i] = (hit, True)
-                    else:
-                        misses.append(i)
-            with self._lock:
-                self._counters["cache_misses"] += len(misses)
-            if misses:
-                sub = batch if len(misses) == n_rows else batch.take(misses)
-                results = _kernel_solve_batch(sub, solver, **options)
-                with self._lock:
-                    for i, result in zip(misses, results):
-                        out[i] = (result, False)
-                        self._results.put(keys[i], result)
-                for i, result in zip(misses, results):
-                    self._store_put(keys[i], result)
-        except Exception as exc:
-            raise self._translate(exc) from exc
-        executed = len(misses)
-        per_miss_ms = ((time.perf_counter() - t0) * 1e3 / executed
-                       if executed else 0.0)
-        return SolveBatchResponse(results=[
-            self._build_response(pair[0], cached=pair[1],
-                                 elapsed_ms=0.0 if pair[1] else per_miss_ms)
-            for pair in out if pair is not None])
+                pairs = self._submit_rows(batch, request.solver,
+                                          dict(request.options))
+            except Exception as exc:
+                raise self._translate(exc) from exc
+            executed = sum(1 for _, cached in pairs if not cached)
+            per_miss_ms = ((time.perf_counter() - t0) * 1e3 / executed
+                           if executed else 0.0)
+            return SolveBatchResponse(results=[
+                self._build_response(result, cached=cached,
+                                     elapsed_ms=0.0 if cached else per_miss_ms)
+                for result, cached in pairs])
 
     def simulate(self, request: SimulateRequest) -> SimulateResponse:
         """``POST /v1/simulate``: solve, then Monte-Carlo the schedule."""

@@ -149,9 +149,9 @@ class SolveRequest:
 class SolveBatchRequest:
     """Solve many instances in one request.
 
-    Homogeneous groups (same structure x speed model x dispatched solver)
-    are evaluated through the vectorized batch kernel automatically; the
-    response preserves input order.
+    Chain, fork and TRI-CRIT chain rows are evaluated through the
+    vectorized batch kernel automatically; the response preserves input
+    order.
 
     ``from_dict`` additionally parses the wire payloads straight into a
     columnar :class:`~repro.core.columnar.ProblemBatch` (``batch``), so the
@@ -186,13 +186,9 @@ class SolveBatchRequest:
         if problems:
             from ..core.columnar import ProblemBatch
 
-            try:
-                batch = ProblemBatch.from_wire(problems)
-            except Exception:
-                # Parsing is best effort here: anything the columnar parser
-                # cannot digest falls back to the object path in the engine,
-                # which owns the authoritative validation errors.
-                batch = None
+            # Never raises: rows the strict parser cannot certify are
+            # fallback rows, which the engine parses (and rejects) per row.
+            batch = ProblemBatch.from_wire(problems)
         return cls(problems=problems,
                    solver=_str_field(data, "solver", "auto", "solve-batch request"),
                    options=_dict_field(data, "options", "solve-batch request"),

@@ -20,10 +20,10 @@ model constructors) has been replicated and passed, and the graph structure
 has been positively verified as a chain or a fork in canonical (topological)
 payload order.  Any doubt -- unknown speed models, non-canonical task order,
 string-typed numbers, duplicate edges -- marks the row ``fallback``; such
-rows are materialised through the legacy object path and produce exactly the
-legacy behaviour (including its error messages).  Fast rows are grouped and
-solved so that the resulting array programs are *bit-identical* to the ones
-the object path would have run on the same batch.
+rows are materialised through ``problem_from_dict`` and solved by the scalar
+dispatcher, so they produce exactly the scalar behaviour (including its
+error messages).  ``Problem`` objects are read into the same rows their
+canonical payload would parse into (:func:`_problem_row`).
 
 Content hashing is vectorised the same way: rows sharing a payload skeleton
 (same ids, structure, mapping, platform shape) share one canonical-JSON
@@ -37,13 +37,15 @@ from __future__ import annotations
 
 import hashlib
 import math
+import sys
 from collections.abc import Mapping as TMapping, Sequence
 from typing import Any
 
 import numpy as np
 
-from .problems import BiCritProblem
+from .problems import BiCritProblem, TriCritProblem
 from .reliability import DEFAULT_LAMBDA0, DEFAULT_SENSITIVITY
+from .speeds import ContinuousSpeeds
 
 __all__ = ["ProblemBatch", "problem_content_key",
            "KIND_BICRIT", "KIND_TRICRIT"]
@@ -75,6 +77,7 @@ KIND_BICRIT = 0
 KIND_TRICRIT = 1
 
 _NUMBER = (int, float)
+_MAX_FLOAT = sys.float_info.max
 
 #: Float columns of a parsed batch, in constructor order.
 _FLOAT_COLUMNS = ("deadline", "total_weight", "fmin", "fmax", "alpha",
@@ -87,8 +90,12 @@ _BOOL_COLUMNS = ("is_chain", "is_fork", "single_processor",
 
 
 def _is_number(x: Any) -> bool:
-    return type(x) in _NUMBER or (isinstance(x, _NUMBER)
-                                  and not isinstance(x, bool))
+    """A real number ``float(x)`` converts without overflow (not a bool)."""
+    if type(x) is float:
+        return True
+    if not isinstance(x, _NUMBER) or isinstance(x, bool):
+        return False
+    return isinstance(x, float) or abs(x) <= _MAX_FLOAT
 
 
 def _finite(x: float) -> bool:
@@ -335,15 +342,138 @@ def _parse_row(payload: Any) -> _Row | None:
     return row
 
 
+def _problem_rel(model: Any) -> tuple[float, float, float, float, float] | None:
+    """:func:`_parse_rel` of a ``ReliabilityModel`` whose numbers are all
+    floats already (``None`` otherwise: give up)."""
+    values = (model.fmin, model.fmax, model.lambda0, model.sensitivity,
+              model.frel)
+    if any(type(v) is not float for v in values):
+        return None
+    return _parse_rel(dict(zip(("fmin", "fmax", "lambda0", "sensitivity",
+                                "frel"), values)))
+
+
+def _problem_row(problem: BiCritProblem) -> _Row | None:
+    """The :func:`_parse_row` row of ``problem_to_dict(problem)``, read off
+    the objects without building the payload.
+
+    ``None`` (fall back) unless the graph is a chain or a fork with string
+    task ids and every platform number is a ``float`` already: then the
+    row's template key equals :func:`problem_content_key` of the object,
+    and the kernels' task names are the object's own ids.
+    """
+    platform = problem.platform
+    speed = platform.speed_model
+    energy = platform.energy_model
+    procs = platform.num_processors
+    if type(speed) is not ContinuousSpeeds or type(procs) is not int:
+        return None
+    fmin, fmax = speed.fmin, speed.fmax
+    alpha, static = energy.exponent, energy.static_power
+    if not (type(fmin) is float and type(fmax) is float
+            and type(alpha) is float and type(static) is float
+            and 0.0 < fmin <= fmax < _INF and 1.0 < alpha < _INF
+            and 0.0 <= static < _INF):
+        return None
+    deadline = float(problem.deadline)
+    if not 0.0 < deadline < _INF:
+        return None
+    plat_rel = prob_rel = None
+    if platform.reliability_model is not None:
+        plat_rel = _problem_rel(platform.reliability_model)
+        if plat_rel is None:
+            return None
+    tricrit = isinstance(problem, TriCritProblem)
+    if tricrit and problem.reliability_model is not None:
+        prob_rel = _problem_rel(problem.reliability_model)
+        if prob_rel is None:
+            return None
+
+    # Structure and the canonical payload's task order (the lexicographic
+    # topological order): a fork's source then its children sorted by id,
+    # or the chain walked from its source.  Raw adjacency, as the
+    # ``TaskGraph`` structure probes read it.
+    graph = problem.graph
+    pred, succ = graph.graph._pred, graph.graph._succ
+    n = len(pred)
+    sources = [t for t, p in pred.items() if not p]
+    if len(sources) != 1:
+        return None
+    source = sources[0]
+    children = succ[source]
+    is_fork = len(children) == n - 1
+    for t in children:
+        if type(t) is not str or len(pred[t]) != 1 or succ[t]:
+            is_fork = False
+            break
+    if is_fork:
+        ids = [source, *sorted(children)]
+        is_chain = n <= 2
+    else:
+        # A single-successor walk from the only source that reaches all n
+        # tasks has used all n - 1 edges, so every task has one predecessor.
+        ids = [source]
+        nxt = children
+        while nxt:
+            if len(nxt) != 1:
+                return None
+            (t,) = nxt
+            ids.append(t)
+            nxt = succ[t]
+        if len(ids) != n:
+            return None
+        is_chain = True
+    nodes = graph.graph._node
+    weights = []
+    total = 0.0
+    num_positive = 0
+    for t in ids:       # the parser's left fold, not sum()'s
+        if type(t) is not str:
+            return None
+        w = nodes[t]["weight"]       # a float: TaskGraph stores float(w)
+        weights.append(w)
+        total += w
+        if w > 0.0:
+            num_positive += 1
+
+    mapping = problem.mapping.as_lists()
+    flat = [t for proc_tasks in mapping for t in proc_tasks]
+    row = _Row()
+    row.kind = KIND_TRICRIT if tricrit else KIND_BICRIT
+    row.deadline = deadline
+    row.task_ids = ids
+    row.weights = weights
+    row.total = total
+    row.num_positive = num_positive
+    row.is_chain = is_chain
+    row.is_fork = is_fork
+    row.mapping_lists = mapping
+    row.mapping_in_order = flat == ids
+    row.single_processor = not any(mapping[1:])
+    row.one_task_per_processor = max(map(len, mapping)) <= 1
+    row.mapping_processors = len(mapping)
+    row.platform_processors = procs
+    row.fmin = fmin
+    row.fmax = fmax
+    row.alpha = alpha
+    row.static_power = static
+    row.plat_rel = plat_rel
+    row.prob_rel = prob_rel
+    row.eff_rel = (prob_rel or plat_rel
+                   or (fmin, fmax, DEFAULT_LAMBDA0, DEFAULT_SENSITIVITY, fmax))
+    return row
+
+
 class ProblemBatch:
     """A batch of problem instances as parallel columns plus ragged weights.
 
     Construct with :meth:`from_wire` (payload dicts, never raises -- invalid
     rows are marked ``fallback``), :meth:`from_problems` (existing Problem
-    objects, round-tripped through their canonical payload form) or
+    objects, read into the columns their canonical payload would give) or
     :meth:`from_any` (mixed).  Fast rows carry everything the batch kernels
     and the key hasher need in columns; fallback rows retain only the
-    payload and are materialised on demand via :meth:`problem`.
+    payload (a wire dict or a ``Problem``) and are materialised on demand
+    via :meth:`problem`.
     """
 
     def __init__(self, payloads: list[Any], rows: list[_Row | None],
@@ -406,36 +536,32 @@ class ProblemBatch:
 
     @classmethod
     def from_problems(cls, problems: Sequence[BiCritProblem]) -> ProblemBatch:
-        """Columns from existing ``Problem`` objects (backward-compatible
-        entry point): each is serialised to its canonical payload form, so
-        fast-row classification and content keys match the wire path, while
-        :meth:`problem` returns the original objects."""
-        from .problem_io import problem_to_dict
-
-        problems = list(problems)
-        payloads = [problem_to_dict(p) for p in problems]
-        return cls(payloads, [_parse_row(p) for p in payloads],
-                   problems=problems)
+        """Columns from existing ``Problem`` objects (see :meth:`from_any`)."""
+        return cls.from_any(list(problems))
 
     @classmethod
     def from_any(cls, items: Sequence[Any]) -> ProblemBatch:
         """Mixed payload-dicts / Problem-objects sequence (or an existing
-        batch, returned as-is)."""
+        batch, returned as-is).
+
+        A ``Problem`` row is read off the objects (:func:`_problem_row`)
+        into the same columns and content key its canonical payload would
+        give; its ``payloads`` entry is the object itself, which
+        :meth:`problem` returns.
+        """
         if isinstance(items, ProblemBatch):
             return items
-        from .problem_io import problem_to_dict
-
-        payloads: list[Any] = []
+        payloads = list(items)
+        rows: list[_Row | None] = []
         problems: list[BiCritProblem | None] = []
-        for item in items:
+        for item in payloads:
             if isinstance(item, BiCritProblem):
-                payloads.append(problem_to_dict(item))
+                rows.append(_problem_row(item))
                 problems.append(item)
             else:
-                payloads.append(item)
+                rows.append(_parse_row(item))
                 problems.append(None)
-        return cls(payloads, [_parse_row(p) for p in payloads],
-                   problems=problems)
+        return cls(payloads, rows, problems=problems)
 
     # ------------------------------------------------------------------
     # row access
@@ -462,7 +588,7 @@ class ProblemBatch:
         """Materialise (and memoise) the ``Problem`` object for one row.
 
         The zero-copy hot path never calls this for fast rows; it exists for
-        fallback rows, schedule building and compatibility consumers.
+        fallback rows, store hits and compatibility consumers.
         """
         problem = self._problems[i]
         if problem is None:

@@ -142,7 +142,7 @@ def run_solver_ablation_experiment(
     ctxs = [SolverContext.for_problem(prob) for _, _, prob in instances]
     if engine == "batch":
         # One vectorized fmax-feasibility sweep instead of one walk each.
-        batch_is_feasible([prob for _, _, prob in instances], contexts=ctxs)
+        batch_is_feasible([prob for _, _, prob in instances])
 
     # Pass 1: classify every solver x instance cell without running anything.
     # ``entry["cells"]`` holds the admissible cells whose energies are filled
@@ -211,15 +211,13 @@ def run_solver_ablation_experiment(
                 groups.setdefault(descriptor.name, []).append((entry, row))
         for name_key, members in groups.items():
             pairs = api.submit_batch([e["prob"] for e, _ in members],
-                                     solver=name_key,
-                                     contexts=[e["ctx"] for e, _ in members])
+                                     solver=name_key)
             for (_, row), (result, _) in zip(members, pairs):
                 row.update(status=result.status, energy=result.energy,
                            dispatched=False, reason=None)
         auto_entries = [e for e in entries if e["auto"]]
         if auto_entries:
-            pairs = api.submit_batch([e["prob"] for e in auto_entries],
-                                     contexts=[e["ctx"] for e in auto_entries])
+            pairs = api.submit_batch([e["prob"] for e in auto_entries])
             for entry, (result, _) in zip(auto_entries, pairs):
                 entry["auto_result"] = result
 

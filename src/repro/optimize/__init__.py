@@ -1,12 +1,7 @@
-"""Convex-optimisation substrate: bisection, duration allocation, projected gradient."""
+"""Convex-optimisation substrate: bisection and duration allocation."""
 
 from .allocation import AllocationResult, allocate_durations, equal_speed_durations
 from .bisection import bisect_root, expand_bracket, solve_monotone_increasing
-from .projected_gradient import (
-    ProjectedGradientResult,
-    minimize_projected_gradient,
-    project_box_budget,
-)
 
 __all__ = [
     "bisect_root",
@@ -15,7 +10,4 @@ __all__ = [
     "AllocationResult",
     "allocate_durations",
     "equal_speed_durations",
-    "ProjectedGradientResult",
-    "minimize_projected_gradient",
-    "project_box_budget",
 ]

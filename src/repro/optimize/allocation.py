@@ -57,6 +57,12 @@ class AllocationResult:
     _weights: np.ndarray = None  # type: ignore[assignment]
 
 
+def _energy(w: np.ndarray, durations: np.ndarray, exponent: float) -> np.ndarray:
+    """Per-task energy ``w f^(alpha-1)`` at speed ``f = w/d``; the equal
+    ``w^alpha / d^(alpha-1)`` underflows to 0/0 on tiny weights."""
+    return w * (w / durations) ** (exponent - 1.0)
+
+
 def equal_speed_durations(weights, deadline: float) -> np.ndarray:
     """Unbounded optimum: every task at speed ``sum(w)/deadline``."""
     w = np.asarray(weights, dtype=float)
@@ -144,9 +150,7 @@ def allocate_durations_with_bounds(weights, deadline: float, lower, upper, *,
     if zero_width or min_time >= deadline * (1.0 - 1e-12):
         durations = np.where(positive, lower, 0.0)
         with np.errstate(divide="ignore", invalid="ignore"):
-            per_task = np.where(
-                positive, w ** exponent / durations ** (exponent - 1.0), 0.0
-            )
+            per_task = np.where(positive, _energy(w, durations, exponent), 0.0)
         return AllocationResult(
             durations=durations, energy=float(np.sum(per_task)),
             total_time=float(np.sum(durations)),
@@ -180,9 +184,7 @@ def allocate_durations_with_bounds(weights, deadline: float, lower, upper, *,
     durations[~positive] = 0.0
 
     with np.errstate(divide="ignore", invalid="ignore"):
-        per_task = np.where(
-            positive, w ** exponent / durations ** (exponent - 1.0), 0.0
-        )
+        per_task = np.where(positive, _energy(w, durations, exponent), 0.0)
     energy = float(np.sum(per_task))
     sat_lo = positive & np.isclose(durations, lower, rtol=1e-9, atol=1e-12)
     sat_hi = positive & np.isclose(durations, upper, rtol=1e-9, atol=1e-12)

@@ -19,11 +19,9 @@ from __future__ import annotations
 
 from . import limits
 from .batch import (
-    BatchGroup,
-    BatchPlan,
+    ColumnarBatchPlan,
     LazyScheduleResult,
     batch_is_feasible,
-    batch_reexecution_floors,
     plan_batch,
     solve_batch,
 )
@@ -50,11 +48,9 @@ __all__ = [
     "solve",
     "solve_batch",
     "plan_batch",
-    "BatchPlan",
-    "BatchGroup",
+    "ColumnarBatchPlan",
     "LazyScheduleResult",
     "batch_is_feasible",
-    "batch_reexecution_floors",
     "select_solver",
     "register_solver",
     "get_solver",

@@ -4,15 +4,16 @@ The scalar front door (:func:`repro.solvers.dispatch.solve`) evaluates one
 problem instance per call; campaign grids (the fork sweeps, the E13
 solver-ablation cells, Pareto curves) therefore pay per-instance Python
 overhead that dominates the cheap closed-form solvers of the paper's
-chain/fork analysis.  :func:`solve_batch` takes a *list* of BI-CRIT /
-TRI-CRIT instances, groups them by (structure, speed model, dispatched
-solver), stacks their weight arrays, and evaluates every group as one array
-program:
+chain/fork analysis.  :func:`solve_batch` takes a columnar
+:class:`~repro.core.columnar.ProblemBatch` (an instance list is converted
+with :meth:`~repro.core.columnar.ProblemBatch.from_problems`), routes every
+row by masked predicates over its columns, and evaluates each route as one
+array program straight off the ragged weight arrays:
 
-* **chain closed form** -- every single-processor CONTINUOUS instance is one
+* **chain closed form** -- every single-processor CONTINUOUS chain is one
   row of a ``total_weight / deadline`` array; speeds, feasibility and
   energies for the whole batch come out of a handful of NumPy ops;
-* **fork theorem** -- child weights are stacked into one padded matrix; the
+* **fork theorem** -- child weights are gathered into one padded matrix; the
   unsaturated formula, the paper's ``fmax`` saturation case and the
   per-child feasibility checks are evaluated for all forks at once (rows
   whose speeds would clamp at ``fmin`` fall back to the scalar front-end,
@@ -23,14 +24,16 @@ program:
   instance* are solved by a single vectorized water-filling bisection over a
   ``(batch, subsets, tasks)`` tensor, and the per-task re-execution speed
   floors are found by one vectorized reliability bisection
-  (:func:`batch_reexecution_floors`) instead of ``n`` scalar ones per
-  instance;
-* everything else falls back to per-instance dispatch, so ``solve_batch`` is
-  a drop-in replacement for a ``[solve(p) for p in problems]`` loop for
-  *every* admissible solver and for ``solver="auto"``.
+  (:func:`_floor_array`) instead of ``n`` scalar ones per instance;
+* every other row (anything the strict columnar parser could not certify,
+  any other solver, solver-specific options) is admissibility-checked and
+  runs through the scalar dispatcher, so ``solve_batch`` is a drop-in
+  replacement for a ``[solve(p) for p in problems]`` loop for *every*
+  admissible solver and for ``solver="auto"``.
 
-Results are :class:`LazyScheduleResult` objects: energies, statuses and
-metadata are computed by the vectorized kernels, while the per-task
+Results of the array routes are :class:`LazyScheduleResult` objects:
+energies, statuses and metadata are computed by the vectorized kernels, and
+an eager ``wire_view`` carries the response fields, while the per-task
 ``Schedule`` object (pure Python construction cost) is only materialised
 when ``result.schedule`` is first touched.  Equivalence with the scalar path
 is property-tested in ``tests/test_batch_solvers.py`` and the speedup is
@@ -41,19 +44,18 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
-from collections.abc import Callable
 from typing import Any
 
 import numpy as np
 
 from ..core.columnar import KIND_BICRIT, KIND_TRICRIT, ProblemBatch
-from ..core.problems import BiCritProblem, SolveResult, TriCritProblem
+from ..core.gcscope import paused_gc
+from ..core.problems import BiCritProblem, SolveResult
 from ..core.schedule import Execution, Schedule, TaskDecision
-from ..dag.taskgraph import TaskId
-from .context import SolverContext, speed_model_kind
+from .context import SolverContext
 from .descriptors import InadmissibleSolverError, Solver
 from .dispatch import select_solver
 from .registry import get_solver
@@ -61,15 +63,13 @@ from .registry import get_solver
 __all__ = [
     "solve_batch",
     "plan_batch",
-    "BatchPlan",
-    "BatchGroup",
     "ColumnarBatchPlan",
     "LazyScheduleResult",
-    "batch_reexecution_floors",
     "batch_is_feasible",
 ]
 
-#: Kernel labels used by :class:`BatchGroup` (and asserted on by the tests).
+#: Kernel labels reported by :meth:`ColumnarBatchPlan.kernel_counts` (and
+#: asserted on by the tests).
 KERNEL_CHAIN = "chain-closed-form"
 KERNEL_FORK = "fork-closed-form"
 KERNEL_TRICRIT_CHAIN = "tricrit-chain-subsets"
@@ -88,105 +88,6 @@ _SUBSET_TENSOR_BUDGET = 4_000_000
 # ----------------------------------------------------------------------
 # lazy results
 # ----------------------------------------------------------------------
-class _LazyDispatchMetadata(dict):
-    """Result metadata whose ``"dispatch"`` record is built on first access.
-
-    The scalar front door attaches ``ctx.describe()`` to every result; the
-    describe probes (structure classification, positive-task counts) cost
-    more than an entire vectorized closed-form solve, so the batch kernels
-    defer them until somebody actually reads the metadata.  Every read path
-    materialises first, which keeps the observable content identical to the
-    scalar dispatcher's.
-    """
-
-    def __init__(self, base: dict, dispatch_factory: Callable[[], dict]) -> None:
-        super().__init__(base)
-        self._factory: Callable[[], dict] | None = dispatch_factory
-
-    def _materialise(self) -> None:
-        if self._factory is not None:
-            factory, self._factory = self._factory, None
-            super().setdefault("dispatch", factory())
-
-    def __getitem__(self, key):
-        self._materialise()
-        return super().__getitem__(key)
-
-    def __contains__(self, key):
-        self._materialise()
-        return super().__contains__(key)
-
-    def __iter__(self):
-        self._materialise()
-        return super().__iter__()
-
-    def __len__(self):
-        self._materialise()
-        return super().__len__()
-
-    def __eq__(self, other):
-        self._materialise()
-        return dict(self) == other
-
-    def __ne__(self, other):
-        return not self.__eq__(other)
-
-    __hash__ = None  # type: ignore[assignment]
-
-    def __repr__(self):
-        self._materialise()
-        return super().__repr__()
-
-    def get(self, key, default=None):
-        self._materialise()
-        return super().get(key, default)
-
-    def keys(self):
-        self._materialise()
-        return super().keys()
-
-    def values(self):
-        self._materialise()
-        return super().values()
-
-    def items(self):
-        self._materialise()
-        return super().items()
-
-    def copy(self):
-        self._materialise()
-        return dict(self)
-
-    def setdefault(self, key, default=None):
-        self._materialise()
-        return super().setdefault(key, default)
-
-    def pop(self, key, *args):
-        self._materialise()
-        return super().pop(key, *args)
-
-    def update(self, *args, **kwargs):
-        self._materialise()
-        return super().update(*args, **kwargs)
-
-    def __reduce__(self):
-        # Preserve laziness across pickling: the base entries are read with
-        # C-level dict access (bypassing the materialising overrides) and the
-        # factory -- a picklable dataclass, not a closure -- rides along, so
-        # shipping results through the campaign process pool does not force
-        # the dispatch probes.
-        base = {k: dict.__getitem__(self, k) for k in dict.keys(self)}
-        if self._factory is None:
-            return (dict, (base,))
-        return (_rebuild_lazy_metadata, (base, self._factory))
-
-
-def _rebuild_lazy_metadata(base: dict, factory: Callable[[], dict]
-                           ) -> _LazyDispatchMetadata:
-    """Unpickling hook of :class:`_LazyDispatchMetadata` (kept lazy)."""
-    return _LazyDispatchMetadata(base, factory)
-
-
 class LazyScheduleResult(SolveResult):
     """A :class:`SolveResult` whose ``Schedule`` is built on first access.
 
@@ -226,35 +127,9 @@ class LazyScheduleResult(SolveResult):
 # ----------------------------------------------------------------------
 # planning
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class BatchGroup:
-    """One homogeneous slice of a batch: a kernel plus the instance indices."""
-
-    kernel: str
-    solver: str
-    indices: tuple[int, ...]
-
-
-@dataclass
-class BatchPlan:
-    """How :func:`solve_batch` will evaluate one instance list."""
-
-    solver: str                  # the requested solver argument
-    auto: bool
-    descriptors: list[Solver]    # dispatched descriptor per instance
-    groups: list[BatchGroup]
-
-    def kernel_counts(self) -> dict[str, int]:
-        """Instance count per kernel (the tests assert vectorized coverage)."""
-        counts: dict[str, int] = {}
-        for group in self.groups:
-            counts[group.kernel] = counts.get(group.kernel, 0) + len(group.indices)
-        return counts
-
-
 #: Route codes of :class:`ColumnarBatchPlan` -- one small int per row, so
-#: grouping a columnar batch is a masked scatter over the route column
-#: instead of per-instance Python probes.
+#: grouping a batch is a masked scatter over the route column instead of
+#: per-instance Python probes.
 ROUTE_LEGACY = 0
 ROUTE_CHAIN = 1
 ROUTE_FORK = 2
@@ -267,7 +142,7 @@ _ROUTE_KERNELS = {
 }
 
 #: Solvers with a fully columnar route; any other name sends every row
-#: through the legacy object path (which produces the exact scalar errors
+#: through the per-row scalar route (which produces the exact scalar errors
 #: and results for solvers the array kernels do not implement).
 _COLUMNAR_SOLVERS = frozenset({"auto", "bicrit-closed-form",
                                "tricrit-chain-exact", "tricrit-pruned"})
@@ -279,8 +154,8 @@ class ColumnarBatchPlan:
 
     Fast rows (``routes != ROUTE_LEGACY``) are solved straight off the
     columns without materialising ``Problem`` objects; legacy rows are
-    materialised and planned through the object-path :func:`plan_batch`,
-    preserving its validation errors and scalar fallbacks byte for byte.
+    materialised, admissibility-checked, and run through the scalar
+    dispatcher with their ``legacy_descriptors`` entry.
     """
 
     solver: str
@@ -288,170 +163,47 @@ class ColumnarBatchPlan:
     batch: ProblemBatch
     routes: np.ndarray                       # int8 route code per row
     legacy_indices: list[int]
-    legacy_problems: list[BiCritProblem]
-    legacy_contexts: list[SolverContext]
-    legacy_plan: BatchPlan | None
+    legacy_descriptors: list[Solver]
 
     def kernel_counts(self) -> dict[str, int]:
-        """Instance count per kernel, columnar and legacy rows combined."""
+        """Instance count per kernel, legacy rows under ``KERNEL_SCALAR``."""
         counts: dict[str, int] = {}
         for route, kernel in _ROUTE_KERNELS.items():
             hits = int(np.count_nonzero(self.routes == route))
             if hits:
                 counts[kernel] = hits
-        if self.legacy_plan is not None:
-            for kernel, n in self.legacy_plan.kernel_counts().items():
-                counts[kernel] = counts.get(kernel, 0) + n
+        if self.legacy_indices:
+            counts[KERNEL_SCALAR] = len(self.legacy_indices)
         return counts
 
 
-def _fast_closed_form_kernel(problem: BiCritProblem,
-                             ctx: SolverContext) -> str | None:
-    """Kernel label when ``bicrit-closed-form`` *definitely* admits ``problem``.
+def plan_batch(problems: ProblemBatch | Sequence[BiCritProblem],
+               solver: str = "auto", *,
+               vectorize: bool = True) -> ColumnarBatchPlan:
+    """Route every row of a batch by masked column predicates.
 
-    A fused version of the descriptor's admissibility check plus
-    :func:`_kernel_for` for the two vectorized routes, probing every
-    instance fact exactly once and seeding the context's caches with the
-    answers.  Returns ``None`` whenever the instance is not certainly on a
-    vectorized route -- the caller then falls back to the full
-    (reason-producing) admissibility machinery, so this fast path can never
-    admit something the scalar dispatcher would reject.
-
-    Soundness for ``solver="auto"``: ``bicrit-closed-form`` sorts first in
-    dispatch-preference order (exact, priority 10, alphabetically first), so
-    whenever it admits an instance it *is* the auto-dispatch choice.
-    """
-    if isinstance(problem, TriCritProblem):
-        return None
-    cache = ctx.__dict__
-    if "kind" not in cache:
-        cache["kind"] = "bicrit"
-    if "speed_kind" not in cache:
-        cache["speed_kind"] = speed_model_kind(problem.platform.speed_model)
-    if cache["speed_kind"] != "continuous":
-        return None
-    if "is_single_processor" not in cache:
-        cache["is_single_processor"] = problem.mapping.is_single_processor()
-    if cache["is_single_processor"]:
-        return KERNEL_CHAIN
-    if "fork_source" not in cache:
-        ok, source = ctx.graph.is_fork()
-        cache["fork_source"] = source if ok else None
-        cache["is_fork"] = cache["fork_source"] is not None
-    if cache["fork_source"] is None or ctx.graph.num_tasks <= 1:
-        return None
-    if "one_task_per_processor" not in cache:
-        cache["one_task_per_processor"] = all(
-            len(tasks) <= 1 for tasks in problem.mapping.as_lists())
-    if cache["one_task_per_processor"]:
-        return KERNEL_FORK
-    return None
-
-
-def _kernel_for(descriptor: Solver, ctx: SolverContext) -> str:
-    """Which vectorized kernel (if any) evaluates this dispatched instance."""
-    if descriptor.name == "bicrit-closed-form":
-        if ctx.is_single_processor:
-            return KERNEL_CHAIN
-        if ctx.is_fork and ctx.graph.num_tasks > 1 and ctx.one_task_per_processor:
-            return KERNEL_FORK
-        return KERNEL_SCALAR    # series-parallel recursion stays per instance
-    if descriptor.name in ("tricrit-chain-exact", "tricrit-pruned"):
-        # Positive-weight tasks only, matching the scalar guards and the
-        # descriptor admissibility check; beyond the vector-subset cap the
-        # instance runs the scalar solver (enumeration or pruned search).
-        if (ctx.is_single_processor
-                and 1 <= ctx.num_positive_tasks <= VECTOR_SUBSET_MAX_TASKS):
-            return KERNEL_TRICRIT_CHAIN
-        return KERNEL_SCALAR
-    return KERNEL_SCALAR
-
-
-def plan_batch(problems: Sequence[BiCritProblem], solver: str = "auto", *,
-               contexts: Sequence[SolverContext] | None = None,
-               validate: bool = True, vectorize: bool = True) -> BatchPlan:
-    """Group ``problems`` by dispatched solver and vectorized kernel.
-
-    Mirrors the scalar dispatch semantics exactly: ``solver="auto"`` selects
-    per instance through :func:`repro.solvers.dispatch.select_solver` (and
-    raises :class:`~repro.solvers.dispatch.NoAdmissibleSolverError` for an
-    instance nothing admits), a named solver is validated per instance when
-    ``validate`` is set (raising
+    ``problems`` is a :class:`~repro.core.columnar.ProblemBatch`, or an
+    instance list converted with ``ProblemBatch.from_problems``.  A fast
+    route is only assigned when the columnar parser *verified* the facts
+    the scalar admissibility checks would probe (structure, mapping shape,
+    speed-model kind, size caps), so a fast row is admissible for its
+    kernel solver by construction.  Every other row is materialised and
+    checked the way the scalar dispatcher checks it: ``solver="auto"``
+    selects through :func:`repro.solvers.dispatch.select_solver` (raising
+    :class:`~repro.solvers.dispatch.NoAdmissibleSolverError` for a row
+    nothing admits), a named solver raises
     :class:`~repro.solvers.descriptors.InadmissibleSolverError` like the
-    descriptor itself would).  ``vectorize=False`` forces every instance
-    onto the scalar fallback (used when solver-specific options are passed,
-    which the array kernels do not understand).
-
-    A :class:`~repro.core.columnar.ProblemBatch` may be passed instead of an
-    instance list; planning then happens directly on the columns (returning
-    a :class:`ColumnarBatchPlan`) and only fallback rows are materialised.
+    descriptor itself would.  ``vectorize=False`` sends every row down the
+    scalar route (used when solver-specific options are passed, which the
+    array kernels do not understand).
     """
-    if isinstance(problems, ProblemBatch):
-        if contexts is not None:
-            raise ValueError("contexts cannot be combined with a ProblemBatch")
-        return _plan_batch_columnar(problems, solver, validate=validate,
-                                    vectorize=vectorize)
-    ctxs = list(contexts) if contexts is not None else \
-        [SolverContext.for_problem(p) for p in problems]
-    if len(ctxs) != len(problems):
-        raise ValueError("contexts must match problems one-to-one")
+    batch = (problems if isinstance(problems, ProblemBatch)
+             else ProblemBatch.from_problems(problems))
     auto = solver == "auto"
-    descriptors: list[Solver] = []
-    kernels: list[str | None] = []
-    if auto:
-        closed_form = get_solver("bicrit-closed-form")
-        for problem, ctx in zip(problems, ctxs):
-            kernel = _fast_closed_form_kernel(problem, ctx) if vectorize else None
-            if kernel is not None:
-                descriptors.append(closed_form)
-                kernels.append(kernel)
-            else:
-                descriptors.append(select_solver(problem, context=ctx))
-                kernels.append(None)
-    else:
-        descriptor = get_solver(solver)
-        fast = vectorize and descriptor.name == "bicrit-closed-form"
-        for problem, ctx in zip(problems, ctxs):
-            kernel = _fast_closed_form_kernel(problem, ctx) if fast else None
-            if kernel is None and validate:
-                ok, reason = descriptor.admissible(problem, ctx)
-                if not ok:
-                    raise InadmissibleSolverError(
-                        f"solver {descriptor.name!r} is not admissible for "
-                        f"this instance: {reason}")
-            descriptors.append(descriptor)
-            kernels.append(kernel)
-
-    grouped: dict[tuple[str, str], list[int]] = {}
-    for index, (descriptor, ctx) in enumerate(zip(descriptors, ctxs)):
-        kernel = kernels[index]
-        if kernel is None:
-            kernel = _kernel_for(descriptor, ctx) if vectorize else KERNEL_SCALAR
-        grouped.setdefault((kernel, descriptor.name), []).append(index)
-    groups = [BatchGroup(kernel=kernel, solver=name, indices=tuple(indices))
-              for (kernel, name), indices in grouped.items()]
-    return BatchPlan(solver=solver, auto=auto, descriptors=descriptors,
-                     groups=groups)
-
-
-def _plan_batch_columnar(batch: ProblemBatch, solver: str, *,
-                         validate: bool = True,
-                         vectorize: bool = True) -> ColumnarBatchPlan:
-    """Route every batch row by masked column predicates, no object probes.
-
-    A fast route is only assigned when the columnar parser *verified* the
-    facts the scalar admissibility checks would probe (structure, mapping
-    shape, speed-model kind, size caps), so a fast row is admissible for its
-    kernel solver by construction; everything else -- unknown solvers,
-    non-canonical payloads, oversized instances, pre-built problems -- is
-    materialised and re-planned through the object path, inheriting its
-    exact errors and fallbacks.
-    """
+    named = None if auto else get_solver(solver)
     cols = batch.columns
-    size = len(batch)
-    routes = np.full(size, ROUTE_LEGACY, dtype=np.int8)
-    auto = solver == "auto"
-    if vectorize and size and solver in _COLUMNAR_SOLVERS:
+    routes = np.full(len(batch), ROUTE_LEGACY, dtype=np.int8)
+    if vectorize and len(batch) and solver in _COLUMNAR_SOLVERS:
         fast = ~cols["fallback"]
         bicrit = fast & (cols["kind"] == KIND_BICRIT)
         tricrit = fast & (cols["kind"] == KIND_TRICRIT)
@@ -476,139 +228,101 @@ def _plan_batch_columnar(batch: ProblemBatch, solver: str, *,
                    & (cols["num_positive"] >= 1)
                    & (cols["num_positive"] <= VECTOR_SUBSET_MAX_TASKS))
             routes[tri] = ROUTE_TRICRIT
-    legacy_indices = [int(i) for i in np.flatnonzero(routes == ROUTE_LEGACY)]
-    legacy_problems = [batch.problem(i) for i in legacy_indices]
-    legacy_contexts = [SolverContext.for_problem(p) for p in legacy_problems]
-    legacy_plan = None
-    if legacy_indices:
-        legacy_plan = plan_batch(legacy_problems, solver,
-                                 contexts=legacy_contexts, validate=validate,
-                                 vectorize=vectorize)
+    legacy_indices = np.flatnonzero(routes == ROUTE_LEGACY).tolist()
+    descriptors: list[Solver] = []
+    for i in legacy_indices:
+        problem = batch.problem(i)
+        ctx = SolverContext.for_problem(problem)
+        if named is None:
+            descriptors.append(select_solver(problem, context=ctx))
+            continue
+        ok, reason = named.admissible(problem, ctx)
+        if not ok:
+            raise InadmissibleSolverError(
+                f"solver {named.name!r} is not admissible for this "
+                f"instance: {reason}")
+        descriptors.append(named)
     return ColumnarBatchPlan(solver=solver, auto=auto, batch=batch,
                              routes=routes, legacy_indices=legacy_indices,
-                             legacy_problems=legacy_problems,
-                             legacy_contexts=legacy_contexts,
-                             legacy_plan=legacy_plan)
+                             legacy_descriptors=descriptors)
 
 
 # ----------------------------------------------------------------------
 # the batch front door
 # ----------------------------------------------------------------------
-def solve_batch(problems: Sequence[BiCritProblem], solver: str = "auto", *,
-                contexts: Sequence[SolverContext] | None = None,
-                validate: bool = True,
-                plan: BatchPlan | None = None,
-                **options: Any) -> list[SolveResult]:
+def solve_batch(problems: ProblemBatch | Sequence[BiCritProblem],
+                solver: str = "auto", **options: Any) -> list[SolveResult]:
     """Solve many instances at once; a drop-in batched ``solve()`` loop.
 
     Parameters mirror :func:`repro.solvers.dispatch.solve`; the return value
-    is one :class:`~repro.core.problems.SolveResult` per input problem, in
+    is one :class:`~repro.core.problems.SolveResult` per input row, in
     input order, agreeing with the per-instance scalar path within floating
     point tolerance (and bit-for-bit on statuses, routes and re-execution
     subsets, modulo degenerate energy ties).
 
-    Instances the vectorized kernels understand -- single-processor
-    CONTINUOUS chains, fully parallel CONTINUOUS forks, and TRI-CRIT chain
-    subset enumerations -- are evaluated as grouped array programs; every
-    other instance runs through the scalar dispatcher.  Solver-specific
-    ``options`` force the scalar path for the whole batch (the kernels only
-    implement the descriptor-default configurations).
-
-    A :class:`~repro.core.columnar.ProblemBatch` may be passed instead of an
-    instance list: fast rows are then solved straight off the ragged weight
-    arrays (zero per-instance ``Problem`` construction) and carry an eager
-    ``wire_view`` for the API layer, while fallback rows run through the
-    object path above.
+    ``problems`` is a :class:`~repro.core.columnar.ProblemBatch` or an
+    instance list (converted with ``ProblemBatch.from_problems``; its rows
+    keep their ``Problem`` objects).  Rows the vectorized kernels
+    understand -- single-processor CONTINUOUS chains, fully parallel
+    CONTINUOUS forks, and TRI-CRIT chain subset enumerations -- are solved
+    straight off the ragged weight arrays and carry an eager ``wire_view``
+    for the API layer; every other row runs through the scalar dispatcher.
+    Solver-specific ``options`` force the scalar route for the whole batch
+    (the kernels only implement the descriptor-default configurations).
+    The kernels allocate a few objects per row, so automatic GC is paused
+    for the call (:func:`repro.core.gcscope.paused_gc`).
     """
-    if isinstance(problems, ProblemBatch):
-        if contexts is not None:
-            raise ValueError("contexts cannot be combined with a ProblemBatch")
-        return _solve_batch_columnar(problems, solver, validate=validate,
-                                     plan=plan, **options)
-    problems = list(problems)
-    ctxs = list(contexts) if contexts is not None else \
-        [SolverContext.for_problem(p) for p in problems]
-    if plan is None:
-        plan = plan_batch(problems, solver, contexts=ctxs, validate=validate,
-                          vectorize=not options)
-    results: list[SolveResult | None] = [None] * len(problems)
-    for group in plan.groups:
-        indices = list(group.indices)
-        if group.kernel == KERNEL_CHAIN:
-            _solve_chain_group(problems, ctxs, indices, plan, results)
-        elif group.kernel == KERNEL_FORK:
-            _solve_fork_group(problems, ctxs, indices, plan, results)
-        elif group.kernel == KERNEL_TRICRIT_CHAIN:
-            _solve_tricrit_chain_group(problems, ctxs, indices, plan, results)
-        else:
-            for i in indices:
-                results[i] = _scalar_solve(problems[i], plan.descriptors[i],
-                                           ctxs[i], auto=plan.auto,
-                                           validate=validate, **options)
+    with paused_gc():
+        plan = plan_batch(problems, solver, vectorize=not options)
+        batch = plan.batch
+        results: list[SolveResult | None] = [None] * len(batch)
+        for i, descriptor in zip(plan.legacy_indices,
+                                 plan.legacy_descriptors):
+            results[i] = _scalar_solve(batch.problem(i), descriptor,
+                                       auto=plan.auto, **options)
+        chain_rows = np.flatnonzero(plan.routes == ROUTE_CHAIN)
+        if len(chain_rows):
+            _solve_chain_columnar(batch, chain_rows, plan, results)
+        fork_rows = np.flatnonzero(plan.routes == ROUTE_FORK)
+        if len(fork_rows):
+            _solve_fork_columnar(batch, fork_rows, plan, results)
+        tri_rows = np.flatnonzero(plan.routes == ROUTE_TRICRIT)
+        if len(tri_rows):
+            _solve_tricrit_columnar(batch, tri_rows, plan, results)
     return results  # type: ignore[return-value]
 
 
-def _dispatch_record(descriptor: Solver, ctx: SolverContext, auto: bool) -> dict:
-    """The ``metadata["dispatch"]`` record the scalar front door attaches."""
-    return {
+def _scalar_solve(problem: BiCritProblem, descriptor: Solver, *, auto: bool,
+                  **options: Any) -> SolveResult:
+    """Per-row fallback, byte-compatible with ``dispatch.solve``.
+
+    The plan already checked admissibility, so the descriptor does not
+    check it again (unless ``options`` asks for it explicitly).
+    """
+    ctx = SolverContext.for_problem(problem)
+    result = descriptor(problem, context=ctx, **{"validate": False, **options})
+    result.metadata.setdefault("dispatch", {
         "solver": descriptor.name,
         "auto": auto,
         "exactness": descriptor.exactness,
         **ctx.describe(),
-    }
-
-
-@dataclass
-class _DispatchRecordFactory:
-    """Picklable deferred ``metadata["dispatch"]`` record.
-
-    Captures the descriptor *name* and the problem instead of the live
-    descriptor/context pair, so lazy metadata survives pickling through the
-    campaign process pool; the context is re-memoized on the problem on
-    first access (in-process that returns the already-seeded context).
-    """
-
-    solver_name: str
-    auto: bool
-    problem: BiCritProblem
-
-    def __call__(self) -> dict:
-        ctx = SolverContext.for_problem(self.problem)
-        return _dispatch_record(get_solver(self.solver_name), ctx, self.auto)
-
-
-def _lazy_metadata(base: dict, descriptor: Solver, ctx: SolverContext,
-                   auto: bool) -> _LazyDispatchMetadata:
-    """Metadata carrying ``base`` plus a deferred scalar dispatch record."""
-    return _LazyDispatchMetadata(
-        base, _DispatchRecordFactory(descriptor.name, auto, ctx.problem))
-
-
-def _scalar_solve(problem: BiCritProblem, descriptor: Solver,
-                  ctx: SolverContext, *, auto: bool, validate: bool,
-                  **options: Any) -> SolveResult:
-    """Per-instance fallback, byte-compatible with ``dispatch.solve``."""
-    result = descriptor(problem, context=ctx, validate=validate and not auto,
-                        **options)
-    result.metadata.setdefault("dispatch", _dispatch_record(descriptor, ctx, auto))
+    })
     return result
 
 
 # ----------------------------------------------------------------------
 # batched feasibility / speed-floor primitives
 # ----------------------------------------------------------------------
-def batch_is_feasible(problems: Sequence[BiCritProblem], *,
-                      contexts: Sequence[SolverContext] | None = None) -> np.ndarray:
+def batch_is_feasible(problems: Sequence[BiCritProblem]) -> np.ndarray:
     """Vectorized ``ctx.is_feasible`` over a batch of instances.
 
     Single-processor instances reduce to one ``total_weight / fmax <= D``
     array comparison (their fmax makespan is the serialised sum); other
     mappings fall back to the context's memoized makespan walk.  The
-    computed verdicts are seeded into each context so later scalar accesses
-    of ``ctx.is_feasible`` are free.
+    computed verdicts are seeded into each (memoized) context so later
+    scalar accesses of ``ctx.is_feasible`` are free.
     """
-    ctxs = list(contexts) if contexts is not None else \
-        [SolverContext.for_problem(p) for p in problems]
+    ctxs = [SolverContext.for_problem(p) for p in problems]
     out = np.empty(len(ctxs), dtype=bool)
     serial_rows = [i for i, ctx in enumerate(ctxs)
                    if ctx.is_single_processor and "is_feasible" not in ctx.__dict__]
@@ -685,74 +399,13 @@ def _floor_array(w: np.ndarray, model_fmin: np.ndarray, model_fmax: np.ndarray,
     return out
 
 
-def batch_reexecution_floors(problems: Sequence[BiCritProblem], *,
-                             contexts: Sequence[SolverContext] | None = None
-                             ) -> list[dict[TaskId, float]]:
-    """Per-task re-execution speed floors for many instances at once.
-
-    One vectorized reliability bisection replaces the per-task scalar
-    bisections of ``ctx.reexecution_floor``; results are written back into
-    every context's floor cache, so the subset enumerations and greedy
-    heuristics that follow pay nothing.
-    """
-    ctxs = list(contexts) if contexts is not None else \
-        [SolverContext.for_problem(p) for p in problems]
-    flat_w: list[float] = []
-    flat_params: list[tuple[float, float, float, float, float, float]] = []
-    spans: list[tuple[SolverContext, list[TaskId]]] = []
-    for ctx in ctxs:
-        tasks = [t for t in ctx.positive_tasks
-                 if t not in ctx._reexec_floor_cache]
-        spans.append((ctx, tasks))
-        model = ctx.reliability
-        pfmin = ctx.problem.platform.fmin
-        for t in tasks:
-            flat_w.append(ctx.graph.weight(t))
-            flat_params.append((model.fmin, model.fmax, model.lambda0,
-                                model.sensitivity, model.frel, pfmin))
-    if flat_w:
-        params = np.array(flat_params, dtype=float)
-        floors = _floor_array(np.array(flat_w), params[:, 0], params[:, 1],
-                              params[:, 2], params[:, 3], params[:, 4])
-        floors = np.maximum(params[:, 5], floors)
-        cursor = 0
-        for ctx, tasks in spans:
-            for t in tasks:
-                ctx._reexec_floor_cache[t] = float(floors[cursor])
-                cursor += 1
-    return [{t: ctx.reexecution_floor(t) for t in ctx.positive_tasks}
-            for ctx in ctxs]
-
-
 # ----------------------------------------------------------------------
-# kernel: single-processor CONTINUOUS chains (BI-CRIT closed form)
+# array programs shared by the kernels
 # ----------------------------------------------------------------------
-@dataclass
-class _ChainScheduleBuilder:
-    """Picklable deferred schedule for a chain closed-form row."""
-
-    problem: BiCritProblem
-    speed: float
-
-    def __call__(self) -> Schedule:
-        graph = self.problem.graph
-        fmax = self.problem.platform.fmax
-        decisions = {
-            t: TaskDecision.single(t, graph.weight(t),
-                                   self.speed if graph.weight(t) > 0 else fmax)
-            for t in graph.tasks()
-        }
-        return Schedule(self.problem.mapping, self.problem.platform, decisions)
-
-
 def _chain_core(totals: np.ndarray, deadlines: np.ndarray, fmin: np.ndarray,
                 fmax: np.ndarray, alpha: np.ndarray
                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The chain closed form as one array program over per-row columns.
-
-    Shared between the object-path group solver and the columnar kernel so
-    both produce bit-identical speeds/energies for the same rows.
-    """
+    """The chain closed form as one array program over per-row columns."""
     raw_speed = totals / deadlines
     infeasible = (totals > 0) & (raw_speed > fmax * (1.0 + 1e-12))
     speed = np.maximum(raw_speed, fmin)
@@ -760,76 +413,11 @@ def _chain_core(totals: np.ndarray, deadlines: np.ndarray, fmin: np.ndarray,
     return raw_speed, infeasible, speed, energy
 
 
-def _solve_chain_group(problems: list[BiCritProblem],
-                       ctxs: list[SolverContext], indices: list[int],
-                       plan: BatchPlan, results: list[SolveResult | None]) -> None:
-    """All single-processor chain closed forms of the batch in one program."""
-    totals = np.array([ctxs[i].graph.total_weight() for i in indices])
-    deadlines = np.array([problems[i].deadline for i in indices])
-    fmin = np.array([problems[i].platform.fmin for i in indices])
-    fmax = np.array([problems[i].platform.fmax for i in indices])
-    alpha = np.array([problems[i].platform.energy_model.exponent
-                      for i in indices])
-
-    raw_speed, infeasible, speed, energy = _chain_core(totals, deadlines,
-                                                       fmin, fmax, alpha)
-
-    for row, i in enumerate(indices):
-        if infeasible[row]:
-            results[i] = SolveResult(
-                schedule=None, energy=math.inf, status="infeasible",
-                solver="continuous-closed-form[chain]",
-                metadata=_lazy_metadata(
-                    {"message": (f"chain needs speed {raw_speed[row]:.6g} > "
-                                 f"fmax={fmax[row]:.6g} to meet the deadline")},
-                    plan.descriptors[i], ctxs[i], plan.auto))
-            continue
-        if totals[row] == 0:
-            row_energy, row_speed = 0.0, 0.0
-        else:
-            row_energy, row_speed = float(energy[row]), float(speed[row])
-        results[i] = LazyScheduleResult(
-            builder=_ChainScheduleBuilder(problems[i], row_speed),
-            energy=row_energy, status="optimal",
-            solver="continuous-closed-form[chain]",
-            metadata=_lazy_metadata(
-                {"route": "chain", "closed_form_energy": row_energy},
-                plan.descriptors[i], ctxs[i], plan.auto))
-
-
-# ----------------------------------------------------------------------
-# kernel: fully parallel CONTINUOUS forks (the paper's fork theorem)
-# ----------------------------------------------------------------------
-@dataclass
-class _ForkScheduleBuilder:
-    """Picklable deferred schedule for a fork closed-form row."""
-
-    problem: BiCritProblem
-    source: TaskId
-    children: tuple[TaskId, ...]
-    source_speed: float
-    child_speeds: tuple[float, ...]
-
-    def __call__(self) -> Schedule:
-        graph = self.problem.graph
-        fmax = self.problem.platform.fmax
-        speeds = {self.source: self.source_speed}
-        speeds.update(zip(self.children, self.child_speeds))
-        decisions = {}
-        for t in graph.tasks():
-            w = graph.weight(t)
-            f = speeds[t] if w > 0 else fmax
-            decisions[t] = TaskDecision.single(t, w, f if f > 0 else fmax)
-        return Schedule(self.problem.mapping, self.problem.platform, decisions)
-
-
 def _fork_core(w0: np.ndarray, W: np.ndarray, deadlines: np.ndarray,
                fmin: np.ndarray, fmax: np.ndarray, alpha: np.ndarray) -> tuple:
     """The fork theorem (saturation cases included) over per-row columns.
 
     ``W`` is the zero-padded ``(rows, max_children)`` child-weight matrix.
-    Shared between the object-path group solver and the columnar kernel so
-    both produce bit-identical speeds/energies for the same rows.
     """
     norm = np.sum(W ** alpha[:, None], axis=1) ** (1.0 / alpha)
     f0 = (norm + w0) / deadlines
@@ -860,81 +448,6 @@ def _fork_core(w0: np.ndarray, W: np.ndarray, deadlines: np.ndarray,
             source_speed, child_speed, energy)
 
 
-def _solve_fork_group(problems: list[BiCritProblem],
-                      ctxs: list[SolverContext], indices: list[int],
-                      plan: BatchPlan, results: list[SolveResult | None]) -> None:
-    """The fork theorem (including the fmax saturation case) for a batch."""
-    B = len(indices)
-    sources: list[TaskId] = []
-    children: list[list[TaskId]] = []
-    child_weights: list[list[float]] = []
-    w0 = np.empty(B)
-    for row, i in enumerate(indices):
-        source = ctxs[i].fork_source
-        weights = ctxs[i].graph.weights()
-        sources.append(source)
-        children.append([t for t in weights if t != source])
-        child_weights.append([weights[t] for t in children[row]])
-        w0[row] = weights[source]
-    width = max(len(c) for c in children)
-
-    W = np.zeros((B, width))
-    for row in range(B):
-        W[row, :len(child_weights[row])] = child_weights[row]
-    deadlines = np.array([problems[i].deadline for i in indices])
-    fmin = np.array([problems[i].platform.fmin for i in indices])
-    fmax = np.array([problems[i].platform.fmax for i in indices])
-    alpha = np.array([problems[i].platform.energy_model.exponent
-                      for i in indices])
-
-    (source_blocks, child_blocks, child_violation, clamped,
-     source_speed, child_speed, energy) = _fork_core(w0, W, deadlines,
-                                                     fmin, fmax, alpha)
-
-    for row, i in enumerate(indices):
-        if source_blocks[row]:
-            results[i] = SolveResult(
-                schedule=None, energy=math.inf, status="infeasible",
-                solver="continuous-closed-form[fork]",
-                metadata=_lazy_metadata(
-                    {"message": ("the source alone exceeds the deadline "
-                                 "at fmax; no solution")},
-                    plan.descriptors[i], ctxs[i], plan.auto))
-            continue
-        if child_blocks[row]:
-            col = int(np.argmax(child_violation[row]))
-            child = children[row][col]
-            results[i] = SolveResult(
-                schedule=None, energy=math.inf, status="infeasible",
-                solver="continuous-closed-form[fork]",
-                metadata=_lazy_metadata(
-                    {"message": (
-                        f"child {child!r} needs speed "
-                        f"{child_speed[row, col]:.6g} "
-                        f"> fmax={fmax[row]:.6g}; no solution")},
-                    plan.descriptors[i], ctxs[i], plan.auto))
-            continue
-        if clamped[row]:
-            results[i] = _scalar_solve(problems[i], plan.descriptors[i],
-                                       ctxs[i], auto=plan.auto, validate=True)
-            continue
-        row_energy = float(energy[row])
-        results[i] = LazyScheduleResult(
-            builder=_ForkScheduleBuilder(
-                problems[i], sources[row], tuple(children[row]),
-                float(source_speed[row]),
-                tuple(float(f) for f in
-                      child_speed[row, :len(children[row])])),
-            energy=row_energy, status="optimal",
-            solver="continuous-closed-form[fork]",
-            metadata=_lazy_metadata(
-                {"route": "fork", "closed_form_energy": row_energy},
-                plan.descriptors[i], ctxs[i], plan.auto))
-
-
-# ----------------------------------------------------------------------
-# kernel: TRI-CRIT chains -- one masked subset table for the whole batch
-# ----------------------------------------------------------------------
 @lru_cache(maxsize=32)
 def _subset_masks(n: int) -> np.ndarray:
     """The ``(2^n, n)`` re-execution mask table in enumeration order.
@@ -952,30 +465,6 @@ def _subset_masks(n: int) -> np.ndarray:
     return rows
 
 
-@dataclass
-class _TricritChainScheduleBuilder:
-    """Picklable deferred schedule for a TRI-CRIT chain subset row."""
-
-    problem: BiCritProblem
-    speeds: dict[TaskId, float]
-    reexecuted: frozenset[TaskId]
-
-    def __call__(self) -> Schedule:
-        graph = self.problem.graph
-        fmax = self.problem.platform.fmax
-        decisions = {}
-        for t in graph.tasks():
-            w = graph.weight(t)
-            if w <= 0:
-                decisions[t] = TaskDecision.single(t, w, fmax)
-            elif t in self.reexecuted:
-                f = self.speeds[t]
-                decisions[t] = TaskDecision.reexecuted(t, w, f, f)
-            else:
-                decisions[t] = TaskDecision.single(t, w, self.speeds[t])
-        return Schedule(self.problem.mapping, self.problem.platform, decisions)
-
-
 def _tricrit_chain_core(W: np.ndarray, deadlines: np.ndarray,
                         pfmin: np.ndarray, pfmax: np.ndarray,
                         alpha: np.ndarray, reexec_floor: np.ndarray,
@@ -983,8 +472,6 @@ def _tricrit_chain_core(W: np.ndarray, deadlines: np.ndarray,
                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The masked subset water-filling over a ``(B, S, n)`` tensor.
 
-    Shared between the object-path chunk solver and the columnar kernel so
-    both produce bit-identical durations/energies for the same rows.
     Returns ``(eff, durations, energy)`` with ``energy`` already ``inf`` on
     infeasible (instance, subset) rows.
     """
@@ -1026,111 +513,28 @@ def _tricrit_chain_core(W: np.ndarray, deadlines: np.ndarray,
 
     durations = np.clip(t[:, :, None] * eff, lower, upper)
     with np.errstate(divide="ignore", invalid="ignore"):
-        energy = np.sum(eff ** alpha[:, None, None]
-                        / durations ** (alpha[:, None, None] - 1.0), axis=2)
+        # Speed form ``w f^(alpha-1)``, like the chain and fork kernels:
+        # ``w^alpha / d^(alpha-1)`` underflows to 0/0 on tiny weights.
+        energy = np.sum(eff * (eff / durations) ** (alpha[:, None, None] - 1.0),
+                        axis=2)
     energy[infeasible] = np.inf
     return eff, durations, energy
 
 
-def _solve_tricrit_chain_group(problems: list[BiCritProblem],
-                               ctxs: list[SolverContext], indices: list[int],
-                               plan: BatchPlan,
-                               results: list[SolveResult | None]) -> None:
-    """Vectorized subset enumeration for TRI-CRIT chains, grouped by size."""
-    by_size: dict[int, list[int]] = {}
-    for i in indices:
-        by_size.setdefault(ctxs[i].num_positive_tasks, []).append(i)
-    for n, rows in by_size.items():
-        if n == 0:
-            # No positive task: the only subset is empty and the schedule is
-            # trivial; the scalar path handles this degenerate case exactly.
-            for i in rows:
-                results[i] = _scalar_solve(problems[i], plan.descriptors[i],
-                                           ctxs[i], auto=plan.auto, validate=True)
-            continue
-        chunk = max(1, _SUBSET_TENSOR_BUDGET // max(1, (2 ** n) * n))
-        for start in range(0, len(rows), chunk):
-            _tricrit_chain_chunk(problems, ctxs, rows[start:start + chunk],
-                                 n, plan, results)
-
-
-def _tricrit_chain_chunk(problems: list[BiCritProblem],
-                         ctxs: list[SolverContext], rows: list[int], n: int,
-                         plan: BatchPlan,
-                         results: list[SolveResult | None]) -> None:
-    B = len(rows)
-    masks = _subset_masks(n)                      # (S, n)
-    S = masks.shape[0]
-
-    # The chain order of the mapping is the enumeration order of the scalar
-    # solver (mapping.tasks_on(0) restricted to positive weights).
-    task_ids: list[list[TaskId]] = []
-    W = np.empty((B, n))
-    for row, i in enumerate(rows):
-        order = [t for t in problems[i].mapping.tasks_on(0)
-                 if problems[i].graph.weight(t) > 0]
-        task_ids.append(order)
-        W[row] = [problems[i].graph.weight(t) for t in order]
-
-    deadlines = np.array([problems[i].deadline for i in rows])
-    pfmin = np.array([problems[i].platform.fmin for i in rows])
-    pfmax = np.array([problems[i].platform.fmax for i in rows])
-    alpha = np.array([problems[i].platform.energy_model.exponent for i in rows])
-
-    # Batched speed floors: one vectorized reliability bisection for every
-    # (instance, task) pair, seeded back into the contexts' caches.
-    floors = batch_reexecution_floors([problems[i] for i in rows],
-                                      contexts=[ctxs[i] for i in rows])
-    reexec_floor = np.array([[floors[row][t] for t in task_ids[row]]
-                             for row in range(B)])
-    frel = np.array([ctxs[i].reliability.frel for i in rows])
-
-    eff, durations, energy = _tricrit_chain_core(W, deadlines, pfmin, pfmax,
-                                                 alpha, reexec_floor, frel,
-                                                 masks)
-
-    best = np.argmin(energy, axis=1)
-    for row, i in enumerate(rows):
-        s = int(best[row])
-        # The kernel serves both exact chain solvers (blind enumeration and
-        # pruned search reach the same optimum); the label follows the
-        # dispatched descriptor so batch results match the scalar path.
-        label = plan.descriptors[i].name
-        if not np.isfinite(energy[row, s]):
-            results[i] = SolveResult(
-                schedule=None, energy=math.inf, status="infeasible",
-                solver=label,
-                metadata=_lazy_metadata({"subsets_evaluated": S},
-                                        plan.descriptors[i], ctxs[i], plan.auto))
-            continue
-        speeds = {t: float(eff[row, s, col] / durations[row, s, col])
-                  for col, t in enumerate(task_ids[row])}
-        reexecuted = frozenset(t for col, t in enumerate(task_ids[row])
-                               if masks[s, col])
-        results[i] = LazyScheduleResult(
-            builder=_TricritChainScheduleBuilder(problems[i], speeds,
-                                                 reexecuted),
-            energy=float(energy[row, s]), status="optimal",
-            solver=label,
-            metadata=_lazy_metadata(
-                {"reexecuted": sorted(map(str, reexecuted)),
-                 "subsets_evaluated": S},
-                plan.descriptors[i], ctxs[i], plan.auto))
-
-
 # ----------------------------------------------------------------------
-# columnar kernels: ProblemBatch rows straight to the array programs
+# kernels: ProblemBatch rows straight to the array programs
 # ----------------------------------------------------------------------
 @dataclass
 class _WireScheduleBuilder:
-    """Deferred schedule for a columnar fast row, built from its payload.
+    """Deferred schedule for a columnar fast row.
 
     The wire response path reads ``result.wire_view`` and the persistent
     store reads :meth:`executions`; neither touches ``result.schedule``.
-    Only direct library callers pay for materialising the ``Problem`` here.
-    ``speeds`` and ``weights`` are in payload task order, which is the
-    parsed graph's task order.  Picklable, so columnar results survive the
-    campaign pool.
+    A row built from a ``Problem`` builds its schedule against that object
+    (``payload`` is the object itself); a wire row pays for parsing its
+    payload here instead.  ``speeds`` and ``weights`` are in payload task
+    order, which is the parsed graph's task order.  Picklable, so columnar
+    results survive the campaign pool.
     """
 
     payload: Any
@@ -1147,8 +551,10 @@ class _WireScheduleBuilder:
                 for (t, fs), w in zip(self.speeds.items(), self.weights)}
 
     def __call__(self) -> Schedule:
-        from ..core.problem_io import problem_from_dict
-        problem = problem_from_dict(self.payload)
+        problem = self.payload
+        if not isinstance(problem, BiCritProblem):
+            from ..core.problem_io import problem_from_dict
+            problem = problem_from_dict(problem)
         decisions = {
             t: TaskDecision(t, tuple(Execution.from_intervals(run)
                                      for run in runs))
@@ -1181,7 +587,7 @@ def _columnar_dispatch(batch: ProblemBatch, i: int, solver_name: str,
                        auto: bool) -> dict:
     """The scalar ``metadata["dispatch"]`` record, built from columns only.
 
-    Key order and value types match ``_dispatch_record`` +
+    Key order and value types match ``dispatch.solve``'s record +
     ``SolverContext.describe()`` exactly (both kernel solvers are exact and
     CONTINUOUS; parser-verified rows are chains or forks, and the context's
     structure label probes ``is_chain`` first).
@@ -1203,8 +609,7 @@ def _columnar_dispatch(batch: ProblemBatch, i: int, solver_name: str,
 
 
 def _padded_weights(batch: ProblemBatch, rows: np.ndarray, *,
-                    skip_first: bool = False
-                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                    skip_first: bool = False) -> np.ndarray:
     """Gather ragged row weights into a zero-padded ``(rows, width)`` matrix.
 
     One fancy-index over the flat weight array -- no per-row Python loop.
@@ -1221,40 +626,13 @@ def _padded_weights(batch: ProblemBatch, rows: np.ndarray, *,
     flat = (start[:, None] + col[None, :])[mask]
     out = np.zeros((len(rows), width))
     out[mask] = batch.weights[flat]
-    return out, mask, counts
-
-
-def _solve_batch_columnar(batch: ProblemBatch, solver: str, *,
-                          validate: bool = True,
-                          plan: ColumnarBatchPlan | None = None,
-                          **options: Any) -> list[SolveResult]:
-    """Solve a :class:`ProblemBatch`: fast rows columnar, the rest legacy."""
-    if plan is None:
-        plan = _plan_batch_columnar(batch, solver, validate=validate,
-                                    vectorize=not options)
-    results: list[SolveResult | None] = [None] * len(batch)
-    if plan.legacy_indices:
-        legacy = solve_batch(plan.legacy_problems, solver,
-                             contexts=plan.legacy_contexts, validate=validate,
-                             plan=plan.legacy_plan, **options)
-        for i, result in zip(plan.legacy_indices, legacy):
-            results[i] = result
-    chain_rows = np.flatnonzero(plan.routes == ROUTE_CHAIN)
-    if len(chain_rows):
-        _solve_chain_columnar(batch, chain_rows, plan, results)
-    fork_rows = np.flatnonzero(plan.routes == ROUTE_FORK)
-    if len(fork_rows):
-        _solve_fork_columnar(batch, fork_rows, plan, results)
-    tri_rows = np.flatnonzero(plan.routes == ROUTE_TRICRIT)
-    if len(tri_rows):
-        _solve_tricrit_columnar(batch, tri_rows, plan, results)
-    return results  # type: ignore[return-value]
+    return out
 
 
 def _solve_chain_columnar(batch: ProblemBatch, rows: np.ndarray,
                           plan: ColumnarBatchPlan,
                           results: list[SolveResult | None]) -> None:
-    """Chain closed form off the columns; same array program as the object path."""
+    """Chain closed form off the columns."""
     cols = batch.columns
     totals = cols["total_weight"][rows]
     deadlines = cols["deadline"][rows]
@@ -1267,7 +645,7 @@ def _solve_chain_columnar(batch: ProblemBatch, rows: np.ndarray,
     # Wire-view makespans: the serialized schedule walk is a left-fold sum
     # of task durations in mapping (== payload) order; cumsum reproduces
     # that fold exactly (trailing zero-pad adds are exact).
-    W, _, _ = _padded_weights(batch, rows)
+    W = _padded_weights(batch, rows)
     safe_speed = np.where(speed > 0, speed, 1.0)
     durations = np.where(W > 0, W / safe_speed[:, None], 0.0)
     makespans = np.cumsum(durations, axis=1)[:, -1]
@@ -1336,10 +714,10 @@ def _solve_chain_columnar(batch: ProblemBatch, rows: np.ndarray,
 def _solve_fork_columnar(batch: ProblemBatch, rows: np.ndarray,
                          plan: ColumnarBatchPlan,
                          results: list[SolveResult | None]) -> None:
-    """Fork theorem off the columns; same array program as the object path."""
+    """Fork theorem off the columns."""
     cols = batch.columns
     w0 = batch.weights[batch.offsets[rows]]
-    W, _, counts = _padded_weights(batch, rows, skip_first=True)
+    W = _padded_weights(batch, rows, skip_first=True)
     deadlines = cols["deadline"][rows]
     fmin = cols["fmin"][rows]
     fmax = cols["fmax"][rows]
@@ -1357,12 +735,33 @@ def _solve_fork_columnar(batch: ProblemBatch, rows: np.ndarray,
     child_dur = np.where(W > 0, W / safe_child, 0.0)
     makespans = (src_dur[:, None] + child_dur).max(axis=1)
 
-    for row, i in enumerate(rows):
-        i = int(i)
+    # Bulk scalar extraction, as in the chain kernel.
+    source_blocks_l = source_blocks.tolist()
+    child_blocks_l = child_blocks.tolist()
+    clamped_l = clamped.tolist()
+    energy_l = energy.tolist()
+    source_speed_l = source_speed.tolist()
+    child_speed_l = child_speed.tolist()
+    fmax_l = fmax.tolist()
+    makespans_l = makespans.tolist()
+    weights_l = batch.weights.tolist()
+    offsets_l = batch.offsets.tolist()
+    num_tasks_l = cols["num_tasks"].tolist()
+    num_positive_l = cols["num_positive"].tolist()
+    processors_l = cols["mapping_processors"].tolist()
+    # Fork-routed rows are bicrit, one task per processor, and chains only
+    # at two tasks: (tasks, positive_tasks, processors) pins down the
+    # whole dispatch record.
+    dispatch_memo: dict[tuple[int, int, int], dict] = {}
+    for row, i in enumerate(rows.tolist()):
         ids = batch.task_ids[i]
-        dispatch = _columnar_dispatch(batch, i, "bicrit-closed-form",
-                                      plan.auto)
-        if source_blocks[row]:
+        memo_key = (num_tasks_l[i], num_positive_l[i], processors_l[i])
+        dispatch = dispatch_memo.get(memo_key)
+        if dispatch is None:
+            dispatch = _columnar_dispatch(batch, i, "bicrit-closed-form",
+                                          plan.auto)
+            dispatch_memo[memo_key] = dispatch
+        if source_blocks_l[row]:
             results[i] = SolveResult(
                 schedule=None, energy=math.inf, status="infeasible",
                 solver="continuous-closed-form[fork]",
@@ -1370,7 +769,7 @@ def _solve_fork_columnar(batch: ProblemBatch, rows: np.ndarray,
                                       "at fmax; no solution"),
                           "dispatch": dispatch})
             continue
-        if child_blocks[row]:
+        if child_blocks_l[row]:
             col = int(np.argmax(child_violation[row]))
             child = ids[1 + col]
             results[i] = SolveResult(
@@ -1382,32 +781,27 @@ def _solve_fork_columnar(batch: ProblemBatch, rows: np.ndarray,
                     f"> fmax={fmax[row]:.6g}; no solution"),
                     "dispatch": dispatch})
             continue
-        if clamped[row]:
-            # fmin-clamped rows leave the algebraic formula exactly like the
-            # object path: materialise and run the scalar front-end.
-            problem = batch.problem(i)
-            ctx = SolverContext.for_problem(problem)
-            results[i] = _scalar_solve(problem,
+        if clamped_l[row]:
+            # fmin-clamped rows leave the algebraic formula: materialise and
+            # run the scalar front-end.
+            results[i] = _scalar_solve(batch.problem(i),
                                        get_solver("bicrit-closed-form"),
-                                       ctx, auto=plan.auto, validate=True)
+                                       auto=plan.auto)
             continue
-        row_energy = float(energy[row])
-        fmax_row = float(fmax[row])
-        n_children = int(counts[row])
-        speeds = {ids[0]: ([float(source_speed[row])] if w0[row] > 0
-                           else [fmax_row])}
-        for col in range(n_children):
-            w = W[row, col]
-            speeds[ids[1 + col]] = ([float(child_speed[row, col])] if w > 0
-                                    else [fmax_row])
+        row_energy = energy_l[row]
+        fmax_row = fmax_l[row]
+        row_weights = weights_l[offsets_l[i]:offsets_l[i + 1]]
+        row_speeds = [source_speed_l[row], *child_speed_l[row]]
+        speeds = dict(zip(ids, [[f] if w > 0 else [fmax_row]
+                                for w, f in zip(row_weights, row_speeds)]))
         result = LazyScheduleResult(
             builder=_WireScheduleBuilder(batch.payloads[i], speeds,
-                                         batch.row_weights(i).tolist()),
+                                         row_weights),
             energy=row_energy, status="optimal",
             solver="continuous-closed-form[fork]",
             metadata={"route": "fork", "closed_form_energy": row_energy,
                       "dispatch": dispatch})
-        result.wire_view = {"makespan": float(makespans[row]),
+        result.wire_view = {"makespan": makespans_l[row],
                             "speeds": speeds, "num_reexecuted": 0,
                             "dispatch": dispatch}
         results[i] = result
@@ -1449,8 +843,8 @@ def _tricrit_columnar_chunk(batch: ProblemBatch, rows: list[int], n: int,
     alpha = cols["alpha"][rows_a]
     frel = cols["rel_frel"][rows_a]
 
-    # Same vectorized reliability bisection as batch_reexecution_floors,
-    # fed from the reliability columns instead of context caches.
+    # One vectorized reliability bisection for every (instance, task) pair,
+    # fed from the reliability columns.
     floors = _floor_array(W.reshape(-1),
                           np.repeat(cols["rel_fmin"][rows_a], n),
                           np.repeat(cols["rel_fmax"][rows_a], n),

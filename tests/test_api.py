@@ -326,6 +326,8 @@ class TestEngineErrors:
             deadline=3.0 * small_chain_graph.total_weight())
         with pytest.raises(NoAdmissibleSolverError):
             engine.submit(problem)
+        with pytest.raises(NoAdmissibleSolverError):
+            engine.submit_batch([problem])
 
     def test_default_engine_is_uncapped(self):
         api.reset_default_engine()

@@ -6,7 +6,7 @@ and series-parallel instances, every admissible solver and the ``auto``
 dispatch must produce the same statuses, energies and (when materialised)
 feasible schedules, whether evaluated per instance or as one batch.  The
 vectorized kernels (chain/fork closed forms, the TRI-CRIT chain subset
-table, the batched re-execution floors) are additionally checked to have
+table, the vectorized re-execution floors) are additionally checked to have
 actually engaged, so these tests cannot silently pass through the scalar
 fallback.
 """
@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -30,7 +31,6 @@ from repro.solvers import (
     SolverContext,
     admissible_solvers,
     batch_is_feasible,
-    batch_reexecution_floors,
     plan_batch,
     solve,
     solve_batch,
@@ -41,6 +41,7 @@ from repro.solvers.batch import (
     KERNEL_SCALAR,
     KERNEL_TRICRIT_CHAIN,
     LazyScheduleResult,
+    _floor_array,
 )
 
 # ----------------------------------------------------------------------
@@ -197,11 +198,16 @@ class TestTriCritChainEquivalence:
         problem = tricrit_chain_problem(weights, slack)
         plan = plan_batch([problem], "tricrit-chain-exact")
         assert plan.kernel_counts() == {KERNEL_TRICRIT_CHAIN: 1}
-        # The batched floors must equal the context's scalar bisections.
-        fresh = tricrit_chain_problem(weights, slack)
-        floors = batch_reexecution_floors([fresh])[0]
+        # The vectorized floors must equal the context's scalar bisections.
         reference = tricrit_chain_problem(weights, slack).context()
-        for task, floor in floors.items():
+        model = reference.reliability
+        tasks = list(reference.positive_tasks)
+        per_task = [np.full(len(tasks), x) for x in (
+            model.fmin, model.fmax, model.lambda0, model.sensitivity,
+            model.frel)]
+        floors = np.maximum(problem.platform.fmin, _floor_array(
+            np.array([reference.graph.weight(t) for t in tasks]), *per_task))
+        for task, floor in zip(tasks, floors):
             assert floor == pytest.approx(reference.reexecution_floor(task),
                                           rel=1e-9, abs=1e-12)
 
@@ -283,6 +289,15 @@ class TestBatchFrontDoor:
         assert first is result.schedule     # memoised, not rebuilt
         assert result.require_schedule() is first
 
+    def test_object_rows_build_against_their_problem(self):
+        problems = [chain_problem([1.0, 2.0], 2.0),
+                    fork_problem(2.0, [1.0, 3.0], 2.0),
+                    tricrit_chain_problem([1.0, 2.0], 3.0)]
+        results = solve_batch(problems)
+        assert all(isinstance(r, LazyScheduleResult) for r in results)
+        for problem, result in zip(problems, results):
+            assert result.schedule.mapping is problem.mapping
+
     def test_lazy_metadata_equals_scalar_metadata(self):
         problem = chain_problem([1.0, 2.0, 3.0], 2.0)
         scalar = solve(problem, solver="bicrit-closed-form")
@@ -341,6 +356,18 @@ class TestBatchFrontDoor:
         with pytest.raises(ValueError, match="positive-weight tasks, limit is"):
             solve_batch([tricrit_chain_problem(weights, 3.0)],
                         solver="tricrit-chain-exact")
+
+    def test_tiny_weight_tricrit_chain_matches_scalar(self):
+        # w^alpha / d^(alpha-1) underflowed to 0/0 here: the kernel called
+        # the instance infeasible and the scalar enumeration kept the empty
+        # re-execution set.  Both re-execute T0 at speed 2/3.
+        weights = [1.0, 3.0716695484217615e-181]
+        scalar = solve(tricrit_chain_problem(weights, 3.0, lambda0=1e-5))
+        [batch] = solve_batch([tricrit_chain_problem(weights, 3.0,
+                                                     lambda0=1e-5)])
+        assert scalar.energy == pytest.approx(2 * (2 / 3) ** 2, rel=1e-9)
+        assert batch.energy == pytest.approx(scalar.energy, rel=1e-9)
+        assert batch.metadata["reexecuted"] == ["T0"]
 
     def test_infeasible_chain_status_matches(self):
         problem = chain_problem([4.0, 4.0], 0.5)   # needs speed > fmax

@@ -20,6 +20,13 @@ from repro.api.types import SolveBatchRequest
 from repro.campaign.sweep import expand_problem_batch
 from repro.core.columnar import KIND_BICRIT, KIND_TRICRIT, ProblemBatch
 from repro.core.problem_io import problem_from_dict, problem_to_dict
+from repro.core.energy import EnergyModel
+from repro.core.problems import BiCritProblem
+from repro.core.speeds import ContinuousSpeeds
+from repro.dag.taskgraph import TaskGraph
+from repro.platform.mapping import Mapping
+from repro.platform.platform import Platform
+from repro.solvers import solve
 from repro.solvers.batch import (
     LazyScheduleResult,
     plan_batch,
@@ -29,6 +36,7 @@ from repro.solvers.batch import (
 from tests.test_batch_solvers import (
     chain_problem,
     fork_problem,
+    sp_problem,
     tricrit_chain_problem,
 )
 
@@ -72,6 +80,12 @@ class TestFromWire:
         # the surrounding fast rows still parsed columnar
         assert not bool(batch.columns["fallback"][1])
 
+    def test_out_of_range_integers_fall_back_without_raising(self):
+        rows = _payloads()
+        rows[0] = {**rows[0], "deadline": 10 ** 400}
+        batch = ProblemBatch.from_wire(rows)
+        assert batch.fallback_indices() == [0]
+
     def test_exotic_but_valid_payload_falls_back_and_solves(self):
         # A join graph is valid wire but outside the chain/fork fast set.
         chain = _payloads()[0]
@@ -94,6 +108,52 @@ class TestFromWire:
         assert len(batch) == len(problems)
         assert batch.content_keys() == [problem_content_key(p)
                                         for p in problems]
+
+    def test_object_rows_match_their_payload_rows(self):
+        from repro.core.columnar import _parse_row, _problem_row
+
+        problems = [problem_from_dict(p) for p in _payloads()]
+        problems += [chain_problem([2.0], 1.5),
+                     fork_problem(1.0, [2.0], 1.5),
+                     fork_problem(0.0, [3.0, 1.0, 2.0, 0.0] * 3, 1.5),
+                     tricrit_chain_problem([0.0, 1.0], 2.0)]
+        chain = chain_problem([1.0, 2.0, 3.0], 2.0).graph
+        problems.append(BiCritProblem(     # mapping order != chain order
+            Mapping([["T0", "T2"], ["T1"]], chain),
+            Platform(2, ContinuousSpeeds(0.1, 1.0)), 9.0))
+        skip = TaskGraph({"a": 1.0, "b": 1.0, "c": 1.0},
+                         [("a", "b"), ("b", "c"), ("a", "c")])
+        unroutable = [sp_problem(5, 7, 2.0),
+                      BiCritProblem(Mapping.single_processor(skip),
+                                    Platform(1, ContinuousSpeeds(0.1, 1.0)),
+                                    4.0)]
+        for problem in problems + unroutable:
+            row = _problem_row(problem)
+            payload_row = _parse_row(problem_to_dict(problem))
+            assert (row is None) == (payload_row is None) \
+                == (problem in unroutable)
+            for slot in type(row).__slots__ if row is not None else ():
+                assert getattr(row, slot) == getattr(payload_row, slot), slot
+
+    def test_inexact_object_rows_fall_back(self):
+        graph = TaskGraph({0: 1.0, 1: 2.0}, [(0, 1)])
+        int_ids = BiCritProblem(Mapping.single_processor(graph),
+                                Platform(1, ContinuousSpeeds(0.1, 1.0)), 4.0)
+        chain = chain_problem([1.0, 2.0], 2.0)
+        int_alpha = BiCritProblem(chain.mapping, Platform(
+            1, ContinuousSpeeds(0.1, 1.0), energy_model=EnergyModel(3)),
+            chain.deadline)
+        problems = [int_ids, int_alpha, chain]
+        batch = ProblemBatch.from_problems(problems)
+        assert batch.fallback_indices() == [0, 1]
+        # Fallback rows keep the scalar content key and answer of the
+        # object, with its own task ids.
+        assert batch.content_keys() == [problem_content_key(p)
+                                        for p in problems]
+        results = solve_batch(batch)
+        for problem, result in zip(problems, results):
+            assert result.energy == pytest.approx(solve(problem).energy)
+        assert set(results[0].schedule.decisions) == {0, 1}
 
     def test_take_preserves_rows(self):
         batch = ProblemBatch.from_wire(_payloads())
@@ -162,11 +222,6 @@ class TestColumnarPlan:
         assert counts["fork-closed-form"] == 1
         assert counts["tricrit-chain-subsets"] == 2
 
-    def test_contexts_rejected_for_batches(self):
-        batch = ProblemBatch.from_wire(_payloads())
-        with pytest.raises(ValueError, match="contexts"):
-            plan_batch(batch, contexts=[None] * len(batch))
-
     def test_unroutable_solver_goes_legacy(self):
         batch = ProblemBatch.from_wire(_payloads()[:2])
         plan = plan_batch(batch, "bicrit-convex")
@@ -227,26 +282,19 @@ class TestLazyPickling:
         assert calls["n"] == 0, "pickling forced problem materialization"
         return restored
 
-    def test_object_path_results(self, monkeypatch):
-        results = solve_batch([chain_problem([1.0, 2.0], 1.3),
-                               tricrit_chain_problem([1.0, 2.0], 2.5)])
-        assert all(isinstance(r, LazyScheduleResult) for r in results)
-        restored = self._assert_lazy_round_trip(results, monkeypatch)
-        monkeypatch.undo()
-        for before, after in zip(results, restored):
-            assert repr(after.energy) == repr(before.energy)
-            assert after.status == before.status
-            # materialization still works after the round trip
-            assert after.schedule is not None
-            assert dict(after.metadata)["dispatch"] == \
-                dict(before.metadata)["dispatch"]
-
     def test_columnar_results(self, monkeypatch):
-        batch = ProblemBatch.from_wire(_payloads())
-        results = solve_batch(batch)
-        restored = self._assert_lazy_round_trip(results, monkeypatch)
-        monkeypatch.undo()
-        for before, after in zip(results, restored):
-            assert repr(after.energy) == repr(before.energy)
-            assert after.wire_view == before.wire_view
-            assert after.schedule is not None
+        # Wire rows and rows built from Problem objects alike.
+        for batch in (ProblemBatch.from_wire(_payloads()),
+                      [problem_from_dict(p) for p in _payloads()]):
+            results = solve_batch(batch)
+            assert all(isinstance(r, LazyScheduleResult) for r in results)
+            restored = self._assert_lazy_round_trip(results, monkeypatch)
+            monkeypatch.undo()
+            for before, after in zip(results, restored):
+                assert repr(after.energy) == repr(before.energy)
+                assert after.status == before.status
+                assert after.wire_view == before.wire_view
+                assert after.metadata["dispatch"] == \
+                    before.metadata["dispatch"]
+                # materialization still works after the round trip
+                assert after.schedule is not None

@@ -1,24 +1,27 @@
-"""Columnar == object-path equivalence of the batch pipeline, end to end.
+"""Entry-point parity of the batch pipeline, end to end.
 
-The columnar tier must be an *invisible* optimisation: for any wire batch,
-``/v1/solve-batch`` served from a :class:`~repro.core.columnar.ProblemBatch`
-must produce **byte-identical** ``SolveBatchResponse`` payloads (modulo the
-timing field) to the legacy ``list[Problem]`` object path.  Hypothesis
-drives random chain / fork / series-parallel mixes through both entry
-points of a fresh engine pair; a separate guard proves the all-miss
-columnar path allocates zero per-instance ``Problem`` / ``TaskGraph``
-objects (the zero-copy property the tier exists for).
+An instance list reaches ``/v1/solve-batch`` as wire payload dicts, as
+``Problem`` objects, or as a mix of both; all three become one
+:class:`~repro.core.columnar.ProblemBatch` and must produce
+**byte-identical** ``SolveBatchResponse`` payloads (modulo the timing
+field), each row answering like the scalar ``Engine.solve`` of its payload.
+Hypothesis drives random chain / fork / TRI-CRIT chain / series-parallel
+mixes through fresh engines; a separate guard proves the all-miss columnar
+path allocates zero per-instance ``Problem`` / ``TaskGraph`` objects (the
+zero-copy property the tier exists for).
 """
 
 from __future__ import annotations
 
 import json
+import math
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api.engine import Engine
-from repro.api.types import SolveBatchRequest
+from repro.api.types import SolveBatchRequest, SolveRequest
 from repro.core.columnar import ProblemBatch
 from repro.core.problem_io import problem_from_dict, problem_to_dict
 
@@ -72,26 +75,41 @@ def _normalised(response):
     return json.dumps(data, sort_keys=True)
 
 
+def _assert_close(batch_value, scalar_value):
+    """Equal within 1e-9 relative; ``None`` and infinities exactly."""
+    if batch_value is None or scalar_value is None \
+            or not math.isfinite(scalar_value):
+        assert batch_value == scalar_value
+    else:
+        assert batch_value == pytest.approx(scalar_value, rel=1e-9)
+
+
 class TestWireEquivalence:
     @settings(max_examples=40, deadline=None)
     @given(batch_payloads)
     def test_byte_identical_responses(self, payloads):
-        # Fresh engines per example: solver-context caches persist across
-        # requests inside one engine, which is exactly the cross-request
-        # state this equivalence must not depend on.
-        columnar_engine = Engine(store=None)
-        object_engine = Engine(store=None)
-
+        # Fresh engines and fresh Problem objects per entry point: solver
+        # contexts are memoized on the problem object and the result cache
+        # lives in the engine, which is exactly the cross-request state
+        # this equivalence must not depend on.
         request = SolveBatchRequest.from_dict({"problems": payloads})
         assert isinstance(request.batch, ProblemBatch)
-        columnar = columnar_engine.solve_batch(request)
+        wire = Engine(store=None).solve_batch(request)
 
-        legacy = SolveBatchRequest(
-            problems=[problem_from_dict(p) for p in payloads])
-        assert legacy.batch is None
-        objects = object_engine.solve_batch(legacy)
+        objects = Engine(store=None).solve_batch(SolveBatchRequest(
+            problems=[problem_from_dict(p) for p in payloads]))
+        mixed = Engine(store=None).solve_batch(SolveBatchRequest(
+            problems=[problem_from_dict(p) if k % 2 else p
+                      for k, p in enumerate(payloads)]))
+        assert _normalised(wire) == _normalised(objects) == _normalised(mixed)
 
-        assert _normalised(columnar) == _normalised(objects)
+        scalar_engine = Engine(store=None)
+        for payload, row in zip(payloads, wire.results):
+            scalar = scalar_engine.solve(SolveRequest(problem=payload))
+            assert (row.status, row.solver, row.dispatch) == \
+                (scalar.status, scalar.solver, scalar.dispatch)
+            _assert_close(row.energy, scalar.energy)
+            _assert_close(row.makespan, scalar.makespan)
 
     @settings(max_examples=15, deadline=None)
     @given(batch_payloads)

@@ -4,8 +4,11 @@ The pruned solver replaces the blind ``2^n`` subset enumeration past the
 reference enumerators' ceiling, so the single property that matters is
 *agreement*: on every instance both can solve, the branch-and-bound optimum
 must equal the enumerated optimum.  Hypothesis drives randomized chains
-against :func:`solve_tricrit_chain_exact` and randomized forks /
-series-parallel DAGs against :func:`solve_tricrit_exhaustive`; further
+against the vectorized chain subset enumeration of
+:func:`repro.solvers.batch.solve_batch` (the scalar
+:func:`solve_tricrit_chain_exact` is held equal to it by
+``tests/test_batch_solvers.py``) and randomized forks / series-parallel
+DAGs against :func:`solve_tricrit_exhaustive`; further
 tests pin down the gap certificate (the reported lower bound really is a
 bound), degenerate platforms, and infeasibility propagation end-to-end
 through the v1 API error codes.
@@ -16,7 +19,7 @@ from __future__ import annotations
 import math
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro import api
@@ -24,6 +27,7 @@ from repro.api.errors import INFEASIBLE_PROBLEM, ApiError
 from repro.continuous.exhaustive import best_known_tricrit, solve_tricrit_exhaustive
 from repro.continuous.heuristics import best_of_heuristics
 from repro.continuous.tricrit_chain import solve_tricrit_chain_exact
+from repro.core.columnar import ProblemBatch
 from repro.core.problem_io import problem_to_dict
 from repro.core.problems import InfeasibleProblemError, TriCritProblem
 from repro.core.reliability import ReliabilityModel
@@ -31,9 +35,17 @@ from repro.core.speeds import ContinuousSpeeds
 from repro.dag import generators
 from repro.platform.list_scheduling import critical_path_mapping
 from repro.platform.platform import Platform
+from repro.solvers.batch import solve_batch
 from repro.solvers.pruned import solve_tricrit_pruned, solve_tricrit_pruned_gap
 
 REL = 1e-9
+
+
+def chain_enumeration(problem):
+    """The ``2^n`` chain subset enumeration, as one vectorized batch row."""
+    [result] = solve_batch(ProblemBatch.from_problems([problem]),
+                           "tricrit-chain-exact")
+    return result
 
 
 def make_problem(graph, num_processors, slack, *,
@@ -61,12 +73,14 @@ class TestChainParity:
                             min_size=1, max_size=10),
            slack=st.floats(min_value=1.05, max_value=4.0),
            lambda0=st.sampled_from([1e-5, 1e-4, 1e-3]))
+    # A tiny weight once turned the subset energies into 0/0.
+    @example(weights=[1.0, 3.0716695484217615e-181], slack=3.0, lambda0=1e-5)
     def test_pruned_matches_chain_enumeration(self, weights, slack, lambda0):
         if not any(w > 0 for w in weights):
             weights = weights + [1.0]    # at least one positive task
         problem = make_problem(generators.chain(weights), 1, slack,
                                lambda0=lambda0)
-        reference = solve_tricrit_chain_exact(problem)
+        reference = chain_enumeration(problem)
         pruned = solve_tricrit_pruned(problem)
         assert pruned.feasible == reference.feasible
         if reference.feasible:
@@ -90,7 +104,7 @@ class TestChainParity:
         # certify the same optimum with a small fraction of that.
         problem = make_problem(generators.random_chain(14, seed=7), 1, 2.0,
                                lambda0=1e-3)
-        reference = solve_tricrit_chain_exact(problem)
+        reference = chain_enumeration(problem)
         pruned = solve_tricrit_pruned(problem)
         assert pruned.energy == pytest.approx(reference.energy, rel=REL)
         assert pruned.metadata["subsets_evaluated"] < 2 ** 14 / 8
@@ -138,7 +152,7 @@ class TestGapMode:
         # consistent with the two.
         problem = make_problem(generators.random_chain(12, seed=5), 1, 1.8,
                                lambda0=1e-3)
-        optimum = solve_tricrit_chain_exact(problem).energy
+        optimum = chain_enumeration(problem).energy
         result = solve_tricrit_pruned_gap(problem)
         lb = result.metadata["lower_bound"]
         assert lb <= optimum * (1 + REL)
@@ -150,7 +164,7 @@ class TestGapMode:
     def test_tiny_node_budget_still_returns_a_certificate(self):
         problem = make_problem(generators.random_chain(12, seed=5), 1, 1.8,
                                lambda0=1e-3)
-        optimum = solve_tricrit_chain_exact(problem).energy
+        optimum = chain_enumeration(problem).energy
         result = solve_tricrit_pruned_gap(problem, node_budget=1,
                                           gap_target=0.0)
         assert result.feasible

@@ -185,6 +185,21 @@ class TestEnvelopeBytes:
         # A store with a cold index (another process) reads it back.
         assert ResultStore(tmp_path).get(KEY) == PINNED_PAYLOAD
 
+    def test_problem_objects_store_the_wire_bytes(self, tmp_path,
+                                                   frozen_clock):
+        payloads = _mixed_payloads()
+        Engine(store=ResultStore(tmp_path / "wire")).solve_batch(
+            SolveBatchRequest.from_dict({"problems": payloads}))
+        Engine(store=ResultStore(tmp_path / "objects")).submit_batch(
+            [problem_from_dict(p) for p in payloads])
+
+        def tree(root):
+            return {str(p.relative_to(root)): p.read_bytes()
+                    for p in root.rglob("*") if p.is_file()}
+        wire = tree(tmp_path / "wire")
+        assert len(wire) == len(payloads)
+        assert tree(tmp_path / "objects") == wire
+
     @staticmethod
     def _leftovers(store):
         return sorted(p.name for p in store.root.rglob("*") if p.is_file())
