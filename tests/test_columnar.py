@@ -282,6 +282,21 @@ class TestLazyPickling:
         assert calls["n"] == 0, "pickling forced problem materialization"
         return restored
 
+    def test_object_path_results(self, monkeypatch):
+        # A list of Problem objects goes through the same columnar pipeline.
+        results = solve_batch([chain_problem([1.0, 2.0], 1.3),
+                               tricrit_chain_problem([1.0, 2.0], 2.5)])
+        assert all(isinstance(r, LazyScheduleResult) for r in results)
+        restored = self._assert_lazy_round_trip(results, monkeypatch)
+        monkeypatch.undo()
+        for before, after in zip(results, restored):
+            assert repr(after.energy) == repr(before.energy)
+            assert after.status == before.status
+            # materialization still works after the round trip
+            assert after.schedule is not None
+            assert dict(after.metadata)["dispatch"] == \
+                dict(before.metadata)["dispatch"]
+
     def test_columnar_results(self, monkeypatch):
         # Wire rows and rows built from Problem objects alike.
         for batch in (ProblemBatch.from_wire(_payloads()),
