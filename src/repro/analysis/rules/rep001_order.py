@@ -5,9 +5,9 @@ The bug this descends from: PR 4's golden regressions caught
 solver, so the "same" problem produced different results across processes
 (``PYTHONHASHSEED``).  Set iteration order is undefined; the moment it is
 materialised into a sequence -- ``list()``/``tuple()``, ``enumerate``,
-``zip``, ``str.join``, a ``for`` loop building ordered state, a list
-comprehension -- that nondeterminism leaks into results, cache keys and
-wire payloads.
+``zip``, ``str.join``, a ``for`` loop building ordered state, a list or
+dict comprehension (dicts keep insertion order) -- that nondeterminism
+leaks into results, cache keys and wire payloads.
 
 The rule flags order-sensitive consumption of expressions that are
 *statically known* to be sets: set literals/comprehensions,
@@ -122,13 +122,18 @@ class _Scope(ast.NodeVisitor):
 
     def visit_GeneratorExp(self, node: ast.GeneratorExp) -> None:
         # A generator feeding sorted()/sum-of-ints is harmless, but the
-        # engine cannot see the consumer from here; set->set/dict comps
-        # stay exempt below, everything else is worth a look (or an
-        # explicit allow with the reason order cannot matter).
+        # engine cannot see the consumer from here; set->set comps stay
+        # exempt below, everything else is worth a look (or an explicit
+        # allow with the reason order cannot matter).
         self._check_comprehension(node, node.generators,
                                   "generator expression")
 
-    # SetComp/DictComp over a set rebuild unordered containers: exempt.
+    def visit_DictComp(self, node: ast.DictComp) -> None:
+        # A dict keeps insertion order, so its keys come out in set order.
+        self._check_comprehension(node, node.generators,
+                                  "dict comprehension")
+
+    # A SetComp over a set rebuilds an unordered container: exempt.
 
 
 class NondeterministicOrderRule(Rule):

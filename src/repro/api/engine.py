@@ -6,24 +6,23 @@ must amortise: each ``solve()`` parsed its own problem, built its own
 same instance re-ran the full solver.  The engine owns that state once, for
 the life of the process:
 
-* a **problem pool** -- problems arriving as JSON dicts are interned by
-  content hash, so repeated requests for the same instance reuse one problem
-  object and therefore one memoized ``SolverContext`` (structure probes,
-  re-execution floors, compiled arrays);
+* **one request path** -- every entry point (a single solve is a batch of
+  one) turns its instances into a columnar
+  :class:`~repro.core.columnar.ProblemBatch`, peels cache hits off by key,
+  and hands the misses to :func:`repro.solvers.batch.solve_batch`, which
+  solves each route (chain, fork, TRI-CRIT chain) as one array program;
+* a **problem pool** -- the problems a request has to materialise are
+  interned by content hash, so repeated requests for the same instance
+  reuse one problem object and its memoized derived state;
 * an **LRU result cache** -- solve results keyed by the same canonical
   content hash the campaign cache uses (problem JSON + solver + options);
   a repeat solve is a dictionary lookup, flagged ``cached`` in the response;
-* a **batched submit path** -- :meth:`submit_batch` and :meth:`solve_batch`
-  turn whole instance lists into one columnar
-  :class:`~repro.core.columnar.ProblemBatch`, peel cache hits off by key,
-  and hand the misses to :func:`repro.solvers.batch.solve_batch`, which
-  solves each route (chain, fork, TRI-CRIT chain) as one array program;
 * an optional **persistent store tier** -- when constructed with a
   :class:`repro.store.ResultStore`, the LRU becomes a write-through view
   over the shared on-disk tier (``results`` namespace): computed results
   are published as rebuildable schedule records, survive restarts, and are
   visible to every worker process sharing the store root;
-* **request coalescing** -- identical in-flight solves are single-flighted
+* **request coalescing** -- identical in-flight rows are single-flighted
   per process: one leader computes, concurrent duplicates wait and share
   the answer (flagged ``cached`` on the wire);
 * **service metrics** -- request counters, cache hit rates, store and
@@ -47,11 +46,10 @@ import os
 import threading
 import time
 from collections import Counter, OrderedDict, deque
-from collections.abc import Callable, Mapping, Sequence
-from functools import partial
+from collections.abc import Mapping, Sequence
 from typing import Any
 
-from ..core.columnar import _KEY_ATTR, ProblemBatch, problem_content_key
+from ..core.columnar import ProblemBatch, problem_content_key
 from ..core.gcscope import paused_gc
 from ..core.problems import BiCritProblem, SolveResult
 from ..core.schedule import Execution, Schedule, TaskDecision
@@ -59,8 +57,9 @@ from ..simulation import run_monte_carlo
 from ..solvers import SolverContext, get_solver
 from ..solvers.batch import schedule_executions
 from ..solvers.batch import solve_batch as _kernel_solve_batch
+# Not called here; kept because perfbench/spans.py patches it by name.
 from ..solvers.dispatch import solve as _kernel_solve
-from ..store import Coalescer, ResultStore
+from ..store import Coalescer, Flight, ResultStore
 from ..store.canonical import canonical_blob as _canonical_blob
 from ..store.canonical import canonicalize
 from .errors import (
@@ -110,10 +109,11 @@ _RESULT_SCHEMA_VERSION = 1
 #: outlives this has effectively hung).
 DEFAULT_COALESCE_TIMEOUT = 600.0
 
-# ``problem_content_key`` (and its ``_KEY_ATTR`` memo attribute) now live in
-# ``repro.core.columnar`` so the columnar key templates and this scalar path
-# share one definition without a core -> api import; both names are
-# re-exported above unchanged for existing consumers.
+#: A failed multi-row leader's answer to its waiters: solve the row yourself.
+_RETRY = object()
+
+# ``problem_content_key`` lives in ``repro.core.columnar``; it is
+# re-exported above for existing consumers.
 
 
 class _LRU:
@@ -182,13 +182,16 @@ class Engine:
     # ------------------------------------------------------------------
     # problem intake
     # ------------------------------------------------------------------
-    def resolve_problem(self, payload: Any) -> BiCritProblem:
+    def resolve_problem(self, payload: Any,
+                        pool_key: str | None = None) -> BiCritProblem:
         """A problem object from wire or in-process form.
 
         Dicts are parsed through :func:`repro.core.problem_io` and interned
         by content hash, so identical payloads share one problem object (and
         its memoized :class:`SolverContext`); problem objects pass through.
-        Parse failures raise ``invalid_problem``.
+        A caller that holds the row's content key passes it as ``pool_key``
+        instead of having the payload hashed.  Parse failures raise
+        ``invalid_problem``.
         """
         if isinstance(payload, BiCritProblem):
             return payload
@@ -197,7 +200,8 @@ class Engine:
                            "problem must be a JSON object (the schema of "
                            f"repro.core.problem_io), got {type(payload).__name__}")
         try:
-            pool_key = hashlib.sha256(_canonical_blob(payload)).hexdigest()
+            pool_key = pool_key or hashlib.sha256(
+                _canonical_blob(payload)).hexdigest()
         except TypeError as exc:
             raise ApiError(INVALID_PROBLEM,
                            f"problem payload is not JSON-canonicalisable: {exc}") from exc
@@ -254,21 +258,13 @@ class Engine:
             raise ApiError(INVALID_REQUEST,
                            f"options are not JSON-canonicalisable: {exc}") from exc
 
-    def _request_key(self, problem: BiCritProblem, solver: str,
-                     options: Mapping[str, Any]) -> str:
-        blob = self._options_blob(solver, options)
-        return hashlib.sha256(
-            (problem_content_key(problem) + "|").encode("utf-8") + blob).hexdigest()
-
     def _batch_request_keys(self, content_keys: Sequence[str], solver: str,
                             options: Mapping[str, Any]) -> list[str]:
         """Request keys for a whole batch in one canonicalisation pass.
 
         The solver/options/version blob is identical for every row of a
         batch, so it is serialised once and fused with each row's content
-        hash -- instead of one ``json.dumps`` per instance as the scalar
-        :meth:`_request_key` path would do.  Keys are byte-identical to the
-        scalar path by construction (same blob, same fuse).
+        hash, instead of one ``json.dumps`` per instance.
         """
         blob = self._options_blob(solver, options)
         return [hashlib.sha256((ck + "|").encode("utf-8") + blob).hexdigest()
@@ -278,105 +274,23 @@ class Engine:
     # object layer (internal consumers: experiments, campaign, benchmarks)
     # ------------------------------------------------------------------
     def submit(self, problem: Any, solver: str = "auto", *,
-               options: Mapping[str, Any] | None = None,
-               context: SolverContext | None = None,
-               use_cache: bool = True) -> tuple[SolveResult, bool]:
-        """Solve one instance through the engine; ``(result, was_cached)``.
+               options: Mapping[str, Any] | None = None
+               ) -> tuple[SolveResult, bool]:
+        """Solve one instance as a batch of one; ``(result, was_cached)``.
 
-        This is the in-process front door: the experiment drivers and the
-        wire layer both route through it, so they share the result cache and
-        the context pool.  Library exceptions
+        Library exceptions
         (:class:`~repro.solvers.dispatch.NoAdmissibleSolverError`, ...)
         propagate unchanged -- translation into :class:`ApiError` codes is a
         wire-layer concern (admission failures such as ``size_limit`` /
         ``unknown_solver`` / ``invalid_problem`` are the engine's own and do
         raise :class:`ApiError` on both layers).
         """
-        result, cached, _ = self._solve_entry(problem, solver,
-                                              dict(options or {}),
-                                              context, use_cache)
-        return result, cached
-
-    def _solve_entry(self, problem: Any, solver: str, options: dict[str, Any],
-                     context: SolverContext | None,
-                     use_cache: bool) -> tuple[SolveResult, bool, float]:
-        problem = self.resolve_problem(problem)
-        self._check_size(problem)
-        self._check_solver_name(solver)
-        key = self._request_key(problem, solver, options)
-        if not use_cache:
-            # Cache-bypassing solves never consulted the cache, so they do
-            # not count against the hit rate, are not published to the
-            # store, and are not coalesced (a refresh must recompute).
-            t0 = time.perf_counter()
-            result = _kernel_solve(problem, solver=solver, context=context,
-                                   **options)
-            return result, False, (time.perf_counter() - t0) * 1e3
-
-        hit = self._cache_lookup(key, lambda: problem)
-        if hit is not None:
-            return hit, True, 0.0
-
-        # Single-flight: concurrent identical requests elect one leader and
-        # everyone else shares its answer (or its exception).
-        flight, leader = self._coalescer.claim(key)
-        if not leader:
-            result = flight.wait(self._coalesce_timeout)
-            with self._lock:
-                self._counters["cache_hits"] += 1
-                self._counters["coalesced_hits"] += 1
-            return result, True, 0.0
-        try:
-            # Re-check under the flight: a result published between our
-            # lookup and the claim (by a thread whose flight just retired)
-            # would otherwise be recomputed.
-            hit = self._cache_lookup(key, lambda: problem)
-            if hit is not None:
-                self._coalescer.resolve(flight, result=hit)
-                return hit, True, 0.0
-            t0 = time.perf_counter()
-            result = _kernel_solve(problem, solver=solver, context=context,
-                                   **options)
-            elapsed_ms = (time.perf_counter() - t0) * 1e3
-        except BaseException as exc:
-            self._coalescer.resolve(flight, error=exc)
-            raise
-        with self._lock:
-            self._counters["cache_misses"] += 1
-            self._results.put(key, result)
-        self._store_put(key, result)
-        self._coalescer.resolve(flight, result=result)
-        return result, False, elapsed_ms
+        return self._submit_rows(ProblemBatch.from_any([problem]), solver,
+                                 dict(options or {}))[0]
 
     # ------------------------------------------------------------------
     # the two-level cache (in-memory LRU over the persistent store)
     # ------------------------------------------------------------------
-    def _cache_lookup(self, key: str, problem: Callable[[], BiCritProblem]
-                      ) -> SolveResult | None:
-        """LRU first, then the persistent tier; promotes store hits.
-
-        ``problem`` is called only to rebuild a record the store actually
-        holds, so a miss never materialises the instance.
-        """
-        with self._lock:
-            hit = self._results.get(key)
-            if hit is not None:
-                self._counters["cache_hits"] += 1
-                return hit
-        if self.store is None:
-            return None
-        payload = self.store.get(key, STORE_NAMESPACE)
-        result = (self._result_from_payload(payload, problem())
-                  if payload is not None else None)
-        with self._lock:
-            if result is None:
-                self._counters["store_misses"] += 1
-                return None
-            self._counters["cache_hits"] += 1
-            self._counters["store_hits"] += 1
-            self._results.put(key, result)
-        return result
-
     def _store_put(self, key: str, result: SolveResult) -> None:
         """Publish a computed result to the shared tier (best effort --
         a full disk or read-only root must not fail the solve)."""
@@ -447,17 +361,13 @@ class Engine:
     def submit_batch(self, problems: Sequence[Any], solver: str = "auto", *,
                      options: Mapping[str, Any] | None = None
                      ) -> list[tuple[SolveResult, bool]]:
-        """Solve many instances; cache hits are peeled off, the misses run
-        through the vectorized batch kernel.
+        """Solve many instances; ``(result, was_cached)`` pairs in input
+        order.
 
-        ``problems`` may mix wire payload dicts and ``Problem`` objects; it
-        becomes one :class:`ProblemBatch` (``from_any``), so this and the
-        wire :meth:`solve_batch` share one admission, peel and store path.
-        Returns ``(result, was_cached)`` pairs in input order.  One
-        inadmissible instance fails the whole request (matching the scalar
-        dispatch semantics of :func:`repro.solvers.batch.plan_batch`);
-        like :meth:`submit`, library exceptions propagate unchanged on this
-        object layer.
+        ``problems`` may mix wire payload dicts and ``Problem`` objects
+        (``ProblemBatch.from_any``).  One inadmissible instance fails the
+        whole request (as :func:`repro.solvers.batch.plan_batch` does); like
+        :meth:`submit`, library exceptions propagate unchanged.
         """
         with paused_gc():
             return self._submit_rows(ProblemBatch.from_any(problems), solver,
@@ -466,12 +376,10 @@ class Engine:
     def _submit_rows(self, batch: ProblemBatch, solver: str,
                      options: dict[str, Any]
                      ) -> list[tuple[SolveResult, bool]]:
-        """Admission checks over columns, masked cache peel, and the miss
-        rows handed to the batch kernel as a (sub-)``ProblemBatch``.
-
-        Admission order (batch size, row parses, task caps, solver name)
-        and errors match the scalar :meth:`submit` row by row.
-        """
+        """The one request path: admission checks over columns (batch
+        size, row parses, task caps, solver name; the first failing row
+        raises), the cache peel, then the misses single-flighted through
+        the batch kernel."""
         n_rows = len(batch)
         if self.max_batch is not None and n_rows > self.max_batch:
             raise ApiError(SIZE_LIMIT,
@@ -480,10 +388,8 @@ class Engine:
                            detail={"instances": n_rows,
                                    "max_batch": self.max_batch})
         # Fallback rows (payloads the strict columnar parser declined)
-        # materialise through the interning resolver, in row order, so
-        # parse errors surface where the scalar path raises them (a
-        # ``Problem`` row passes through as itself).  Fast rows already
-        # parsed strictly and cannot fail.
+        # materialise through the interning resolver, in row order, so the
+        # first bad row raises its parse error; fast rows cannot fail.
         for i in batch.fallback_indices():
             batch.set_problem(i, self.resolve_problem(batch.payloads[i]))
         if self.max_tasks is not None:
@@ -506,39 +412,126 @@ class Engine:
                             f"{self.max_tasks}",
                             detail={"tasks": n, "max_tasks": self.max_tasks})
         self._check_solver_name(solver)
-        keys = self._batch_request_keys(batch.content_keys(), solver, options)
+        content_keys = batch.content_keys()
+        keys = self._batch_request_keys(content_keys, solver, options)
         out: list[tuple[SolveResult, bool] | None] = [None] * n_rows
+        misses = self._peel(batch, content_keys, keys, out)
+        while misses:
+            misses = self._solve_misses(batch, keys, misses, solver, options,
+                                        out)
+        return out  # type: ignore[return-value]
+
+    def _peel(self, batch: ProblemBatch, content_keys: list[str],
+              keys: list[str],
+              out: list[tuple[SolveResult, bool] | None]) -> list[int]:
+        """Serve cache hits into ``out``; returns the rows that missed.
+
+        One LRU pass under one lock, then a store pass over the LRU misses.
+        Only a store hit materialises its row (interned by content key),
+        to rebuild the record.
+        """
         misses: list[int] = []
-        if self.store is None:
-            # LRU-only peel under one lock acquisition; never touches
-            # ``batch.problem(i)``, keeping the all-miss path zero-copy.
-            with self._lock:
-                for i, key in enumerate(keys):
-                    hit = self._results.get(key)
-                    if hit is not None:
-                        self._counters["cache_hits"] += 1
-                        out[i] = (hit, True)
-                    else:
-                        misses.append(i)
-        else:
+        with self._lock:
             for i, key in enumerate(keys):
-                hit = self._cache_lookup(key, partial(batch.problem, i))
+                hit = self._results.get(key)
+                if hit is None:
+                    misses.append(i)
+                else:
+                    out[i] = (hit, True)
+            self._counters["cache_hits"] += len(keys) - len(misses)
+        if self.store is None or not misses:
+            return misses
+        still: list[int] = []
+        for i in misses:
+            payload = self.store.get(keys[i], STORE_NAMESPACE)
+            result = (None if payload is None else self._result_from_payload(
+                payload, self.resolve_problem(batch.payloads[i],
+                                              content_keys[i])))
+            if result is None:
+                still.append(i)
+            else:
+                out[i] = (result, True)
+        with self._lock:
+            self._counters["store_misses"] += len(still)
+            self._counters["store_hits"] += len(misses) - len(still)
+            self._counters["cache_hits"] += len(misses) - len(still)
+            for i in misses:
+                if out[i] is not None:
+                    self._results.put(keys[i], out[i][0])  # type: ignore[index]
+        return still
+
+    def _solve_misses(self, batch: ProblemBatch, keys: list[str],
+                      misses: list[int], solver: str, options: dict[str, Any],
+                      out: list[tuple[SolveResult, bool] | None]) -> list[int]:
+        """Single-flight solve of the missed rows; returns rows to retry.
+
+        One flight per distinct key, so a duplicate row is solved once.
+        The rows this request leads are solved as one sub-batch and their
+        flights resolved before it waits on flights other requests lead,
+        so it never waits while holding an unresolved flight.  A one-row
+        leader's waiters sent that very row and share its error; when a
+        larger sub-batch fails, the failing row is unknown, so its flights
+        resolve to ``_RETRY`` and each waiter solves its own row.
+        """
+        first: dict[str, int] = {}
+        led: dict[int, Flight] = {}
+        waits: list[tuple[int, Flight]] = []
+        for i in misses:
+            if keys[i] not in first:
+                first[keys[i]] = i
+                flight, leader = self._coalescer.claim(keys[i])
+                if leader:
+                    led[i] = flight
+                else:
+                    waits.append((i, flight))
+        try:
+            # A flight that retired between the peel and the claim left its
+            # result in the LRU: serve it instead of solving the row again.
+            with self._lock:
+                retired = {i: self._results.get(keys[i]) for i in led}
+            for i, hit in retired.items():
                 if hit is not None:
                     out[i] = (hit, True)
+                    self._coalescer.resolve(led.pop(i), result=hit)
+            rows = list(led)
+            if rows:
+                sub = batch if len(rows) == len(batch) else batch.take(rows)
+                results = _kernel_solve_batch(sub, solver, **options)
+                with self._lock:
+                    for i, result in zip(rows, results):
+                        out[i] = (result, False)
+                        self._results.put(keys[i], result)
+                for i, result in zip(rows, results):
+                    self._store_put(keys[i], result)
+                    self._coalescer.resolve(led.pop(i), result=result)
+        except BaseException as exc:
+            for flight in led.values():
+                if len(led) == 1:
+                    self._coalescer.resolve(flight, error=exc)
                 else:
-                    misses.append(i)
+                    self._coalescer.resolve(flight, result=_RETRY)
+            raise
+        retry: set[int] = set()
+        for i, flight in waits:
+            result = flight.wait(self._coalesce_timeout)
+            if result is _RETRY:
+                retry.add(i)
+            else:
+                out[i] = (result, True)
+        pending: list[int] = []
+        hits = 0
+        for i in misses:
+            j = first[keys[i]]
+            if j in retry:
+                pending.append(i)
+            else:
+                out[i] = pair = out[j]
+                hits += pair[1]  # type: ignore[index]
         with self._lock:
-            self._counters["cache_misses"] += len(misses)
-        if misses:
-            sub = batch if len(misses) == n_rows else batch.take(misses)
-            results = _kernel_solve_batch(sub, solver, **options)
-            with self._lock:
-                for i, result in zip(misses, results):
-                    out[i] = (result, False)
-                    self._results.put(keys[i], result)
-            for i, result in zip(misses, results):
-                self._store_put(keys[i], result)
-        return [pair for pair in out if pair is not None]
+            self._counters["cache_hits"] += hits
+            self._counters["cache_misses"] += len(misses) - len(pending) - hits
+            self._counters["coalesced_hits"] += len(waits) - len(retry)
+        return pending
 
     # ------------------------------------------------------------------
     # wire layer (the HTTP service)
@@ -579,20 +572,10 @@ class Engine:
             dispatch=canonicalize(result.metadata.get("dispatch", {})),
             cached=cached, elapsed_ms=elapsed_ms)
 
-    @staticmethod
-    def _translate(exc: Exception) -> ApiError:
-        """Wire-layer error mapping (library exception -> stable code)."""
-        return error_from_exception(exc)
-
     def solve(self, request: SolveRequest) -> SolveResponse:
-        """``POST /v1/solve``: one instance through cache + dispatch."""
-        try:
-            result, cached, elapsed_ms = self._solve_entry(
-                request.problem, request.solver, dict(request.options),
-                None, True)
-        except Exception as exc:
-            raise self._translate(exc) from exc
-        return self._build_response(result, cached=cached, elapsed_ms=elapsed_ms)
+        """``POST /v1/solve``: a solve-batch of one."""
+        return self.solve_batch(SolveBatchRequest(
+            [request.problem], request.solver, request.options)).results[0]
 
     def solve_batch(self, request: SolveBatchRequest) -> SolveBatchResponse:
         """``POST /v1/solve-batch``: grouped vectorized evaluation.
@@ -604,9 +587,7 @@ class Engine:
         per-instance ``Problem`` objects on the all-miss hot path.
         """
         t0 = time.perf_counter()
-        batch = request.batch
-        if batch is None:
-            batch = ProblemBatch.from_any(request.problems)
+        batch = request.batch or ProblemBatch.from_any(request.problems)
         # In-process consumers get the same GC relief as the HTTP server
         # scope (nested pauses are depth-counted no-ops).
         with paused_gc():
@@ -614,7 +595,7 @@ class Engine:
                 pairs = self._submit_rows(batch, request.solver,
                                           dict(request.options))
             except Exception as exc:
-                raise self._translate(exc) from exc
+                raise error_from_exception(exc) from exc
             executed = sum(1 for _, cached in pairs if not cached)
             per_miss_ms = ((time.perf_counter() - t0) * 1e3 / executed
                            if executed else 0.0)
@@ -625,12 +606,13 @@ class Engine:
 
     def simulate(self, request: SimulateRequest) -> SimulateResponse:
         """``POST /v1/simulate``: solve, then Monte-Carlo the schedule."""
+        t0 = time.perf_counter()
         try:
-            result, cached, elapsed_ms = self._solve_entry(
-                request.problem, request.solver, dict(request.options),
-                None, True)
+            result, cached = self.submit(request.problem, request.solver,
+                                         options=request.options)
         except Exception as exc:
-            raise self._translate(exc) from exc
+            raise error_from_exception(exc) from exc
+        elapsed_ms = 0.0 if cached else (time.perf_counter() - t0) * 1e3
         if result.schedule is None:
             raise ApiError(INVALID_REQUEST,
                            f"solver {result.solver!r} returned status "

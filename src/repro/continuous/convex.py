@@ -167,18 +167,20 @@ def solve_bicrit_convex(mapping: Mapping, platform: Platform, deadline: float, *
 
     def objective(x: np.ndarray) -> float:
         d, _ = unpack(x)
-        return float(np.sum(w ** a / d ** (a - 1.0)))
+        # Speed forms of w^a / d^(a-1) and its derivatives: no 0/0
+        # underflow for tiny w and d.
+        return float(np.sum(w * (w / d) ** (a - 1.0)))
 
     def gradient(x: np.ndarray) -> np.ndarray:
         d, _ = unpack(x)
         g = np.zeros(num_vars)
-        g[:n] = -(a - 1.0) * w ** a / d ** a
+        g[:n] = -(a - 1.0) * (w / d) ** a
         return g
 
     def hessian(x: np.ndarray) -> np.ndarray:
         d, _ = unpack(x)
         h = np.zeros((num_vars, num_vars))
-        h[np.arange(n), np.arange(n)] = a * (a - 1.0) * w ** a / d ** (a + 1.0)
+        h[np.arange(n), np.arange(n)] = a * (a - 1.0) * (w / d) ** a / d
         return h
 
     # Linear constraints.  Precedence edges involving zero-weight tasks can be
@@ -320,7 +322,7 @@ def solve_bicrit_convex(mapping: Mapping, platform: Platform, deadline: float, *
     speeds = {t: (weights[t] / durations[t] if durations[t] > 0 else 0.0) for t in tasks}
     start_times = {t: float(s[index[t]]) for t in positive}
     start_times.update({t: 0.0 for t in zero_tasks})
-    energy = float(np.sum(w ** a / d ** (a - 1.0)))
+    energy = float(np.sum(w * (w / d) ** (a - 1.0)))
 
     status = "optimal" if ok else "feasible"
     # Double check that the produced durations respect the deadline along the

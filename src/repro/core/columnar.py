@@ -38,6 +38,7 @@ from __future__ import annotations
 import hashlib
 import math
 import sys
+import threading
 from collections.abc import Mapping as TMapping, Sequence
 from typing import Any
 
@@ -75,6 +76,13 @@ def problem_content_key(problem: BiCritProblem) -> str:
 
 KIND_BICRIT = 0
 KIND_TRICRIT = 1
+
+#: Canonical-JSON key templates by row skeleton, shared by every batch, so
+#: a one-row request reuses the template (and its one-off verification) the
+#: first row of its skeleton built.  Oldest entries go first past the cap.
+_TEMPLATE_CAP = 4096
+_templates: dict[tuple, Any] = {}  # guarded-by: _templates_lock
+_templates_lock = threading.Lock()
 
 _NUMBER = (int, float)
 _MAX_FLOAT = sys.float_info.max
@@ -522,7 +530,6 @@ class ProblemBatch:
         self.offsets = offsets
         self.weights = np.array(flat_weights, dtype=float)
         self._rows = rows               # kept for template construction
-        self._templates: dict[tuple, Any] = {}
 
     # ------------------------------------------------------------------
     # constructors
@@ -616,7 +623,6 @@ class ProblemBatch:
             [self.row_weights(i) for i in indices])
             if indices else self.weights[:0])
         sub._rows = [self._rows[i] for i in indices]
-        sub._templates = {}
         return sub
 
     # ------------------------------------------------------------------
@@ -654,10 +660,14 @@ class ProblemBatch:
                      mapping_sig,
                      row.platform_processors, row.plat_rel is None,
                      row.prob_rel is None)
-        template = self._templates.get(signature)
+        with _templates_lock:
+            template = _templates.get(signature)
         if template is None:
             template = self._build_template(row)
-            self._templates[signature] = template
+            with _templates_lock:
+                _templates[signature] = template
+                if len(_templates) > _TEMPLATE_CAP:
+                    del _templates[next(iter(_templates))]
         return template
 
     def _build_template(self, row: _Row) -> Any:
@@ -719,8 +729,6 @@ class ProblemBatch:
 
         # Verify the template byte-for-byte against the real canonical blob
         # of this row before trusting it for the whole signature class.
-        from ..store.canonical import canonical_blob
-
         values = self._slot_values(row, perm)
         fast = self._render(template, values)
         if fast.encode("utf-8") != canonical_blob(self._canonical_payload(row)):

@@ -105,13 +105,15 @@ class EnergyModel:
         The work is executed at the constant speed ``w/d`` (running at a
         constant speed is optimal for a fixed duration because the power law
         is convex), so ``E = w^alpha / d^(alpha-1)`` -- with the cube law,
-        ``w^3 / d^2``.  Vectorised.
+        ``w^3 / d^2``.  Evaluated in the speed form ``w * (w/d)^(alpha-1)``,
+        which does not underflow to ``0/0`` for tiny ``w`` and ``d``.
+        Vectorised.
         """
         w = np.asarray(weight, dtype=float)
         d = np.asarray(duration, dtype=float)
         if np.any(d <= 0):
             raise ValueError("durations must be positive")
-        result = w ** self.exponent / d ** (self.exponent - 1.0)
+        result = w * (w / d) ** (self.exponent - 1.0)
         if np.isscalar(weight) and np.isscalar(duration):
             return float(result)
         return result

@@ -121,9 +121,10 @@ def energy_lower_bound(graph: TaskGraph, deadline: float, *,
     if deadline <= 0:
         raise ValueError("deadline must be positive")
     weights = np.array(list(graph.weights().values()), dtype=float)
-    individual = float(np.sum(weights ** exponent / deadline ** (exponent - 1.0)))
+    # Speed form w * (w/D)^(a-1): no 0/0 underflow for tiny w and D.
+    individual = float(np.sum(weights * (weights / deadline) ** (exponent - 1.0)))
     cp_weight = graph.critical_path_weight()
-    cp_bound = cp_weight ** exponent / deadline ** (exponent - 1.0)
+    cp_bound = cp_weight * (cp_weight / deadline) ** (exponent - 1.0)
     return max(individual, cp_bound)
 
 

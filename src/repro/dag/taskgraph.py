@@ -295,7 +295,7 @@ class TaskGraph:
         unknown = keep - set(self._g.nodes())
         if unknown:
             raise KeyError(f"unknown tasks: {sorted(map(str, unknown))}")
-        weights = {t: self.weight(t) for t in keep}
+        weights = {t: self.weight(t) for t in self._g.nodes() if t in keep}
         edges = [(u, v) for u, v in self.edges() if u in keep and v in keep]
         return TaskGraph(weights, edges)
 

@@ -160,11 +160,10 @@ def run_solver_ablation_experiment(
                 "ratio_to_exact": math.nan, "dispatched": False,
                 "reason": (f"even at fmax the makespan is {ctx.min_makespan:.6g}"
                            f" > deadline {prob.deadline:.6g}"),
-            }], "cells": [], "auto": False, "prob": prob, "ctx": ctx})
+            }], "cells": [], "auto": False, "prob": prob})
             continue
         entry = {"pre": [], "cells": [], "auto": solver == "auto",
-                 "prob": prob, "ctx": ctx,
-                 "family": family, "instance": name}
+                 "prob": prob, "family": family, "instance": name}
         for descriptor in iter_solvers():
             if descriptor.problem != ctx.kind:
                 continue            # wrong problem kind: not an ablation cell
@@ -197,12 +196,11 @@ def run_solver_ablation_experiment(
     if engine == "scalar":
         for entry in entries:
             for descriptor, row in entry["cells"]:
-                result, _ = api.submit(entry["prob"], solver=descriptor.name,
-                                       context=entry["ctx"])
+                result, _ = api.submit(entry["prob"], solver=descriptor.name)
                 row.update(status=result.status, energy=result.energy,
                            dispatched=False, reason=None)
             if entry["auto"]:
-                result, _ = api.submit(entry["prob"], context=entry["ctx"])
+                result, _ = api.submit(entry["prob"])
                 entry["auto_result"] = result
     else:
         groups: dict[str, list[tuple[dict, dict]]] = {}

@@ -390,7 +390,8 @@ def _threshold_incumbent(inst: _Instance, forced_in: set,
         return base | frozenset(inst.tasks[i] for i in order[:k])
 
     step = max(1, m // 24)
-    evals = {k: inst.evaluate(prefix(k)) for k in {*range(0, m + 1, step), m}}
+    evals = {k: inst.evaluate(prefix(k))
+             for k in sorted({*range(0, m + 1, step), m})}
     feasible_ks = [k for k, ev in evals.items() if ev.feasible]
     if feasible_ks:
         best_k = min(feasible_ks, key=lambda k: evals[k].energy)

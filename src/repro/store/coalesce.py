@@ -65,7 +65,7 @@ class Coalescer:
             result = flight.wait(timeout)              # shares the leader's
 
     The flight is unregistered when resolved, so a later request for the
-    same key (e.g. a cache-bypassing refresh) starts a fresh computation.
+    same key starts a fresh computation.
     """
 
     def __init__(self) -> None:

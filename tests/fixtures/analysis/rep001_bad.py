@@ -12,3 +12,4 @@ for t in tasks:                            # set -> ordered accumulation
 
 comp = [t.upper() for t in {"x", "y"}]     # set literal -> list comp
 algebra = list(tasks | {"d"})              # set algebra -> list
+by_task = {t: len(t) for t in tasks}       # set -> dict (insertion order)

@@ -93,6 +93,22 @@ def test_registry_parse_finds_managed_impls():
     assert "solve_bicrit_discrete_milp" in impls["repro.discrete.exact"]
 
 
+def test_rep001_flags_dict_but_not_set_comprehensions():
+    # A dict keeps insertion order, so its keys leak the set's order; a
+    # set comprehension rebuilds an unordered container.
+    rules = {r.rule_id: r for r in all_rules()}
+    bad = FileContext(Path("somepkg/mod.py"),
+                      "s = {1, 2}\nd = {k: k for k in s}\n")
+    findings = list(rules["REP001"].check(bad))
+    assert [(f.line, "dict comprehension" in f.message)
+            for f in findings] == [(2, True)]
+    good = FileContext(Path("somepkg/mod.py"),
+                       "s = {1, 2}\nt = {k + 1 for k in s}\n")
+    assert list(rules["REP001"].check(good)) == []
+    bad_lines = [f.line for f in findings_for("rep001_bad.py", "REP001")]
+    assert 15 in bad_lines          # the fixture's dict comprehension
+
+
 # ----------------------------------------------------------------------
 # suppression protocol
 # ----------------------------------------------------------------------

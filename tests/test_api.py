@@ -459,13 +459,3 @@ class TestMetrics:
         assert metrics["requests"].get("unmatched") == 5
         assert not any("probe" in route for route in metrics["requests"])
         assert metrics["errors"]["unmatched"] == 5
-
-    def test_cache_bypass_does_not_skew_hit_rate(self, engine,
-                                                 small_chain_problem):
-        engine.submit(small_chain_problem)               # miss
-        engine.submit(small_chain_problem)               # hit
-        for _ in range(3):
-            engine.submit(small_chain_problem, use_cache=False)
-        metrics = engine.metrics()
-        assert metrics["cache"]["hits"] == 1
-        assert metrics["cache"]["misses"] == 1

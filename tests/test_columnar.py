@@ -11,6 +11,7 @@ forcing schedule materialization).
 
 from __future__ import annotations
 
+import hashlib
 import pickle
 
 import pytest
@@ -198,8 +199,9 @@ class TestKeyParity:
                                 ("bicrit-closed-form", {"validate": False})):
             vec = engine._batch_request_keys(batch.content_keys(),
                                              solver, options)
-            scalar = [engine._request_key(p, solver, options)
-                      for p in problems]
+            blob = engine._options_blob(solver, options)
+            scalar = [hashlib.sha256((problem_content_key(p) + "|").encode(
+                "utf-8") + blob).hexdigest() for p in problems]
             assert vec == scalar
 
     def test_request_carries_parsed_batch(self):

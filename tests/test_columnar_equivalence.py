@@ -4,7 +4,8 @@ An instance list reaches ``/v1/solve-batch`` as wire payload dicts, as
 ``Problem`` objects, or as a mix of both; all three become one
 :class:`~repro.core.columnar.ProblemBatch` and must produce
 **byte-identical** ``SolveBatchResponse`` payloads (modulo the timing
-field), each row answering like the scalar ``Engine.solve`` of its payload.
+field), each row answering like the scalar dispatcher
+(:func:`repro.solvers.dispatch.solve`) on its payload.
 Hypothesis drives random chain / fork / TRI-CRIT chain / series-parallel
 mixes through fresh engines; a separate guard proves the all-miss columnar
 path allocates zero per-instance ``Problem`` / ``TaskGraph`` objects (the
@@ -21,9 +22,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api.engine import Engine
-from repro.api.types import SolveBatchRequest, SolveRequest
+from repro.api.types import SolveBatchRequest
 from repro.core.columnar import ProblemBatch
 from repro.core.problem_io import problem_from_dict, problem_to_dict
+from repro.solvers.dispatch import solve as dispatch_solve
+from repro.store.canonical import canonicalize
 
 from tests.test_batch_solvers import (
     chain_problem,
@@ -103,13 +106,14 @@ class TestWireEquivalence:
                       for k, p in enumerate(payloads)]))
         assert _normalised(wire) == _normalised(objects) == _normalised(mixed)
 
-        scalar_engine = Engine(store=None)
         for payload, row in zip(payloads, wire.results):
-            scalar = scalar_engine.solve(SolveRequest(problem=payload))
+            scalar = dispatch_solve(problem_from_dict(payload))
             assert (row.status, row.solver, row.dispatch) == \
-                (scalar.status, scalar.solver, scalar.dispatch)
+                (scalar.status, scalar.solver,
+                 canonicalize(scalar.metadata["dispatch"]))
             _assert_close(row.energy, scalar.energy)
-            _assert_close(row.makespan, scalar.makespan)
+            _assert_close(row.makespan, None if scalar.schedule is None
+                          else scalar.schedule.makespan())
 
     @settings(max_examples=15, deadline=None)
     @given(batch_payloads)

@@ -99,6 +99,11 @@ class TestBounds:
         with pytest.raises(ValueError):
             energy_lower_bound(diamond, 0.0)
 
+    def test_energy_lower_bound_with_tiny_weights(self):
+        # w^3 / D^2 underflows to 0/0 here; w * (w/D)^2 does not.
+        graph = TaskGraph({"a": 3e-181})
+        assert energy_lower_bound(graph, 3e-181) == pytest.approx(3e-181)
+
     def test_energy_lower_bound_is_valid_for_uniform_schedule(self, diamond):
         # A very loose but safe check: the bound never exceeds the energy of
         # running every task at the speed needed to finish the critical path

@@ -83,6 +83,11 @@ class TestEnergyModel:
         assert model.task_energy(4.0, 0.5) == pytest.approx(2.0)
         assert model.energy_for_duration(4.0, 2.0) == pytest.approx(8.0)
 
+    def test_tiny_weight_and_duration_do_not_underflow(self):
+        # w^3 and d^2 both underflow to 0.0 here; w * (w/d)^2 does not.
+        assert EnergyModel().energy_for_duration(3e-181, 3e-181) == \
+            pytest.approx(3e-181)
+
 
 class TestEnergyProperties:
     @given(st.floats(min_value=0.01, max_value=100.0),

@@ -11,10 +11,12 @@ from __future__ import annotations
 
 import json
 import os
+import random
 import subprocess
 import sys
 import threading
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -23,8 +25,14 @@ import repro.api as api
 from repro.api.types import SimulateRequest, SolveRequest
 from repro.campaign.cache import ResultCache
 from repro.core.problem_io import problem_to_dict
+from repro.core.problems import BiCritProblem
+from repro.platform.mapping import Mapping
+from repro.solvers.batch import solve_batch
+from repro.solvers.descriptors import InadmissibleSolverError
 from repro.store import Coalescer, ResultStore, StoreError, resolve_store_root
 from repro.store.canonical import content_checksum
+
+from tests.test_batch_solvers import chain_problem
 
 KEY_A = "a" * 64
 KEY_B = "b" * 64
@@ -228,7 +236,6 @@ class TestCoalescer:
 def _forbid_solves(monkeypatch):
     def _boom(*args, **kwargs):
         raise AssertionError("solver dispatch is forbidden in this phase")
-    monkeypatch.setattr("repro.api.engine._kernel_solve", _boom)
     monkeypatch.setattr("repro.api.engine._kernel_solve_batch", _boom)
 
 
@@ -344,18 +351,17 @@ class TestEngineStore:
 class TestCoalescing:
     def test_identical_concurrent_solves_run_once(self, monkeypatch,
                                                   small_chain_problem):
-        engine = api.Engine()
-        baseline, _ = engine.submit(small_chain_problem, use_cache=False)
+        baseline, _ = api.Engine().submit(small_chain_problem)
         calls = []
         lock = threading.Lock()
 
-        def slow_solve(problem, **kwargs):
+        def slow_solve(batch, solver, **kwargs):
             with lock:
-                calls.append(1)
+                calls.append(len(batch))
             time.sleep(0.25)
-            return baseline
+            return [baseline] * len(batch)
 
-        monkeypatch.setattr("repro.api.engine._kernel_solve", slow_solve)
+        monkeypatch.setattr("repro.api.engine._kernel_solve_batch", slow_solve)
         fresh = api.Engine()
         results: list[tuple] = []
         out_lock = threading.Lock()
@@ -374,7 +380,7 @@ class TestCoalescing:
         elapsed = time.perf_counter() - start
         assert len(results) == 8
         # K identical concurrent requests -> exactly one engine solve.
-        assert len(calls) == 1
+        assert calls == [1]
         assert all(result is baseline for result, _ in results)
         assert sum(1 for _, cached in results if not cached) == 1
         assert sum(1 for _, cached in results if cached) == 7
@@ -389,11 +395,12 @@ class TestCoalescing:
                                                    small_chain_problem):
         release = threading.Event()
 
-        def exploding_solve(problem, **kwargs):
+        def exploding_solve(batch, solver, **kwargs):
             release.wait(5)
             raise RuntimeError("leader died")
 
-        monkeypatch.setattr("repro.api.engine._kernel_solve", exploding_solve)
+        monkeypatch.setattr("repro.api.engine._kernel_solve_batch",
+                            exploding_solve)
         engine = api.Engine()
         errors = []
         lock = threading.Lock()
@@ -414,11 +421,173 @@ class TestCoalescing:
             t.join(timeout=10)
         assert errors == ["leader died"] * 4
         # The failed flight is retired: the next request recomputes.
-        monkeypatch.setattr("repro.api.engine._kernel_solve",
-                            lambda problem, **kw: (_ for _ in ()).throw(
+        monkeypatch.setattr("repro.api.engine._kernel_solve_batch",
+                            lambda batch, solver, **kw: (_ for _ in ()).throw(
                                 RuntimeError("second attempt")))
         with pytest.raises(RuntimeError, match="second attempt"):
             engine.submit(small_chain_problem)
+
+    @staticmethod
+    def _wait_for_a_waiter(engine, timeout=10.0):
+        """Block until some request waits on a flight of ``engine``."""
+        deadline = time.monotonic() + timeout
+        while engine.store_stats()["coalesce"]["coalesced_waits"] < 1:
+            assert time.monotonic() < deadline, "no request ever waited"
+            time.sleep(0.005)
+
+    def test_concurrent_batches_solve_a_shared_row_once(
+            self, monkeypatch, small_chain_problem, small_fork_problem,
+            tricrit_chain_problem):
+        engine = api.Engine()
+        solved: list[str] = []
+        in_kernel = threading.Event()
+
+        def gated_solve(batch, solver, **kwargs):
+            first = not solved
+            solved.extend(batch.content_keys())
+            if first:
+                # Hold the shared row's flight until the second batch
+                # waits on it.
+                in_kernel.set()
+                self._wait_for_a_waiter(engine)
+            return solve_batch(batch, solver, **kwargs)
+
+        monkeypatch.setattr("repro.api.engine._kernel_solve_batch",
+                            gated_solve)
+        out = {}
+
+        def run(name, problems):
+            out[name] = engine.submit_batch(problems)
+
+        first = threading.Thread(target=run, args=(
+            "a", [small_chain_problem, small_fork_problem]))
+        first.start()
+        assert in_kernel.wait(10)
+        second = threading.Thread(target=run, args=(
+            "b", [small_fork_problem, tricrit_chain_problem]))
+        second.start()
+        first.join(30)
+        second.join(30)
+        assert len(solved) == len(set(solved)) == 3
+        assert [cached for _, cached in out["a"]] == [False, False]
+        assert [cached for _, cached in out["b"]] == [True, False]
+        assert out["b"][0][0] is out["a"][1][0]
+        cache = engine.metrics()["cache"]
+        assert (cache["hits"], cache["misses"], cache["coalesced_hits"]) == \
+            (1, 3, 1)
+
+    def test_duplicate_rows_are_solved_once(self, monkeypatch,
+                                            small_chain_problem):
+        sizes = []
+
+        def counting_solve(batch, solver, **kwargs):
+            sizes.append(len(batch))
+            return solve_batch(batch, solver, **kwargs)
+
+        monkeypatch.setattr("repro.api.engine._kernel_solve_batch",
+                            counting_solve)
+        engine = api.Engine()
+        # An object row and its wire payload share one content key.
+        pairs = engine.submit_batch([small_chain_problem,
+                                     problem_to_dict(small_chain_problem),
+                                     small_chain_problem])
+        assert sizes == [1]
+        assert pairs[0][0] is pairs[1][0] is pairs[2][0]
+        assert [cached for _, cached in pairs] == [False] * 3
+        assert engine.metrics()["cache"]["misses"] == 3
+
+    def test_waiter_never_gets_a_foreign_rows_error(
+            self, monkeypatch, small_chain_problem, small_chain_graph,
+            vdd_platform):
+        # Not admissible for the closed form: a VDD-HOPPING platform.
+        inadmissible = BiCritProblem(
+            mapping=Mapping.single_processor(small_chain_graph),
+            platform=vdd_platform,
+            deadline=2.0 * small_chain_graph.total_weight())
+        engine = api.Engine()
+        in_kernel = threading.Event()
+
+        def gated_solve(batch, solver, **kwargs):
+            if len(batch) == 2:
+                in_kernel.set()
+                self._wait_for_a_waiter(engine)
+            return solve_batch(batch, solver, **kwargs)
+
+        monkeypatch.setattr("repro.api.engine._kernel_solve_batch",
+                            gated_solve)
+        errors = []
+
+        def run_batch():
+            try:
+                engine.submit_batch([small_chain_problem, inadmissible],
+                                    "bicrit-closed-form")
+            except InadmissibleSolverError as exc:
+                errors.append(exc)
+
+        batch_thread = threading.Thread(target=run_batch)
+        batch_thread.start()
+        assert in_kernel.wait(10)
+        # Waits on the batch's flight for the shared row, then solves the
+        # row itself when that batch fails on the other row.
+        result, cached = engine.submit(small_chain_problem,
+                                       "bicrit-closed-form")
+        batch_thread.join(30)
+        assert len(errors) == 1
+        assert not cached
+        assert result.feasible
+        assert engine.metrics()["cache"]["coalesced_hits"] == 0
+
+
+    def test_overlapping_batches_under_thread_churn(self, monkeypatch):
+        # More threads than cores and a short switch interval: every
+        # distinct row is solved exactly once, each request gets one
+        # result object per row, and no hit or miss is lost.
+        problems = [problem_to_dict(chain_problem([1.0, 2.0, 0.5],
+                                                  1.2 + 0.1 * k))
+                    for k in range(6)]
+        solved: Counter[str] = Counter()
+        lock = threading.Lock()
+
+        def counting_solve(batch, solver, **kwargs):
+            with lock:
+                solved.update(batch.content_keys())
+            time.sleep(0.01)
+            return solve_batch(batch, solver, **kwargs)
+
+        monkeypatch.setattr("repro.api.engine._kernel_solve_batch",
+                            counting_solve)
+        engine = api.Engine()
+        rng = random.Random(7)
+        requests = [[rng.choice(problems) for _ in range(4)]
+                    for _ in range(16)]
+        outs: list = [None] * len(requests)
+        start = threading.Barrier(len(requests), timeout=30)
+
+        def run(k):
+            start.wait()
+            outs[k] = engine.submit_batch(requests[k])
+
+        threads = [threading.Thread(target=run, args=(k,))
+                   for k in range(len(requests))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert sorted(solved.values()) == [1] * len(solved)
+        by_key = {}
+        for request, pairs in zip(requests, outs):
+            for payload, (result, _) in zip(request, pairs):
+                key = json.dumps(payload, sort_keys=True)
+                assert by_key.setdefault(key, result) is result
+        assert len(solved) == len(by_key)
+        cache = engine.metrics()["cache"]
+        assert cache["hits"] + cache["misses"] == 4 * len(requests)
 
 
 # ----------------------------------------------------------------------

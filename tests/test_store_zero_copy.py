@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 import repro.store.result_store as result_store_mod
 from repro.api.engine import Engine
-from repro.api.types import SolveBatchRequest
+from repro.api.types import SolveBatchRequest, SolveRequest
 from repro.core.columnar import ProblemBatch
 from repro.core.problem_io import problem_from_dict, problem_to_dict
 from repro.core.schedule import TaskDecision
@@ -199,6 +199,25 @@ class TestEnvelopeBytes:
         wire = tree(tmp_path / "wire")
         assert len(wire) == len(payloads)
         assert tree(tmp_path / "objects") == wire
+
+    def test_single_solves_store_the_batch_bytes(self, tmp_path,
+                                                 frozen_clock):
+        # A scalar request is a batch of one: /v1/solve writes the record
+        # /v1/solve-batch writes for the same BI-CRIT row.  (TRI-CRIT chain
+        # rows still differ in the last digits with the batch around them.)
+        payloads = [p for p in _mixed_payloads() if p["kind"] == "bicrit"]
+        Engine(store=ResultStore(tmp_path / "batch")).solve_batch(
+            SolveBatchRequest.from_dict({"problems": payloads}))
+        single = Engine(store=ResultStore(tmp_path / "single"))
+        for payload in payloads:
+            single.solve(SolveRequest.from_dict({"problem": payload}))
+
+        def tree(root):
+            return {str(p.relative_to(root)): p.read_bytes()
+                    for p in root.rglob("*") if p.is_file()}
+        batch = tree(tmp_path / "batch")
+        assert len(batch) == len(payloads)
+        assert tree(tmp_path / "single") == batch
 
     @staticmethod
     def _leftovers(store):

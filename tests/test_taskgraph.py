@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.dag.taskgraph import Task, TaskGraph
@@ -153,6 +158,11 @@ class TestMutationByCopy:
         with pytest.raises(KeyError):
             g.subgraph(["a", "zzz"])
 
+    def test_subgraph_keeps_the_parent_node_order(self):
+        g = TaskGraph({"c": 3, "a": 1, "b": 2}, [("c", "a"), ("a", "b")])
+        assert g.subgraph({"b", "c"}).tasks() == ["c", "b"]
+        assert g.subgraph(["b", "a", "c"]).tasks() == ["c", "a", "b"]
+
     def test_equality_and_hash(self):
         g1 = TaskGraph({"a": 1, "b": 2}, [("a", "b")])
         g2 = TaskGraph({"b": 2, "a": 1}, [("a", "b")])
@@ -160,3 +170,37 @@ class TestMutationByCopy:
         assert g1 == g2
         assert g1 != g3
         assert hash(g1) == hash(g2)
+
+
+#: Closed-form solves of random series-parallel instances, one ``repr`` line
+#: per instance.  The closed form recurses over ``TaskGraph.subgraph``; a
+#: subgraph whose node order follows the string hash sums floats in a
+#: hash-dependent order, which changes 9 of these 30 rows between
+#: ``PYTHONHASHSEED=1`` and ``2``.
+_SP_SCRIPT = """
+from repro.experiments.instances import bicrit_problem, series_parallel_suite
+from repro.solvers import solve
+
+for seed in range(335, 340):
+    for spec in series_parallel_suite(sizes=(6, 10), slacks=(1.3, 1.6, 2.5),
+                                      seed=seed):
+        result = solve(bicrit_problem(spec), solver="bicrit-closed-form")
+        speeds = sorted((str(t), list(s)) for t, s in
+                        result.schedule.speed_assignment().items())
+        print(repr((seed, spec.name, result.metadata.get("closed_form_energy"),
+                    result.energy, speeds)))
+"""
+
+
+def test_series_parallel_closed_form_is_hash_seed_independent():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    outputs = []
+    for hash_seed in ("1", "2"):
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed,
+               "PYTHONPATH": os.pathsep.join(
+                   filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        outputs.append(subprocess.run(
+            [sys.executable, "-c", _SP_SCRIPT], env=env, check=True,
+            capture_output=True, timeout=300).stdout)
+    assert outputs[0].count(b"\n") == 30
+    assert outputs[0] == outputs[1]
