@@ -316,18 +316,20 @@ def reuse_port_supported(host: str = DEFAULT_HOST) -> bool:
         return False
 
 
-def _child_env() -> dict[str, str]:
-    """Environment for worker children: current env plus this package's
-    ``src`` root on PYTHONPATH, so ``python -m repro`` resolves even when
-    the parent was launched from an arbitrary directory."""
-    env = dict(os.environ)
+def child_env() -> dict[str, str]:
+    """Environment for ``python -m repro`` worker children.
+
+    The current environment with this package's ``src`` root first on
+    PYTHONPATH (empty and duplicate entries dropped), so the children import
+    this ``repro`` even when the parent was launched from an arbitrary
+    directory.  The serve fleet and the distributed campaign workers both
+    spawn with it.
+    """
+    env = os.environ.copy()
     src_root = str(Path(__file__).resolve().parents[2])
-    existing = env.get("PYTHONPATH")
-    if existing:
-        if src_root not in existing.split(os.pathsep):
-            env["PYTHONPATH"] = src_root + os.pathsep + existing
-    else:
-        env["PYTHONPATH"] = src_root
+    parts = [src_root] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep)
+                          if p and p != src_root]
+    env["PYTHONPATH"] = os.pathsep.join(parts)
     return env
 
 
@@ -338,7 +340,7 @@ class _Worker:
         self.cmd = cmd
         self.proc = subprocess.Popen(cmd, stdout=subprocess.PIPE,
                                      stderr=subprocess.STDOUT, text=True,
-                                     env=_child_env())
+                                     env=child_env())
         self.port: int | None = None
         self.ready = threading.Event()
         self._pump = threading.Thread(target=self._pump_output, daemon=True)

@@ -57,6 +57,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from collections.abc import Callable, Sequence
 
+from ..api.server import child_env
 from .cache import ResultCache, canonicalize, instance_key, make_record
 from .registry import get_scenario
 from .runner import (
@@ -783,16 +784,6 @@ class SpawnedWorker:
             self.process.wait(timeout=timeout)
 
 
-def _child_env() -> dict[str, str]:
-    """Environment for worker subprocesses with ``repro`` importable."""
-    env = os.environ.copy()
-    src_root = str(Path(__file__).resolve().parents[2])
-    parts = [src_root] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep)
-                          if p and p != src_root]
-    env["PYTHONPATH"] = os.pathsep.join(parts)
-    return env
-
-
 def spawn_local_workers(count: int, *, startup_timeout: float = 30.0,
                         store_dir: str | os.PathLike | None = None,
                         extra_args: Sequence[str] = ()) -> list[SpawnedWorker]:
@@ -820,7 +811,7 @@ def spawn_local_workers(count: int, *, startup_timeout: float = 30.0,
                 [sys.executable, "-m", "repro", "serve", "--port", "0",
                  *store_args, *extra_args],
                 stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
-                text=True, env=_child_env())
+                text=True, env=child_env())
             port = _read_banner_port(process, startup_timeout)
             workers.append(SpawnedWorker(process, "127.0.0.1", port))
         deadline = time.monotonic() + startup_timeout

@@ -21,12 +21,7 @@ from .heuristics import (
     solve_tricrit_no_reexec,
     solve_with_reexec_set,
 )
-from .tricrit_chain import (
-    ChainTriCritSolution,
-    solve_given_reexec_set,
-    solve_tricrit_chain_exact,
-    solve_tricrit_chain_greedy,
-)
+from .tricrit_chain import solve_tricrit_chain_exact, solve_tricrit_chain_greedy
 from .tricrit_fork import (
     best_choice_for_budget,
     solve_tricrit_fork,
@@ -46,8 +41,6 @@ __all__ = [
     "ConvexResult",
     "solve_bicrit_convex",
     "solve_bicrit_continuous_dag",
-    "ChainTriCritSolution",
-    "solve_given_reexec_set",
     "solve_tricrit_chain_exact",
     "solve_tricrit_chain_greedy",
     "best_choice_for_budget",

@@ -5,10 +5,15 @@ expected for TRI-CRIT (or for BI-CRIT under the DISCRETE models); the test
 suite and the complexity experiments therefore rely on exhaustive solvers
 whose correctness is easy to argue:
 
+* :func:`best_reexec_subset` is the one ``2^n`` re-execution subset
+  enumerator.  ``tricrit-exhaustive`` (below), ``tricrit-chain-exact``
+  (:mod:`repro.continuous.tricrit_chain`) and ``tricrit-vdd-exact``
+  (:mod:`repro.discrete.tricrit_vdd`) all run it, each with its own task
+  order, size guard and per-subset evaluation;
 * :func:`solve_tricrit_exhaustive` enumerates every subset of re-executed
-  tasks and solves the restricted convex problem for each subset -- the
-  global optimum of TRI-CRIT CONTINUOUS on any mapped DAG (at exponential
-  cost);
+  tasks and solves the restricted problem for each with
+  :func:`~repro.continuous.heuristics.solve_with_reexec_set` -- the global
+  optimum of TRI-CRIT CONTINUOUS on any mapped DAG (at exponential cost);
 * :func:`best_known_tricrit` bundles the exhaustive solver (when affordable)
   with the heuristics to produce the best-known reference value used in the
   heuristic-quality experiments.
@@ -18,8 +23,10 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Callable, Sequence
 
 from ..core.problems import InfeasibleProblemError, SolveResult, TriCritProblem
+from ..dag.taskgraph import TaskId
 from ..solvers.context import SolverContext
 from ..solvers.limits import (
     BEST_KNOWN_EXHAUSTIVE_LIMIT,
@@ -28,7 +35,37 @@ from ..solvers.limits import (
 )
 from .heuristics import best_of_heuristics, solve_with_reexec_set
 
-__all__ = ["solve_tricrit_exhaustive", "best_known_tricrit"]
+__all__ = ["best_reexec_subset", "solve_tricrit_exhaustive", "best_known_tricrit"]
+
+
+def best_reexec_subset(tasks: Sequence[TaskId],
+                       solve: Callable[[tuple[TaskId, ...]], SolveResult], *,
+                       solver_name: str, status: str = "optimal") -> SolveResult:
+    """Cheapest feasible result of ``solve`` over every subset of ``tasks``.
+
+    The one reference ``2^n`` enumeration: subsets by size, then in
+    ``itertools.combinations`` order of ``tasks`` (the row order of the
+    vectorized kernel's mask table), keeping the first strict minimum.  The
+    winner is relabelled ``solver_name`` / ``status``; with no feasible
+    subset the result is infeasible.  Either way the metadata counts
+    ``subsets_evaluated``.
+    """
+    best: SolveResult | None = None
+    evaluated = 0
+    for r in range(len(tasks) + 1):
+        for subset in itertools.combinations(tasks, r):
+            candidate = solve(subset)
+            evaluated += 1
+            if candidate.feasible and (best is None or candidate.energy < best.energy):
+                best = candidate
+    if best is None:
+        return SolveResult(schedule=None, energy=math.inf, status="infeasible",
+                           solver=solver_name,
+                           metadata={"subsets_evaluated": evaluated})
+    best.solver = solver_name
+    best.status = status
+    best.metadata["subsets_evaluated"] = evaluated
+    return best
 
 
 def solve_tricrit_exhaustive(problem: TriCritProblem, *,
@@ -37,35 +74,22 @@ def solve_tricrit_exhaustive(problem: TriCritProblem, *,
     """Global optimum of TRI-CRIT CONTINUOUS by subset enumeration.
 
     ``max_tasks`` bounds the number of positive-weight tasks (the number of
-    restricted convex solves is ``2^n``); it defaults to the central
+    restricted solves is ``2^n``); it defaults to the central
     :data:`~repro.solvers.limits.EXHAUSTIVE_SUBSET_MAX_TASKS` shared with
     the VDD-HOPPING subset enumeration.  The metadata reports how many
     subsets were evaluated.
     """
     ctx = SolverContext.for_problem(problem)
-    positive = list(ctx.positive_tasks)
+    positive = ctx.positive_tasks
     if len(positive) > max_tasks:
         raise ValueError(
             f"exhaustive TRI-CRIT limited to {max_tasks} tasks (got {len(positive)})"
         )
-    best: SolveResult | None = None
-    evaluated = 0
-    for r in range(len(positive) + 1):
-        for subset in itertools.combinations(positive, r):
-            candidate = solve_with_reexec_set(problem, subset, method=method,
-                                              solver_name="tricrit-exhaustive",
-                                              context=ctx)
-            evaluated += 1
-            if candidate.feasible and (best is None or candidate.energy < best.energy):
-                best = candidate
-    if best is None:
-        return SolveResult(schedule=None, energy=math.inf, status="infeasible",
-                           solver="tricrit-exhaustive",
-                           metadata={"subsets_evaluated": evaluated})
-    best.solver = "tricrit-exhaustive"
-    best.status = "optimal"
-    best.metadata["subsets_evaluated"] = evaluated
-    return best
+    return best_reexec_subset(
+        positive,
+        lambda subset: solve_with_reexec_set(problem, subset, method=method,
+                                             context=ctx),
+        solver_name="tricrit-exhaustive")
 
 
 def best_known_tricrit(problem: TriCritProblem, *,

@@ -19,10 +19,16 @@ the best result over all simulations" -- :func:`best_of_heuristics`.
 Both heuristics share the same machinery:
 
 1. the *restricted problem* for a fixed re-execution set is the BI-CRIT
-   convex program where a re-executed task has effective weight ``2 w_i``
-   and a speed floor equal to the slowest equal-speed pair meeting the
+   problem where a re-executed task has effective weight ``2 w_i`` and a
+   speed floor equal to the slowest equal-speed pair meeting the
    reliability threshold, while a single-execution task has speed floor
-   ``f_rel`` (:func:`solve_with_reexec_set`);
+   ``f_rel`` (:func:`solve_with_reexec_set`).  On one processor it is the
+   bounded water-filling of
+   :func:`~repro.optimize.allocation.allocate_durations_with_bounds`; on
+   any other mapping, the convex program of
+   :func:`~repro.continuous.convex.solve_bicrit_convex`.  This is the
+   library's only fixed-subset TRI-CRIT solve: the subset enumerators, the
+   chain greedy and the pruned search's final schedule call it too;
 2. the heuristic grows the re-execution set greedily, at each round scoring
    the candidate tasks with its family-specific criterion, fully re-solving
    the restricted problem for the few best candidates, and accepting the
@@ -32,12 +38,14 @@ Both heuristics share the same machinery:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from collections.abc import Iterable
+
+import numpy as np
 
 from ..core.problems import InfeasibleProblemError, SolveResult, TriCritProblem
 from ..core.schedule import Schedule, TaskDecision
 from ..dag.taskgraph import TaskId
+from ..optimize.allocation import allocate_durations_with_bounds
 from ..solvers.context import SolverContext
 from .convex import ConvexResult, solve_bicrit_convex
 
@@ -52,18 +60,15 @@ __all__ = [
 
 
 def _restricted_convex(problem: TriCritProblem, reexec: frozenset[TaskId], *,
-                       method: str = "auto",
-                       context: SolverContext | None = None) -> ConvexResult:
-    ctx = context if context is not None else SolverContext.for_problem(problem)
+                       method: str, ctx: SolverContext) -> ConvexResult:
     graph = problem.graph
     platform = problem.platform
-    model = ctx.reliability
     effective = {}
     min_speed = {}
-    frel = max(model.frel, platform.fmin)
+    frel = max(ctx.reliability.frel, platform.fmin)
     for t in graph.tasks():
         w = graph.weight(t)
-        if t in reexec and w > 0:
+        if t in reexec:
             effective[t] = 2.0 * w
             # Memoized on the context: the subset enumerations query the
             # same per-task floors for every one of their 2^n solves.
@@ -76,22 +81,76 @@ def _restricted_convex(problem: TriCritProblem, reexec: frozenset[TaskId], *,
                                method=method)
 
 
+def _restricted_waterfill(problem: TriCritProblem, reexec: frozenset[TaskId],
+                          ctx: SolverContext) -> tuple[dict[TaskId, float] | None, str]:
+    """The restricted problem on one processor: bounded water-filling.
+
+    Every task serialises within the deadline, so the convex program
+    reduces to :func:`~repro.optimize.allocation.allocate_durations_with_bounds`
+    over the processor's task order -- the paper's "slow every task
+    equally", with each task clamped to its own speed floor.  Returns the
+    speed of every positive-weight task, or ``None`` and the reason the
+    subset is infeasible.
+    """
+    platform = problem.platform
+    order = problem.mapping.tasks_on(0)
+    frel = max(ctx.reliability.frel, platform.fmin)
+    w = np.array([problem.graph.weight(t) for t in order])
+    twice = np.array([t in reexec for t in order], dtype=bool)
+    effective = np.where(twice, 2.0 * w, w)
+    floor = np.array([ctx.reexecution_floor(t) if r else frel
+                      for t, r in zip(order, twice)])
+    positive = effective > 0
+    # Zero-weight tasks take no time and carry no reliability floor.
+    if np.any(positive & (floor > platform.fmax * (1.0 + 1e-12))):
+        return None, "a reliability speed floor exceeds fmax"
+    lower = np.where(positive, effective / platform.fmax, 0.0)
+    upper = np.where(positive, effective / floor, 0.0)
+    try:
+        alloc = allocate_durations_with_bounds(
+            effective, problem.deadline, lower, upper,
+            exponent=platform.energy_model.exponent)
+    except ValueError as exc:
+        return None, str(exc)
+    return {t: float(e / d)
+            for t, e, d, p in zip(order, effective, alloc.durations, positive)
+            if p}, ""
+
+
 def solve_with_reexec_set(problem: TriCritProblem, reexec: Iterable[TaskId], *,
                           method: str = "auto",
                           solver_name: str = "tricrit-restricted",
                           context: SolverContext | None = None) -> SolveResult:
     """Optimal continuous speeds for a *fixed* re-execution set.
 
-    Returns an infeasible :class:`SolveResult` when even the maximum speeds
-    cannot accommodate the chosen re-executions within the deadline.
+    This is the one fixed-subset TRI-CRIT solve: a single-processor mapping
+    water-fills the deadline in closed form (``method`` is then unused),
+    any other mapping solves the convex program.  Returns an infeasible
+    :class:`SolveResult` when even the maximum speeds cannot accommodate
+    the chosen re-executions within the deadline; raises ``ValueError``
+    for a re-executed task that is not in the problem.
     """
-    reexec_set = frozenset(t for t in reexec if problem.graph.weight(t) > 0)
-    result = _restricted_convex(problem, reexec_set, method=method, context=context)
-    if not result.feasible:
+    ctx = context if context is not None else SolverContext.for_problem(problem)
+    chosen = tuple(reexec)
+    unknown = [t for t in chosen if t not in problem.graph]
+    if unknown:
+        raise ValueError(
+            f"re-executed tasks not in the problem: {sorted(map(str, unknown))}")
+    reexec_set = frozenset(t for t in chosen if problem.graph.weight(t) > 0)
+    reexecuted = sorted(map(str, reexec_set))
+    speeds: dict[TaskId, float] | None
+    if ctx.is_single_processor:
+        speeds, message = _restricted_waterfill(problem, reexec_set, ctx)
+        metadata = {"reexecuted": reexecuted}
+    else:
+        result = _restricted_convex(problem, reexec_set, method=method, ctx=ctx)
+        speeds = result.speeds if result.feasible else None
+        message = result.solver_message
+        metadata = {"reexecuted": reexecuted, "convex_status": result.status}
+    if speeds is None:
         return SolveResult(schedule=None, energy=math.inf, status="infeasible",
                            solver=solver_name,
-                           metadata={"reexecuted": sorted(map(str, reexec_set)),
-                                     "message": result.solver_message})
+                           metadata={"reexecuted": reexecuted, "message": message})
     graph = problem.graph
     decisions = {}
     for t in graph.tasks():
@@ -99,7 +158,7 @@ def solve_with_reexec_set(problem: TriCritProblem, reexec: Iterable[TaskId], *,
         if w <= 0:
             decisions[t] = TaskDecision.single(t, w, problem.platform.fmax)
             continue
-        speed = result.speeds[t]
+        speed = speeds[t]
         if t in reexec_set:
             # ``speed`` is the speed of the effective task of weight 2w; both
             # actual executions run at that same speed.
@@ -108,9 +167,7 @@ def solve_with_reexec_set(problem: TriCritProblem, reexec: Iterable[TaskId], *,
             decisions[t] = TaskDecision.single(t, w, speed)
     schedule = Schedule(problem.mapping, problem.platform, decisions)
     return SolveResult(schedule=schedule, energy=schedule.energy(), status="feasible",
-                       solver=solver_name,
-                       metadata={"reexecuted": sorted(map(str, reexec_set)),
-                                 "convex_status": result.status})
+                       solver=solver_name, metadata=metadata)
 
 
 def solve_tricrit_no_reexec(problem: TriCritProblem, *,

@@ -4,59 +4,45 @@ Section III of the paper: the TRI-CRIT problem is NP-hard "even in the
 simple case when there is only one processor and a set of tasks mapped on
 this processor (linear chain)".  Nevertheless the paper reports an optimal
 *strategy* for that case: "first slow the execution of all tasks equally,
-then choose the tasks to be re-executed".  This module implements
+then choose the tasks to be re-executed".  Once the re-executed set is
+fixed, what is left is the bounded water-filling of
+:func:`repro.continuous.heuristics.solve_with_reexec_set`: a re-executed
+task behaves like a task of effective weight ``2 w_i`` whose speed floor is
+the slowest speed at which two executions still meet the reliability
+threshold (both executions at the same speed, which is optimal by symmetry
+and convexity); a single-execution task has speed floor ``f_rel``.  This
+module chooses the set:
 
-* :func:`solve_given_reexec_set` -- the convex subproblem once the set of
-  re-executed tasks is fixed.  A re-executed task behaves like a task of
-  effective weight ``2 w_i`` whose speed floor is the slowest speed at which
-  two executions still meet the reliability threshold (both executions at
-  the same speed, which is optimal by symmetry and convexity); a
-  single-execution task has speed floor ``f_rel``.  The subproblem is the
-  bounded "slow everything equally" allocation of
-  :func:`repro.optimize.allocation.allocate_durations_with_bounds`.
-* :func:`solve_tricrit_chain_exact` -- exhaustive enumeration of the
-  re-execution subsets (exponential, used as ground truth on small chains;
-  its cost is itself part of the NP-hardness experiment E7).
+* :func:`solve_tricrit_chain_exact` -- every re-execution subset, in the
+  processor's task order, through the shared enumerator
+  :func:`repro.continuous.exhaustive.best_reexec_subset` (exponential, used
+  as ground truth on small chains; its cost is itself part of the
+  NP-hardness experiment E7).
 * :func:`solve_tricrit_chain_greedy` -- the paper's strategy: start from no
   re-executions (everything slowed equally down to ``f_rel``), then greedily
   add the re-execution that saves the most energy while the deadline and
   reliability constraints stay satisfied.
+
+:func:`reexecution_speed_floor` is the one formula for that re-execution
+floor; :meth:`repro.solvers.context.SolverContext.reexecution_floor`
+memoizes it per task.
 """
 
 from __future__ import annotations
 
-import itertools
-import math
-from dataclasses import dataclass
-from collections.abc import Iterable, Sequence
-
-import numpy as np
-
 from ..core.problems import SolveResult, TriCritProblem
 from ..core.reliability import ReliabilityModel
-from ..core.schedule import Schedule, TaskDecision
 from ..dag.taskgraph import TaskId
-from ..optimize.allocation import allocate_durations_with_bounds
+from ..solvers.context import SolverContext
 from ..solvers.limits import CHAIN_EXACT_MAX_TASKS
+from .exhaustive import best_reexec_subset
+from .heuristics import solve_with_reexec_set
 
 __all__ = [
-    "ChainTriCritSolution",
-    "solve_given_reexec_set",
     "solve_tricrit_chain_exact",
     "solve_tricrit_chain_greedy",
     "reexecution_speed_floor",
 ]
-
-
-@dataclass(frozen=True)
-class ChainTriCritSolution:
-    """Solution of the fixed-subset subproblem on a chain."""
-
-    energy: float
-    speeds: dict[TaskId, float]
-    durations: dict[TaskId, float]
-    reexecuted: frozenset[TaskId]
-    feasible: bool
 
 
 def reexecution_speed_floor(model: ReliabilityModel, weight: float, fmin: float) -> float:
@@ -64,86 +50,13 @@ def reexecution_speed_floor(model: ReliabilityModel, weight: float, fmin: float)
     return max(fmin, model.min_equal_reexecution_speed(weight))
 
 
-def solve_given_reexec_set(weights: Sequence[float], ids: Sequence[TaskId],
-                           deadline: float, reexec: Iterable[TaskId], *,
-                           fmin: float, fmax: float, model: ReliabilityModel,
-                           exponent: float = 3.0) -> ChainTriCritSolution:
-    """Optimal chain speeds once the re-executed subset is fixed.
-
-    Returns an infeasible :class:`ChainTriCritSolution` (``feasible=False``,
-    infinite energy) when even the maximum speed cannot fit the executions
-    within the deadline.
-    """
-    reexec_set = frozenset(reexec)
-    w = np.asarray(list(weights), dtype=float)
-    ids = list(ids)
-    if len(ids) != w.size:
-        raise ValueError("ids must match the number of weights")
-    unknown = reexec_set - set(ids)
-    if unknown:
-        raise ValueError(f"re-executed tasks not in the chain: {sorted(map(str, unknown))}")
-
-    effective = np.array([
-        2.0 * wi if t in reexec_set else wi for t, wi in zip(ids, w)
-    ])
-    floor_speed = np.array([
-        reexecution_speed_floor(model, wi, fmin) if t in reexec_set else max(model.frel, fmin)
-        for t, wi in zip(ids, w)
-    ])
-    lower = np.where(effective > 0, effective / fmax, 0.0)
-    upper = np.where(effective > 0, effective / floor_speed, 0.0)
-    # A task whose reliability floor exceeds fmax cannot be scheduled this way.
-    if np.any(floor_speed > fmax * (1.0 + 1e-12)):
-        return ChainTriCritSolution(math.inf, {}, {}, reexec_set, False)
-    try:
-        allocation = allocate_durations_with_bounds(effective, deadline, lower, upper,
-                                                    exponent=exponent)
-    except ValueError:
-        return ChainTriCritSolution(math.inf, {}, {}, reexec_set, False)
-
-    speeds = {}
-    durations = {}
-    for i, t in enumerate(ids):
-        if effective[i] > 0:
-            speeds[t] = float(effective[i] / allocation.durations[i])
-            durations[t] = float(allocation.durations[i])
-        else:
-            speeds[t] = 0.0
-            durations[t] = 0.0
-    return ChainTriCritSolution(float(allocation.energy), speeds, durations,
-                                reexec_set, True)
-
-
-def _chain_instance(problem: TriCritProblem) -> tuple[list[TaskId], list[float]]:
-    if not problem.mapping.is_single_processor():
+def _chain_tasks(problem: TriCritProblem) -> tuple[SolverContext, list[TaskId]]:
+    """The context and the positive-weight tasks in processor order."""
+    ctx = SolverContext.for_problem(problem)
+    if not ctx.is_single_processor:
         raise ValueError("the chain solvers require a single-processor mapping")
-    order = list(problem.mapping.tasks_on(0))
-    weights = [problem.graph.weight(t) for t in order]
-    return order, weights
-
-
-def _to_solve_result(problem: TriCritProblem, best: ChainTriCritSolution,
-                     solver: str, extra: dict | None = None) -> SolveResult:
-    if not best.feasible:
-        return SolveResult(schedule=None, energy=math.inf, status="infeasible",
-                           solver=solver, metadata=extra or {})
     graph = problem.graph
-    decisions = {}
-    for t in graph.tasks():
-        w = graph.weight(t)
-        speed = best.speeds.get(t, problem.platform.fmax)
-        if w <= 0:
-            decisions[t] = TaskDecision.single(t, w, problem.platform.fmax)
-        elif t in best.reexecuted:
-            decisions[t] = TaskDecision.reexecuted(t, w, speed, speed)
-        else:
-            decisions[t] = TaskDecision.single(t, w, speed)
-    schedule = Schedule(problem.mapping, problem.platform, decisions)
-    metadata = {"reexecuted": sorted(map(str, best.reexecuted))}
-    if extra:
-        metadata.update(extra)
-    return SolveResult(schedule=schedule, energy=schedule.energy(), status="optimal",
-                       solver=solver, metadata=metadata)
+    return ctx, [t for t in problem.mapping.tasks_on(0) if graph.weight(t) > 0]
 
 
 def solve_tricrit_chain_exact(problem: TriCritProblem, *,
@@ -155,10 +68,7 @@ def solve_tricrit_chain_exact(problem: TriCritProblem, *,
     metadata records the number of subsets evaluated, which experiment E7
     uses to exhibit the exponential growth.
     """
-    ids, weights = _chain_instance(problem)
-    model = problem.reliability()
-    platform = problem.platform
-    positive_ids = [t for t, w in zip(ids, weights) if w > 0]
+    ctx, positive_ids = _chain_tasks(problem)
     # Count positive-weight tasks only, like the descriptor admissibility
     # check and every other enumerative guard: zero-weight tasks never enter
     # the subset enumeration, so they must not count against its limit.
@@ -167,23 +77,10 @@ def solve_tricrit_chain_exact(problem: TriCritProblem, *,
             f"exact chain solver limited to {max_tasks} tasks "
             f"(got {len(positive_ids)}); the subset enumeration is exponential"
         )
-
-    best: ChainTriCritSolution | None = None
-    evaluated = 0
-    for r in range(len(positive_ids) + 1):
-        for subset in itertools.combinations(positive_ids, r):
-            candidate = solve_given_reexec_set(
-                weights, ids, problem.deadline, subset,
-                fmin=platform.fmin, fmax=platform.fmax, model=model,
-                exponent=platform.energy_model.exponent,
-            )
-            evaluated += 1
-            if candidate.feasible and (best is None or candidate.energy < best.energy):
-                best = candidate
-    if best is None:
-        best = ChainTriCritSolution(math.inf, {}, {}, frozenset(), False)
-    return _to_solve_result(problem, best, "tricrit-chain-exact",
-                            {"subsets_evaluated": evaluated})
+    return best_reexec_subset(
+        positive_ids,
+        lambda subset: solve_with_reexec_set(problem, subset, context=ctx),
+        solver_name="tricrit-chain-exact")
 
 
 def solve_tricrit_chain_greedy(problem: TriCritProblem) -> SolveResult:
@@ -194,17 +91,10 @@ def solve_tricrit_chain_greedy(problem: TriCritProblem) -> SolveResult:
     each not-yet-re-executed task to the re-execution set, keeps the single
     best improvement, and stops when no addition lowers the energy.
     """
-    ids, weights = _chain_instance(problem)
-    model = problem.reliability()
-    platform = problem.platform
-    positive_ids = [t for t, w in zip(ids, weights) if w > 0]
+    ctx, positive_ids = _chain_tasks(problem)
 
-    def evaluate(subset: frozenset[TaskId]) -> ChainTriCritSolution:
-        return solve_given_reexec_set(
-            weights, ids, problem.deadline, subset,
-            fmin=platform.fmin, fmax=platform.fmax, model=model,
-            exponent=platform.energy_model.exponent,
-        )
+    def evaluate(subset: frozenset[TaskId]) -> SolveResult:
+        return solve_with_reexec_set(problem, subset, context=ctx)
 
     current_set: frozenset[TaskId] = frozenset()
     current = evaluate(current_set)
@@ -228,5 +118,8 @@ def solve_tricrit_chain_greedy(problem: TriCritProblem) -> SolveResult:
             current = best_candidate
             current_set = current_set | {best_task}
             improved = True
-    return _to_solve_result(problem, current, "tricrit-chain-greedy",
-                            {"subsets_evaluated": evaluated})
+    current.solver = "tricrit-chain-greedy"
+    if current.feasible:
+        current.status = "optimal"
+    current.metadata["subsets_evaluated"] = evaluated
+    return current

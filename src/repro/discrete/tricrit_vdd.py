@@ -23,11 +23,11 @@ Consequently this module offers:
 
 from __future__ import annotations
 
-import itertools
 import math
 
 from ..core.problems import SolveResult, TriCritProblem
 from ..core.speeds import VddHoppingSpeeds
+from ..continuous.exhaustive import best_reexec_subset
 from ..continuous.heuristics import best_of_heuristics, solve_with_reexec_set
 from ..solvers.context import SolverContext
 from ..solvers.limits import EXHAUSTIVE_SUBSET_MAX_TASKS
@@ -103,21 +103,10 @@ def solve_tricrit_vdd_exact(problem: TriCritProblem, *,
         )
     twin = _continuous_twin_problem(problem)
     twin_ctx = SolverContext.for_problem(twin)
-    best: SolveResult | None = None
-    evaluated = 0
-    for r in range(len(positive) + 1):
-        for subset in itertools.combinations(positive, r):
-            continuous = solve_with_reexec_set(twin, subset, method=method,
-                                               context=twin_ctx)
-            evaluated += 1
-            if not continuous.feasible:
-                continue
-            candidate = _round_result(problem, continuous, "tricrit-vdd-exact")
-            if candidate.feasible and (best is None or candidate.energy < best.energy):
-                best = candidate
-    if best is None:
-        return SolveResult(schedule=None, energy=math.inf, status="infeasible",
-                           solver="tricrit-vdd-exact",
-                           metadata={"subsets_evaluated": evaluated})
-    best.metadata["subsets_evaluated"] = evaluated
-    return best
+    return best_reexec_subset(
+        positive,
+        lambda subset: _round_result(
+            problem, solve_with_reexec_set(twin, subset, method=method,
+                                           context=twin_ctx),
+            "tricrit-vdd-exact"),
+        solver_name="tricrit-vdd-exact", status="feasible")

@@ -62,8 +62,8 @@ def pareto_filter(points: Sequence[ParetoPoint]) -> list[ParetoPoint]:
 
 def energy_deadline_curve(mapping: Mapping, platform: Platform, *,
                           slacks: Sequence[float] = (1.0, 1.2, 1.5, 2.0, 3.0, 4.0),
-                          solver: Callable[[BiCritProblem], object] | None = None,
-                          engine: str = "batch") -> list[ParetoPoint]:
+                          solver: Callable[[BiCritProblem], object] | None = None
+                          ) -> list[ParetoPoint]:
     """Optimal energy as a function of the deadline (BI-CRIT Pareto front).
 
     ``slacks`` multiply the tightest feasible deadline (the makespan of the
@@ -72,14 +72,10 @@ def energy_deadline_curve(mapping: Mapping, platform: Platform, *,
     discrete model (e.g. the VDD-HOPPING LP); it defaults to the shared
     :func:`repro.api.default_engine`, whose exact-first auto-dispatch also
     handles discrete platforms and serves repeated sweeps from its result
-    cache.  With the default dispatch, ``engine="batch"`` (the default)
-    solves the whole deadline sweep through the engine's batched submit
-    path (one grouped array program); ``engine="scalar"`` keeps the
-    per-point loop (a custom ``solver`` callable always takes the per-point
-    path).
+    cache.  With the default dispatch the whole deadline sweep is one
+    batched submit (one grouped array program); a custom ``solver``
+    callable is called per point.
     """
-    if engine not in ("batch", "scalar"):
-        raise ValueError(f"unknown engine {engine!r} (batch or scalar)")
     graph = mapping.graph
     augmented = mapping.augmented_graph()
     finish: dict = {}
@@ -93,10 +89,8 @@ def energy_deadline_curve(mapping: Mapping, platform: Platform, *,
                 for deadline in deadlines]
     if solver is not None:
         results: Sequence[object] = [solver(problem) for problem in problems]
-    elif engine == "batch":
-        results = [r for r, _ in default_engine().submit_batch(problems)]
     else:
-        results = [default_engine().submit(problem)[0] for problem in problems]
+        results = [r for r, _ in default_engine().submit_batch(problems)]
 
     points = []
     for deadline, result in zip(deadlines, results):

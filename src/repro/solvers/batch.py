@@ -388,12 +388,16 @@ def _floor_array(w: np.ndarray, model_fmin: np.ndarray, model_fmax: np.ndarray,
     if np.any(bisect):
         lo_b = lo.copy()
         hi_b = hi.copy()
+        # Each cell stops at its own tolerance, so a floor does not depend
+        # on the other cells of the batch.
+        pending = bisect.copy()
         for _ in range(200):
             mid = 0.5 * (lo_b + hi_b)
             shrink = failure(mid) ** 2 - budget <= 0.0
-            hi_b = np.where(bisect & shrink, mid, hi_b)
-            lo_b = np.where(bisect & ~shrink, mid, lo_b)
-            if np.all(~bisect | (hi_b - lo_b <= 1e-14 * np.maximum(1.0, hi_b))):
+            hi_b = np.where(pending & shrink, mid, hi_b)
+            lo_b = np.where(pending & ~shrink, mid, lo_b)
+            pending &= ~(hi_b - lo_b <= 1e-14 * np.maximum(1.0, hi_b))
+            if not pending.any():
                 break
         out[bisect] = hi_b[bisect]
     return out
@@ -500,23 +504,29 @@ def _tricrit_chain_core(W: np.ndarray, deadlines: np.ndarray,
     if np.any(active):
         lo_b = np.zeros((B, S))
         hi_b = t_hi.copy()
+        # Per-cell stop, as in _floor_array: a row's answer must not
+        # depend on the rows batched with it.
+        pending = active.copy()
         for _ in range(200):
             mid = 0.5 * (lo_b + hi_b)
             total = np.clip(mid[:, :, None] * eff, lower, upper).sum(axis=2)
             shrink = total >= deadlines[:, None]
-            hi_b = np.where(active & shrink, mid, hi_b)
-            lo_b = np.where(active & ~shrink, mid, lo_b)
-            if np.all(~active | (hi_b - lo_b
-                                 <= 1e-12 * np.maximum(1.0, np.abs(hi_b)))):
+            hi_b = np.where(pending & shrink, mid, hi_b)
+            lo_b = np.where(pending & ~shrink, mid, lo_b)
+            pending &= ~(hi_b - lo_b <= 1e-12 * np.maximum(1.0, np.abs(hi_b)))
+            if not pending.any():
                 break
         t = np.where(active, 0.5 * (lo_b + hi_b), t)
 
     durations = np.clip(t[:, :, None] * eff, lower, upper)
+    # A full-shape exponent: numpy picks its power loop by the operands'
+    # strides, and a broadcast exponent's strides change with the batch
+    # shape, which moves the energy by an ulp.
+    exponent = np.broadcast_to(alpha[:, None, None] - 1.0, eff.shape).copy()
     with np.errstate(divide="ignore", invalid="ignore"):
         # Speed form ``w f^(alpha-1)``, like the chain and fork kernels:
         # ``w^alpha / d^(alpha-1)`` underflows to 0/0 on tiny weights.
-        energy = np.sum(eff * (eff / durations) ** (alpha[:, None, None] - 1.0),
-                        axis=2)
+        energy = np.sum(eff * (eff / durations) ** exponent, axis=2)
     energy[infeasible] = np.inf
     return eff, durations, energy
 

@@ -17,7 +17,6 @@ the same cache for the same instance.
 
 from __future__ import annotations
 
-import math
 from functools import cached_property
 from typing import TYPE_CHECKING
 
@@ -239,10 +238,11 @@ class SolverContext:
         """
         floor = self._reexec_floor_cache.get(task)
         if floor is None:
-            model = self.reliability
-            fmin = self.problem.platform.fmin
-            weight = self.graph.weight(task)
-            floor = max(fmin, model.min_equal_reexecution_speed(weight))
+            # Imported here: the continuous package imports this module.
+            from ..continuous.tricrit_chain import reexecution_speed_floor
+
+            floor = reexecution_speed_floor(self.reliability, self.graph.weight(task),
+                                            self.problem.platform.fmin)
             self._reexec_floor_cache[task] = floor
         return floor
 

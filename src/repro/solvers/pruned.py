@@ -1,7 +1,8 @@
 """Pruned exact TRI-CRIT search: branch-and-bound over re-execution subsets.
 
 The blind enumerators (:func:`repro.continuous.exhaustive.solve_tricrit_exhaustive`
-and :func:`repro.continuous.tricrit_chain.solve_tricrit_chain_exact`) hit the
+and :func:`repro.continuous.tricrit_chain.solve_tricrit_chain_exact`, both
+running :func:`repro.continuous.exhaustive.best_reexec_subset`) hit the
 ``2^n`` wall around 14-22 positive-weight tasks.  This module searches the
 same subset space with three pruning devices, which together push the exact
 ceiling to :data:`~repro.solvers.limits.PRUNED_EXACT_MAX_TASKS` and yield a
@@ -36,6 +37,12 @@ gap-certified anytime mode beyond it:
    :data:`~repro.solvers.limits.PRUNED_CLASS_ENUM_BUDGET` the search is a
    direct DP scan instead of a tree.
 
+Leaves are evaluated exactly.  On a single processor the search
+water-fills straight from its precomputed duration arrays (the hot inner
+loop); the returned schedule, and every multi-processor evaluation, comes
+from the library's one fixed-subset solve,
+:func:`repro.continuous.heuristics.solve_with_reexec_set`.
+
 Incumbents come from the dual solution itself: each bound evaluation
 suggests a completion (the per-task option choices at the best multiplier),
 and at the root the *threshold ordering* -- tasks sorted by the multiplier
@@ -60,6 +67,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..continuous.heuristics import solve_with_reexec_set
 from ..core.problems import SolveResult, TriCritProblem
 from ..optimize.allocation import allocate_durations_with_bounds
 from .context import SolverContext
@@ -119,20 +127,20 @@ class _Instance:
         problem is exactly the bounded water-filling -- with the duration
         intervals (hence the memoized reliability floors) read straight off
         the precomputed arrays instead of re-bisecting them per solve.
+        ``None`` when the subset is infeasible.
         """
         mask_r = np.fromiter((t in subset for t in self.tasks), dtype=bool,
                              count=len(self.tasks))
         if np.any(mask_r & ~self.reexec_ok) or np.any(~mask_r & ~self.single_ok):
-            return None, None
+            return None
         eff = np.where(mask_r, 2.0 * self.w, self.w)
         lower = np.where(mask_r, self.lo_r, self.lo_s)
         upper = np.where(mask_r, self.hi_r, self.hi_s)
         try:
-            alloc = allocate_durations_with_bounds(
+            return allocate_durations_with_bounds(
                 eff, self.problem.deadline, lower, upper, exponent=self.exponent)
         except ValueError:
-            return None, None
-        return alloc, eff
+            return None
 
     def evaluate(self, subset: frozenset) -> _Eval:
         """Exact restricted solve for one re-execution subset (memoized)."""
@@ -140,12 +148,10 @@ class _Instance:
         if cached is not None:
             return cached
         if self.ctx.is_single_processor:
-            alloc, _ = self._chain_allocation(subset)
+            alloc = self._chain_allocation(subset)
             ev = (_Eval(False, math.inf) if alloc is None
                   else _Eval(True, float(alloc.energy)))
         else:
-            from ..continuous.heuristics import solve_with_reexec_set
-
             result = solve_with_reexec_set(self.problem, subset,
                                            method=self.method,
                                            solver_name="tricrit-pruned",
@@ -156,26 +162,13 @@ class _Instance:
 
     def result_for(self, subset: frozenset, solver_name: str) -> SolveResult:
         """Full :class:`SolveResult` for a subset (built once, at the end)."""
-        if not self.ctx.is_single_processor:
-            ev = self.evaluate(subset)
-            assert ev.result is not None
-            return ev.result
-        from ..continuous.tricrit_chain import (
-            ChainTriCritSolution,
-            _to_solve_result,
-        )
-
-        alloc, eff = self._chain_allocation(subset)
-        if alloc is None:
-            sol = ChainTriCritSolution(math.inf, {}, {}, subset, False)
-        else:
-            speeds = {t: float(eff[i] / alloc.durations[i])
-                      for i, t in enumerate(self.tasks)}
-            durations = {t: float(alloc.durations[i])
-                         for i, t in enumerate(self.tasks)}
-            sol = ChainTriCritSolution(float(alloc.energy), speeds, durations,
-                                       frozenset(subset), True)
-        return _to_solve_result(self.problem, sol, solver_name)
+        if self.ctx.is_single_processor:
+            return solve_with_reexec_set(self.problem, subset,
+                                         solver_name=solver_name,
+                                         context=self.ctx)
+        ev = self.evaluate(subset)
+        assert ev.result is not None
+        return ev.result
 
 
 def _exec_energy(eff, d, a):

@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.problems import BiCritProblem, TriCritProblem
@@ -210,6 +210,26 @@ class TestTriCritChainEquivalence:
         for task, floor in zip(tasks, floors):
             assert floor == pytest.approx(reference.reexecution_floor(task),
                                           rel=1e-9, abs=1e-12)
+
+
+    @given(st.lists(st.tuples(st.lists(st.floats(min_value=0.1, max_value=5.0),
+                                       min_size=1, max_size=4),
+                              st.floats(min_value=1.0, max_value=6.0)),
+                    min_size=2, max_size=6),
+           st.sampled_from([1e-5, 1e-4, 1e-3]))
+    @example(rows=[([1.0, 2.0], 2.5 + i) for i in range(4)], lambda0=1e-4)
+    @settings(max_examples=15, deadline=None)
+    def test_each_row_equals_the_row_solved_alone(self, rows, lambda0):
+        # The bisections stop per cell, so the other rows of a batch cannot
+        # move a row's answer, not even in the last bit.
+        together = solve_batch([tricrit_chain_problem(w, slack, lambda0)
+                                for w, slack in rows])
+        for (w, slack), row in zip(rows, together):
+            [alone] = solve_batch([tricrit_chain_problem(w, slack, lambda0)])
+            assert alone.energy == row.energy
+            assert alone.metadata.get("reexecuted") == row.metadata.get("reexecuted")
+            if row.feasible:
+                assert alone.wire_view == row.wire_view
 
 
 class TestSeriesParallelFallback:

@@ -176,4 +176,8 @@ class TestMethodIndependence:
             a = heuristic(problem, method="slsqp")
             b = heuristic(problem, method="trust-constr")
             assert a.metadata.get("reexecuted") == b.metadata.get("reexecuted")
-            assert a.energy == pytest.approx(b.energy, rel=1e-6)
+            if family == "chain":
+                # One processor water-fills: no convex program, no method.
+                assert a.energy == b.energy
+            else:
+                assert a.energy == pytest.approx(b.energy, rel=1e-6)

@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 from repro import api
 from repro.api.errors import INFEASIBLE_PROBLEM, ApiError
 from repro.continuous.exhaustive import best_known_tricrit, solve_tricrit_exhaustive
-from repro.continuous.heuristics import best_of_heuristics
+from repro.continuous.heuristics import best_of_heuristics, solve_with_reexec_set
 from repro.continuous.tricrit_chain import solve_tricrit_chain_exact
 from repro.core.columnar import ProblemBatch
 from repro.core.problem_io import problem_to_dict
@@ -34,6 +34,7 @@ from repro.core.reliability import ReliabilityModel
 from repro.core.speeds import ContinuousSpeeds
 from repro.dag import generators
 from repro.platform.list_scheduling import critical_path_mapping
+from repro.platform.mapping import Mapping
 from repro.platform.platform import Platform
 from repro.solvers.batch import solve_batch
 from repro.solvers.pruned import solve_tricrit_pruned, solve_tricrit_pruned_gap
@@ -225,6 +226,27 @@ class TestDegenerateInstances:
         reference = solve_tricrit_chain_exact(problem)
         pruned = solve_tricrit_pruned(problem)    # 38 > 30 but 8 positive
         assert pruned.energy == pytest.approx(reference.energy, rel=REL)
+
+    def test_zero_weight_task_ignores_a_frel_above_fmax(self):
+        # The problem's reliability model sets frel = 1.5 above the
+        # platform's fmax = 1: every positive task must be re-executed, and
+        # the zero-weight task, which takes no time, must not make the
+        # subset infeasible in the restricted solve the pruned search ends on.
+        graph = generators.chain([1.0, 0.0, 2.0])
+        platform = Platform(1, ContinuousSpeeds(0.1, 1.0))
+        model = ReliabilityModel(fmin=0.1, fmax=2.0, lambda0=1e-4, frel=1.5)
+        problem = TriCritProblem(Mapping.single_processor(graph), platform,
+                                 12.0, reliability_model=model)
+        pruned = solve_tricrit_pruned(problem)
+        assert pruned.feasible and pruned.schedule is not None
+        assert pruned.metadata["reexecuted"] == ["T0", "T2"]
+        restricted = solve_with_reexec_set(problem, ["T0", "T2"])
+        assert restricted.feasible
+        assert pruned.energy == restricted.energy
+        for reference in (solve_tricrit_chain_exact(problem),
+                          solve_tricrit_exhaustive(problem),
+                          chain_enumeration(problem)):
+            assert reference.energy == pytest.approx(pruned.energy, rel=REL)
 
 
 # ----------------------------------------------------------------------

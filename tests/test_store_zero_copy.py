@@ -203,9 +203,8 @@ class TestEnvelopeBytes:
     def test_single_solves_store_the_batch_bytes(self, tmp_path,
                                                  frozen_clock):
         # A scalar request is a batch of one: /v1/solve writes the record
-        # /v1/solve-batch writes for the same BI-CRIT row.  (TRI-CRIT chain
-        # rows still differ in the last digits with the batch around them.)
-        payloads = [p for p in _mixed_payloads() if p["kind"] == "bicrit"]
+        # /v1/solve-batch writes for the same row.
+        payloads = _mixed_payloads()
         Engine(store=ResultStore(tmp_path / "batch")).solve_batch(
             SolveBatchRequest.from_dict({"problems": payloads}))
         single = Engine(store=ResultStore(tmp_path / "single"))

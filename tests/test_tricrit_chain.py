@@ -5,10 +5,13 @@ from __future__ import annotations
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.continuous.exhaustive import solve_tricrit_exhaustive
+from repro.continuous.heuristics import solve_with_reexec_set
 from repro.continuous.tricrit_chain import (
     reexecution_speed_floor,
-    solve_given_reexec_set,
     solve_tricrit_chain_exact,
     solve_tricrit_chain_greedy,
 )
@@ -20,50 +23,51 @@ from repro.platform.mapping import Mapping
 from repro.platform.platform import Platform
 
 
-def chain_problem(weights, slack, *, lambda0=1e-4, frel=None) -> TriCritProblem:
-    graph = generators.chain(weights)
+def single_processor_problem(graph, slack, *, lambda0=1e-4,
+                             frel=None) -> TriCritProblem:
     model = ReliabilityModel(fmin=0.1, fmax=1.0, lambda0=lambda0, frel=frel)
     platform = Platform(1, ContinuousSpeeds(0.1, 1.0), reliability_model=model)
     deadline = slack * graph.total_weight()  # fmax = 1
     return TriCritProblem(Mapping.single_processor(graph), platform, deadline)
 
 
+def chain_problem(weights, slack, *, lambda0=1e-4, frel=None) -> TriCritProblem:
+    return single_processor_problem(generators.chain(weights), slack,
+                                    lambda0=lambda0, frel=frel)
+
+
 class TestFixedSubsetSubproblem:
     def test_empty_subset_is_uniform_at_frel_when_deadline_loose(self):
         problem = chain_problem([1.0, 2.0], slack=5.0)
-        model = problem.reliability()
-        sol = solve_given_reexec_set([1.0, 2.0], ["T0", "T1"], problem.deadline, (),
-                                     fmin=0.1, fmax=1.0, model=model)
+        sol = solve_with_reexec_set(problem, ())
         assert sol.feasible
         # With frel = fmax = 1 a single execution must run at full speed.
-        assert sol.speeds["T0"] == pytest.approx(1.0)
-        assert sol.speeds["T1"] == pytest.approx(1.0)
+        decisions = sol.require_schedule().decisions
+        assert decisions["T0"].speeds() == pytest.approx((1.0,))
+        assert decisions["T1"].speeds() == pytest.approx((1.0,))
 
     def test_reexecution_lowers_speed_floor(self):
         problem = chain_problem([1.0, 2.0], slack=5.0)
-        model = problem.reliability()
-        sol = solve_given_reexec_set([1.0, 2.0], ["T0", "T1"], problem.deadline,
-                                     ("T1",), fmin=0.1, fmax=1.0, model=model)
+        sol = solve_with_reexec_set(problem, ("T1",))
         assert sol.feasible
-        assert "T1" in sol.reexecuted
-        assert sol.speeds["T1"] < 1.0
+        assert "T1" in sol.metadata["reexecuted"]
+        t1 = sol.require_schedule().decisions["T1"]
+        speed = t1.speeds()[0]
+        assert t1.speeds() == (speed, speed)
+        assert speed < 1.0
         # The re-executed task's two executions fit in its reported duration.
-        assert sol.durations["T1"] == pytest.approx(2 * 2.0 / sol.speeds["T1"])
+        assert t1.worst_case_duration == pytest.approx(2 * 2.0 / speed)
 
     def test_infeasible_when_too_many_reexecutions(self):
         problem = chain_problem([1.0, 1.0, 1.0], slack=1.05)
-        model = problem.reliability()
-        sol = solve_given_reexec_set([1.0, 1.0, 1.0], ["T0", "T1", "T2"],
-                                     problem.deadline, ("T0", "T1", "T2"),
-                                     fmin=0.1, fmax=1.0, model=model)
+        sol = solve_with_reexec_set(problem, ("T0", "T1", "T2"))
         assert not sol.feasible
         assert sol.energy == math.inf
 
     def test_unknown_task_rejected(self):
         problem = chain_problem([1.0], slack=2.0)
         with pytest.raises(ValueError):
-            solve_given_reexec_set([1.0], ["T0"], problem.deadline, ("T9",),
-                                   fmin=0.1, fmax=1.0, model=problem.reliability())
+            solve_with_reexec_set(problem, ("T9",))
 
     def test_reexecution_speed_floor_properties(self):
         model = ReliabilityModel(fmin=0.1, fmax=1.0, lambda0=1e-3)
@@ -83,10 +87,7 @@ class TestExactSolver:
     def test_loose_deadline_makes_reexecution_beneficial(self):
         problem = chain_problem([1.0, 2.0, 1.0], slack=4.0)
         result = solve_tricrit_chain_exact(problem)
-        no_reexec = solve_given_reexec_set(
-            [1.0, 2.0, 1.0], ["T0", "T1", "T2"], problem.deadline, (),
-            fmin=0.1, fmax=1.0, model=problem.reliability(),
-        )
+        no_reexec = solve_with_reexec_set(problem, ())
         assert result.energy < no_reexec.energy - 1e-9
         assert len(result.metadata["reexecuted"]) >= 1
 
@@ -109,6 +110,32 @@ class TestExactSolver:
     def test_requires_single_processor_mapping(self, tricrit_fork_problem):
         with pytest.raises(ValueError):
             solve_tricrit_chain_exact(tricrit_fork_problem)
+
+
+class TestOneEnumerator:
+    @settings(max_examples=20, deadline=None)
+    @given(family=st.sampled_from(["chain", "fork"]),
+           weights=st.lists(st.one_of(st.just(0.0),
+                                      st.floats(min_value=0.1, max_value=5.0)),
+                            min_size=2, max_size=5),
+           slack=st.floats(min_value=1.0, max_value=5.0),
+           lambda0=st.sampled_from([1e-5, 1e-4, 1e-3]),
+           frel=st.sampled_from([None, 0.6]))
+    def test_exhaustive_matches_chain_exact_on_one_processor(
+            self, family, weights, slack, lambda0, frel):
+        # Both names enumerate subsets through the same restricted solve,
+        # so on one processor they agree exactly, forks included.
+        graph = (generators.chain(weights) if family == "chain"
+                 else generators.fork(weights[0], weights[1:]))
+        if graph.total_weight() <= 0:
+            return
+        problem = single_processor_problem(graph, slack, lambda0=lambda0,
+                                           frel=frel)
+        chain = solve_tricrit_chain_exact(problem)
+        exhaustive = solve_tricrit_exhaustive(problem)
+        assert exhaustive.energy == chain.energy
+        assert exhaustive.metadata.get("reexecuted") \
+            == chain.metadata.get("reexecuted")
 
 
 class TestGreedyStrategy:
