@@ -31,15 +31,14 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from collections.abc import Sequence
 
-import numpy as np
 from scipy import optimize as sciopt
 
 from ..core.problems import SolveResult, TriCritProblem
 from ..core.reliability import ReliabilityModel
 from ..core.schedule import Schedule, TaskDecision
 from ..dag.taskgraph import TaskId
+from ..solvers.context import SolverContext
 from ..solvers.limits import FORK_BRUTEFORCE_MAX_TASKS
 from .tricrit_chain import reexecution_speed_floor
 
@@ -98,8 +97,14 @@ def best_choice_for_budget(weight: float, budget: float, *, model: ReliabilityMo
     forces re-execution, ``False`` forces a single execution, ``None`` lets
     the task choose.
     """
-    frel = max(model.frel, fmin)
-    floor = reexecution_speed_floor(model, weight, fmin)
+    return _choose(weight, budget, frel=max(model.frel, fmin),
+                   floor=reexecution_speed_floor(model, weight, fmin),
+                   fmax=fmax, exponent=exponent, force=force)
+
+
+def _choose(weight: float, budget: float, *, frel: float, floor: float,
+            fmax: float, exponent: float,
+            force: bool | None) -> TaskBudgetChoice:
     single = _single_choice(weight, budget, frel, fmax, exponent)
     reexec = _reexec_choice(weight, budget, floor, fmax, exponent)
     if force is True:
@@ -113,40 +118,59 @@ def best_choice_for_budget(weight: float, budget: float, *, model: ReliabilityMo
     return reexec if reexec.energy < single.energy else single
 
 
-def _fork_instance(problem: TriCritProblem) -> tuple[TaskId, list[TaskId]]:
+@dataclass(frozen=True)
+class _Fork:
+    """A fork instance with its per-task data read once per solve.
+
+    The re-execution floors come from the memoized
+    :meth:`~repro.solvers.context.SolverContext.reexecution_floor`, so the
+    scalar searches over the source finish time never recompute them.
+    """
+
+    problem: TriCritProblem
+    source: TaskId
+    children: list[TaskId]
+    weight: dict[TaskId, float]
+    floor: dict[TaskId, float]
+    frel: float
+
+    def choice(self, task: TaskId, budget: float,
+               force: bool | None = None) -> TaskBudgetChoice:
+        platform = self.problem.platform
+        return _choose(self.weight[task], budget, frel=self.frel,
+                       floor=self.floor[task], fmax=platform.fmax,
+                       exponent=platform.energy_model.exponent, force=force)
+
+
+def _fork_instance(problem: TriCritProblem) -> _Fork:
     is_fork, source = problem.graph.is_fork()
     if not is_fork:
         raise ValueError("the fork solvers require a fork task graph")
     if any(len(tasks) > 1 for tasks in problem.mapping.as_lists()):
         raise ValueError("the fork solvers require one task per processor")
-    children = [t for t in problem.graph.tasks() if t != source]
-    return source, children
+    ctx = SolverContext.for_problem(problem)
+    tasks = problem.graph.tasks()
+    return _Fork(problem=problem, source=source,
+                 children=[t for t in tasks if t != source],
+                 weight={t: problem.graph.weight(t) for t in tasks},
+                 floor={t: ctx.reexecution_floor(t) for t in tasks},
+                 frel=max(ctx.reliability.frel, problem.platform.fmin))
 
 
-def _total_energy(problem: TriCritProblem, t0: float, *,
-                  source: TaskId, children: list[TaskId],
+def _total_energy(fork: _Fork, t0: float, *,
                   force: dict[TaskId, bool] | None = None) -> tuple[float, dict[TaskId, TaskBudgetChoice]]:
-    graph = problem.graph
-    platform = problem.platform
-    model = problem.reliability()
-    a = platform.energy_model.exponent
     choices: dict[TaskId, TaskBudgetChoice] = {}
     total = 0.0
-    src_choice = best_choice_for_budget(
-        graph.weight(source), t0, model=model, fmin=platform.fmin, fmax=platform.fmax,
-        exponent=a, force=None if force is None else force.get(source),
-    )
-    choices[source] = src_choice
+    src_choice = fork.choice(fork.source, t0,
+                             None if force is None else force.get(fork.source))
+    choices[fork.source] = src_choice
     if not src_choice.feasible:
         return math.inf, choices
     total += src_choice.energy
-    remaining = problem.deadline - t0
-    for child in children:
-        choice = best_choice_for_budget(
-            graph.weight(child), remaining, model=model, fmin=platform.fmin,
-            fmax=platform.fmax, exponent=a,
-            force=None if force is None else force.get(child),
-        )
+    remaining = fork.problem.deadline - t0
+    for child in fork.children:
+        choice = fork.choice(child, remaining,
+                             None if force is None else force.get(child))
         choices[child] = choice
         if not choice.feasible:
             return math.inf, choices
@@ -179,45 +203,41 @@ def _choices_to_result(problem: TriCritProblem, t0: float,
                        solver=solver, metadata=metadata)
 
 
-def _breakpoints(problem: TriCritProblem, source: TaskId,
-                 children: list[TaskId]) -> list[float]:
-    graph = problem.graph
-    platform = problem.platform
-    model = problem.reliability()
-    D = problem.deadline
-    frel = max(model.frel, platform.fmin)
+def _breakpoints(fork: _Fork) -> list[float]:
+    platform = fork.problem.platform
+    D = fork.problem.deadline
+    frel = fork.frel
     points: set[float] = set()
 
-    def task_breakpoints(weight: float) -> list[float]:
+    def task_breakpoints(task: TaskId) -> list[float]:
+        weight = fork.weight[task]
         if weight <= 0:
             return []
-        floor = reexecution_speed_floor(model, weight, platform.fmin)
         return [
             weight / platform.fmax,
             2.0 * weight / platform.fmax,
             weight / frel,
-            2.0 * weight / floor,
+            2.0 * weight / fork.floor[task],
             2.0 * math.sqrt(2.0) * weight / frel,  # single/re-exec crossover
         ]
 
-    for b in task_breakpoints(graph.weight(source)):
+    for b in task_breakpoints(fork.source):
         points.add(b)
-    for child in children:
-        for b in task_breakpoints(graph.weight(child)):
+    for child in fork.children:
+        for b in task_breakpoints(child):
             points.add(D - b)
     return sorted(points)
 
 
 def solve_tricrit_fork(problem: TriCritProblem, *, grid_per_interval: int = 8) -> SolveResult:
     """Polynomial-time TRI-CRIT solver for forks (breakpoint-interval scan)."""
-    source, children = _fork_instance(problem)
-    graph = problem.graph
+    fork = _fork_instance(problem)
     platform = problem.platform
     D = problem.deadline
 
-    w0 = graph.weight(source)
+    w0 = fork.weight[fork.source]
     max_child_min = max(
-        (graph.weight(c) / platform.fmax for c in children if graph.weight(c) > 0),
+        (fork.weight[c] / platform.fmax for c in fork.children if fork.weight[c] > 0),
         default=0.0,
     )
     t0_min = w0 / platform.fmax if w0 > 0 else 0.0
@@ -226,18 +246,18 @@ def solve_tricrit_fork(problem: TriCritProblem, *, grid_per_interval: int = 8) -
         return SolveResult(schedule=None, energy=math.inf, status="infeasible",
                            solver="tricrit-fork-poly",
                            metadata={"message": "deadline too tight even at fmax"})
-    if w0 <= 0 and not children:
+    if w0 <= 0 and not fork.children:
         return SolveResult(schedule=None, energy=math.inf, status="infeasible",
                            solver="tricrit-fork-poly", metadata={"message": "empty fork"})
 
     candidates = [t0_min, t0_max]
     candidates.extend(
-        b for b in _breakpoints(problem, source, children) if t0_min <= b <= t0_max
+        b for b in _breakpoints(fork) if t0_min <= b <= t0_max
     )
     candidates = sorted(set(candidates))
 
     def energy_at(t0: float) -> float:
-        value = _total_energy(problem, t0, source=source, children=children)[0]
+        value = _total_energy(fork, t0)[0]
         # minimize_scalar dislikes infinities; a large finite penalty keeps
         # the bracketing arithmetic well defined.
         return value if math.isfinite(value) else 1e300
@@ -268,7 +288,7 @@ def solve_tricrit_fork(problem: TriCritProblem, *, grid_per_interval: int = 8) -
         return SolveResult(schedule=None, energy=math.inf, status="infeasible",
                            solver="tricrit-fork-poly",
                            metadata={"message": "no feasible source finish time"})
-    _, choices = _total_energy(problem, best_t0, source=source, children=children)
+    _, choices = _total_energy(fork, best_t0)
     return _choices_to_result(problem, best_t0, choices, "tricrit-fork-poly",
                               {"intervals": len(candidates) - 1})
 
@@ -281,24 +301,23 @@ def solve_tricrit_fork_bruteforce(problem: TriCritProblem, *,
     function of the source finish time ``t_0`` and is minimised with a
     bounded scalar search.  Exponential -- only for small forks / tests.
     """
-    source, children = _fork_instance(problem)
-    graph = problem.graph
+    fork = _fork_instance(problem)
     platform = problem.platform
-    D = problem.deadline
-    tasks = [source] + children
+    source = fork.source
+    tasks = [source] + fork.children
     if len(tasks) > max_tasks:
         raise ValueError(
             f"brute force limited to {max_tasks} tasks (got {len(tasks)})"
         )
-    positive_tasks = [t for t in tasks if graph.weight(t) > 0]
+    positive_tasks = [t for t in tasks if fork.weight[t] > 0]
 
-    w0 = graph.weight(source)
+    w0 = fork.weight[source]
     max_child_min = max(
-        (graph.weight(c) / platform.fmax for c in children if graph.weight(c) > 0),
+        (fork.weight[c] / platform.fmax for c in fork.children if fork.weight[c] > 0),
         default=0.0,
     )
     t0_min = max(w0 / platform.fmax if w0 > 0 else 0.0, 1e-12)
-    t0_max = D - max_child_min
+    t0_max = problem.deadline - max_child_min
 
     best_energy = math.inf
     best = None
@@ -313,8 +332,7 @@ def solve_tricrit_fork_bruteforce(problem: TriCritProblem, *,
             continue
 
         def energy_at(t0: float, force=force) -> float:
-            value = _total_energy(problem, t0, source=source, children=children,
-                                  force=force)[0]
+            value = _total_energy(fork, t0, force=force)[0]
             return value if math.isfinite(value) else 1e300
 
         if hi - lo <= 1e-12:
@@ -336,6 +354,6 @@ def solve_tricrit_fork_bruteforce(problem: TriCritProblem, *,
                            solver="tricrit-fork-bruteforce",
                            metadata={"configurations": configs})
     t0, force = best
-    _, choices = _total_energy(problem, t0, source=source, children=children, force=force)
+    _, choices = _total_energy(fork, t0, force=force)
     return _choices_to_result(problem, t0, choices, "tricrit-fork-bruteforce",
                               {"configurations": configs})

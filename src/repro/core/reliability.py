@@ -33,7 +33,6 @@ failure probability at ``f_rel``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Union
 
@@ -46,6 +45,7 @@ Vectorised = Union[float, np.ndarray]
 
 __all__ = [
     "ReliabilityModel",
+    "equal_reexecution_floor",
     "DEFAULT_LAMBDA0",
     "DEFAULT_SENSITIVITY",
 ]
@@ -187,43 +187,11 @@ class ReliabilityModel:
                                     tol: float = 1e-12) -> float:
         """Smallest speed ``f`` such that two executions at ``f`` are reliable enough.
 
-        Solves ``failure(w, f)^2 <= threshold_failure(w)`` by bisection on
-        ``[fmin, frel]``.  Because failure probability is decreasing in ``f``
-        and ``failure(w, frel)^2 <= failure(w, frel)`` always holds (failure
-        probabilities are at most 1), a solution always exists in that
-        interval; the returned speed is clipped to ``fmin`` when even the
-        slowest speed is reliable enough.
+        The closed form of :func:`equal_reexecution_floor` on this model.
         """
-        budget = self.threshold_failure(weight)
-        if budget <= 0.0:
-            # Threshold is perfect reliability: only achievable when the
-            # failure probability is exactly zero, i.e. lambda0 == 0.
-            # repro: allow[REP006] -- lambda0 is an assigned model
-            # parameter, never computed; exact zero is the sentinel
-            if self.lambda0 == 0.0:
-                return self.fmin
-            return float(self.frel)
-
-        def excess(f: float) -> float:
-            p = self.failure_probability(weight, f)
-            return p * p - budget
-
-        lo, hi = self.fmin, float(self.frel)
-        if excess(lo) <= tol:
-            return lo
-        if excess(hi) > tol:
-            # Should not happen (p(frel)^2 <= p(frel) = budget), but guard
-            # against degenerate parameters.
-            return hi
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if excess(mid) <= 0.0:
-                hi = mid
-            else:
-                lo = mid
-            if hi - lo <= 1e-14 * max(1.0, hi):
-                break
-        return hi
+        return float(equal_reexecution_floor(
+            weight, self.fmin, self.fmax, self.lambda0, self.sensitivity,
+            self.frel, tol=tol))
 
     def min_single_execution_speed(self, weight: ArrayLike) -> float:
         """Smallest speed meeting the constraint with a single execution.
@@ -240,3 +208,60 @@ class ReliabilityModel:
             f"ReliabilityModel(fmin={self.fmin}, fmax={self.fmax}, "
             f"lambda0={self.lambda0}, d={self.sensitivity}, frel={self.frel})"
         )
+
+
+def equal_reexecution_floor(weight: ArrayLike, fmin: ArrayLike, fmax: ArrayLike,
+                            lambda0: ArrayLike, sensitivity: ArrayLike,
+                            frel: ArrayLike, *, tol: float = 1e-12) -> np.ndarray:
+    """Slowest equal speed ``f`` in ``[fmin, frel]`` with ``p(f)^2 <= p(frel)``.
+
+    Element-wise over broadcast-compatible model columns (``fmin``/``fmax``
+    are the model's speed range, not the platform's).  With
+    ``p(f) = lambda0 e^{c (fmax - f)} w / f`` and ``c = d / (fmax - fmin)``
+    the equality ``p(f) = sqrt(p(frel))`` reads ``c f e^{c f} = c K`` with
+    ``K = lambda0 w e^{c fmax} / sqrt(p(frel))``, so ``f = W0(c K) / c``.
+    It is evaluated as ``wrightomega(log c + log(lambda0 w) + c fmax -
+    log(p(frel)) / 2) / c``, which never forms ``e^{c fmax}``; ``c = 0``
+    gives ``f = lambda0 w / sqrt(p(frel))``.
+
+    End cases: ``fmin`` when even ``fmin`` meets the budget within ``tol``
+    (this covers a failure probability clipped at 1), ``frel`` when ``frel``
+    misses it by more than ``tol``, and for a zero budget ``fmin`` when
+    ``lambda0 == 0`` (failure is identically zero), else ``frel``.  Every
+    cell is computed on its own, so a floor does not depend on the cells
+    evaluated beside it.
+    """
+    w, fmin, fmax, lambda0, sensitivity, frel = (
+        np.array(a, dtype=float) for a in np.broadcast_arrays(
+            weight, fmin, fmax, lambda0, sensitivity, frel))
+    span = fmax - fmin
+    safe_span = np.where(span > 0, span, 1.0)
+
+    def failure(f: np.ndarray) -> np.ndarray:
+        # ReliabilityModel.failure_probability's arithmetic, per cell.
+        scale = np.where(span > 0, (fmax - f) / safe_span, 0.0)
+        return np.clip(lambda0 * np.exp(sensitivity * scale) * w / f, 0.0, 1.0)
+
+    budget = failure(frel)
+    # repro: allow[REP006] -- lambda0 is an assigned model parameter,
+    # never computed; exact zero is the perfect-reliability sentinel
+    out = np.where(lambda0 == 0.0, fmin, frel)
+    solve = budget > 0.0
+    at_fmin = solve & (failure(fmin) ** 2 - budget <= tol)
+    out[at_fmin] = fmin[at_fmin]
+    solve &= ~at_fmin & (failure(frel) ** 2 - budget <= tol)
+    if np.any(solve):
+        # Imported here: scipy.special costs ~18 MB and an import at server
+        # start, and no BI-CRIT request needs it.
+        from scipy.special import wrightomega
+
+        c = np.where(span > 0, sensitivity / safe_span, 0.0)[solve]
+        rate_w = lambda0[solve] * w[solve]
+        sqrt_budget = np.sqrt(budget[solve])
+        flat = c <= 0.0
+        safe_c = np.where(flat, 1.0, c)
+        z = (np.log(safe_c) + np.log(rate_w) + safe_c * fmax[solve]
+             - 0.5 * np.log(budget[solve]))
+        f = np.where(flat, rate_w / sqrt_budget, wrightomega(z) / safe_c)
+        out[solve] = np.clip(f, fmin[solve], frel[solve])
+    return out

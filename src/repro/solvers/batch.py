@@ -23,8 +23,8 @@ array program straight off the ragged weight arrays:
   restricted "slow everything equally" allocations of *every subset of every
   instance* are solved by a single vectorized water-filling bisection over a
   ``(batch, subsets, tasks)`` tensor, and the per-task re-execution speed
-  floors are found by one vectorized reliability bisection
-  (:func:`_floor_array`) instead of ``n`` scalar ones per instance;
+  floors come from one array call of the closed form
+  :func:`~repro.core.reliability.equal_reexecution_floor`;
 * every other row (anything the strict columnar parser could not certify,
   any other solver, solver-specific options) is admissibility-checked and
   runs through the scalar dispatcher, so ``solve_batch`` is a drop-in
@@ -54,6 +54,7 @@ import numpy as np
 from ..core.columnar import KIND_BICRIT, KIND_TRICRIT, ProblemBatch
 from ..core.gcscope import paused_gc
 from ..core.problems import BiCritProblem, SolveResult
+from ..core.reliability import equal_reexecution_floor
 from ..core.schedule import Execution, Schedule, TaskDecision
 from .context import SolverContext
 from .descriptors import InadmissibleSolverError, Solver
@@ -339,70 +340,6 @@ def batch_is_feasible(problems: Sequence[BiCritProblem]) -> np.ndarray:
     return out
 
 
-def _floor_array(w: np.ndarray, model_fmin: np.ndarray, model_fmax: np.ndarray,
-                 lambda0: np.ndarray, sensitivity: np.ndarray,
-                 frel: np.ndarray, *, tol: float = 1e-12) -> np.ndarray:
-    """Vectorized ``ReliabilityModel.min_equal_reexecution_speed``.
-
-    All arguments are broadcast-compatible arrays with one entry per
-    (instance, task) pair; the return value is the model floor *before* the
-    platform ``fmin`` clamp of ``reexecution_speed_floor``.
-    """
-    w = np.asarray(w, dtype=float)
-    shape = np.broadcast_shapes(w.shape, model_fmin.shape, model_fmax.shape,
-                                lambda0.shape, sensitivity.shape, frel.shape)
-    w, model_fmin, model_fmax, lambda0, sensitivity, frel = (
-        np.broadcast_to(a, shape).astype(float)
-        for a in (w, model_fmin, model_fmax, lambda0, sensitivity, frel))
-
-    span = model_fmax - model_fmin
-    safe_span = np.where(span > 0, span, 1.0)
-
-    def failure(f: np.ndarray) -> np.ndarray:
-        scale = np.where(span > 0, (model_fmax - f) / safe_span, 0.0)
-        rate = lambda0 * np.exp(sensitivity * scale)
-        return np.clip(rate * w / f, 0.0, 1.0)
-
-    budget = failure(frel)
-    out = np.empty(shape, dtype=float)
-
-    # budget <= 0: perfect-reliability threshold -- fmin when lambda0 == 0
-    # (failure identically zero), frel otherwise (matches the scalar model).
-    degenerate = budget <= 0.0
-    # repro: allow[REP006] -- lambda0 is an assigned model parameter,
-    # never computed; exact zero is the perfect-reliability sentinel
-    out[degenerate] = np.where(lambda0[degenerate] == 0.0,
-                               model_fmin[degenerate], frel[degenerate])
-
-    active = ~degenerate
-    lo = model_fmin.copy()
-    hi = frel.copy()
-    excess_lo = failure(model_fmin) ** 2 - budget
-    excess_hi = failure(frel) ** 2 - budget
-    at_lo = active & (excess_lo <= tol)
-    out[at_lo] = lo[at_lo]
-    at_hi = active & (excess_hi > tol)        # degenerate guard of the scalar
-    out[at_hi] = hi[at_hi]
-
-    bisect = active & ~at_lo & ~at_hi
-    if np.any(bisect):
-        lo_b = lo.copy()
-        hi_b = hi.copy()
-        # Each cell stops at its own tolerance, so a floor does not depend
-        # on the other cells of the batch.
-        pending = bisect.copy()
-        for _ in range(200):
-            mid = 0.5 * (lo_b + hi_b)
-            shrink = failure(mid) ** 2 - budget <= 0.0
-            hi_b = np.where(pending & shrink, mid, hi_b)
-            lo_b = np.where(pending & ~shrink, mid, lo_b)
-            pending &= ~(hi_b - lo_b <= 1e-14 * np.maximum(1.0, hi_b))
-            if not pending.any():
-                break
-        out[bisect] = hi_b[bisect]
-    return out
-
-
 # ----------------------------------------------------------------------
 # array programs shared by the kernels
 # ----------------------------------------------------------------------
@@ -417,13 +354,26 @@ def _chain_core(totals: np.ndarray, deadlines: np.ndarray, fmin: np.ndarray,
     return raw_speed, infeasible, speed, energy
 
 
+def _fold_columns(M: np.ndarray) -> np.ndarray:
+    """Row sums of ``M`` as a left fold over its columns, in column order."""
+    total = np.zeros(M.shape[0])
+    for column in M.T:
+        total = total + column
+    return total
+
+
 def _fork_core(w0: np.ndarray, W: np.ndarray, deadlines: np.ndarray,
                fmin: np.ndarray, fmax: np.ndarray, alpha: np.ndarray) -> tuple:
     """The fork theorem (saturation cases included) over per-row columns.
 
     ``W`` is the zero-padded ``(rows, max_children)`` child-weight matrix.
+    A row's answer must not depend on the padded width: the powers take a
+    full-shape exponent (numpy picks its power loop by the operands'
+    strides) and the row sums are left folds, to which padded zeros add
+    exactly nothing.
     """
-    norm = np.sum(W ** alpha[:, None], axis=1) ** (1.0 / alpha)
+    exponent = np.broadcast_to(alpha[:, None], W.shape).copy()
+    norm = _fold_columns(W ** exponent) ** (1.0 / alpha)
     f0 = (norm + w0) / deadlines
     saturated = f0 > fmax * (1.0 + 1e-12)
 
@@ -447,7 +397,7 @@ def _fork_core(w0: np.ndarray, W: np.ndarray, deadlines: np.ndarray,
                      axis=1)
 
     energy = (w0 * source_speed ** (alpha - 1.0)
-              + np.sum(W * child_speed ** (alpha[:, None] - 1.0), axis=1))
+              + _fold_columns(W * child_speed ** (exponent - 1.0)))
     return (source_blocks, child_blocks, child_violation, clamped,
             source_speed, child_speed, energy)
 
@@ -504,8 +454,8 @@ def _tricrit_chain_core(W: np.ndarray, deadlines: np.ndarray,
     if np.any(active):
         lo_b = np.zeros((B, S))
         hi_b = t_hi.copy()
-        # Per-cell stop, as in _floor_array: a row's answer must not
-        # depend on the rows batched with it.
+        # Per-cell stop: a row's answer must not depend on the rows
+        # batched with it.
         pending = active.copy()
         for _ in range(200):
             mid = 0.5 * (lo_b + hi_b)
@@ -853,16 +803,12 @@ def _tricrit_columnar_chunk(batch: ProblemBatch, rows: list[int], n: int,
     alpha = cols["alpha"][rows_a]
     frel = cols["rel_frel"][rows_a]
 
-    # One vectorized reliability bisection for every (instance, task) pair,
-    # fed from the reliability columns.
-    floors = _floor_array(W.reshape(-1),
-                          np.repeat(cols["rel_fmin"][rows_a], n),
-                          np.repeat(cols["rel_fmax"][rows_a], n),
-                          np.repeat(cols["rel_lambda0"][rows_a], n),
-                          np.repeat(cols["rel_sensitivity"][rows_a], n),
-                          np.repeat(frel, n))
-    floors = np.maximum(np.repeat(pfmin, n), floors)
-    reexec_floor = floors.reshape(B, n)
+    # One closed-form floor for every (instance, task) pair, fed from the
+    # reliability columns.
+    model = [cols[k][rows_a][:, None] for k in
+             ("rel_fmin", "rel_fmax", "rel_lambda0", "rel_sensitivity")]
+    reexec_floor = np.maximum(pfmin[:, None], equal_reexecution_floor(
+        W, *model, frel[:, None]))
 
     eff, durations, energy = _tricrit_chain_core(W, deadlines, pfmin, pfmax,
                                                  alpha, reexec_floor, frel,

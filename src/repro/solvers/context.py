@@ -4,7 +4,7 @@ Each solver used to recompute the same instance facts on entry: the
 structure probes (``is_chain`` / ``is_fork`` / series-parallel
 decomposition) scanned the graph again in every front-end call, the
 feasibility check re-walked the augmented DAG at ``fmax``, and the TRI-CRIT
-subset solvers re-bisected the per-task re-execution speed floor for every
+subset solvers recomputed the per-task re-execution speed floor for every
 one of their ``2^n`` restricted solves.  :class:`SolverContext` computes each
 of those quantities lazily, exactly once per problem instance, and is shared
 by the dispatcher and by every solver that accepts a ``context`` keyword.
@@ -231,10 +231,9 @@ class SolverContext:
     def reexecution_floor(self, task: TaskId) -> float:
         """Slowest admissible equal speed for two executions of ``task``.
 
-        The underlying computation bisects the reliability constraint; the
-        subset-enumeration solvers query the same floors for every one of
-        their ``2^n`` restricted solves, so the memoization here converts an
-        ``O(2^n * n)`` bisection count into ``O(n)``.
+        The subset-enumeration solvers query the same floors for every one
+        of their ``2^n`` restricted solves, and the fork solver for every
+        source finish time it tries, so each floor is computed once here.
         """
         floor = self._reexec_floor_cache.get(task)
         if floor is None:

@@ -22,10 +22,11 @@ gap-certified anytime mode beyond it:
    over its still-allowed options (single / re-executed), a one-dimensional
    problem solved in closed form.  By weak duality *every* evaluated
    ``lam`` yields a valid lower bound ``L(lam) = sum_i phi_i(lam) - lam D``
-   on every completion of the partial assignment; ``L`` is concave with
-   supergradient ``sum_i d_i(lam) - D``, so a doubling-then-bisection scan
-   maximises it.  Tasks mapped to the same processor serialise within the
-   makespan, so the bound decomposes as a sum of per-processor duals.  When
+   on every completion of the partial assignment; ``L`` is concave with a
+   piecewise closed-form supergradient ``sum_i d_i(lam) - D``, so one sorted
+   breakpoint scan maximises it exactly.  Tasks mapped to the same
+   processor serialise within the makespan, so the bound decomposes as a
+   sum of per-processor duals.  When
    ``lam = 0`` already satisfies the deadline (loose-deadline instances)
    the dual choice is primal-feasible and the bound is *exact* -- an
    ``O(n)`` fast path that closes the node immediately.
@@ -64,8 +65,10 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
+from scipy.optimize import brentq
 
 from ..continuous.heuristics import solve_with_reexec_set
 from ..core.problems import SolveResult, TriCritProblem
@@ -112,6 +115,7 @@ class _Instance:
 
     def __post_init__(self) -> None:
         self._cache: dict[frozenset, _Eval] = {}
+        self.bound_evaluations = 0
         self._proc_index = [np.flatnonzero(self.proc == p)
                             for p in range(int(self.proc.max()) + 1
                                            if self.proc.size else 0)]
@@ -240,6 +244,41 @@ def _forced_sets(inst: _Instance) -> tuple[set, set] | None:
 # ----------------------------------------------------------------------
 # Lagrangian dual bound
 # ----------------------------------------------------------------------
+@lru_cache(maxsize=8)
+def _switch_ratio(a: float) -> float:
+    """The root ``u`` in ``(0, 1)`` of ``1 + (a-1) u^a = 2 a u^(a-1)``.
+
+    While the single run sits at its floor speed ``s`` and the re-execution
+    runs at the free speed ``sigma``, the dual option values are
+    ``v_s = w (s^(a-1) + lam / s)`` and ``v_r = 2 w a sigma^(a-1)`` with
+    ``lam = (a-1) sigma^a``; they cross at ``sigma = u s``.  The left side
+    minus the right falls strictly on ``(0, 1)`` from 1 to ``-a``, so the
+    root is unique.
+    """
+    return float(brentq(lambda u: 1.0 + (a - 1.0) * u ** a
+                        - 2.0 * a * u ** (a - 1.0), 0.0, 1.0, xtol=1e-300))
+
+
+def _switch_prices(w: np.ndarray, hi_s: np.ndarray, hi_r: np.ndarray,
+                   a: float) -> np.ndarray:
+    """Per-task multiplier at which the dual choice leaves re-execution.
+
+    Re-execution doubles the duration at every price (``d_r >= 2 d_s``), so
+    ``v_r - v_s`` never falls as ``lam`` grows and the dual picks the
+    re-execution exactly below this price.  With ``s`` and ``f_r`` the two
+    floor speeds the crossing is linear while both options sit at their
+    floors (``lam <= (a-1) f_r^a``), and at ``sigma = u s``
+    (:func:`_switch_ratio`) once only the single run does; with both free
+    ``v_r = 2 v_s``, so the crossing always comes before ``sigma = s``.
+    """
+    s = w / hi_s
+    fr = 2.0 * w / hi_r
+    linear = (s ** (a - 1.0) - 2.0 * fr ** (a - 1.0)) / (2.0 / fr - 1.0 / s)
+    free = (a - 1.0) * (_switch_ratio(a) * s) ** a
+    return np.where(linear <= (a - 1.0) * fr ** a, np.maximum(linear, 0.0),
+                    free)
+
+
 def _dual_bound(inst: _Instance, allow_s: np.ndarray, allow_r: np.ndarray,
                 ) -> tuple[float, np.ndarray, bool]:
     """Best dual lower bound for a partial assignment.
@@ -250,7 +289,18 @@ def _dual_bound(inst: _Instance, allow_s: np.ndarray, allow_r: np.ndarray,
     ``pick_reexec`` is the dual completion suggestion and ``exact`` means the
     bound is attained by a primal-feasible schedule (the ``lam = 0`` loose
     path held on every processor).
+
+    Each processor's dual is maximised exactly.  Its supergradient
+    ``sum_i d_i(lam) - D`` is piecewise ``A + B lam^(-1/a)``: it changes form
+    only where an option's duration hits a clip point,
+    ``lam = (a-1) (eff/lo)^a`` or ``(a-1) (eff/cap)^a``, and where a task's
+    choice switches (:func:`_switch_prices`).  The supergradient is
+    evaluated at every sorted breakpoint at once; inside the bracketing
+    interval its root is ``lam = (a-1) (B / (D - A))^a``, and when it jumps
+    over zero the breakpoint itself is the maximiser.  Any ``lam`` yields a
+    valid bound, so rounding here costs tightness only.
     """
+    inst.bound_evaluations += 1
     D = inst.problem.deadline
     a = inst.exponent
     total = 0.0
@@ -296,28 +346,50 @@ def _dual_bound(inst: _Instance, allow_s: np.ndarray, allow_r: np.ndarray,
             pick[idx] = choose
             continue
         exact = False
-        best, best_choose = val, choose
-        lam_lo = 0.0
-        lam_hi = max(1.0, (a - 1.0) * float(np.max(w)) ** a
-                     / max(float(np.min(min_lo[min_lo > 0], initial=1.0)),
-                           1e-12) ** a)
-        val, g, choose = L(lam_hi)
+
+        both = a_s & a_r
+        with np.errstate(divide="ignore", invalid="ignore"):
+            tau = np.where(both, _switch_prices(w, hi_s, hi_r, a),
+                           np.where(a_r, math.inf, -math.inf))
+            clip_speeds = np.concatenate([w / lo_s, w / cap_s,
+                                          2.0 * w / lo_r, 2.0 * w / cap_r])
+        bp = np.concatenate([(a - 1.0) * clip_speeds ** a, tau[both]])
+        bp = np.unique(bp[(bp > 0.0) & np.isfinite(bp)])
+
+        def durations(lam: np.ndarray) -> tuple[np.ndarray, np.ndarray,
+                                                np.ndarray, np.ndarray]:
+            """Unclipped duration, bounds and effective weight of each task's
+            choice just right of each price in ``lam`` (``(K, n)`` arrays)."""
+            choose_r = lam[:, None] < tau
+            scale = ((a - 1.0) / lam) ** (1.0 / a)
+            eff = np.where(choose_r, 2.0 * w, w)
+            return (eff * scale[:, None], np.where(choose_r, lo_r, lo_s),
+                    np.where(choose_r, cap_r, cap_s), eff)
+
+        raw, lo, cap, _ = durations(bp)
+        slope = np.clip(raw, lo, cap).sum(axis=1) - D
+        crossed = np.flatnonzero(slope <= 0.0)
+        if crossed.size == 0:
+            # Every duration at its minimum still overruns D by less than the
+            # feasibility tolerance: the last breakpoint is as good as any.
+            # (No breakpoint at all takes weights whose durations underflow.)
+            lam = float(bp[-1]) if bp.size else 0.0
+        else:
+            k = int(crossed[0])
+            right = float(bp[k])
+            left = float(bp[k - 1]) if k else 0.0
+            mid = math.sqrt(left * right) if left > 0.0 else 0.5 * right
+            raw, lo, cap, eff = (x[0] for x in durations(np.array([mid])))
+            free = (lo < raw) & (raw < cap)
+            clipped = float(np.sum(np.where(free, 0.0, np.clip(raw, lo, cap))))
+            free_eff = float(np.sum(eff[free]))
+            lam = right
+            if free_eff > 0.0 and clipped < D:
+                lam = min(max((a - 1.0) * (free_eff / (D - clipped)) ** a,
+                              left), right)
+        best, _, best_choose = L(lam)
         if val > best:
             best, best_choose = val, choose
-        while g > 0.0 and lam_hi < 1e30:
-            lam_lo, lam_hi = lam_hi, lam_hi * 8.0
-            val, g, choose = L(lam_hi)
-            if val > best:
-                best, best_choose = val, choose
-        for _ in range(40):
-            lam_mid = 0.5 * (lam_lo + lam_hi)
-            val, g, choose = L(lam_mid)
-            if val > best:
-                best, best_choose = val, choose
-            if g > 0.0:
-                lam_lo = lam_mid
-            else:
-                lam_hi = lam_mid
         total += best
         pick[idx] = best_choose
     return total, pick, exact
@@ -485,6 +557,7 @@ def _search(problem: TriCritProblem, *, exact_mode: bool, max_tasks: int | None,
             "lower_bound": min(bound, inc),
             "optimality_gap": gap if not exact_mode else 0.0,
             "subsets_evaluated": inst.evaluations,
+            "bound_evaluations": inst.bound_evaluations,
             "strategy": strategy,
             "mode": "exact" if exact_mode else "gap",
             "forced_out": len(forced_out),

@@ -20,8 +20,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.core.energy import EnergyModel
 from repro.core.problems import BiCritProblem, TriCritProblem
-from repro.core.reliability import ReliabilityModel
+from repro.core.reliability import ReliabilityModel, equal_reexecution_floor
 from repro.core.speeds import ContinuousSpeeds
 from repro.dag import generators
 from repro.platform.mapping import Mapping
@@ -41,7 +42,6 @@ from repro.solvers.batch import (
     KERNEL_SCALAR,
     KERNEL_TRICRIT_CHAIN,
     LazyScheduleResult,
-    _floor_array,
 )
 
 # ----------------------------------------------------------------------
@@ -63,10 +63,12 @@ def chain_problem(weights, slack, fmin=0.1, fmax=1.0):
     return BiCritProblem(mapping, platform, deadline)
 
 
-def fork_problem(source_weight, child_weights, slack, fmin=0.05, fmax=2.0):
+def fork_problem(source_weight, child_weights, slack, fmin=0.05, fmax=2.0,
+                 alpha=3.0):
     graph = generators.fork(source_weight, child_weights)
     mapping = Mapping.one_task_per_processor(graph)
-    platform = Platform(len(child_weights) + 1, ContinuousSpeeds(fmin, fmax))
+    platform = Platform(len(child_weights) + 1, ContinuousSpeeds(fmin, fmax),
+                        energy_model=EnergyModel(exponent=alpha))
     deadline = max(slack * graph.critical_path_weight() / fmax, 1e-6)
     return BiCritProblem(mapping, platform, deadline)
 
@@ -175,6 +177,26 @@ class TestForkClosedFormEquivalence:
         plan = plan_batch(problems, "bicrit-closed-form")
         assert plan.kernel_counts() == {KERNEL_FORK: 1}
 
+    def test_row_alone_equals_the_row_beside_a_wider_fork(self):
+        # The fork kernel pads child weights to the batch's widest fork; a
+        # row's answer must not move, not even in the last bit, when a
+        # 12-child fork widens that padding.
+        def fork(k):
+            children = 2 + k % 6
+            weights = generators.random_weights(children + 1, seed=k,
+                                                low=0.1, high=5.0)
+            return fork_problem(weights[0], list(weights[1:]),
+                                1.05 + 0.2 * (k % 10),
+                                alpha=(2.0, 2.5, 3.0)[k % 3])
+
+        wide = fork_problem(1.0, list(np.linspace(0.5, 3.0, 12)), 2.0)
+        beside = solve_batch([wide] + [fork(k) for k in range(200)])[1:]
+        for k, row in enumerate(beside):
+            [alone] = solve_batch([fork(k)])
+            assert (alone.status, alone.energy) == (row.status, row.energy)
+            assert getattr(alone, "wire_view", None) \
+                == getattr(row, "wire_view", None)
+
 
 class TestTriCritChainEquivalence:
     @given(st.lists(st.lists(weight_strategy, min_size=1, max_size=3),
@@ -198,14 +220,14 @@ class TestTriCritChainEquivalence:
         problem = tricrit_chain_problem(weights, slack)
         plan = plan_batch([problem], "tricrit-chain-exact")
         assert plan.kernel_counts() == {KERNEL_TRICRIT_CHAIN: 1}
-        # The vectorized floors must equal the context's scalar bisections.
+        # The vectorized floors must equal the context's scalar floors.
         reference = tricrit_chain_problem(weights, slack).context()
         model = reference.reliability
         tasks = list(reference.positive_tasks)
         per_task = [np.full(len(tasks), x) for x in (
             model.fmin, model.fmax, model.lambda0, model.sensitivity,
             model.frel)]
-        floors = np.maximum(problem.platform.fmin, _floor_array(
+        floors = np.maximum(problem.platform.fmin, equal_reexecution_floor(
             np.array([reference.graph.weight(t) for t in tasks]), *per_task))
         for task, floor in zip(tasks, floors):
             assert floor == pytest.approx(reference.reexecution_floor(task),

@@ -24,7 +24,11 @@ from hypothesis import strategies as st
 
 from repro import api
 from repro.api.errors import INFEASIBLE_PROBLEM, ApiError
-from repro.continuous.exhaustive import best_known_tricrit, solve_tricrit_exhaustive
+from repro.continuous.exhaustive import (
+    best_known_tricrit,
+    best_reexec_subset,
+    solve_tricrit_exhaustive,
+)
 from repro.continuous.heuristics import best_of_heuristics, solve_with_reexec_set
 from repro.continuous.tricrit_chain import solve_tricrit_chain_exact
 from repro.core.columnar import ProblemBatch
@@ -37,7 +41,14 @@ from repro.platform.list_scheduling import critical_path_mapping
 from repro.platform.mapping import Mapping
 from repro.platform.platform import Platform
 from repro.solvers.batch import solve_batch
-from repro.solvers.pruned import solve_tricrit_pruned, solve_tricrit_pruned_gap
+from repro.solvers.context import SolverContext
+from repro.solvers.pruned import (
+    _build_instance,
+    _dual_bound,
+    solve_tricrit_pruned,
+    solve_tricrit_pruned_gap,
+)
+from tests.oracles import bisection_dual_bound
 
 REL = 1e-9
 
@@ -109,6 +120,7 @@ class TestChainParity:
         pruned = solve_tricrit_pruned(problem)
         assert pruned.energy == pytest.approx(reference.energy, rel=REL)
         assert pruned.metadata["subsets_evaluated"] < 2 ** 14 / 8
+        assert pruned.metadata["bound_evaluations"] > 0
 
 
 class TestMultiProcessorParity:
@@ -141,6 +153,59 @@ class TestMultiProcessorParity:
         reference = solve_tricrit_exhaustive(problem)
         pruned = solve_tricrit_pruned(problem)
         assert pruned.energy == pytest.approx(reference.energy, rel=REL)
+
+
+# ----------------------------------------------------------------------
+# the dual bound: valid, and no weaker than the bisection it replaced
+# ----------------------------------------------------------------------
+@st.composite
+def partial_assignments(draw):
+    """A small chain or layered DAG and a random In/Out/free assignment."""
+    seed = draw(st.integers(min_value=0, max_value=10_000))
+    if draw(st.booleans()):
+        graph = generators.random_chain(draw(st.integers(2, 8)), seed=seed)
+        processors = 1
+    else:
+        graph = generators.random_layered_dag(draw(st.integers(2, 3)), 2,
+                                              seed=seed)
+        processors = draw(st.integers(2, 3))
+    problem = make_problem(graph, processors,
+                           draw(st.floats(min_value=1.05, max_value=4.0)),
+                           lambda0=draw(st.sampled_from([1e-5, 1e-4, 1e-3])))
+    states = draw(st.lists(st.sampled_from(["in", "out", "free"]),
+                           min_size=graph.num_tasks,
+                           max_size=graph.num_tasks))
+    return problem, states
+
+
+class TestDualBound:
+    @given(partial_assignments())
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_valid_and_no_weaker_than_bisection(self, case):
+        problem, states = case
+        ctx = SolverContext.for_problem(problem)
+        inst = _build_instance(problem, ctx, "auto")
+        allow_s = inst.single_ok.copy()
+        allow_r = inst.reexec_ok.copy()
+        for i, state in enumerate(states[:len(inst.tasks)]):
+            if state == "in" and allow_r[i]:
+                allow_s[i] = False
+            elif state == "out" and allow_s[i]:
+                allow_r[i] = False
+        bound = _dual_bound(inst, allow_s, allow_r)[0]
+        old = bisection_dual_bound(inst, allow_s, allow_r)[0]
+        assert bound >= old * (1.0 - 1e-12)
+        # The best completion, through the enumerator tricrit-exhaustive
+        # runs, restricted to the undecided tasks.
+        base = [t for i, t in enumerate(inst.tasks) if not allow_s[i]]
+        free = [t for i, t in enumerate(inst.tasks) if allow_s[i] and allow_r[i]]
+        best = best_reexec_subset(
+            free, lambda subset: solve_with_reexec_set(
+                problem, [*base, *subset], context=ctx),
+            solver_name="tricrit-exhaustive")
+        if best.feasible:
+            assert bound <= best.energy * (1.0 + REL)
 
 
 # ----------------------------------------------------------------------

@@ -6,10 +6,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.core.reliability import ReliabilityModel
+from repro.core.reliability import ReliabilityModel, equal_reexecution_floor
+from tests.oracles import bisection_floor
 
 
 @pytest.fixture
@@ -135,3 +136,59 @@ class TestReliabilityProperties:
     def test_heavier_tasks_are_less_reliable(self, weight, speed, factor):
         model = ReliabilityModel(fmin=0.1, fmax=1.0, lambda0=1e-3)
         assert model.reliability(weight * factor, speed) <= model.reliability(weight, speed) + 1e-12
+
+
+@st.composite
+def floor_models(draw):
+    """A reliability model and a weight, spans down to a zero range."""
+    fmin = draw(st.floats(min_value=0.05, max_value=2.0))
+    span = draw(st.one_of(st.just(0.0),
+                          st.floats(min_value=1e-9, max_value=1e-6),
+                          st.floats(min_value=1e-6, max_value=5.0)))
+    fmax = fmin + span
+    frel = draw(st.one_of(st.just(fmax),
+                          st.floats(min_value=0.0, max_value=1.0).map(
+                              lambda t: min(fmax, fmin + t * span))))
+    lambda0 = draw(st.one_of(st.just(0.0),
+                             st.floats(min_value=1e-8, max_value=10.0)))
+    sensitivity = draw(st.one_of(st.just(0.0),
+                                 st.floats(min_value=0.0, max_value=60.0)))
+    weight = draw(st.floats(min_value=1e-3, max_value=1e3))
+    return ReliabilityModel(fmin, fmax, lambda0, sensitivity, frel), weight
+
+
+def model_columns(models):
+    return [np.array([getattr(m, k) for m in models])
+            for k in ("fmin", "fmax", "lambda0", "sensitivity", "frel")]
+
+
+class TestClosedFormFloor:
+    """The closed form ``W0(cK)/c`` against the bisection it replaced."""
+
+    @given(floor_models())
+    @example((ReliabilityModel(0.1, 1.0, 1e-4, 0.0), 3.0))       # c = 0
+    @example((ReliabilityModel(0.5, 0.5, 1e-4, 3.0), 3.0))       # c = 0
+    @example((ReliabilityModel(0.1, 1.0, 0.0, 3.0), 3.0))        # lambda0 = 0
+    @example((ReliabilityModel(0.1, 1.0, 10.0, 5.0), 100.0))     # p(frel) = 1
+    @example((ReliabilityModel(0.1, 1.0, 1e-3, 4.0, 0.6), 7.0))  # frel < fmax
+    @example((ReliabilityModel(0.3, 0.3 + 1e-7, 1e-3, 60.0), 9.0))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_bisection(self, case):
+        model, weight = case
+        oracle = bisection_floor(model, weight)
+        floor = model.min_equal_reexecution_speed(weight)
+        assert abs(floor - oracle) <= 1e-12 * oracle
+        assert model.fmin <= floor <= model.frel
+
+    @given(floor_models(), st.lists(floor_models(), min_size=1, max_size=40),
+           st.integers(min_value=0, max_value=40))
+    @settings(max_examples=50, deadline=None)
+    def test_scalar_and_batch_floors_are_identical(self, case, others, at):
+        model, weight = case
+        scalar = model.min_equal_reexecution_speed(weight)
+        [alone] = equal_reexecution_floor(weight, *model_columns([model]))
+        at = min(at, len(others))
+        cases = others[:at] + [case] + others[at:]
+        wide = equal_reexecution_floor(np.array([w for _, w in cases]),
+                                       *model_columns([m for m, _ in cases]))
+        assert scalar == alone == wide[at]
