@@ -3,7 +3,7 @@
 #   make test           - tier-1 test suite (the gate every PR must keep green)
 #   make coverage       - tier-1 suite under pytest-cov with the CI coverage floor
 #   make lint           - ruff check (critical rules; skipped when ruff is absent)
-#   make analyze        - repo-specific static analysis (REP001-REP007 invariant rules)
+#   make analyze        - repo-specific static analysis (REP001-REP008 invariant rules)
 #   make typecheck      - mypy over the strict-rung packages (skipped when mypy is absent)
 #   make smoke          - reduced-size smoke of the simulation + batch-solver perf paths
 #   make campaign-smoke - every E1-E13 scenario through the campaign runner

@@ -17,6 +17,7 @@ from .rep004_registry_bypass import RegistryBypassRule
 from .rep005_lock_discipline import LockDisciplineRule
 from .rep006_float_equality import FloatEqualityRule
 from .rep007_stream_json import StreamJsonDumpRule
+from .rep008_batch_invariance import BatchInvarianceRule
 
 RULE_CLASSES = [
     NondeterministicOrderRule,
@@ -26,6 +27,7 @@ RULE_CLASSES = [
     LockDisciplineRule,
     FloatEqualityRule,
     StreamJsonDumpRule,
+    BatchInvarianceRule,
 ]
 
 __all__ = ["RULE_CLASSES"]

@@ -29,7 +29,6 @@ from ..core.problems import SolveResult
 from ..core.reliability import ReliabilityModel
 from ..core.schedule import Execution, Schedule, TaskDecision
 from ..core.speeds import VddHoppingSpeeds
-from ..optimize.bisection import bisect_root
 from ..platform.platform import Platform
 
 __all__ = ["round_execution_to_vdd", "round_schedule_to_vdd"]
@@ -47,8 +46,8 @@ def round_execution_to_vdd(weight: float, continuous_speed: float,
         Maximum admissible failure probability of this single execution.
         Only used when ``reliability_model`` is given; when the plain
         work/time-preserving mixture exceeds the budget the mixture is
-        shifted towards the upper mode (by bisection on the time spent at
-        the lower mode).
+        shifted towards the upper mode (the time spent at the lower mode
+        solves the linear failure budget exactly).
     """
     if weight < 0:
         raise ValueError("weight must be non-negative")
@@ -76,15 +75,17 @@ def round_execution_to_vdd(weight: float, continuous_speed: float,
         return lam_lo * t_lo + lam_hi * t_hi
 
     t_lo_max = next((t for s, t in intervals if abs(s - lo) <= 1e-12), 0.0)
-    # failure_for_tlo is increasing in t_lo (lam_lo > lam_hi and the work
-    # shift is favourable), so the reliable region is an interval [0, t*].
+    # failure_for_tlo is linear and increasing in t_lo (lam_lo > lam_hi and
+    # the work shift is favourable), so the reliable region is an interval
+    # [0, t*] with t* its root.
     if failure_for_tlo(0.0) > failure_budget + 1e-15:
         # Even running entirely at the upper mode misses the budget; return
         # the all-upper execution (the caller's reliability check will flag it).
         return Execution.from_intervals([(hi, weight / hi)])
-    t_star = bisect_root(
-        lambda t: failure_for_tlo(t) - failure_budget, 0.0, max(t_lo_max, 1e-18)
-    ) if failure_for_tlo(t_lo_max) > failure_budget else t_lo_max
+    t_star = t_lo_max
+    if failure_for_tlo(t_lo_max) > failure_budget:
+        t_star = min(max((failure_budget - lam_hi * weight / hi)
+                         / (lam_lo - lam_hi * lo / hi), 0.0), t_lo_max)
     t_hi = (weight - lo * t_star) / hi
     parts = []
     if t_star > 1e-15:

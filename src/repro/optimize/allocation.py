@@ -10,7 +10,8 @@ speeds ``f_i = w_i/d_i``) minimising ``sum_i w_i^a / d_i^{a-1}`` subject to
 Without bounds the KKT conditions give ``d_i`` proportional to ``w_i``, i.e.
 *all tasks run at the same speed* ``sum(w)/D`` -- the "slow every task
 equally" rule the paper's chain strategy starts from.  With bounds the
-multiplier is found by bisection and clamped tasks sit at their bound
+durations are ``clip(t w_i, lower_i, upper_i)`` for one common scale ``t``,
+solved exactly from the sorted breakpoints of that piecewise-linear total
 (:func:`allocate_durations`).
 
 The same machinery allocates a deadline across *segments of equivalent
@@ -21,12 +22,9 @@ segment of equivalent weight ``W`` getting duration ``d`` costs exactly
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .bisection import solve_monotone_increasing
 
 __all__ = [
     "AllocationResult",
@@ -57,6 +55,44 @@ class AllocationResult:
     _weights: np.ndarray = None  # type: ignore[assignment]
 
 
+def _fill_scale(w: np.ndarray, lower: np.ndarray, upper: np.ndarray,
+                deadline: float) -> float:
+    """The common scale ``t`` with ``sum_i clip(t w_i, lower_i, upper_i) = D``.
+
+    ``w > 0`` everywhere and ``sum(lower) < D``.  The left side is piecewise
+    linear and non-decreasing in ``t``: task ``i`` leaves its lower bound at
+    ``t = lower_i / w_i`` (slope ``+w_i``, constant ``-lower_i``) and reaches
+    its upper bound at ``t = upper_i / w_i`` (slope ``-w_i``, constant
+    ``+upper_i``; never, when ``upper_i`` is infinite).  One sort of those
+    events and one cumulative sum of slope and constant give the total at
+    every event; ``t`` is then solved linearly on the segment that crosses
+    ``D``.  When even every task at its upper bound stays under ``D`` (a
+    loose deadline), ``t`` lies past the last event, where all of them
+    saturate.
+    """
+    finite = np.isfinite(upper)
+    at = np.concatenate([lower / w, upper[finite] / w[finite]])
+    order = np.argsort(at, kind="stable")
+    at = at[order]
+    slope = np.cumsum(np.concatenate([w, -w[finite]])[order])
+    const = float(np.sum(lower)) + np.cumsum(
+        np.concatenate([-lower, upper[finite]])[order])
+    reached = np.flatnonzero(const + slope * at >= deadline)
+    if reached.size == 0:
+        if np.all(finite):
+            # Past the last event, so every clip lands on its upper bound.
+            return float(at[-1]) + 1.0
+        # Past the last finite event the free tasks grow without bound.
+        return float((deadline - const[-1]) / slope[-1])
+    k = int(reached[0])
+    if k == 0 or slope[k - 1] <= 0.0:
+        # Only rounding puts the crossing at the very first event or on a
+        # flat stretch between events that share one ``t``.
+        return float(at[k])
+    t = (deadline - const[k - 1]) / slope[k - 1]
+    return float(min(max(t, at[k - 1]), at[k]))
+
+
 def _energy(w: np.ndarray, durations: np.ndarray, exponent: float) -> np.ndarray:
     """Per-task energy ``w f^(alpha-1)`` at speed ``f = w/d``; the equal
     ``w^alpha / d^(alpha-1)`` underflows to 0/0 on tiny weights."""
@@ -73,8 +109,8 @@ def equal_speed_durations(weights, deadline: float) -> np.ndarray:
 
 
 def allocate_durations(weights, deadline: float, *, fmin: float | None = None,
-                       fmax: float | None = None, exponent: float = 3.0,
-                       tol: float = 1e-12) -> AllocationResult:
+                       fmax: float | None = None,
+                       exponent: float = 3.0) -> AllocationResult:
     """Optimal durations for serialised weights within ``deadline``.
 
     Solves ``min sum w_i^a / d_i^{a-1}`` s.t. ``sum d_i <= D`` and
@@ -98,12 +134,11 @@ def allocate_durations(weights, deadline: float, *, fmin: float | None = None,
     if fmin is not None and fmax is not None and fmin > fmax:
         raise ValueError("fmin cannot exceed fmax")
     return allocate_durations_with_bounds(w, deadline, lower, upper,
-                                          exponent=exponent, tol=tol)
+                                          exponent=exponent)
 
 
 def allocate_durations_with_bounds(weights, deadline: float, lower, upper, *,
-                                   exponent: float = 3.0,
-                                   tol: float = 1e-12) -> AllocationResult:
+                                   exponent: float = 3.0) -> AllocationResult:
     """Like :func:`allocate_durations` but with explicit per-task duration bounds.
 
     ``lower``/``upper`` give, for every task, the minimum and maximum
@@ -143,8 +178,7 @@ def allocate_durations_with_bounds(weights, deadline: float, lower, upper, *,
     # Degenerate brackets: when the lower bounds already consume the whole
     # deadline (re-executions ate all the slack) or every bound is zero-width
     # (``fmin == fmax`` chains), the feasible region is the single point
-    # ``d = lower`` -- return that fmax-saturated closed form directly
-    # instead of bisecting a zero-width bracket down to the tolerance floor.
+    # ``d = lower`` -- return that fmax-saturated closed form directly.
     zero_width = bool(np.all(upper[positive] <= lower[positive]
                              * (1.0 + 1e-12) + 1e-300))
     if zero_width or min_time >= deadline * (1.0 - 1e-12):
@@ -158,36 +192,17 @@ def allocate_durations_with_bounds(weights, deadline: float, lower, upper, *,
             saturated_upper=positive & (upper <= lower * (1.0 + 1e-12) + 1e-300),
             _weights=w)
 
-    # The unconstrained stationary point has d_i = t * w_i for a common
-    # scale t; with bounds, d_i(t) = clip(t * w_i, lower_i, upper_i) and the
-    # total duration is non-decreasing in t.  Find t so the durations use the
-    # whole deadline (or saturate at the upper bounds if the deadline is very
-    # loose -- then total time < D and all tasks run at fmin).
-    def total_time(t: float) -> float:
-        d = np.clip(t * w, lower, upper)
-        return float(np.sum(d[positive]))
-
-    # Bracket: t_lo puts everybody at the lower bound, t_hi at the upper bound
-    # (or, when some upper bound is infinite, far enough that the deadline is
-    # exhausted).
-    t_lo = 0.0
-    finite_upper = np.isfinite(upper[positive])
-    if np.all(finite_upper):
-        t_hi = float(np.max(upper[positive] / w[positive])) + 1.0
-    else:
-        t_hi = max(deadline / float(np.sum(w[positive])), 1.0)
-        while total_time(t_hi) < deadline and t_hi < 1e18:
-            t_hi *= 2.0
-
-    t_star = solve_monotone_increasing(total_time, deadline, t_lo, t_hi, tol=tol)
-    durations = np.clip(t_star * w, lower, upper)
+    t_star = _fill_scale(w[positive], lower[positive], upper[positive], deadline)
+    tw = t_star * w
+    durations = np.clip(tw, lower, upper)
     durations[~positive] = 0.0
 
     with np.errstate(divide="ignore", invalid="ignore"):
         per_task = np.where(positive, _energy(w, durations, exponent), 0.0)
     energy = float(np.sum(per_task))
-    sat_lo = positive & np.isclose(durations, lower, rtol=1e-9, atol=1e-12)
-    sat_hi = positive & np.isclose(durations, upper, rtol=1e-9, atol=1e-12)
+    # A task sits at a bound exactly when the clip above picked it.
+    sat_lo = positive & (tw <= lower)
+    sat_hi = positive & (tw >= upper)
     return AllocationResult(durations=durations, energy=energy,
                             total_time=float(np.sum(durations)),
                             saturated_lower=sat_lo, saturated_upper=sat_hi,

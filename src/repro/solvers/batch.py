@@ -419,6 +419,57 @@ def _subset_masks(n: int) -> np.ndarray:
     return rows
 
 
+def _fill_cells(W: np.ndarray, deadlines: np.ndarray, pfmax: np.ndarray,
+                reexec_floor: np.ndarray, single_floor: np.ndarray,
+                masks: np.ndarray, upper: np.ndarray, bi: np.ndarray,
+                si: np.ndarray) -> np.ndarray:
+    """Exact water-fill scale ``t`` of the (instance ``bi``, subset ``si``)
+    cells, each with ``min_time < D < max_time``.
+
+    Every task leaves its lower bound at ``t = 1/fmax`` and reaches its
+    upper bound at ``1/floor``: a re-executed task at its own re-execution
+    floor, the single runs of a row all at once at the row's single floor.
+    One ``(B, n + 1)`` argsort of those event times orders the events of
+    every cell of a row; a cell's events differ only in which tasks they
+    saturate.  With the events sorted, the total at event ``j`` is
+    ``t_j * E_j + H_j`` -- ``H_j`` the upper bounds saturated so far, ``E_j``
+    the effective weight still free -- and ``t`` is solved linearly on the
+    segment before the first event whose total reaches ``D``.  Each cell is
+    computed on its own, so the rows batched beside it cannot move it.
+    """
+    n = W.shape[1]
+    at = np.concatenate([1.0 / reexec_floor, 1.0 / single_floor[:, None]],
+                        axis=1)                                  # (B, n+1)
+    order = np.argsort(at, axis=1, kind="stable")[bi]            # (M, n+1)
+    mask = masks[si]
+    up = upper[bi, si]                                           # (M, n)
+    single = ~mask
+    gain = np.concatenate([np.where(mask, 2.0 * W[bi], 0.0),
+                           (W[bi] * single).sum(axis=1)[:, None]], axis=1)
+    sat = np.concatenate([np.where(mask, up, 0.0),
+                          (up * single).sum(axis=1)[:, None]], axis=1)
+    rows = np.arange(bi.size)[:, None]
+    at = np.take_along_axis(at[bi], order, axis=1)
+    gain = gain[rows, order]
+    # H_j: a forward sum of saturated bounds; E_j: a suffix sum of the gains
+    # still to come, with no subtraction to cancel.
+    saturated = np.cumsum(sat[rows, order], axis=1)
+    free = np.zeros((bi.size, n + 2))
+    free[:, :n + 1] = np.cumsum(gain[:, ::-1], axis=1)[:, ::-1]
+    D = deadlines[bi]
+    reached = at * free[:, 1:] + saturated >= D[:, None]
+    # No event reaches D only when the sums round below max_time: the cell
+    # then saturates at its last event.
+    j = np.where(reached.any(axis=1), reached.argmax(axis=1), n)
+    m = np.arange(bi.size)
+    prev_sat = np.where(j > 0, saturated[m, j - 1], 0.0)
+    prev_free = free[m, j]
+    left = np.where(j > 0, at[m, j - 1], 1.0 / pfmax[bi])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = np.where(prev_free > 0.0, (D - prev_sat) / prev_free, at[m, j])
+    return np.minimum(np.maximum(t, left), at[m, j])
+
+
 def _tricrit_chain_core(W: np.ndarray, deadlines: np.ndarray,
                         pfmin: np.ndarray, pfmax: np.ndarray,
                         alpha: np.ndarray, reexec_floor: np.ndarray,
@@ -429,8 +480,6 @@ def _tricrit_chain_core(W: np.ndarray, deadlines: np.ndarray,
     Returns ``(eff, durations, energy)`` with ``energy`` already ``inf`` on
     infeasible (instance, subset) rows.
     """
-    B = W.shape[0]
-    S = masks.shape[0]
     single_floor = np.maximum(frel, pfmin)
 
     eff = W[:, None, :] * (1.0 + masks[None, :, :])              # (B, S, n)
@@ -443,30 +492,17 @@ def _tricrit_chain_core(W: np.ndarray, deadlines: np.ndarray,
     min_time = lower.sum(axis=2)
     infeasible = bad_floor | (min_time > deadlines[:, None] * (1.0 + 1e-12))
 
-    # Vectorized water-filling: find t with sum(clip(t*eff, lower, upper))
-    # equal to the deadline (or saturate at the loose end), for every
-    # (instance, subset) row at once.
+    # Water-filling: t with sum(clip(t*eff, lower, upper)) equal to the
+    # deadline, or the loose end when every task fits at its upper bound.
     max_time = upper.sum(axis=2)
-    t_hi = (1.0 / floor).max(axis=2) + 1.0
-    t = np.where(max_time <= deadlines[:, None], t_hi, 0.0)
+    t = np.where(max_time <= deadlines[:, None],
+                 (1.0 / floor).max(axis=2) + 1.0, 0.0)
     active = (~infeasible & (min_time < deadlines[:, None])
               & (deadlines[:, None] < max_time))
-    if np.any(active):
-        lo_b = np.zeros((B, S))
-        hi_b = t_hi.copy()
-        # Per-cell stop: a row's answer must not depend on the rows
-        # batched with it.
-        pending = active.copy()
-        for _ in range(200):
-            mid = 0.5 * (lo_b + hi_b)
-            total = np.clip(mid[:, :, None] * eff, lower, upper).sum(axis=2)
-            shrink = total >= deadlines[:, None]
-            hi_b = np.where(pending & shrink, mid, hi_b)
-            lo_b = np.where(pending & ~shrink, mid, lo_b)
-            pending &= ~(hi_b - lo_b <= 1e-12 * np.maximum(1.0, np.abs(hi_b)))
-            if not pending.any():
-                break
-        t = np.where(active, 0.5 * (lo_b + hi_b), t)
+    bi, si = np.nonzero(active)
+    if bi.size:
+        t[bi, si] = _fill_cells(W, deadlines, pfmax, reexec_floor,
+                                single_floor, masks, upper, bi, si)
 
     durations = np.clip(t[:, :, None] * eff, lower, upper)
     # A full-shape exponent: numpy picks its power loop by the operands'

@@ -23,6 +23,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ..core.problems import BiCritProblem, TriCritProblem
+from ..core.reliability import equal_reexecution_floor
 from ..core.speeds import (
     ContinuousSpeeds,
     DiscreteSpeeds,
@@ -81,7 +82,6 @@ class SolverContext:
 
     def __init__(self, problem: BiCritProblem) -> None:
         self.problem = problem
-        self._reexec_floor_cache: dict[TaskId, float] = {}
 
     # ------------------------------------------------------------------
     # construction / memoization
@@ -233,22 +233,35 @@ class SolverContext:
 
         The subset-enumeration solvers query the same floors for every one
         of their ``2^n`` restricted solves, and the fork solver for every
-        source finish time it tries, so each floor is computed once here.
+        source finish time it tries, so a positive-weight task's floor is
+        read from :attr:`reexecution_floors`.
         """
-        floor = self._reexec_floor_cache.get(task)
+        floor = self.reexecution_floors.get(task)
         if floor is None:
+            # A zero-weight task: it never runs, so no memo is kept.
             # Imported here: the continuous package imports this module.
             from ..continuous.tricrit_chain import reexecution_speed_floor
 
             floor = reexecution_speed_floor(self.reliability, self.graph.weight(task),
                                             self.problem.platform.fmin)
-            self._reexec_floor_cache[task] = floor
         return floor
 
     @cached_property
     def reexecution_floors(self) -> dict[TaskId, float]:
-        """Re-execution speed floors for every positive-weight task."""
-        return {t: self.reexecution_floor(t) for t in self.positive_tasks}
+        """Re-execution speed floors for every positive-weight task.
+
+        One :func:`~repro.core.reliability.equal_reexecution_floor` call
+        over the task weights; every cell is computed on its own, so each
+        floor is bit for bit the scalar
+        :func:`~repro.continuous.tricrit_chain.reexecution_speed_floor`.
+        """
+        model = self.reliability
+        tasks = self.positive_tasks
+        weights = np.array([self.graph.weight(t) for t in tasks], dtype=float)
+        floors = np.maximum(self.problem.platform.fmin, equal_reexecution_floor(
+            weights, model.fmin, model.fmax, model.lambda0, model.sensitivity,
+            model.frel))
+        return dict(zip(tasks, floors.tolist()))
 
     # ------------------------------------------------------------------
     # compiled arrays

@@ -110,6 +110,7 @@ class _Instance:
     hi_r: np.ndarray
     single_ok: np.ndarray
     reexec_ok: np.ndarray
+    tau: np.ndarray  # switch price per task, from its floor speeds
     exponent: float
     method: str
 
@@ -119,6 +120,26 @@ class _Instance:
         self._proc_index = [np.flatnonzero(self.proc == p)
                             for p in range(int(self.proc.max()) + 1
                                            if self.proc.size else 0)]
+        # Dual-bound constants, fixed per instance.  Per processor, the
+        # sorted prices at which any option's duration can hit a clip point
+        # or any task's choice can switch: a node's own breakpoints are a
+        # subset, and the extra ones only split a segment on which the
+        # supergradient keeps its form.  The bound prices each switch from
+        # the speeds its duration caps imply, ``w/hi``: at a tie the
+        # maximiser sits on a switch price and its completion pick follows
+        # these bits, so the search's node and subset counts do too.
+        a = self.exponent
+        with np.errstate(divide="ignore", invalid="ignore"):
+            self._dual_tau = _switch_prices(self.w / self.hi_s,
+                                            2.0 * self.w / self.hi_r, a)
+            clip_prices = (a - 1.0) * np.stack([
+                self.w / self.lo_s, self.w / self.hi_s,
+                2.0 * self.w / self.lo_r, 2.0 * self.w / self.hi_r]) ** a
+        self._breakpoints = []
+        for idx in self._proc_index:
+            bp = np.concatenate([clip_prices[:, idx].ravel(),
+                                 self._dual_tau[idx]])
+            self._breakpoints.append(np.unique(bp[(bp > 0.0) & np.isfinite(bp)]))
 
     @property
     def evaluations(self) -> int:
@@ -200,17 +221,21 @@ def _build_instance(problem: TriCritProblem, ctx: SolverContext,
             proc_of[t] = p
     proc = np.array([proc_of[t] for t in tasks], dtype=int) if n else np.zeros(0, int)
     s = np.full(n, max(model.frel, platform.fmin))
-    fr = np.array([ctx.reexecution_floor(t) for t in tasks]) if n else np.zeros(0)
+    fr = np.fromiter(ctx.reexecution_floors.values(), dtype=float, count=n)
     single_ok = s <= fmax * (1.0 + 1e-12)
     reexec_ok = fr <= fmax * (1.0 + 1e-12)
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore"):
         hi_s = np.where(single_ok, w / s, 0.0)
         hi_r = np.where(reexec_ok, 2.0 * w / fr, 0.0)
+        # From the floor speeds themselves: tasks sharing both floors get
+        # bit-identical prices, so the threshold order ties them by index.
+        tau = _switch_prices(s, fr, a)
     return _Instance(
         problem=problem, ctx=ctx, tasks=tasks, w=w, proc=proc,
         lo_s=w / fmax, hi_s=hi_s,
         lo_r=2.0 * w / fmax, hi_r=hi_r,
-        single_ok=single_ok, reexec_ok=reexec_ok, exponent=a, method=method,
+        single_ok=single_ok, reexec_ok=reexec_ok, tau=tau, exponent=a,
+        method=method,
     )
 
 
@@ -259,8 +284,7 @@ def _switch_ratio(a: float) -> float:
                         - 2.0 * a * u ** (a - 1.0), 0.0, 1.0, xtol=1e-300))
 
 
-def _switch_prices(w: np.ndarray, hi_s: np.ndarray, hi_r: np.ndarray,
-                   a: float) -> np.ndarray:
+def _switch_prices(s: np.ndarray, fr: np.ndarray, a: float) -> np.ndarray:
     """Per-task multiplier at which the dual choice leaves re-execution.
 
     Re-execution doubles the duration at every price (``d_r >= 2 d_s``), so
@@ -271,8 +295,6 @@ def _switch_prices(w: np.ndarray, hi_s: np.ndarray, hi_r: np.ndarray,
     (:func:`_switch_ratio`) once only the single run does; with both free
     ``v_r = 2 v_s``, so the crossing always comes before ``sigma = s``.
     """
-    s = w / hi_s
-    fr = 2.0 * w / hi_r
     linear = (s ** (a - 1.0) - 2.0 * fr ** (a - 1.0)) / (2.0 / fr - 1.0 / s)
     free = (a - 1.0) * (_switch_ratio(a) * s) ** a
     return np.where(linear <= (a - 1.0) * fr ** a, np.maximum(linear, 0.0),
@@ -294,10 +316,11 @@ def _dual_bound(inst: _Instance, allow_s: np.ndarray, allow_r: np.ndarray,
     ``sum_i d_i(lam) - D`` is piecewise ``A + B lam^(-1/a)``: it changes form
     only where an option's duration hits a clip point,
     ``lam = (a-1) (eff/lo)^a`` or ``(a-1) (eff/cap)^a``, and where a task's
-    choice switches (:func:`_switch_prices`).  The supergradient is
-    evaluated at every sorted breakpoint at once; inside the bracketing
-    interval its root is ``lam = (a-1) (B / (D - A))^a``, and when it jumps
-    over zero the breakpoint itself is the maximiser.  Any ``lam`` yields a
+    choice switches (:func:`_switch_prices`); the instance holds every
+    such price per processor.  The supergradient is evaluated at every
+    sorted breakpoint at once; inside the bracketing interval its root is
+    ``lam = (a-1) (B / (D - A))^a``, and when it jumps over zero the
+    breakpoint itself is the maximiser.  Any ``lam`` yields a
     valid bound, so rounding here costs tightness only.
     """
     inst.bound_evaluations += 1
@@ -306,7 +329,7 @@ def _dual_bound(inst: _Instance, allow_s: np.ndarray, allow_r: np.ndarray,
     total = 0.0
     pick = np.zeros(len(inst.tasks), dtype=bool)
     exact = True
-    for idx in inst._proc_index:
+    for idx, bp in zip(inst._proc_index, inst._breakpoints):
         if idx.size == 0:
             continue
         a_s, a_r = allow_s[idx], allow_r[idx]
@@ -347,14 +370,8 @@ def _dual_bound(inst: _Instance, allow_s: np.ndarray, allow_r: np.ndarray,
             continue
         exact = False
 
-        both = a_s & a_r
-        with np.errstate(divide="ignore", invalid="ignore"):
-            tau = np.where(both, _switch_prices(w, hi_s, hi_r, a),
-                           np.where(a_r, math.inf, -math.inf))
-            clip_speeds = np.concatenate([w / lo_s, w / cap_s,
-                                          2.0 * w / lo_r, 2.0 * w / cap_r])
-        bp = np.concatenate([(a - 1.0) * clip_speeds ** a, tau[both]])
-        bp = np.unique(bp[(bp > 0.0) & np.isfinite(bp)])
+        tau = np.where(a_s & a_r, inst._dual_tau[idx],
+                       np.where(a_r, math.inf, -math.inf))
 
         def durations(lam: np.ndarray) -> tuple[np.ndarray, np.ndarray,
                                                 np.ndarray, np.ndarray]:
@@ -395,59 +412,22 @@ def _dual_bound(inst: _Instance, allow_s: np.ndarray, allow_r: np.ndarray,
     return total, pick, exact
 
 
-def _threshold_taus(inst: _Instance, idx: np.ndarray) -> np.ndarray:
-    """Per-task multiplier at which re-execution stops paying.
-
-    For each task, the dual option values ``v_r(lam)`` and ``v_s(lam)`` cross
-    as the deadline price ``lam`` grows (re-execution doubles the minimum
-    duration, so a high price always favours the single run); the crossing
-    point orders the tasks by how much slack they need before their
-    re-execution becomes worthwhile.  Vectorized bisection, heuristic use
-    only (incumbent generation), so an approximate crossing is fine.
-    """
-    a = inst.exponent
-    w = inst.w[idx]
-    lo_s, hi_s = inst.lo_s[idx], inst.hi_s[idx]
-    lo_r, hi_r = inst.lo_r[idx], inst.hi_r[idx]
-
-    def h(lam):
-        lam = np.maximum(lam, 1e-300)
-        scale = ((a - 1.0) / lam) ** (1.0 / a)
-        d_s = np.clip(w * scale, lo_s, hi_s)
-        d_r = np.clip(2.0 * w * scale, lo_r, hi_r)
-        v_s = _exec_energy(w, d_s, a) + lam * d_s
-        v_r = _exec_energy(2.0 * w, d_r, a) + lam * d_r
-        return v_r - v_s
-
-    hi = np.ones(idx.size)
-    for _ in range(120):
-        pending = h(hi) < 0.0
-        if not pending.any():
-            break
-        hi[pending] *= 4.0
-    lo = np.zeros(idx.size)
-    for _ in range(50):
-        mid = 0.5 * (lo + hi)
-        below = h(mid) < 0.0
-        lo[below] = mid[below]
-        hi[~below] = mid[~below]
-    return 0.5 * (lo + hi)
-
-
 def _threshold_incumbent(inst: _Instance, forced_in: set,
                          free: list) -> tuple[float, frozenset] | None:
     """Best feasible subset over the dual-threshold prefix family.
 
-    Orders the free tasks by decreasing crossing threshold and evaluates the
-    prefix subsets on a coarse-then-refined grid of prefix lengths: the
-    optimum is usually close to a threshold set in this ordering, so this
-    lands a near-optimal incumbent with ``O(log n)``-ish restricted solves.
+    Orders the free tasks by decreasing switch price -- the multiplier at
+    which their re-execution stops paying (:func:`_switch_prices`) -- and
+    evaluates the prefix subsets on a coarse-then-refined grid of prefix
+    lengths: the optimum is usually close to a threshold set in this
+    ordering, so this lands a near-optimal incumbent with ``O(log n)``-ish
+    restricted solves.
     """
     base = frozenset(inst.tasks[i] for i in forced_in)
     if not free:
         ev = inst.evaluate(base)
         return (ev.energy, base) if ev.feasible else None
-    taus = _threshold_taus(inst, np.asarray(free, dtype=int))
+    taus = inst.tau[np.asarray(free, dtype=int)]
     order = [i for _, i in sorted(zip(-taus, free))]
     m = len(order)
 

@@ -1,8 +1,9 @@
 """Bisection oracles for the closed forms of the library.
 
-The library computes the re-execution speed floor and the pruned search's
-per-processor dual maximum in closed form.  The bisections they replaced
-live on here, unchanged, as independent references for the property tests.
+The library computes the re-execution speed floor, the pruned search's
+per-processor dual maximum and the bounded water-fill's common scale in
+closed form.  The bisections they replaced live on here, unchanged, as
+independent references for the property tests.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import math
 import numpy as np
 
 from repro.core.reliability import ReliabilityModel
+from repro.optimize.bisection import solve_monotone_increasing
 from repro.solvers.pruned import _exec_energy
 
 
@@ -116,3 +118,36 @@ def bisection_dual_bound(inst, allow_s: np.ndarray, allow_r: np.ndarray
         total += best
         pick[idx] = best_choose
     return total, pick, exact
+
+
+def bisection_waterfill(weights, deadline: float, lower, upper, *,
+                        exponent: float = 3.0, tol: float = 1e-12
+                        ) -> tuple[np.ndarray, float]:
+    """``(durations, energy)`` of the bounded water-fill, with the common
+    scale ``t`` of ``sum clip(t w, lower, upper) = D`` found by bracketing
+    and bisection.  Feasible, non-degenerate inputs only."""
+    w = np.asarray(weights, dtype=float)
+    lower = np.asarray(lower, dtype=float)
+    upper = np.asarray(upper, dtype=float)
+    positive = w > 0
+
+    def total_time(t: float) -> float:
+        d = np.clip(t * w, lower, upper)
+        return float(np.sum(d[positive]))
+
+    t_lo = 0.0
+    finite_upper = np.isfinite(upper[positive])
+    if np.all(finite_upper):
+        t_hi = float(np.max(upper[positive] / w[positive])) + 1.0
+    else:
+        t_hi = max(deadline / float(np.sum(w[positive])), 1.0)
+        while total_time(t_hi) < deadline and t_hi < 1e18:
+            t_hi *= 2.0
+
+    t_star = solve_monotone_increasing(total_time, deadline, t_lo, t_hi, tol=tol)
+    durations = np.clip(t_star * w, lower, upper)
+    durations[~positive] = 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        per_task = np.where(positive,
+                            w * (w / durations) ** (exponent - 1.0), 0.0)
+    return durations, float(np.sum(per_task))

@@ -35,7 +35,7 @@ FIXTURES = Path(__file__).parent / "fixtures" / "analysis"
 #: Rules whose fixtures can be analysed by on-disk path.  REP004 exempts
 #: the tests/ tree, so its fixtures are driven through FileContext below.
 PATH_DRIVEN_RULES = ["REP001", "REP002", "REP003", "REP005", "REP006",
-                     "REP007"]
+                     "REP007", "REP008"]
 
 
 def findings_for(filename: str, rule_id: str):
@@ -243,7 +243,7 @@ def test_cli_list_rules(capsys):
     assert main(["--list-rules"]) == 0
     out = capsys.readouterr().out
     for rule_id in ["REP001", "REP002", "REP003", "REP004", "REP005",
-                    "REP006", "REP007"]:
+                    "REP006", "REP007", "REP008"]:
         assert rule_id in out
 
 

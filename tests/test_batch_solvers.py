@@ -242,8 +242,8 @@ class TestTriCritChainEquivalence:
     @example(rows=[([1.0, 2.0], 2.5 + i) for i in range(4)], lambda0=1e-4)
     @settings(max_examples=15, deadline=None)
     def test_each_row_equals_the_row_solved_alone(self, rows, lambda0):
-        # The bisections stop per cell, so the other rows of a batch cannot
-        # move a row's answer, not even in the last bit.
+        # Each cell is filled on its own, so the other rows of a batch
+        # cannot move a row's answer, not even in the last bit.
         together = solve_batch([tricrit_chain_problem(w, slack, lambda0)
                                 for w, slack in rows])
         for (w, slack), row in zip(rows, together):
@@ -252,6 +252,30 @@ class TestTriCritChainEquivalence:
             assert alone.metadata.get("reexecuted") == row.metadata.get("reexecuted")
             if row.feasible:
                 assert alone.wire_view == row.wire_view
+
+
+    @given(st.lists(st.floats(min_value=0.1, max_value=5.0), min_size=1,
+                    max_size=7, unique=True),
+           st.floats(min_value=1.0, max_value=4.0),
+           st.sampled_from([1e-5, 1e-4, 1e-3]))
+    @example(weights=[0.3 + 0.41 * i for i in range(12)], slack=1.6,
+             lambda0=1e-4)
+    @settings(max_examples=25, deadline=None)
+    def test_kernel_matches_the_scalar_subset_enumeration(self, weights,
+                                                          slack, lambda0):
+        # The kernel's exact fill against the scalar water-fill of
+        # solve_with_reexec_set over the same 2^n subsets.  Distinct
+        # weights leave no two subsets tied in exact arithmetic.
+        [kernel] = solve_batch([tricrit_chain_problem(weights, slack,
+                                                      lambda0)])
+        scalar = solve(tricrit_chain_problem(weights, slack, lambda0),
+                       "tricrit-chain-exact")
+        assert kernel.status == scalar.status
+        assert kernel.metadata["subsets_evaluated"] \
+            == scalar.metadata["subsets_evaluated"] == 2 ** len(weights)
+        if scalar.feasible:
+            assert abs(kernel.energy - scalar.energy) <= 1e-12 * scalar.energy
+            assert kernel.metadata["reexecuted"] == scalar.metadata["reexecuted"]
 
 
 class TestSeriesParallelFallback:

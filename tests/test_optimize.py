@@ -17,6 +17,7 @@ from repro.optimize.bisection import (
     expand_bracket,
     solve_monotone_increasing,
 )
+from tests.oracles import bisection_waterfill
 
 
 class TestBisection:
@@ -141,3 +142,71 @@ class TestAllocation:
         uniform_speed = max(float(np.sum(weights)) / deadline, 0.05)
         uniform_energy = float(np.sum(weights * uniform_speed ** 2))
         assert result.energy <= uniform_energy + 1e-6 * max(1.0, uniform_energy)
+
+
+@st.composite
+def waterfill_cases(draw):
+    """Bounded water-fill inputs built like the TRI-CRIT restricted solve:
+    ``lower = eff/fmax``, ``upper = eff/floor`` with a per-task floor (or
+    none: an infinite upper bound, or ``floor == fmax``: a zero-width
+    interval), zero-weight tasks at ``[0, 0]``, and a deadline anywhere
+    from just above the minimum time to past the maximum."""
+    n = draw(st.integers(min_value=1, max_value=8))
+    eff = np.array(draw(st.lists(
+        st.one_of(st.just(0.0), st.floats(min_value=1e-2, max_value=10.0)),
+        min_size=n, max_size=n)))
+    floors = np.array(draw(st.lists(st.one_of(
+        st.just(0.0), st.just(1.0), st.floats(min_value=0.05, max_value=1.0)),
+        min_size=n, max_size=n)))
+    lower = eff / 1.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        upper = np.where(eff > 0, eff / floors, 0.0)
+    positive = eff > 0
+    min_time = float(np.sum(lower))
+    max_time = float(np.sum(upper[positive]))
+    kind = draw(st.sampled_from(["between", "tight", "loose"]))
+    if kind == "tight" or min_time == 0.0:  # repro: allow[REP006] -- sum of assigned zeros
+        deadline = max(min_time, 1e-3) * (1.0 + draw(st.sampled_from(
+            [0.0, 1e-13, 1e-11, 1e-9])))
+    elif kind == "loose" and np.isfinite(max_time):
+        deadline = max_time * draw(st.floats(min_value=1.0, max_value=3.0))
+    else:
+        deadline = min_time * draw(st.floats(min_value=1.0 + 1e-9,
+                                             max_value=20.0))
+    return eff, lower, upper, deadline
+
+
+class TestExactWaterfill:
+    @given(waterfill_cases(), st.sampled_from([2.0, 3.0]))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_bisection_oracle(self, case, exponent):
+        eff, lower, upper, deadline = case
+        result = allocate_durations_with_bounds(eff, deadline, lower, upper,
+                                                exponent=exponent)
+        positive = eff > 0
+        d = result.durations
+        assert np.all(d[~positive] == 0.0)
+        assert np.all(d[positive] >= lower[positive])
+        assert np.all(d[positive] <= upper[positive])
+        # The whole deadline is used, unless every task sits at its bound.
+        at_upper = np.array_equal(d[positive], upper[positive])
+        at_lower = np.array_equal(d[positive], lower[positive])
+        assert at_upper or at_lower or \
+            abs(result.total_time - deadline) <= 1e-12 * deadline
+        if at_lower or not np.any(positive):
+            return  # the degenerate point, not a fill
+        # The oracle bisects far below its default tolerance, so its own
+        # error sits under the 1e-12 held here.
+        _, energy = bisection_waterfill(eff, deadline, lower, upper,
+                                        exponent=exponent, tol=1e-15)
+        assert abs(result.energy - energy) <= 1e-12 * energy
+
+    def test_saturation_is_read_from_the_clip(self):
+        weights = np.array([1.0, 2.0, 4.0])
+        lower = weights / 2.0
+        upper = np.array([1.0, np.inf, 4.0])
+        result = allocate_durations_with_bounds(weights, 10.0, lower, upper)
+        assert list(result.saturated_upper) == [True, False, True]
+        assert not np.any(result.saturated_lower)
+        assert list(result.durations) == pytest.approx([1.0, 5.0, 4.0],
+                                                       rel=1e-15)

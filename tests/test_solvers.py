@@ -136,6 +136,27 @@ class TestSolverContext:
             assert ctx.reexecution_floor(t) == pytest.approx(direct)
         assert set(ctx.reexecution_floors) == set(ctx.positive_tasks)
 
+    @pytest.mark.parametrize("scalar_first", [True, False])
+    @pytest.mark.parametrize("lambda0", [1e-5, 1e-4, 1e-3])
+    def test_reexecution_floors_are_the_scalar_floors(self, scalar_first,
+                                                      lambda0):
+        # One array call fills every floor; each must be the scalar
+        # closed form bit for bit, whichever accessor is queried first.
+        spec = chain_suite(sizes=(12,), slacks=(2.0,), seed=17)[0]
+        problem = tricrit_problem(spec, lambda0=lambda0)
+        model = problem.reliability()
+        expected = {t: reexecution_speed_floor(model, problem.graph.weight(t),
+                                               problem.platform.fmin)
+                    for t in problem.graph.tasks()}
+        ctx = SolverContext.for_problem(problem)
+        if scalar_first:
+            assert {t: ctx.reexecution_floor(t) for t in expected} == expected
+        assert ctx.reexecution_floors == {t: expected[t]
+                                          for t in ctx.positive_tasks}
+        assert {t: ctx.reexecution_floor(t) for t in expected} == expected
+        assert any(problem.platform.fmin < f < model.frel
+                   for f in expected.values())
+
     def test_bounds_and_feasibility(self):
         problem = bicrit_problem(_small_instances()["dag"])
         ctx = SolverContext.for_problem(problem)
