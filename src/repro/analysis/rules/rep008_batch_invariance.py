@@ -2,7 +2,7 @@
 
 A batch kernel must give a row the same answer, bit for bit, whether the
 row is solved alone or beside others.  Two constructs broke that in the
-TRI-CRIT chain kernel (fixed in PR 15):
+TRI-CRIT chain kernel, both since fixed:
 
 * a loop stopped by a whole-array test -- ``if not pending.any(): break``
   -- runs every row until the *slowest* row converges, so a row's last

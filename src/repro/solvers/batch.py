@@ -21,7 +21,7 @@ array program straight off the ragged weight arrays:
 * **TRI-CRIT chain subset enumeration** -- instances with the same number of
   positive tasks share one ``(2^n, n)`` re-execution mask table; the
   restricted "slow everything equally" allocations of *every subset of every
-  instance* are solved by a single vectorized water-filling bisection over a
+  instance* are solved by one exact vectorized water-fill over a
   ``(batch, subsets, tasks)`` tensor, and the per-task re-execution speed
   floors come from one array call of the closed form
   :func:`~repro.core.reliability.equal_reexecution_floor`;
@@ -448,7 +448,8 @@ def _fill_cells(W: np.ndarray, deadlines: np.ndarray, pfmax: np.ndarray,
                            (W[bi] * single).sum(axis=1)[:, None]], axis=1)
     sat = np.concatenate([np.where(mask, up, 0.0),
                           (up * single).sum(axis=1)[:, None]], axis=1)
-    rows = np.arange(bi.size)[:, None]
+    m = np.arange(bi.size)
+    rows = m[:, None]
     at = np.take_along_axis(at[bi], order, axis=1)
     gain = gain[rows, order]
     # H_j: a forward sum of saturated bounds; E_j: a suffix sum of the gains
@@ -461,7 +462,6 @@ def _fill_cells(W: np.ndarray, deadlines: np.ndarray, pfmax: np.ndarray,
     # No event reaches D only when the sums round below max_time: the cell
     # then saturates at its last event.
     j = np.where(reached.any(axis=1), reached.argmax(axis=1), n)
-    m = np.arange(bi.size)
     prev_sat = np.where(j > 0, saturated[m, j - 1], 0.0)
     prev_free = free[m, j]
     left = np.where(j > 0, at[m, j - 1], 1.0 / pfmax[bi])

@@ -151,7 +151,7 @@ class _Instance:
         All positive tasks serialise within the deadline, so the restricted
         problem is exactly the bounded water-filling -- with the duration
         intervals (hence the memoized reliability floors) read straight off
-        the precomputed arrays instead of re-bisecting them per solve.
+        the precomputed arrays instead of recomputing them per solve.
         ``None`` when the subset is infeasible.
         """
         mask_r = np.fromiter((t in subset for t in self.tasks), dtype=bool,

@@ -73,11 +73,11 @@ def fork_problem(source_weight, child_weights, slack, fmin=0.05, fmax=2.0,
     return BiCritProblem(mapping, platform, deadline)
 
 
-def tricrit_chain_problem(weights, slack, lambda0=1e-4):
+def tricrit_chain_problem(weights, slack, lambda0=1e-4, frel=None):
     graph = generators.chain(weights)
     mapping = Mapping.single_processor(graph)
     reliability = ReliabilityModel(fmin=0.1, fmax=1.0, lambda0=lambda0,
-                                   sensitivity=3.0)
+                                   sensitivity=3.0, frel=frel)
     platform = Platform(1, ContinuousSpeeds(0.1, 1.0),
                         reliability_model=reliability)
     deadline = max(slack * graph.total_weight(), 1e-6)
@@ -257,19 +257,23 @@ class TestTriCritChainEquivalence:
     @given(st.lists(st.floats(min_value=0.1, max_value=5.0), min_size=1,
                     max_size=7, unique=True),
            st.floats(min_value=1.0, max_value=4.0),
-           st.sampled_from([1e-5, 1e-4, 1e-3]))
+           st.sampled_from([1e-5, 1e-4, 1e-3]),
+           st.sampled_from([None, 0.8, 0.6]))
     @example(weights=[0.3 + 0.41 * i for i in range(12)], slack=1.6,
-             lambda0=1e-4)
-    @settings(max_examples=25, deadline=None)
+             lambda0=1e-4, frel=0.7)
+    @settings(max_examples=30, deadline=None)
     def test_kernel_matches_the_scalar_subset_enumeration(self, weights,
-                                                          slack, lambda0):
+                                                          slack, lambda0,
+                                                          frel):
         # The kernel's exact fill against the scalar water-fill of
         # solve_with_reexec_set over the same 2^n subsets.  Distinct
-        # weights leave no two subsets tied in exact arithmetic.
-        [kernel] = solve_batch([tricrit_chain_problem(weights, slack,
-                                                      lambda0)])
-        scalar = solve(tricrit_chain_problem(weights, slack, lambda0),
-                       "tricrit-chain-exact")
+        # weights leave no two subsets tied in exact arithmetic; with
+        # frel < fmax the single runs are free too, not pinned at fmax.
+        def problem():
+            return tricrit_chain_problem(weights, slack, lambda0, frel)
+
+        [kernel] = solve_batch([problem()])
+        scalar = solve(problem(), "tricrit-chain-exact")
         assert kernel.status == scalar.status
         assert kernel.metadata["subsets_evaluated"] \
             == scalar.metadata["subsets_evaluated"] == 2 ** len(weights)

@@ -151,21 +151,22 @@ def waterfill_cases(draw):
     none: an infinite upper bound, or ``floor == fmax``: a zero-width
     interval), zero-weight tasks at ``[0, 0]``, and a deadline anywhere
     from just above the minimum time to past the maximum."""
+    fmax = 1.0
     n = draw(st.integers(min_value=1, max_value=8))
     eff = np.array(draw(st.lists(
         st.one_of(st.just(0.0), st.floats(min_value=1e-2, max_value=10.0)),
         min_size=n, max_size=n)))
     floors = np.array(draw(st.lists(st.one_of(
-        st.just(0.0), st.just(1.0), st.floats(min_value=0.05, max_value=1.0)),
+        st.just(0.0), st.just(fmax), st.floats(min_value=0.05, max_value=fmax)),
         min_size=n, max_size=n)))
-    lower = eff / 1.0
+    lower = eff / fmax
     with np.errstate(divide="ignore", invalid="ignore"):
         upper = np.where(eff > 0, eff / floors, 0.0)
     positive = eff > 0
     min_time = float(np.sum(lower))
     max_time = float(np.sum(upper[positive]))
     kind = draw(st.sampled_from(["between", "tight", "loose"]))
-    if kind == "tight" or min_time == 0.0:  # repro: allow[REP006] -- sum of assigned zeros
+    if kind == "tight" or min_time <= 0.0:
         deadline = max(min_time, 1e-3) * (1.0 + draw(st.sampled_from(
             [0.0, 1e-13, 1e-11, 1e-9])))
     elif kind == "loose" and np.isfinite(max_time):

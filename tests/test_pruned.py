@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -45,6 +46,7 @@ from repro.solvers.context import SolverContext
 from repro.solvers.pruned import (
     _build_instance,
     _dual_bound,
+    _exec_energy,
     solve_tricrit_pruned,
     solve_tricrit_pruned_gap,
 )
@@ -206,6 +208,47 @@ class TestDualBound:
             solver_name="tricrit-exhaustive")
         if best.feasible:
             assert bound <= best.energy * (1.0 + REL)
+
+
+    @given(partial_assignments())
+    @settings(max_examples=30, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_switch_prices_are_the_option_crossings(self, case):
+        # The closed-form price that orders the threshold incumbents is
+        # where the dual's re-execution value overtakes the single one.
+        problem, _ = case
+        inst = _build_instance(problem, SolverContext.for_problem(problem),
+                               "auto")
+        a = inst.exponent
+
+        def overtake(i, lam):
+            scale = ((a - 1.0) / lam) ** (1.0 / a)
+            d_s = np.clip(inst.w[i] * scale, inst.lo_s[i], inst.hi_s[i])
+            d_r = np.clip(2.0 * inst.w[i] * scale, inst.lo_r[i], inst.hi_r[i])
+            return (_exec_energy(2.0 * inst.w[i], d_r, a) + lam * d_r
+                    - _exec_energy(inst.w[i], d_s, a) - lam * d_s)
+
+        for i in np.flatnonzero(inst.single_ok & inst.reexec_ok):
+            tau = float(inst.tau[i])
+            scale = max(tau, 1e-12)
+            assert overtake(i, tau + 1e-6 * scale) > 0.0
+            if tau > 0.0:
+                assert overtake(i, tau - 1e-6 * scale) < 0.0
+
+    def test_tasks_sharing_their_floors_tie_exactly(self):
+        # Every re-execution floor clamps at fmin, so all switch prices are
+        # one number and the threshold order keeps task order.  (Prices
+        # recovered from the duration caps, w / (w / frel), differ in the
+        # last bit once frel < fmax.)
+        graph = generators.random_chain(12, seed=0)
+        model = ReliabilityModel(fmin=0.1, fmax=1.0, lambda0=1e-7, frel=0.7)
+        platform = Platform(1, ContinuousSpeeds(0.1, 1.0),
+                            reliability_model=model)
+        problem = TriCritProblem(Mapping.single_processor(graph), platform,
+                                 2.0 * graph.total_weight())
+        inst = _build_instance(problem, SolverContext.for_problem(problem),
+                               "auto")
+        assert len(set(inst.tau.tolist())) == 1
 
 
 # ----------------------------------------------------------------------
