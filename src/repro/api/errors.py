@@ -10,6 +10,7 @@ HTTP transport maps each code to a fixed status via :data:`HTTP_STATUS`.
 Inside the process the same information travels as an :class:`ApiError`
 exception; :func:`error_from_exception` translates the library's own
 exception types (:class:`~repro.solvers.descriptors.InadmissibleSolverError`,
+:class:`~repro.solvers.descriptors.UnknownSolverOptionError`,
 :class:`~repro.solvers.dispatch.NoAdmissibleSolverError`,
 :class:`~repro.core.problems.InfeasibleProblemError`) into it at the facade,
 so no consumer of :mod:`repro.api` ever needs to import solver internals to
@@ -134,10 +135,16 @@ def error_from_exception(exc: BaseException) -> ApiError:
     if isinstance(exc, ApiError):
         return exc
     from ..core.problems import InfeasibleProblemError
-    from ..solvers import InadmissibleSolverError, NoAdmissibleSolverError
+    from ..solvers import (
+        InadmissibleSolverError,
+        NoAdmissibleSolverError,
+        UnknownSolverOptionError,
+    )
 
     if isinstance(exc, InadmissibleSolverError):
         return ApiError(INADMISSIBLE_SOLVER, str(exc))
+    if isinstance(exc, UnknownSolverOptionError):
+        return ApiError(INVALID_REQUEST, str(exc))
     if isinstance(exc, NoAdmissibleSolverError):
         return ApiError(NO_ADMISSIBLE_SOLVER, str(exc))
     if isinstance(exc, InfeasibleProblemError):

@@ -50,7 +50,6 @@ def _closed_form_to_result(problem: BiCritProblem, solution: ClosedFormSolution,
 
 
 def solve_bicrit_continuous(problem: BiCritProblem, *, prefer_closed_form: bool = True,
-                            method: str = "auto",
                             context: SolverContext | None = None) -> SolveResult:
     """Solve BI-CRIT under the CONTINUOUS model, choosing the best route.
 
@@ -59,8 +58,8 @@ def solve_bicrit_continuous(problem: BiCritProblem, *, prefer_closed_form: bool 
     with one task per processor use the paper's fork theorem, series-parallel
     graphs whose mapping adds no serialisation use the equivalent-weight
     recursion; every other instance (or any closed form whose speeds would
-    violate the platform bounds) is solved by the numerical convex program,
-    selected by ``method`` (``"auto"``, ``"slsqp"`` or ``"trust-constr"``).
+    violate the platform bounds) is solved by the numerical convex program
+    of :mod:`repro.continuous.convex`.
     The returned :class:`~repro.core.problems.SolveResult` carries the chosen
     route in its metadata.  The structure probes come from the problem's
     memoized :class:`~repro.solvers.context.SolverContext` (pass ``context``
@@ -123,4 +122,4 @@ def solve_bicrit_continuous(problem: BiCritProblem, *, prefer_closed_form: bool 
                 pass
 
     # Route 4: general convex program.
-    return solve_bicrit_continuous_dag(problem, method=method)
+    return solve_bicrit_continuous_dag(problem)

@@ -14,10 +14,14 @@ In convex (posynomial-free) form the program is
 
 with decision variables the durations ``d_i`` and start times ``s_i``.  The
 objective is convex for ``a > 1`` and all constraints are linear, so any
-KKT point is a global optimum.  The solver uses scipy's ``trust-constr``
-(with analytic gradient and Hessian) and falls back to SLSQP; the result is
-cross-validated against the closed forms of
-:mod:`repro.continuous.closed_form` in the test suite and in experiment E1.
+KKT point is a global optimum.  One primal-dual interior-point method finds
+it (:func:`_interior_point`, an infeasible-start Mehrotra
+predictor-corrector; DESIGN.md states its KKT system, start, step and stop
+rules).  Its final duality gap bounds how far the returned energy can be
+above the optimum, and is reported as :attr:`ConvexResult.gap`.  The result
+is cross-validated against the closed forms of
+:mod:`repro.continuous.closed_form` in the test suite and in experiment E1,
+and against an independent SciPy optimiser in the tests.
 
 Per-task speed bounds and *effective weights* can be overridden, which is
 how the TRI-CRIT heuristics reuse this solver: a re-executed task appears
@@ -28,11 +32,11 @@ speed at which two executions still meet the reliability threshold.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from collections.abc import Mapping as TMapping
 
 import numpy as np
-from scipy import optimize as sciopt
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from ..core.problems import BiCritProblem, SolveResult
 from ..core.schedule import Schedule, TaskDecision
@@ -42,10 +46,20 @@ from ..platform.platform import Platform
 
 __all__ = ["ConvexResult", "solve_bicrit_convex", "solve_bicrit_continuous_dag"]
 
+#: Relative stop tolerance of the interior point: the duality gap and the
+#: dual residual against the energy, the primal residual against ``D``.
+_IPM_TOL = 1e-12
+_IPM_MAX_ITER = 100
+
 
 @dataclass
 class ConvexResult:
-    """Raw output of the convex solver (before being wrapped in a Schedule)."""
+    """Raw output of the convex solver (before being wrapped in a Schedule).
+
+    ``gap`` is the interior point's final duality gap ``s·z``: the returned
+    energy is at most ``gap`` above the optimum of the program, up to the
+    residuals, which the stop rule holds at float noise.
+    """
 
     durations: dict[TaskId, float]
     speeds: dict[TaskId, float]
@@ -54,7 +68,7 @@ class ConvexResult:
     status: str
     solver_message: str = ""
     iterations: int = 0
-    constraint_violation: float = 0.0
+    gap: float = 0.0
 
     @property
     def feasible(self) -> bool:
@@ -69,13 +83,75 @@ def _critical_path_durations(graph: TaskGraph, durations: TMapping[TaskId, float
     return max(finish.values(), default=0.0)
 
 
+def _max_step(v: np.ndarray, dv: np.ndarray) -> float:
+    """Largest ``alpha`` keeping ``v + alpha dv >= 0`` (``inf`` if any)."""
+    ratio = np.divide(-v, dv, out=np.full_like(v, np.inf), where=dv < 0.0)
+    return float(ratio.min())
+
+
+def _interior_point(G: np.ndarray, h: np.ndarray, w: np.ndarray, a: float,
+                    x: np.ndarray, scale: float,
+                    base: float) -> tuple[np.ndarray, float, int, str]:
+    """Minimise ``base + sum w (w/d)^(a-1)`` over ``x = [d, s]`` subject to
+    ``G x <= h``.
+
+    An infeasible-start Mehrotra predictor-corrector.  ``x`` must hold every
+    ``d`` strictly inside its box rows; every other row may be violated,
+    its slack starting at ``scale``.  Box rows start with their true slack,
+    so their residual stays zero and ``d`` stays positive.  Returns the
+    point, the duality gap ``s·z``, the iteration count and the status:
+    ``"optimal"`` once the gap and both residuals are at the stop
+    tolerance, else ``"feasible"`` when the primal residual is, else
+    ``"infeasible"``.
+    """
+    k = w.size
+    slack = h - G @ x
+    slack = np.where(slack > 0.0, slack, scale)
+    z = np.ones(h.size)
+    grad = np.zeros(x.size)
+    hess = np.zeros(x.size)
+    for iterations in range(_IPM_MAX_ITER + 1):
+        speed = w / x[:k]
+        energy = base + float(np.sum(w * speed ** (a - 1.0)))
+        grad[:k] = -(a - 1.0) * speed ** a
+        hess[:k] = a * (a - 1.0) * speed ** a / x[:k]
+        r_dual = grad + G.T @ z
+        r_primal = G @ x + slack - h
+        gap = float(slack @ z)
+        primal_ok = float(np.max(np.abs(r_primal))) <= _IPM_TOL * scale
+        status = "feasible" if primal_ok else "infeasible"
+        if primal_ok and gap <= _IPM_TOL * energy and \
+                scale * float(np.max(np.abs(r_dual))) <= _IPM_TOL * energy:
+            return x, gap, iterations, "optimal"
+        if iterations == _IPM_MAX_ITER:
+            break
+        factor, info = dpotrf(G.T @ (G * (z / slack)[:, None]) + np.diag(hess))
+        if info != 0:
+            break
+
+        def direction(r_comp: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+            dx = dpotrs(factor, G.T @ ((r_comp - z * r_primal) / slack) - r_dual)[0]
+            ds = -r_primal - G @ dx
+            return dx, ds, -(r_comp + z * ds) / slack
+
+        _, ds, dz = direction(slack * z)
+        alpha = min(1.0, _max_step(np.concatenate([slack, z]), np.concatenate([ds, dz])))
+        mu = gap / h.size
+        mu_aff = float((slack + alpha * ds) @ (z + alpha * dz)) / h.size
+        dx, ds, dz = direction(slack * z + ds * dz - (mu_aff / mu) ** 3 * mu)
+        alpha = min(1.0, 0.99 * _max_step(np.concatenate([slack, z]),
+                                          np.concatenate([ds, dz])))
+        x = x + alpha * dx
+        slack = slack + alpha * ds
+        z = z + alpha * dz
+    return x, float(slack @ z), iterations, status
+
+
 def solve_bicrit_convex(mapping: Mapping, platform: Platform, deadline: float, *,
                         effective_weights: TMapping[TaskId, float] | None = None,
                         min_speed: TMapping[TaskId, float] | float | None = None,
                         max_speed: TMapping[TaskId, float] | float | None = None,
-                        exponent: float | None = None,
-                        method: str = "auto",
-                        tol: float = 1e-10) -> ConvexResult:
+                        exponent: float | None = None) -> ConvexResult:
     """Solve the convex program described in the module docstring.
 
     Parameters
@@ -86,23 +162,7 @@ def solve_bicrit_convex(mapping: Mapping, platform: Platform, deadline: float, *
     min_speed / max_speed:
         Scalar or per-task speed bounds; default to the platform's
         ``fmin`` / ``fmax``.
-    method:
-        ``"slsqp"``, ``"trust-constr"``, or ``"auto"`` (default): try the
-        much faster SLSQP first and fall back to the more robust
-        trust-region solver when SLSQP does not report a clean optimum.
     """
-    if method == "auto":
-        fast = solve_bicrit_convex(mapping, platform, deadline,
-                                   effective_weights=effective_weights,
-                                   min_speed=min_speed, max_speed=max_speed,
-                                   exponent=exponent, method="slsqp", tol=tol)
-        if fast.status in ("optimal", "infeasible"):
-            return fast
-        return solve_bicrit_convex(mapping, platform, deadline,
-                                   effective_weights=effective_weights,
-                                   min_speed=min_speed, max_speed=max_speed,
-                                   exponent=exponent, method="trust-constr", tol=tol)
-
     graph = mapping.graph
     augmented = mapping.augmented_graph()
     if deadline <= 0:
@@ -117,7 +177,8 @@ def solve_bicrit_convex(mapping: Mapping, platform: Platform, deadline: float, *
         for t in tasks
     }
 
-    def bound_of(spec, default: float, task: TaskId) -> float:
+    def bound_of(spec: TMapping[TaskId, float] | float | None, default: float,
+                 task: TaskId) -> float:
         if spec is None:
             return default
         if isinstance(spec, (int, float)):
@@ -146,6 +207,9 @@ def solve_bicrit_convex(mapping: Mapping, platform: Platform, deadline: float, *
                             solver_message=(
                                 f"even at the maximum speeds the makespan is "
                                 f"{min_makespan:.6g} > D={deadline:.6g}"))
+    # Within that tolerance the deadline counts as met: solve at the
+    # maximum-speed makespan, so the program always has a feasible point.
+    deadline = max(deadline, min_makespan)
 
     if n == 0:
         durations = {t: 0.0 for t in tasks}
@@ -159,30 +223,6 @@ def solve_bicrit_convex(mapping: Mapping, platform: Platform, deadline: float, *
     ])
     d_upper = np.minimum(d_upper, deadline)  # a task can never exceed the deadline
 
-    # Variable vector x = [d (n), s (n)].
-    num_vars = 2 * n
-
-    def unpack(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return x[:n], x[n:]
-
-    def objective(x: np.ndarray) -> float:
-        d, _ = unpack(x)
-        # Speed forms of w^a / d^(a-1) and its derivatives: no 0/0
-        # underflow for tiny w and d.
-        return float(np.sum(w * (w / d) ** (a - 1.0)))
-
-    def gradient(x: np.ndarray) -> np.ndarray:
-        d, _ = unpack(x)
-        g = np.zeros(num_vars)
-        g[:n] = -(a - 1.0) * (w / d) ** a
-        return g
-
-    def hessian(x: np.ndarray) -> np.ndarray:
-        d, _ = unpack(x)
-        h = np.zeros((num_vars, num_vars))
-        h[np.arange(n), np.arange(n)] = a * (a - 1.0) * (w / d) ** a / d
-        return h
-
     # Linear constraints.  Precedence edges involving zero-weight tasks can be
     # contracted: a zero-weight task takes no time, so its start time equals
     # the max of its predecessors' finish times; we keep them as variables-free
@@ -193,8 +233,6 @@ def solve_bicrit_convex(mapping: Mapping, platform: Platform, deadline: float, *
     def positive_edges() -> list[tuple[TaskId, TaskId]]:
         if not zero_tasks:
             return list(augmented.edges())
-        # Contract zero-weight tasks.
-        reachable_from_zero: dict[TaskId, set[TaskId]] = {}
         # Iteratively replace edges through zero-weight tasks.  The fixpoint
         # runs over an insertion-ordered dict, not a set: the returned edge
         # list orders the solver's constraint rows, and set iteration would
@@ -217,105 +255,35 @@ def solve_bicrit_convex(mapping: Mapping, platform: Platform, deadline: float, *
             if u not in zero_tasks and v not in zero_tasks
         ]
 
-    rows = []
-    lbs = []
-    ubs = []
-    for (u, v) in positive_edges():
-        row = np.zeros(num_vars)
-        # s_v - s_u - d_u >= 0
-        row[n + index[v]] = 1.0
-        row[n + index[u]] = -1.0
-        row[index[u]] = -1.0
-        rows.append(row)
-        lbs.append(0.0)
-        ubs.append(np.inf)
-    for t in positive:
-        row = np.zeros(num_vars)
-        # s_t + d_t <= D
-        row[n + index[t]] = 1.0
-        row[index[t]] = 1.0
-        rows.append(row)
-        lbs.append(-np.inf)
-        ubs.append(deadline)
-
-    A = np.array(rows) if rows else np.zeros((0, num_vars))
-    lb = np.array(lbs)
-    ub = np.array(ubs)
-
-    bounds_lower = np.concatenate([d_lower, np.zeros(n)])
-    bounds_upper = np.concatenate([d_upper, np.full(n, deadline)])
-
-    # Initial point: a single uniform speed chosen so that the makespan is at
-    # most the deadline, then durations clipped into their boxes.
-    positive_graph_durations = {t: weights[t] for t in positive}
-    positive_graph_durations.update({t: 0.0 for t in zero_tasks})
-    length_at_unit_speed = _critical_path_durations(augmented, positive_graph_durations)
-    f_uniform = max(length_at_unit_speed / deadline, 1e-12)
-    f_uniform = min(max(f_uniform, max(fmin_of[t] for t in positive)),
-                    min(fmax_of[t] for t in positive))
-    d0 = np.clip(w / f_uniform, d_lower, np.minimum(d_upper, deadline))
-    start0 = {}
-    finish0 = {}
-    duration_map = {t: (d0[index[t]] if t in index else 0.0) for t in tasks}
-    for t in augmented.topological_order():
-        s = max((finish0[p] for p in augmented.predecessors(t)), default=0.0)
-        start0[t] = s
-        finish0[t] = s + duration_map[t]
-    # If the initial durations overshoot the deadline (because of clipping to
-    # d_upper), shrink towards d_lower until feasible.
-    scale_iter = 0
-    while max(finish0.values()) > deadline * (1.0 + 1e-12) and scale_iter < 60:
-        d0 = d_lower + 0.5 * (d0 - d_lower)
-        duration_map = {t: (d0[index[t]] if t in index else 0.0) for t in tasks}
-        finish0 = {}
-        for t in augmented.topological_order():
-            s = max((finish0[p] for p in augmented.predecessors(t)), default=0.0)
-            start0[t] = s
-            finish0[t] = s + duration_map[t]
-        scale_iter += 1
-    s0 = np.array([start0[t] for t in positive])
-    x0 = np.concatenate([d0, s0])
-
-    if method == "trust-constr":
-        constraints = [sciopt.LinearConstraint(A, lb, ub)] if A.shape[0] else []
-        res = sciopt.minimize(
-            objective, x0, jac=gradient, hess=hessian, method="trust-constr",
-            bounds=sciopt.Bounds(bounds_lower, bounds_upper),
-            constraints=constraints,
-            options={"gtol": tol, "xtol": 1e-12, "maxiter": 3000, "verbose": 0},
-        )
-        iterations = int(res.niter)
-        constraint_violation = float(getattr(res, "constr_violation", 0.0) or 0.0)
-        ok = res.status in (1, 2) or res.success
-    elif method == "slsqp":
-        ineq_rows = []
-        for i in range(A.shape[0]):
-            if np.isfinite(ub[i]):
-                ineq_rows.append((-A[i], -ub[i]))
-            if np.isfinite(lb[i]) and lb[i] > -np.inf:
-                ineq_rows.append((A[i], lb[i]))
-        G = np.array([r for r, _ in ineq_rows]) if ineq_rows else np.zeros((0, num_vars))
-        h = np.array([c for _, c in ineq_rows]) if ineq_rows else np.zeros(0)
-        constraints = [{
-            "type": "ineq",
-            "fun": lambda x, G=G, h=h: G @ x - h,
-            "jac": lambda x, G=G: G,
-        }] if G.shape[0] else []
-        res = sciopt.minimize(
-            objective, x0, jac=gradient, method="SLSQP",
-            bounds=list(zip(bounds_lower, bounds_upper)),
-            constraints=constraints,
-            options={"maxiter": 2000, "ftol": 1e-12},
-        )
-        iterations = int(res.get("nit", 0)) if isinstance(res, dict) else int(res.nit)
-        constraint_violation = 0.0
-        ok = bool(res.success)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-
-    x = np.asarray(res.x, dtype=float)
-    d, s = unpack(x)
-    d = np.clip(d, d_lower, np.maximum(d_lower, d_upper))
+    # Rows of G x <= h over x = [d, s]: s_u + d_u - s_v <= 0 per edge,
+    # s_t + d_t <= D per task, then -d <= -d_lower, d <= d_upper, -s <= 0.
+    edges = positive_edges()
+    tail = np.array([index[u] for u, _ in edges], dtype=int)
+    head = np.array([index[v] for _, v in edges], dtype=int)
+    rows = np.arange(len(edges))
+    eye = np.eye(2 * n)
+    precedence = np.zeros((len(edges), 2 * n))
+    precedence[rows, tail] = 1.0
+    precedence[rows, n + tail] = 1.0
+    precedence[rows, n + head] = -1.0
+    G = np.vstack([precedence, eye[:n] + eye[n:], -eye[:n], eye[:n], -eye[n:]])
+    h = np.concatenate([np.zeros(len(edges)), np.full(n, deadline),
+                        -d_lower, d_upper, np.zeros(n)])
+    # A duration whose box is a point is a constant: fold its column into h
+    # and drop its two box rows.
+    free = d_upper > d_lower
+    d = d_lower.copy()
+    columns = np.concatenate([free, np.ones(n, dtype=bool)])
+    kept = np.concatenate([np.ones(len(edges) + n, dtype=bool), free, free,
+                           np.ones(n, dtype=bool)])
+    h = (h - G[:, ~columns] @ d[~free])[kept]
+    G = G[kept][:, columns]
+    start = np.concatenate([0.5 * (d_lower + d_upper)[free], np.zeros(n)])
+    x, gap, iterations, status = _interior_point(
+        G, h, w[free], a, start, deadline,
+        float(np.sum(w[~free] * (w[~free] / d[~free]) ** (a - 1.0))))
+    d[free] = x[:int(free.sum())]
+    s = x[int(free.sum()):]
 
     durations = {t: float(d[index[t]]) for t in positive}
     durations.update({t: 0.0 for t in zero_tasks})
@@ -323,25 +291,16 @@ def solve_bicrit_convex(mapping: Mapping, platform: Platform, deadline: float, *
     start_times = {t: float(s[index[t]]) for t in positive}
     start_times.update({t: 0.0 for t in zero_tasks})
     energy = float(np.sum(w * (w / d) ** (a - 1.0)))
-
-    status = "optimal" if ok else "feasible"
-    # Double check that the produced durations respect the deadline along the
-    # augmented graph; if they do not (solver tolerance), report "feasible"
-    # only when the violation is negligible, otherwise "error".
-    achieved = _critical_path_durations(augmented, durations)
-    if achieved > deadline * (1.0 + 1e-6):
-        status = "error"
+    message = "" if status == "optimal" else (
+        f"interior point stopped after {iterations} iterations, gap {gap:.3g}")
     return ConvexResult(durations=durations, speeds=speeds, start_times=start_times,
-                        energy=energy, status=status,
-                        solver_message=str(getattr(res, "message", "")),
-                        iterations=iterations,
-                        constraint_violation=constraint_violation)
+                        energy=energy, status=status, solver_message=message,
+                        iterations=iterations, gap=gap)
 
 
-def solve_bicrit_continuous_dag(problem: BiCritProblem, *, method: str = "auto") -> SolveResult:
+def solve_bicrit_continuous_dag(problem: BiCritProblem) -> SolveResult:
     """Solve a :class:`BiCritProblem` with the convex program and wrap the result."""
-    result = solve_bicrit_convex(problem.mapping, problem.platform, problem.deadline,
-                                 method=method)
+    result = solve_bicrit_convex(problem.mapping, problem.platform, problem.deadline)
     if not result.feasible:
         return SolveResult(schedule=None, energy=math.inf, status="infeasible",
                            solver="continuous-convex",
@@ -361,4 +320,5 @@ def solve_bicrit_continuous_dag(problem: BiCritProblem, *, method: str = "auto")
                            "iterations": result.iterations,
                            "message": result.solver_message,
                            "objective": result.energy,
+                           "gap": result.gap,
                        })

@@ -69,8 +69,7 @@ def best_reexec_subset(tasks: Sequence[TaskId],
 
 
 def solve_tricrit_exhaustive(problem: TriCritProblem, *,
-                             max_tasks: int = EXHAUSTIVE_SUBSET_MAX_TASKS,
-                             method: str = "auto") -> SolveResult:
+                             max_tasks: int = EXHAUSTIVE_SUBSET_MAX_TASKS) -> SolveResult:
     """Global optimum of TRI-CRIT CONTINUOUS by subset enumeration.
 
     ``max_tasks`` bounds the number of positive-weight tasks (the number of
@@ -87,15 +86,13 @@ def solve_tricrit_exhaustive(problem: TriCritProblem, *,
         )
     return best_reexec_subset(
         positive,
-        lambda subset: solve_with_reexec_set(problem, subset, method=method,
-                                             context=ctx),
+        lambda subset: solve_with_reexec_set(problem, subset, context=ctx),
         solver_name="tricrit-exhaustive")
 
 
 def best_known_tricrit(problem: TriCritProblem, *,
                        exhaustive_limit: int = BEST_KNOWN_EXHAUSTIVE_LIMIT,
-                       pruned_limit: int = BEST_KNOWN_PRUNED_LIMIT,
-                       method: str = "auto") -> SolveResult:
+                       pruned_limit: int = BEST_KNOWN_PRUNED_LIMIT) -> SolveResult:
     """Best-known solution: exhaustive, then pruned search, then heuristics.
 
     Instances up to ``exhaustive_limit`` positive-weight tasks use the blind
@@ -107,15 +104,13 @@ def best_known_tricrit(problem: TriCritProblem, *,
     """
     positive = [t for t in problem.graph.tasks() if problem.graph.weight(t) > 0]
     if len(positive) <= exhaustive_limit:
-        result = solve_tricrit_exhaustive(problem, max_tasks=exhaustive_limit,
-                                          method=method)
+        result = solve_tricrit_exhaustive(problem, max_tasks=exhaustive_limit)
     elif len(positive) <= pruned_limit:
         from ..solvers.pruned import solve_tricrit_pruned
 
-        result = solve_tricrit_pruned(problem, max_tasks=pruned_limit,
-                                      method=method)
+        result = solve_tricrit_pruned(problem, max_tasks=pruned_limit)
     else:
-        result = best_of_heuristics(problem, method=method)
+        result = best_of_heuristics(problem)
     if not result.feasible:
         raise InfeasibleProblemError(
             "no reliable schedule exists: the reliability floors do not fit "

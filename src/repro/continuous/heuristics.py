@@ -59,8 +59,8 @@ __all__ = [
 ]
 
 
-def _restricted_convex(problem: TriCritProblem, reexec: frozenset[TaskId], *,
-                       method: str, ctx: SolverContext) -> ConvexResult:
+def _restricted_convex(problem: TriCritProblem, reexec: frozenset[TaskId],
+                       ctx: SolverContext) -> ConvexResult:
     graph = problem.graph
     platform = problem.platform
     effective = {}
@@ -77,8 +77,7 @@ def _restricted_convex(problem: TriCritProblem, reexec: frozenset[TaskId], *,
             effective[t] = w
             min_speed[t] = frel if w > 0 else platform.fmin
     return solve_bicrit_convex(problem.mapping, platform, problem.deadline,
-                               effective_weights=effective, min_speed=min_speed,
-                               method=method)
+                               effective_weights=effective, min_speed=min_speed)
 
 
 def _restricted_waterfill(problem: TriCritProblem, reexec: frozenset[TaskId],
@@ -118,17 +117,16 @@ def _restricted_waterfill(problem: TriCritProblem, reexec: frozenset[TaskId],
 
 
 def solve_with_reexec_set(problem: TriCritProblem, reexec: Iterable[TaskId], *,
-                          method: str = "auto",
                           solver_name: str = "tricrit-restricted",
                           context: SolverContext | None = None) -> SolveResult:
     """Optimal continuous speeds for a *fixed* re-execution set.
 
     This is the one fixed-subset TRI-CRIT solve: a single-processor mapping
-    water-fills the deadline in closed form (``method`` is then unused),
-    any other mapping solves the convex program.  Returns an infeasible
-    :class:`SolveResult` when even the maximum speeds cannot accommodate
-    the chosen re-executions within the deadline; raises ``ValueError``
-    for a re-executed task that is not in the problem.
+    water-fills the deadline in closed form, any other mapping solves the
+    convex program (its duality gap is ``metadata["convex_gap"]``).
+    Returns an infeasible :class:`SolveResult` when even the maximum speeds
+    cannot accommodate the chosen re-executions within the deadline; raises
+    ``ValueError`` for a re-executed task that is not in the problem.
     """
     ctx = context if context is not None else SolverContext.for_problem(problem)
     chosen = tuple(reexec)
@@ -143,10 +141,11 @@ def solve_with_reexec_set(problem: TriCritProblem, reexec: Iterable[TaskId], *,
         speeds, message = _restricted_waterfill(problem, reexec_set, ctx)
         metadata = {"reexecuted": reexecuted}
     else:
-        result = _restricted_convex(problem, reexec_set, method=method, ctx=ctx)
+        result = _restricted_convex(problem, reexec_set, ctx)
         speeds = result.speeds if result.feasible else None
         message = result.solver_message
-        metadata = {"reexecuted": reexecuted, "convex_status": result.status}
+        metadata = {"reexecuted": reexecuted, "convex_status": result.status,
+                    "convex_gap": result.gap}
     if speeds is None:
         return SolveResult(schedule=None, energy=math.inf, status="infeasible",
                            solver=solver_name,
@@ -171,11 +170,10 @@ def solve_with_reexec_set(problem: TriCritProblem, reexec: Iterable[TaskId], *,
 
 
 def solve_tricrit_no_reexec(problem: TriCritProblem, *,
-                            method: str = "auto",
                             context: SolverContext | None = None) -> SolveResult:
     """Reliable baseline without any re-execution: every task at >= f_rel."""
-    return solve_with_reexec_set(problem, (), method=method,
-                                 solver_name="tricrit-no-reexec", context=context)
+    return solve_with_reexec_set(problem, (), solver_name="tricrit-no-reexec",
+                                 context=context)
 
 
 # ----------------------------------------------------------------------
@@ -257,10 +255,9 @@ def _rank_by_slack(tasks: list[TaskId], slacks: dict[TaskId, float],
 
 
 def _greedy_growth(problem: TriCritProblem, *, score: str,
-                   candidates_per_round: int, method: str,
-                   solver_name: str) -> SolveResult:
+                   candidates_per_round: int, solver_name: str) -> SolveResult:
     ctx = SolverContext.for_problem(problem)
-    current = solve_tricrit_no_reexec(problem, method=method, context=ctx)
+    current = solve_tricrit_no_reexec(problem, context=ctx)
     if not current.feasible:
         return SolveResult(schedule=None, energy=math.inf, status="infeasible",
                            solver=solver_name,
@@ -291,7 +288,7 @@ def _greedy_growth(problem: TriCritProblem, *, score: str,
         best_candidate: SolveResult | None = None
         best_task: TaskId | None = None
         for t in scored[:candidates_per_round]:
-            candidate = solve_with_reexec_set(problem, reexec | {t}, method=method,
+            candidate = solve_with_reexec_set(problem, reexec | {t},
                                               solver_name=solver_name, context=ctx)
             solves += 1
             if candidate.feasible and candidate.energy < (
@@ -312,24 +309,24 @@ def _greedy_growth(problem: TriCritProblem, *, score: str,
 # ----------------------------------------------------------------------
 # the two heuristic families + combiner
 # ----------------------------------------------------------------------
-def heuristic_energy_gain(problem: TriCritProblem, *, candidates_per_round: int = 3,
-                          method: str = "auto") -> SolveResult:
+def heuristic_energy_gain(problem: TriCritProblem, *,
+                          candidates_per_round: int = 3) -> SolveResult:
     """Chain-style heuristic: grow the re-execution set by estimated energy gain."""
     return _greedy_growth(problem, score="energy_gain",
-                          candidates_per_round=candidates_per_round, method=method,
+                          candidates_per_round=candidates_per_round,
                           solver_name="tricrit-heuristic-energy-gain")
 
 
-def heuristic_parallel_slack(problem: TriCritProblem, *, candidates_per_round: int = 3,
-                             method: str = "auto") -> SolveResult:
+def heuristic_parallel_slack(problem: TriCritProblem, *,
+                             candidates_per_round: int = 3) -> SolveResult:
     """Fork-style heuristic: prefer highly parallelisable (large-slack) tasks."""
     return _greedy_growth(problem, score="slack",
-                          candidates_per_round=candidates_per_round, method=method,
+                          candidates_per_round=candidates_per_round,
                           solver_name="tricrit-heuristic-parallel-slack")
 
 
-def best_of_heuristics(problem: TriCritProblem, *, candidates_per_round: int = 3,
-                       method: str = "auto") -> SolveResult:
+def best_of_heuristics(problem: TriCritProblem, *,
+                       candidates_per_round: int = 3) -> SolveResult:
     """Take the best of the two families (the paper's recommended combination).
 
     Raises :class:`~repro.core.problems.InfeasibleProblemError` when neither
@@ -338,10 +335,8 @@ def best_of_heuristics(problem: TriCritProblem, *, candidates_per_round: int = 3
     adds work, so in that case the instance itself is infeasible and callers
     must see that -- not a silent infinite-energy record.
     """
-    a = heuristic_energy_gain(problem, candidates_per_round=candidates_per_round,
-                              method=method)
-    b = heuristic_parallel_slack(problem, candidates_per_round=candidates_per_round,
-                                 method=method)
+    a = heuristic_energy_gain(problem, candidates_per_round=candidates_per_round)
+    b = heuristic_parallel_slack(problem, candidates_per_round=candidates_per_round)
     if not a.feasible and not b.feasible:
         raise InfeasibleProblemError(
             "no reliable schedule exists: the reliability floors do not fit "

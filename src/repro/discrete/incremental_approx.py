@@ -55,8 +55,8 @@ def approximation_bound(speed_model: IncrementalSpeeds, *, K: int | None = None,
     return base * (1.0 + 1.0 / K) ** (exponent - 1.0)
 
 
-def solve_bicrit_incremental_approx(problem: BiCritProblem, *, K: int | None = None,
-                                    method: str = "auto") -> SolveResult:
+def solve_bicrit_incremental_approx(problem: BiCritProblem, *,
+                                    K: int | None = None) -> SolveResult:
     """Polynomial-time approximation for BI-CRIT INCREMENTAL (and DISCRETE).
 
     Works for any :class:`~repro.core.speeds.DiscreteSpeeds` platform; the
@@ -80,7 +80,7 @@ def solve_bicrit_incremental_approx(problem: BiCritProblem, *, K: int | None = N
         platform=platform.continuous_twin(),
         deadline=deadline,
     )
-    relaxation = solve_bicrit_continuous(continuous_problem, method=method)
+    relaxation = solve_bicrit_continuous(continuous_problem)
     if not relaxation.feasible:
         # The shrunk deadline may be infeasible even though the original is;
         # retry without the K-shrink before giving up.
@@ -88,7 +88,7 @@ def solve_bicrit_incremental_approx(problem: BiCritProblem, *, K: int | None = N
             fallback = BiCritProblem(mapping=problem.mapping,
                                      platform=platform.continuous_twin(),
                                      deadline=problem.deadline)
-            relaxation = solve_bicrit_continuous(fallback, method=method)
+            relaxation = solve_bicrit_continuous(fallback)
         if not relaxation.feasible:
             return SolveResult(schedule=None, energy=math.inf, status="infeasible",
                                solver="incremental-approx",

@@ -66,20 +66,17 @@ def _round_result(problem: TriCritProblem, continuous: SolveResult,
 
 
 def solve_tricrit_vdd_heuristic(problem: TriCritProblem, *,
-                                candidates_per_round: int = 3,
-                                method: str = "auto") -> SolveResult:
+                                candidates_per_round: int = 3) -> SolveResult:
     """CONTINUOUS best-of heuristic followed by reliability-preserving rounding."""
     if not isinstance(problem.platform.speed_model, VddHoppingSpeeds):
         raise TypeError("solve_tricrit_vdd_heuristic needs a VddHoppingSpeeds platform")
     continuous = best_of_heuristics(_continuous_twin_problem(problem),
-                                    candidates_per_round=candidates_per_round,
-                                    method=method)
+                                    candidates_per_round=candidates_per_round)
     return _round_result(problem, continuous, "tricrit-vdd-heuristic")
 
 
 def solve_tricrit_vdd_exact(problem: TriCritProblem, *,
-                            max_tasks: int = EXHAUSTIVE_SUBSET_MAX_TASKS,
-                            method: str = "auto") -> SolveResult:
+                            max_tasks: int = EXHAUSTIVE_SUBSET_MAX_TASKS) -> SolveResult:
     """Subset enumeration for TRI-CRIT VDD-HOPPING (small instances).
 
     For every subset of re-executed tasks the continuous restricted problem
@@ -106,7 +103,6 @@ def solve_tricrit_vdd_exact(problem: TriCritProblem, *,
     return best_reexec_subset(
         positive,
         lambda subset: _round_result(
-            problem, solve_with_reexec_set(twin, subset, method=method,
-                                           context=twin_ctx),
+            problem, solve_with_reexec_set(twin, subset, context=twin_ctx),
             "tricrit-vdd-exact"),
         solver_name="tricrit-vdd-exact", status="feasible")

@@ -1,17 +1,15 @@
-"""Scalar bisection utilities shared by the continuous solvers.
+"""Scalar bracketing bisection with explicit tolerance control.
 
-The closed-form and Lagrangian solvers repeatedly need to solve monotone
-scalar equations (find the multiplier such that the durations fill the
-deadline, find the slowest reliable re-execution speed, ...).  These helpers
-implement robust bracketing bisection with explicit tolerance control.
+The library's own monotone equations (the water-fill's common scale, the
+re-execution floor, VDD rounding's failure budget) are solved in closed
+form; :func:`bisect_root` stays public for callers that have no closed form.
 """
 
 from __future__ import annotations
 
-import math
 from collections.abc import Callable
 
-__all__ = ["bisect_root", "solve_monotone_increasing", "expand_bracket"]
+__all__ = ["bisect_root"]
 
 
 def bisect_root(func: Callable[[float], float], lo: float, hi: float, *,
@@ -48,41 +46,3 @@ def bisect_root(func: Callable[[float], float], lo: float, hi: float, *,
         if hi - lo <= tol * max(1.0, abs(mid)):
             break
     return 0.5 * (lo + hi)
-
-
-def expand_bracket(func: Callable[[float], float], start: float, *,
-                   factor: float = 2.0, max_expansions: int = 200) -> tuple[float, float]:
-    """Find ``hi >= start`` such that ``func`` changes sign on ``[start, hi]``.
-
-    ``func(start)`` must be non-positive and ``func`` non-decreasing in the
-    region of interest; the bracket grows geometrically.
-    """
-    lo = start
-    hi = start if start > 0 else 1.0
-    value = func(hi)
-    expansions = 0
-    while value < 0 and expansions < max_expansions:
-        hi *= factor
-        value = func(hi)
-        expansions += 1
-    if value < 0:
-        raise ValueError("could not bracket a sign change")
-    return lo, hi
-
-
-def solve_monotone_increasing(func: Callable[[float], float], target: float,
-                              lo: float, hi: float, *, tol: float = 1e-12,
-                              max_iter: int = 200) -> float:
-    """Solve ``func(x) == target`` for a non-decreasing ``func`` on ``[lo, hi]``.
-
-    When the target lies outside ``[func(lo), func(hi)]`` the corresponding
-    endpoint is returned (saturation), which is the behaviour the duration
-    "water-filling" solvers rely on when speed bounds clamp the solution.
-    """
-    f_lo = func(lo)
-    f_hi = func(hi)
-    if target <= f_lo:
-        return lo
-    if target >= f_hi:
-        return hi
-    return bisect_root(lambda x: func(x) - target, lo, hi, tol=tol, max_iter=max_iter)

@@ -26,7 +26,12 @@ from .batch import (
     solve_batch,
 )
 from .context import SolverContext, problem_kind, speed_model_kind
-from .descriptors import EXACTNESS_ORDER, InadmissibleSolverError, Solver
+from .descriptors import (
+    EXACTNESS_ORDER,
+    InadmissibleSolverError,
+    Solver,
+    UnknownSolverOptionError,
+)
 from .dispatch import NoAdmissibleSolverError, select_solver, solve
 from .registry import (
     admissible_solvers,
@@ -44,6 +49,7 @@ __all__ = [
     "SolverContext",
     "EXACTNESS_ORDER",
     "InadmissibleSolverError",
+    "UnknownSolverOptionError",
     "NoAdmissibleSolverError",
     "solve",
     "solve_batch",

@@ -12,6 +12,7 @@ algorithm modules, which keeps the package free of import cycles.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field
 from importlib import import_module
 from collections.abc import Callable, Mapping
@@ -20,7 +21,8 @@ from typing import Any
 from ..core.problems import BiCritProblem, SolveResult
 from .context import STRUCTURES, SolverContext
 
-__all__ = ["Solver", "InadmissibleSolverError", "EXACTNESS_ORDER"]
+__all__ = ["Solver", "InadmissibleSolverError", "UnknownSolverOptionError",
+           "EXACTNESS_ORDER"]
 
 #: Exactness classes in preference order for exact-first dispatch.
 EXACTNESS_ORDER = ("exact", "approx", "heuristic")
@@ -31,6 +33,10 @@ _SPEED_KINDS = frozenset({"continuous", "discrete", "vdd", "incremental"})
 
 class InadmissibleSolverError(ValueError):
     """Raised when a solver is asked to run on an instance it does not admit."""
+
+
+class UnknownSolverOptionError(ValueError):
+    """Raised when a caller passes an option the solver's entry point lacks."""
 
 
 @dataclass(frozen=True)
@@ -168,8 +174,19 @@ class Solver:
 
         With ``validate`` (the default) an :class:`InadmissibleSolverError`
         is raised instead of handing the instance to a solver whose
-        prerequisites it violates.
+        prerequisites it violates.  An option the entry point does not take
+        raises :class:`UnknownSolverOptionError`, naming it.
         """
+        func = self.resolve()
+        if options:
+            params = dict(inspect.signature(func).parameters)
+            params.pop(next(iter(params)))  # the problem
+            unknown = sorted(set(options) - set(params))
+            if unknown and not any(p.kind is p.VAR_KEYWORD for p in params.values()):
+                raise UnknownSolverOptionError(
+                    f"solver {self.name!r} has no option "
+                    f"{', '.join(map(repr, unknown))}; its options are "
+                    f"{', '.join(sorted(params)) or 'none'}")
         ctx = context if context is not None else SolverContext.for_problem(problem)
         if validate:
             ok, reason = self.admissible(problem, ctx)
@@ -178,7 +195,7 @@ class Solver:
                     f"solver {self.name!r} is not admissible for this instance: {reason}")
         merged = dict(self.default_options)
         merged.update(options)
-        return self.resolve()(problem, **merged)
+        return func(problem, **merged)
 
     # ------------------------------------------------------------------
     # reporting

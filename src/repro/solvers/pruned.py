@@ -112,7 +112,6 @@ class _Instance:
     reexec_ok: np.ndarray
     tau: np.ndarray  # switch price per task, from its floor speeds
     exponent: float
-    method: str
 
     def __post_init__(self) -> None:
         self._cache: dict[frozenset, _Eval] = {}
@@ -178,7 +177,6 @@ class _Instance:
                   else _Eval(True, float(alloc.energy)))
         else:
             result = solve_with_reexec_set(self.problem, subset,
-                                           method=self.method,
                                            solver_name="tricrit-pruned",
                                            context=self.ctx)
             ev = _Eval(result.feasible, result.energy, result)
@@ -206,8 +204,7 @@ def _exec_energy(eff, d, a):
     return eff * (eff / d) ** (a - 1.0)
 
 
-def _build_instance(problem: TriCritProblem, ctx: SolverContext,
-                    method: str) -> _Instance:
+def _build_instance(problem: TriCritProblem, ctx: SolverContext) -> _Instance:
     platform = problem.platform
     model = ctx.reliability
     fmax = platform.fmax
@@ -235,7 +232,6 @@ def _build_instance(problem: TriCritProblem, ctx: SolverContext,
         lo_s=w / fmax, hi_s=hi_s,
         lo_r=2.0 * w / fmax, hi_r=hi_r,
         single_ok=single_ok, reexec_ok=reexec_ok, tau=tau, exponent=a,
-        method=method,
     )
 
 
@@ -489,8 +485,7 @@ def _class_dp(inst: _Instance, forced_in: set, free: list,
 # branch-and-bound core
 # ----------------------------------------------------------------------
 def _search(problem: TriCritProblem, *, exact_mode: bool, max_tasks: int | None,
-            gap_target: float, node_budget: int | None, method: str,
-            class_budget: int) -> SolveResult:
+            gap_target: float, node_budget: int | None, class_budget: int) -> SolveResult:
     ctx = SolverContext.for_problem(problem)
     solver_name = "tricrit-pruned" if exact_mode else "tricrit-pruned-gap"
     n = ctx.num_positive_tasks
@@ -510,7 +505,7 @@ def _search(problem: TriCritProblem, *, exact_mode: bool, max_tasks: int | None,
     if not ctx.is_feasible:
         return infeasible()
 
-    inst = _build_instance(problem, ctx, method)
+    inst = _build_instance(problem, ctx)
     forced = _forced_sets(inst)
     if forced is None:
         return infeasible()
@@ -660,7 +655,6 @@ def _search(problem: TriCritProblem, *, exact_mode: bool, max_tasks: int | None,
 # ----------------------------------------------------------------------
 def solve_tricrit_pruned(problem: TriCritProblem, *,
                          max_tasks: int = PRUNED_EXACT_MAX_TASKS,
-                         method: str = "auto",
                          class_budget: int = PRUNED_CLASS_ENUM_BUDGET) -> SolveResult:
     """Exact TRI-CRIT CONTINUOUS optimum by pruned branch-and-bound.
 
@@ -672,14 +666,12 @@ def solve_tricrit_pruned(problem: TriCritProblem, *,
     :data:`~repro.solvers.limits.PRUNED_EXACT_MAX_TASKS`.
     """
     return _search(problem, exact_mode=True, max_tasks=max_tasks,
-                   gap_target=0.0, node_budget=None, method=method,
-                   class_budget=class_budget)
+                   gap_target=0.0, node_budget=None, class_budget=class_budget)
 
 
 def solve_tricrit_pruned_gap(problem: TriCritProblem, *,
                              gap_target: float = 0.05,
-                             node_budget: int = PRUNED_GAP_NODE_BUDGET,
-                             method: str = "auto") -> SolveResult:
+                             node_budget: int = PRUNED_GAP_NODE_BUDGET) -> SolveResult:
     """Anytime gap-certified TRI-CRIT search (no size limit).
 
     Same search as :func:`solve_tricrit_pruned` but stops once the certified
@@ -690,5 +682,4 @@ def solve_tricrit_pruned_gap(problem: TriCritProblem, *,
     ``"feasible"`` otherwise.
     """
     return _search(problem, exact_mode=False, max_tasks=None,
-                   gap_target=gap_target, node_budget=node_budget,
-                   method=method, class_budget=0)
+                   gap_target=gap_target, node_budget=node_budget, class_budget=0)

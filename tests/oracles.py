@@ -1,20 +1,61 @@
-"""Bisection oracles for the closed forms of the library.
+"""Reference solvers for the closed forms and the convex program.
 
 The library computes the re-execution speed floor, the pruned search's
 per-processor dual maximum and the bounded water-fill's common scale in
 closed form.  The bisections they replaced live on here, unchanged, as
-independent references for the property tests.
+independent references for the property tests, next to SciPy's
+trust-constr run on the convex program the interior point of
+:mod:`repro.continuous.convex` solves.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 
 import numpy as np
+from scipy import optimize as sciopt
 
 from repro.core.reliability import ReliabilityModel
-from repro.optimize.bisection import solve_monotone_increasing
+from repro.optimize.bisection import bisect_root
 from repro.solvers.pruned import _exec_energy
+
+
+def expand_bracket(func: Callable[[float], float], start: float, *,
+                   factor: float = 2.0, max_expansions: int = 200) -> tuple[float, float]:
+    """Find ``hi >= start`` such that ``func`` changes sign on ``[start, hi]``.
+
+    ``func(start)`` must be non-positive and ``func`` non-decreasing in the
+    region of interest; the bracket grows geometrically.
+    """
+    lo = start
+    hi = start if start > 0 else 1.0
+    value = func(hi)
+    expansions = 0
+    while value < 0 and expansions < max_expansions:
+        hi *= factor
+        value = func(hi)
+        expansions += 1
+    if value < 0:
+        raise ValueError("could not bracket a sign change")
+    return lo, hi
+
+
+def solve_monotone_increasing(func: Callable[[float], float], target: float,
+                              lo: float, hi: float, *, tol: float = 1e-12,
+                              max_iter: int = 200) -> float:
+    """Solve ``func(x) == target`` for a non-decreasing ``func`` on ``[lo, hi]``.
+
+    When the target lies outside ``[func(lo), func(hi)]`` the corresponding
+    endpoint is returned (saturation).
+    """
+    f_lo = func(lo)
+    f_hi = func(hi)
+    if target <= f_lo:
+        return lo
+    if target >= f_hi:
+        return hi
+    return bisect_root(lambda x: func(x) - target, lo, hi, tol=tol, max_iter=max_iter)
 
 
 def bisection_floor(model: ReliabilityModel, weight: float, *,
@@ -151,3 +192,79 @@ def bisection_waterfill(weights, deadline: float, lower, upper, *,
         per_task = np.where(positive,
                             w * (w / durations) ** (exponent - 1.0), 0.0)
     return durations, float(np.sum(per_task))
+
+
+def trust_constr_convex(mapping, platform, deadline: float, *,
+                        effective_weights=None, min_speed=None) -> float:
+    """Energy of a feasible point of the convex program of
+    :mod:`repro.continuous.convex`, optimised by SciPy's trust-constr.
+
+    trust-constr may end a hair outside the deadline, below the optimum; its
+    durations are then pulled towards the maximum-speed ones until the
+    makespan fits, so the energy returned is never below the optimum.
+    Positive weights only; ``min_speed`` maps tasks to their speed floors.
+    """
+    graph = mapping.graph
+    augmented = mapping.augmented_graph()
+    tasks = augmented.topological_order()
+    index = {t: i for i, t in enumerate(tasks)}
+    n = len(tasks)
+    a = platform.energy_model.exponent
+    w = np.array([effective_weights[t] if effective_weights else graph.weight(t)
+                  for t in tasks], dtype=float)
+    floor = np.array([min_speed.get(t, platform.fmin) if min_speed else platform.fmin
+                      for t in tasks], dtype=float)
+    lo = w / platform.fmax
+    hi = np.minimum(w / floor, deadline)
+    # s_v - s_u - d_u >= 0 per edge, then s + d <= D per task.
+    edges = list(augmented.edges())
+    rows = np.zeros((len(edges) + n, 2 * n))
+    for k, (u, v) in enumerate(edges):
+        rows[k, n + index[v]], rows[k, n + index[u]], rows[k, index[u]] = 1.0, -1.0, -1.0
+    rows[len(edges):, :n] = rows[len(edges):, n:] = np.eye(n)
+    lbs = [0.0] * len(edges) + [-np.inf] * n
+    ubs = [np.inf] * len(edges) + [deadline] * n
+
+    def schedule(d: np.ndarray) -> tuple[np.ndarray, float]:
+        finish = np.zeros(n)
+        start = np.zeros(n)
+        for t in tasks:
+            i = index[t]
+            start[i] = max((finish[index[p]] for p in augmented.predecessors(t)),
+                           default=0.0)
+            finish[i] = start[i] + d[i]
+        return start, float(finish.max())
+
+    # Shrink from the slowest durations towards the fastest until the
+    # deadline holds.
+    d0 = hi.copy()
+    for _ in range(60):
+        s0, makespan = schedule(d0)
+        if makespan <= deadline:
+            break
+        d0 = lo + 0.5 * (d0 - lo)
+
+    def energy(x: np.ndarray) -> float:
+        return float(np.sum(w * (w / x[:n]) ** (a - 1.0)))
+
+    def gradient(x: np.ndarray) -> np.ndarray:
+        return np.concatenate([-(a - 1.0) * (w / x[:n]) ** a, np.zeros(n)])
+
+    def hessian(x: np.ndarray) -> np.ndarray:
+        return np.diag(np.concatenate([a * (a - 1.0) * (w / x[:n]) ** a / x[:n],
+                                       np.zeros(n)]))
+
+    res = sciopt.minimize(
+        energy, np.concatenate([d0, s0]), jac=gradient, hess=hessian,
+        method="trust-constr",
+        bounds=sciopt.Bounds(np.concatenate([lo, np.zeros(n)]),
+                             np.concatenate([hi, np.full(n, deadline)])),
+        constraints=[sciopt.LinearConstraint(rows, lbs, ubs)],
+        options={"gtol": 1e-10, "xtol": 1e-12, "maxiter": 3000, "verbose": 0})
+    d = np.clip(res.x[:n], lo, hi)
+    fastest = schedule(lo)[1]
+    makespan = schedule(d)[1]
+    if makespan > deadline:
+        # The makespan is convex along the segment from lo to d.
+        d = lo + (d - lo) * (deadline - fastest) / (makespan - fastest)
+    return energy(np.concatenate([d, res.x[n:]]))

@@ -290,6 +290,17 @@ class TestEngineErrors:
             engine.solve(api.SolveRequest(problem=problem_to_dict(problem)))
         assert info.value.code == NO_ADMISSIBLE_SOLVER
 
+    @pytest.mark.parametrize("options", [{"bogus": 1}, {"method": "slsqp"}])
+    def test_unknown_solver_option_is_a_bad_request(self, engine, options,
+                                                    tricrit_fork_problem):
+        service = api.Service(engine)
+        body = json.dumps({"problem": problem_to_dict(tricrit_fork_problem),
+                           "solver": "tricrit-exhaustive", "options": options})
+        status, payload = service.handle("POST", "/v1/solve", body)
+        assert status == 400
+        assert payload["error"]["code"] == INVALID_REQUEST
+        assert repr(next(iter(options))) in payload["error"]["message"]
+
     def test_invalid_problem_payload(self, engine):
         with pytest.raises(ApiError) as info:
             engine.solve(api.SolveRequest(problem={"kind": "bicrit"}))

@@ -15,6 +15,7 @@ from repro.dag.taskgraph import TaskGraph
 from repro.platform.list_scheduling import critical_path_mapping
 from repro.platform.mapping import Mapping
 from repro.platform.platform import Platform
+from tests.oracles import trust_constr_convex
 
 
 WIDE = Platform(16, ContinuousSpeeds(0.001, 100.0))
@@ -44,12 +45,6 @@ class TestAgainstClosedForms:
         expected = series_parallel_bicrit(graph, deadline).energy
         assert result.energy == pytest.approx(expected, rel=1e-3)
 
-    @pytest.mark.parametrize("method", ["slsqp", "trust-constr"])
-    def test_both_methods_agree(self, method):
-        graph = generators.fork(2.0, [1.0, 3.0])
-        mapping = Mapping.one_task_per_processor(graph)
-        result = solve_bicrit_convex(mapping, WIDE, 4.0, method=method)
-        assert result.energy == pytest.approx(fork_energy(2.0, [1.0, 3.0], 4.0), rel=1e-3)
 
 
 class TestConstraintsAndBounds:
@@ -111,6 +106,22 @@ class TestConstraintsAndBounds:
                                               rel=1e-4)
         assert result.durations["z"] == 0.0
 
+    @pytest.mark.parametrize("shrink", [1.0, 1.0 - 1e-10])
+    def test_zero_slack_layered_dag(self, shrink):
+        # The deadline is the maximum-speed makespan itself, or within the
+        # 1e-9 feasibility tolerance below it: the feasible set has no
+        # interior, and the critical tasks all run at fmax.
+        graph = generators.random_layered_dag(3, 3, seed=0)
+        platform = Platform(3, ContinuousSpeeds(0.1, 1.0))
+        mapping = critical_path_mapping(graph, 3, fmax=1.0).mapping
+        makespan = BiCritProblem(mapping, platform, 1.0).min_makespan()
+        problem = BiCritProblem(mapping, platform, shrink * makespan)
+        result = solve_bicrit_continuous_dag(problem)
+        assert result.status == "optimal"
+        assert problem.evaluate(result.require_schedule()).feasible
+        oracle = trust_constr_convex(mapping, platform, makespan)
+        assert result.energy == pytest.approx(oracle, rel=1e-9)
+
     def test_invalid_arguments(self):
         graph = generators.chain([1.0])
         mapping = Mapping.single_processor(graph)
@@ -118,8 +129,6 @@ class TestConstraintsAndBounds:
             solve_bicrit_convex(mapping, WIDE, -1.0)
         with pytest.raises(ValueError):
             solve_bicrit_convex(mapping, WIDE, 1.0, min_speed=2.0, max_speed=1.0)
-        with pytest.raises(ValueError):
-            solve_bicrit_convex(mapping, WIDE, 1.0, method="nope")
 
 
 class TestProblemWrapper:
@@ -134,6 +143,18 @@ class TestProblemWrapper:
         schedule = result.require_schedule()
         assert schedule.is_feasible(deadline, deadline_tol=1e-5)
         assert result.energy == pytest.approx(schedule.energy())
+
+    def test_metadata_reports_the_certified_gap(self):
+        graph = generators.random_layered_dag(3, 3, seed=2)
+        platform = Platform(3, ContinuousSpeeds(0.1, 1.0))
+        mapping = critical_path_mapping(graph, 3, fmax=1.0).mapping
+        deadline = 1.7 * critical_path_mapping(graph, 3, fmax=1.0).makespan
+        raw = solve_bicrit_convex(mapping, platform, deadline)
+        result = solve_bicrit_continuous_dag(BiCritProblem(mapping, platform, deadline))
+        assert result.metadata["gap"] == raw.gap
+        assert 0.0 < raw.gap <= 1e-12 * raw.energy
+        oracle = trust_constr_convex(mapping, platform, deadline)
+        assert raw.energy - oracle <= raw.gap + 1e-14 * raw.energy
 
     def test_infeasible_problem_wrapper(self):
         graph = generators.chain([10.0])

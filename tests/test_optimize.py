@@ -12,12 +12,8 @@ from repro.optimize.allocation import (
     allocate_durations_with_bounds,
     equal_speed_durations,
 )
-from repro.optimize.bisection import (
-    bisect_root,
-    expand_bracket,
-    solve_monotone_increasing,
-)
-from tests.oracles import bisection_waterfill
+from repro.optimize.bisection import bisect_root
+from tests.oracles import bisection_waterfill, expand_bracket, solve_monotone_increasing
 
 
 class TestBisection:

@@ -187,7 +187,7 @@ class TestDualBound:
     def test_valid_and_no_weaker_than_bisection(self, case):
         problem, states = case
         ctx = SolverContext.for_problem(problem)
-        inst = _build_instance(problem, ctx, "auto")
+        inst = _build_instance(problem, ctx)
         allow_s = inst.single_ok.copy()
         allow_r = inst.reexec_ok.copy()
         for i, state in enumerate(states[:len(inst.tasks)]):
@@ -217,8 +217,7 @@ class TestDualBound:
         # The closed-form price that orders the threshold incumbents is
         # where the dual's re-execution value overtakes the single one.
         problem, _ = case
-        inst = _build_instance(problem, SolverContext.for_problem(problem),
-                               "auto")
+        inst = _build_instance(problem, SolverContext.for_problem(problem))
         a = inst.exponent
 
         def overtake(i, lam):
@@ -246,8 +245,7 @@ class TestDualBound:
                             reliability_model=model)
         problem = TriCritProblem(Mapping.single_processor(graph), platform,
                                  2.0 * graph.total_weight())
-        inst = _build_instance(problem, SolverContext.for_problem(problem),
-                               "auto")
+        inst = _build_instance(problem, SolverContext.for_problem(problem))
         assert len(set(inst.tau.tolist())) == 1
 
 
