@@ -4,7 +4,7 @@ The library computes the re-execution speed floor, the pruned search's
 per-processor dual maximum and the bounded water-fill's common scale in
 closed form.  The bisections they replaced live on here, unchanged, as
 independent references for the property tests, next to SciPy's
-trust-constr run on the convex program the interior point of
+trust-constr and SLSQP run on the convex program the interior point of
 :mod:`repro.continuous.convex` solves.
 """
 
@@ -16,6 +16,7 @@ from collections.abc import Callable
 import numpy as np
 from scipy import optimize as sciopt
 
+from repro.continuous.convex import ConvexResult
 from repro.core.reliability import ReliabilityModel
 from repro.optimize.bisection import bisect_root
 from repro.solvers.pruned import _exec_energy
@@ -196,12 +197,24 @@ def bisection_waterfill(weights, deadline: float, lower, upper, *,
 
 def trust_constr_convex(mapping, platform, deadline: float, *,
                         effective_weights=None, min_speed=None) -> float:
-    """Energy of a feasible point of the convex program of
-    :mod:`repro.continuous.convex`, optimised by SciPy's trust-constr.
+    """Energy of :func:`scipy_convex` run with trust-constr."""
+    return scipy_convex(mapping, platform, deadline, method="trust-constr",
+                        effective_weights=effective_weights,
+                        min_speed=min_speed).energy
 
-    trust-constr may end a hair outside the deadline, below the optimum; its
+
+def scipy_convex(mapping, platform, deadline: float, *, method: str,
+                 effective_weights=None, min_speed=None) -> ConvexResult:
+    """A feasible point of the convex program of
+    :mod:`repro.continuous.convex`, optimised by SciPy's ``method``
+    (``"trust-constr"`` or ``"slsqp"``).
+
+    SciPy may end a hair outside the deadline, below the optimum; its
     durations are then pulled towards the maximum-speed ones until the
-    makespan fits, so the energy returned is never below the optimum.
+    makespan fits, so the energy returned is never below the optimum.  As
+    in the library, a deadline within 1e-9 below the maximum-speed makespan
+    is solved at that makespan and a shorter one is ``"infeasible"``; any
+    other point is ``"feasible"``, as nothing certifies it optimal.
     Positive weights only; ``min_speed`` maps tasks to their speed floors.
     """
     graph = mapping.graph
@@ -214,16 +227,6 @@ def trust_constr_convex(mapping, platform, deadline: float, *,
                   for t in tasks], dtype=float)
     floor = np.array([min_speed.get(t, platform.fmin) if min_speed else platform.fmin
                       for t in tasks], dtype=float)
-    lo = w / platform.fmax
-    hi = np.minimum(w / floor, deadline)
-    # s_v - s_u - d_u >= 0 per edge, then s + d <= D per task.
-    edges = list(augmented.edges())
-    rows = np.zeros((len(edges) + n, 2 * n))
-    for k, (u, v) in enumerate(edges):
-        rows[k, n + index[v]], rows[k, n + index[u]], rows[k, index[u]] = 1.0, -1.0, -1.0
-    rows[len(edges):, :n] = rows[len(edges):, n:] = np.eye(n)
-    lbs = [0.0] * len(edges) + [-np.inf] * n
-    ubs = [np.inf] * len(edges) + [deadline] * n
 
     def schedule(d: np.ndarray) -> tuple[np.ndarray, float]:
         finish = np.zeros(n)
@@ -234,6 +237,21 @@ def trust_constr_convex(mapping, platform, deadline: float, *,
                            default=0.0)
             finish[i] = start[i] + d[i]
         return start, float(finish.max())
+
+    lo = w / platform.fmax
+    fastest = schedule(lo)[1]
+    if fastest > deadline * (1.0 + 1e-9):
+        return ConvexResult({}, {}, {}, math.inf, "infeasible")
+    deadline = max(deadline, fastest)
+    hi = np.minimum(w / floor, deadline)
+    # s_v - s_u - d_u >= 0 per edge, then s + d <= D per task.
+    edges = list(augmented.edges())
+    rows = np.zeros((len(edges) + n, 2 * n))
+    for k, (u, v) in enumerate(edges):
+        rows[k, n + index[v]], rows[k, n + index[u]], rows[k, index[u]] = 1.0, -1.0, -1.0
+    rows[len(edges):, :n] = rows[len(edges):, n:] = np.eye(n)
+    lbs = [0.0] * len(edges) + [-np.inf] * n
+    ubs = [np.inf] * len(edges) + [deadline] * n
 
     # Shrink from the slowest durations towards the fastest until the
     # deadline holds.
@@ -254,17 +272,29 @@ def trust_constr_convex(mapping, platform, deadline: float, *,
         return np.diag(np.concatenate([a * (a - 1.0) * (w / x[:n]) ** a / x[:n],
                                        np.zeros(n)]))
 
-    res = sciopt.minimize(
-        energy, np.concatenate([d0, s0]), jac=gradient, hess=hessian,
-        method="trust-constr",
-        bounds=sciopt.Bounds(np.concatenate([lo, np.zeros(n)]),
-                             np.concatenate([hi, np.full(n, deadline)])),
-        constraints=[sciopt.LinearConstraint(rows, lbs, ubs)],
-        options={"gtol": 1e-10, "xtol": 1e-12, "maxiter": 3000, "verbose": 0})
+    bounds = sciopt.Bounds(np.concatenate([lo, np.zeros(n)]),
+                           np.concatenate([hi, np.full(n, deadline)]))
+    constraints = [sciopt.LinearConstraint(rows, lbs, ubs)]
+    x0 = np.concatenate([d0, s0])
+    if method == "trust-constr":
+        res = sciopt.minimize(
+            energy, x0, jac=gradient, hess=hessian, method="trust-constr",
+            bounds=bounds, constraints=constraints,
+            options={"gtol": 1e-10, "xtol": 1e-12, "maxiter": 3000, "verbose": 0})
+    elif method == "slsqp":
+        res = sciopt.minimize(
+            energy, x0, jac=gradient, method="SLSQP", bounds=bounds,
+            constraints=constraints, options={"maxiter": 2000, "ftol": 1e-12})
+    else:
+        raise ValueError(f"unknown method {method!r}")
     d = np.clip(res.x[:n], lo, hi)
-    fastest = schedule(lo)[1]
-    makespan = schedule(d)[1]
+    start, makespan = schedule(d)
     if makespan > deadline:
         # The makespan is convex along the segment from lo to d.
         d = lo + (d - lo) * (deadline - fastest) / (makespan - fastest)
-    return energy(np.concatenate([d, res.x[n:]]))
+        start = schedule(d)[0]
+    return ConvexResult(
+        durations={t: float(d[index[t]]) for t in tasks},
+        speeds={t: float(w[index[t]] / d[index[t]]) for t in tasks},
+        start_times={t: float(start[index[t]]) for t in tasks},
+        energy=energy(np.concatenate([d, res.x[n:]])), status="feasible")

@@ -15,7 +15,7 @@ from repro.dag.taskgraph import TaskGraph
 from repro.platform.list_scheduling import critical_path_mapping
 from repro.platform.mapping import Mapping
 from repro.platform.platform import Platform
-from tests.oracles import trust_constr_convex
+from tests.oracles import scipy_convex, trust_constr_convex
 
 
 WIDE = Platform(16, ContinuousSpeeds(0.001, 100.0))
@@ -45,6 +45,18 @@ class TestAgainstClosedForms:
         expected = series_parallel_bicrit(graph, deadline).energy
         assert result.energy == pytest.approx(expected, rel=1e-3)
 
+    @pytest.mark.parametrize("method", ["slsqp", "trust-constr"])
+    def test_both_methods_agree(self, method):
+        # The interior point and SciPy's method both reach the fork's closed
+        # form, and the interior point is never the worse of the two.
+        graph = generators.fork(2.0, [1.0, 3.0])
+        mapping = Mapping.one_task_per_processor(graph)
+        expected = fork_energy(2.0, [1.0, 3.0], 4.0)
+        result = solve_bicrit_convex(mapping, WIDE, 4.0)
+        oracle = scipy_convex(mapping, WIDE, 4.0, method=method)
+        assert oracle.energy == pytest.approx(expected, rel=1e-3)
+        assert result.energy == pytest.approx(expected, rel=1e-3)
+        assert result.energy <= oracle.energy * (1.0 + 1e-9)
 
 
 class TestConstraintsAndBounds:
