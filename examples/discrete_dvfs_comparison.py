@@ -56,10 +56,8 @@ def main(*, width: int = 3, steps: int = 3,
         continuous = solve_bicrit_continuous(
             BiCritProblem(listing.mapping, continuous_platform, deadline))
         vdd = solve_bicrit_vdd_lp(problem(VddHoppingSpeeds(INTEL_XSCALE_SPEEDS)))
-        # HiGHS branch-and-cut for the NP-complete single-mode problem; swap
-        # backend="bnb" to watch the in-house branch-and-bound's node counts.
-        discrete = solve_bicrit_discrete_milp(problem(DiscreteSpeeds(INTEL_XSCALE_SPEEDS)),
-                                              backend="scipy")
+        # HiGHS branch-and-cut for the NP-complete single-mode problem.
+        discrete = solve_bicrit_discrete_milp(problem(DiscreteSpeeds(INTEL_XSCALE_SPEEDS)))
         approx = solve_bicrit_incremental_approx(problem(DiscreteSpeeds(INTEL_XSCALE_SPEEDS)))
         structure = two_speed_structure(vdd.require_schedule())
         rows.append({

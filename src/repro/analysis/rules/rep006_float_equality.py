@@ -11,9 +11,9 @@ restructuring so the sentinel is not a computed float.
 The rule flags ``==``/``!=`` comparisons in which any operand is
 *syntactically* float-valued: a float literal, arithmetic containing a
 float literal, or a ``float(...)``/``np.float64(...)`` cast.  Deliberate
-exact comparisons (bisection endpoints hit exactly, simplex zero-pivot
-skips, masks over values assigned -- not computed -- as ``0.0``) document
-themselves with ``# repro: allow[REP006] -- <reason>``; symbolic
+exact comparisons (model parameters and masks over values assigned -- not
+computed -- as ``0.0``) document themselves with
+``# repro: allow[REP006] -- <reason>``; symbolic
 operator-overloading expressions (LP constraint builders) are the other
 legitimate suppression class.
 """

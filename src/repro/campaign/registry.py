@@ -119,10 +119,10 @@ register(ScenarioSpec(
     title="VDD-HOPPING LP vs continuous bound vs single-mode optimum",
     runner=run_vdd_lp_experiment,
     defaults=dict(modes=(0.2, 0.4, 0.6, 0.8, 1.0), chain_sizes=(5, 10, 20),
-                  slack=1.7, seed=17, compare_backends=True, include_dag=True),
-    smoke=dict(chain_sizes=(4,), include_dag=False, compare_backends=False),
+                  slack=1.7, seed=17, include_dag=True),
+    smoke=dict(chain_sizes=(4,), include_dag=False),
     dag_family="chain", platform="single", speed_model="vdd",
-    solver="lp:scipy+simplex",
+    solver="lp:scipy",
 ))
 
 register(ScenarioSpec(

@@ -8,8 +8,8 @@ proxies of that landscape on families of growing instances:
 
 * the size (variables/constraints) and solve time of the VDD-HOPPING LP
   grows polynomially with the number of tasks;
-* the number of subsets / branch-and-bound nodes explored by the exact
-  DISCRETE and TRI-CRIT solvers grows exponentially.
+* the number of mode assignments / re-execution subsets enumerated by the
+  exact DISCRETE and TRI-CRIT solvers grows exponentially.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ class ScalingPoint:
 
     num_tasks: int
     seconds: float
-    work_units: float  # LP variables, B&B nodes or subsets, depending on probe
+    work_units: float  # LP variables, assignments or subsets, depending on probe
     energy: float
 
 
@@ -56,8 +56,8 @@ def _chain_problem(n: int, seed: int, speed_model, *, slack: float = 1.6,
 
 
 def measure_vdd_lp_scaling(sizes: Sequence[int], *, seed: int = 0,
-                           modes: Sequence[float] = (0.2, 0.4, 0.6, 0.8, 1.0),
-                           backend: str = "scipy") -> list[ScalingPoint]:
+                           modes: Sequence[float] = (0.2, 0.4, 0.6, 0.8, 1.0)
+                           ) -> list[ScalingPoint]:
     """LP size and solve time of BI-CRIT VDD-HOPPING on growing chains."""
     # repro: allow[REP004] -- scaling study times the raw algorithm;
     # dispatch overhead and size caps would distort the measurement
@@ -71,7 +71,7 @@ def measure_vdd_lp_scaling(sizes: Sequence[int], *, seed: int = 0,
         problem = BiCritProblem(mapping=mapping, platform=platform, deadline=deadline)
         model, _, _ = build_vdd_lp(problem)
         start = time.perf_counter()
-        result = solve_bicrit_vdd_lp(problem, backend=backend)
+        result = solve_bicrit_vdd_lp(problem)
         elapsed = time.perf_counter() - start
         points.append(ScalingPoint(num_tasks=n, seconds=elapsed,
                                    work_units=float(model.num_variables),
@@ -80,15 +80,12 @@ def measure_vdd_lp_scaling(sizes: Sequence[int], *, seed: int = 0,
 
 
 def measure_discrete_exact_scaling(sizes: Sequence[int], *, seed: int = 0,
-                                   modes: Sequence[float] = (0.2, 0.4, 0.6, 0.8, 1.0),
-                                   backend: str = "bnb") -> list[ScalingPoint]:
-    """Search effort of the exact DISCRETE solver on growing chains."""
+                                   modes: Sequence[float] = (0.2, 0.4, 0.6, 0.8, 1.0)
+                                   ) -> list[ScalingPoint]:
+    """Mode assignments the exact DISCRETE enumeration visits on growing chains."""
     # repro: allow[REP004] -- scaling study times the raw algorithm;
     # dispatch overhead and size caps would distort the measurement
-    from ..discrete.exact import (
-        solve_bicrit_discrete_bruteforce,
-        solve_bicrit_discrete_milp,
-    )
+    from ..discrete.exact import solve_bicrit_discrete_bruteforce
 
     points = []
     for i, n in enumerate(sizes):
@@ -97,15 +94,13 @@ def measure_discrete_exact_scaling(sizes: Sequence[int], *, seed: int = 0,
         )
         problem = BiCritProblem(mapping=mapping, platform=platform, deadline=deadline)
         start = time.perf_counter()
-        if backend == "bruteforce":
-            result = solve_bicrit_discrete_bruteforce(problem)
-            work = float(result.metadata.get("assignments_evaluated", 0))
-        else:
-            result = solve_bicrit_discrete_milp(problem, backend="bnb")
-            work = float(result.metadata.get("nodes_explored", 0))
+        result = solve_bicrit_discrete_bruteforce(problem)
         elapsed = time.perf_counter() - start
-        points.append(ScalingPoint(num_tasks=n, seconds=elapsed, work_units=work,
-                                   energy=result.energy))
+        points.append(ScalingPoint(
+            num_tasks=n, seconds=elapsed,
+            work_units=float(result.metadata.get("assignments_evaluated", 0)),
+            energy=result.energy,
+        ))
     return points
 
 

@@ -7,9 +7,9 @@ algorithm is expected; the exact solvers here serve three purposes:
   on small instances,
 * the executable side of the 2-PARTITION reduction of
   :mod:`repro.complexity.reductions`,
-* the exponential-scaling measurements of experiment E5 (the MILP node
-  counts / brute-force subset counts grow exponentially while the
-  VDD-HOPPING LP of the same instance stays polynomial).
+* the exponential-scaling measurements of experiment E5 (the brute-force
+  assignment counts grow exponentially while the VDD-HOPPING LP of the
+  same instance stays polynomial).
 
 Two formulations are provided:
 
@@ -32,7 +32,7 @@ from ..core.problems import BiCritProblem, SolveResult
 from ..core.schedule import Schedule, TaskDecision
 from ..core.speeds import DiscreteSpeeds
 from ..dag.taskgraph import TaskId
-from ..lp import LinearProgram, LPStatus, solve_with_branch_and_bound, solve_with_scipy
+from ..lp import LinearProgram, LPStatus, solve_with_scipy
 from ..solvers.limits import DISCRETE_BRUTEFORCE_MAX_ASSIGNMENTS
 
 __all__ = [
@@ -64,15 +64,8 @@ def _assignment_to_result(problem: BiCritProblem, assignment: dict[TaskId, float
                        solver=solver, metadata=metadata)
 
 
-def solve_bicrit_discrete_milp(problem: BiCritProblem, *, backend: str = "scipy",
-                               lp_backend: str = "scipy",
-                               max_nodes: int = 200_000) -> SolveResult:
-    """Exact BI-CRIT DISCRETE via mixed-integer programming.
-
-    ``backend`` selects the MILP engine: ``"scipy"`` (HiGHS branch and cut)
-    or ``"bnb"`` (the in-house branch and bound, whose explored-node count is
-    reported in the metadata and used by the scaling experiment).
-    """
+def solve_bicrit_discrete_milp(problem: BiCritProblem) -> SolveResult:
+    """Exact BI-CRIT DISCRETE via mixed-integer programming (HiGHS branch and cut)."""
     speeds = _discrete_speeds(problem)
     graph = problem.graph
     augmented = problem.mapping.augmented_graph()
@@ -120,35 +113,22 @@ def solve_bicrit_discrete_milp(problem: BiCritProblem, *, backend: str = "scipy"
             objective = term if objective is None else objective + term
     model.set_objective(objective, "min")
 
-    if backend == "scipy":
-        solution = solve_with_scipy(model)
-        nodes = None
-    elif backend == "bnb":
-        solution = solve_with_branch_and_bound(model, lp_backend=lp_backend,
-                                               max_nodes=max_nodes)
-        nodes = solution.iterations
-    else:
-        raise ValueError(f"unknown MILP backend {backend!r}")
-
+    solution = solve_with_scipy(model)
     if solution.status != LPStatus.OPTIMAL:
         return SolveResult(schedule=None, energy=math.inf,
                            status="infeasible" if solution.status == LPStatus.INFEASIBLE else "error",
-                           solver=f"discrete-milp[{backend}]",
+                           solver="discrete-milp[scipy]",
                            metadata={"milp_status": solution.status})
 
     assignment = {}
     for t in graph.tasks():
         best_s = max(range(len(speeds)), key=lambda s: solution[x[(t, s)]])
         assignment[t] = speeds[best_s]
-    metadata = {
+    return _assignment_to_result(problem, assignment, "discrete-milp[scipy]", {
         "milp_objective": solution.objective,
         "num_variables": model.num_variables,
         "num_constraints": model.num_constraints,
-    }
-    if nodes is not None:
-        metadata["nodes_explored"] = nodes
-    return _assignment_to_result(problem, assignment, f"discrete-milp[{backend}]",
-                                 metadata)
+    })
 
 
 def solve_bicrit_discrete_bruteforce(

@@ -34,7 +34,7 @@ from ..core.problems import BiCritProblem, SolveResult
 from ..core.schedule import Execution, Schedule, TaskDecision
 from ..core.speeds import VddHoppingSpeeds
 from ..dag.taskgraph import TaskId
-from ..lp import LinearProgram, LPStatus, solve as lp_solve
+from ..lp import LinearProgram, LPStatus, solve_with_scipy
 
 __all__ = ["solve_bicrit_vdd_lp", "two_speed_structure", "build_vdd_lp"]
 
@@ -92,7 +92,7 @@ def build_vdd_lp(problem: BiCritProblem) -> tuple[LinearProgram, dict[tuple[Task
     return model, alpha, start
 
 
-def solve_bicrit_vdd_lp(problem: BiCritProblem, *, backend: str = "scipy",
+def solve_bicrit_vdd_lp(problem: BiCritProblem, *,
                         canonicalize: bool = True) -> SolveResult:
     """Solve BI-CRIT VDD-HOPPING exactly through the LP formulation.
 
@@ -104,11 +104,11 @@ def solve_bicrit_vdd_lp(problem: BiCritProblem, *, backend: str = "scipy",
     speeds always suffice.
     """
     model, alpha, _ = build_vdd_lp(problem)
-    solution = lp_solve(model, backend=backend)
+    solution = solve_with_scipy(model)
     if solution.status != LPStatus.OPTIMAL:
         return SolveResult(schedule=None, energy=math.inf,
                            status="infeasible" if solution.status == LPStatus.INFEASIBLE else "error",
-                           solver=f"vdd-hopping-lp[{backend}]",
+                           solver="vdd-hopping-lp[scipy]",
                            metadata={"lp_status": solution.status})
 
     graph = problem.graph
@@ -140,7 +140,7 @@ def solve_bicrit_vdd_lp(problem: BiCritProblem, *, backend: str = "scipy",
         decisions[t] = TaskDecision(t, (Execution.from_intervals(intervals),))
     schedule = Schedule(problem.mapping, problem.platform, decisions)
     return SolveResult(schedule=schedule, energy=schedule.energy(), status="optimal",
-                       solver=f"vdd-hopping-lp[{backend}]",
+                       solver="vdd-hopping-lp[scipy]",
                        metadata={
                            "lp_objective": solution.objective,
                            "lp_backend": solution.backend,

@@ -1,9 +1,8 @@
 """Experiments E4-E6: the discrete speed models.
 
 * E4 (VDD-HOPPING LP): the LP optimum is sandwiched between the CONTINUOUS
-  lower bound and the best single-mode (DISCRETE) schedule, its solutions
-  use at most two consecutive speeds per task, and the scipy-HiGHS and the
-  in-house simplex backends agree.
+  lower bound and the best single-mode (DISCRETE) schedule, and its
+  solutions use at most two consecutive speeds per task.
 * E5 (NP-completeness of DISCRETE/INCREMENTAL): the executable 2-PARTITION
   reduction answers 2-PARTITION correctly through the exact scheduling
   solver, and the search effort of the exact solvers grows exponentially
@@ -72,7 +71,6 @@ def run_vdd_lp_experiment(*, modes: Sequence[float] = (0.2, 0.4, 0.6, 0.8, 1.0),
                           chain_sizes: Sequence[int] = (5, 10, 20),
                           slack: float = 1.7,
                           seed: int | np.random.Generator | None = 17,
-                          compare_backends: bool = True,
                           include_dag: bool = True) -> list[dict]:
     """E4: LP optimum vs continuous bound vs single-mode optimum, two-speed check.
 
@@ -89,7 +87,7 @@ def run_vdd_lp_experiment(*, modes: Sequence[float] = (0.2, 0.4, 0.6, 0.8, 1.0),
                           _layered_problem(4, 3, 3, seed + 50, VddHoppingSpeeds(modes), slack)))
 
     for name, problem in instances:
-        vdd = solve(problem, solver="bicrit-vdd-lp", backend="scipy")
+        vdd = solve(problem, solver="bicrit-vdd-lp")
         structure = two_speed_structure(vdd.require_schedule())
         continuous = solve(BiCritProblem(
             mapping=problem.mapping,
@@ -101,9 +99,8 @@ def run_vdd_lp_experiment(*, modes: Sequence[float] = (0.2, 0.4, 0.6, 0.8, 1.0),
             platform=problem.platform.with_speed_model(DiscreteSpeeds(modes)),
             deadline=problem.deadline,
         )
-        discrete = solve(discrete_problem, solver="bicrit-discrete-milp",
-                         backend="scipy")
-        row = {
+        discrete = solve(discrete_problem, solver="bicrit-discrete-milp")
+        rows.append({
             "instance": name,
             "tasks": problem.graph.num_tasks,
             "continuous_energy": continuous.energy,
@@ -113,12 +110,7 @@ def run_vdd_lp_experiment(*, modes: Sequence[float] = (0.2, 0.4, 0.6, 0.8, 1.0),
             "discrete_over_vdd": discrete.energy / vdd.energy,
             "max_speeds_per_task": structure.max_speeds_per_task,
             "consecutive_pairs": structure.all_pairs_consecutive,
-        }
-        if compare_backends and problem.graph.num_tasks <= 10:
-            simplex = solve(problem, solver="bicrit-vdd-lp", backend="simplex")
-            row["simplex_energy"] = simplex.energy
-            row["backend_gap"] = abs(simplex.energy - vdd.energy) / max(vdd.energy, 1e-12)
-        rows.append(row)
+        })
     return rows
 
 
@@ -148,7 +140,6 @@ def run_np_hardness_experiment(*, partition_instances: Sequence[Sequence[int]] =
         reduction_rows.append(outcome)
 
     exact_points = measure_discrete_exact_scaling(scaling_sizes, seed=seed,
-                                                  backend="bruteforce",
                                                   modes=scaling_modes)
     lp_points = measure_vdd_lp_scaling(lp_sizes, seed=seed)
     exact_fit = fit_growth_exponent(exact_points, field="work_units")

@@ -1,6 +1,5 @@
-"""LP / MILP substrate: modelling layer plus interchangeable backends."""
+"""LP / MILP substrate: a modelling layer and one HiGHS solve."""
 
-from .branch_and_bound import BranchAndBoundStats, solve_with_branch_and_bound
 from .model import (
     Constraint,
     LinearExpression,
@@ -10,7 +9,6 @@ from .model import (
     Variable,
 )
 from .scipy_backend import solve_with_scipy
-from .simplex import SimplexError, solve_with_simplex
 
 __all__ = [
     "LinearProgram",
@@ -20,26 +18,4 @@ __all__ = [
     "LPSolution",
     "LPStatus",
     "solve_with_scipy",
-    "solve_with_simplex",
-    "solve_with_branch_and_bound",
-    "SimplexError",
-    "BranchAndBoundStats",
-    "solve",
 ]
-
-
-def solve(model: LinearProgram, backend: str = "scipy", **kwargs) -> LPSolution:
-    """Solve a model with the named backend.
-
-    ``backend`` is one of ``"scipy"`` (HiGHS LP/MILP), ``"simplex"``
-    (in-house tableau simplex, pure LP only) or ``"branch_and_bound"``
-    (in-house MILP on top of an LP backend).  Integer models passed to
-    ``"scipy"`` are handled by HiGHS directly.
-    """
-    if backend == "scipy":
-        return solve_with_scipy(model, **kwargs)
-    if backend == "simplex":
-        return solve_with_simplex(model, **kwargs)
-    if backend == "branch_and_bound":
-        return solve_with_branch_and_bound(model, **kwargs)
-    raise ValueError(f"unknown LP backend {backend!r}")

@@ -7,20 +7,18 @@ available offline, so this package provides its own modelling layer:
 * :class:`Variable`, :class:`LinearExpression`, :class:`Constraint` and
   :class:`LinearProgram` let solvers state LPs/MILPs symbolically with
   operator overloading (``2 * x + y <= 3``);
-* :func:`LinearProgram.to_arrays` lowers a model to the dense matrix form
-  consumed by the backends;
-* backends: :mod:`repro.lp.scipy_backend` (HiGHS via
-  :func:`scipy.optimize.linprog` / :func:`scipy.optimize.milp`),
-  :mod:`repro.lp.simplex` (an in-house dense two-phase simplex) and
-  :mod:`repro.lp.branch_and_bound` (an in-house MILP solver on top of either
-  LP backend).  The backends are cross-validated in the test suite.
+* :func:`LinearProgram.to_arrays` lowers a model to the dense matrix form,
+  bounds included (``None`` becomes ``-inf`` / ``+inf`` here, once);
+* :func:`repro.lp.scipy_backend.solve_with_scipy` solves the arrays, LP or
+  MILP alike, with one :func:`scipy.optimize.milp` (HiGHS) call.  The test
+  suite checks it against vertex and subset enumeration.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from collections.abc import Iterable, Mapping, Sequence
+from typing import Any, Union
 
 import numpy as np
 
@@ -34,8 +32,12 @@ __all__ = [
 ]
 
 
+#: What arithmetic on expressions accepts: an expression (or variable) or a number.
+ExprLike = Union["LinearExpression", int, float]
+
+
 class LPStatus:
-    """Status strings shared by all backends."""
+    """Status strings of an :class:`LPSolution`."""
 
     OPTIMAL = "optimal"
     INFEASIBLE = "infeasible"
@@ -48,13 +50,14 @@ class LinearExpression:
 
     __slots__ = ("coeffs", "constant")
 
-    def __init__(self, coeffs: Mapping[int, float] | None = None, constant: float = 0.0):
+    def __init__(self, coeffs: Mapping[int, float] | None = None,
+                 constant: float = 0.0) -> None:
         self.coeffs: dict[int, float] = dict(coeffs or {})
         self.constant = float(constant)
 
     # -- construction helpers -------------------------------------------------
     @staticmethod
-    def _as_expression(other) -> "LinearExpression":
+    def _as_expression(other: ExprLike) -> "LinearExpression":
         if isinstance(other, LinearExpression):
             return other
         if isinstance(other, Variable):
@@ -67,7 +70,7 @@ class LinearExpression:
         return LinearExpression(dict(self.coeffs), self.constant)
 
     # -- arithmetic -----------------------------------------------------------
-    def __add__(self, other) -> "LinearExpression":
+    def __add__(self, other: ExprLike) -> "LinearExpression":
         other = self._as_expression(other)
         out = self.copy()
         for idx, c in other.coeffs.items():
@@ -77,13 +80,13 @@ class LinearExpression:
 
     __radd__ = __add__
 
-    def __sub__(self, other) -> "LinearExpression":
+    def __sub__(self, other: ExprLike) -> "LinearExpression":
         return self + (self._as_expression(other) * -1.0)
 
-    def __rsub__(self, other) -> "LinearExpression":
+    def __rsub__(self, other: ExprLike) -> "LinearExpression":
         return self._as_expression(other) + (self * -1.0)
 
-    def __mul__(self, scalar) -> "LinearExpression":
+    def __mul__(self, scalar: float) -> "LinearExpression":
         if not isinstance(scalar, (int, float)):
             raise TypeError("linear expressions can only be scaled by numbers")
         out = LinearExpression(
@@ -94,23 +97,23 @@ class LinearExpression:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, scalar) -> "LinearExpression":
+    def __truediv__(self, scalar: float) -> "LinearExpression":
         return self * (1.0 / float(scalar))
 
     def __neg__(self) -> "LinearExpression":
         return self * -1.0
 
     # -- comparisons build constraints ----------------------------------------
-    def __le__(self, other) -> "Constraint":
+    def __le__(self, other: ExprLike) -> "Constraint":
         return Constraint(self - self._as_expression(other), "<=")
 
-    def __ge__(self, other) -> "Constraint":
+    def __ge__(self, other: ExprLike) -> "Constraint":
         return Constraint(self - self._as_expression(other), ">=")
 
-    def __eq__(self, other) -> "Constraint":  # type: ignore[override]
+    def __eq__(self, other: ExprLike) -> "Constraint":  # type: ignore[override]
         return Constraint(self - self._as_expression(other), "==")
 
-    def __hash__(self):  # expressions are mutable -> identity hash
+    def __hash__(self) -> int:  # expressions are mutable -> identity hash
         return id(self)
 
     # -- evaluation -----------------------------------------------------------
@@ -127,8 +130,8 @@ class Variable(LinearExpression):
 
     __slots__ = ("name", "index", "lower", "upper", "is_integer")
 
-    def __init__(self, name: str, index: int, lower: float = 0.0,
-                 upper: float | None = None, is_integer: bool = False):
+    def __init__(self, name: str, index: int, lower: float | None = 0.0,
+                 upper: float | None = None, is_integer: bool = False) -> None:
         super().__init__({index: 1.0})
         self.name = name
         self.index = index
@@ -139,7 +142,7 @@ class Variable(LinearExpression):
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Variable({self.name!r})"
 
-    def __hash__(self):
+    def __hash__(self) -> int:
         return hash((self.name, self.index))
 
 
@@ -176,18 +179,21 @@ class LinearProgram:
         self.sense: str = "min"
 
     # ------------------------------------------------------------------
-    def add_variable(self, name: str, *, lower: float = 0.0,
+    def add_variable(self, name: str, *, lower: float | None = 0.0,
                      upper: float | None = None,
                      integer: bool = False) -> Variable:
-        """Create a new decision variable and register it with the model."""
-        if upper is not None and upper < lower:
+        """Create a new decision variable and register it with the model.
+
+        ``None`` leaves that side unbounded: ``lower=None`` is a free variable.
+        """
+        if lower is not None and upper is not None and upper < lower:
             raise ValueError(f"variable {name!r} has upper bound {upper} < lower bound {lower}")
         var = Variable(name, len(self.variables), lower=lower, upper=upper,
                        is_integer=integer)
         self.variables.append(var)
         return var
 
-    def add_variables(self, names: Iterable[str], **kwargs) -> list[Variable]:
+    def add_variables(self, names: Iterable[str], **kwargs: Any) -> list[Variable]:
         return [self.add_variable(n, **kwargs) for n in names]
 
     def add_constraint(self, constraint: Constraint, name: str = "") -> Constraint:
@@ -219,13 +225,14 @@ class LinearProgram:
         return any(v.is_integer for v in self.variables)
 
     # ------------------------------------------------------------------
-    def to_arrays(self) -> dict[str, np.ndarray | list | float]:
+    def to_arrays(self) -> dict[str, Any]:
         """Lower the model to dense arrays.
 
         Returns a dict with keys ``c`` (objective, always minimisation --
         maximisation is negated), ``offset`` (objective constant),
-        ``A_ub, b_ub, A_eq, b_eq`` (possibly empty), ``bounds`` (list of
-        ``(lower, upper)`` tuples) and ``integrality`` (0/1 array).
+        ``A_ub, b_ub, A_eq, b_eq`` (possibly empty), ``lower`` and ``upper``
+        (variable bounds, a ``None`` bound as ``-inf`` / ``+inf``),
+        ``integrality`` (0/1 array) and ``maximize``.
         """
         n = self.num_variables
         c = np.zeros(n)
@@ -255,7 +262,10 @@ class LinearProgram:
                 rows_eq.append(row)
                 rhs_eq.append(rhs)
 
-        bounds = [(v.lower, v.upper) for v in self.variables]
+        lower = np.array([-np.inf if v.lower is None else v.lower
+                          for v in self.variables], dtype=float)
+        upper = np.array([np.inf if v.upper is None else v.upper
+                          for v in self.variables], dtype=float)
         integrality = np.array([1 if v.is_integer else 0 for v in self.variables])
         return {
             "c": c,
@@ -264,7 +274,8 @@ class LinearProgram:
             "b_ub": np.array(rhs_ub) if rhs_ub else np.zeros(0),
             "A_eq": np.array(rows_eq) if rows_eq else np.zeros((0, n)),
             "b_eq": np.array(rhs_eq) if rhs_eq else np.zeros(0),
-            "bounds": bounds,
+            "lower": lower,
+            "upper": upper,
             "integrality": integrality,
             "maximize": self.sense == "max",
         }
@@ -279,14 +290,13 @@ class LinearProgram:
 
 @dataclass
 class LPSolution:
-    """Solution returned by every backend."""
+    """Solution of a :class:`LinearProgram`."""
 
     status: str
     objective: float
     values: dict[str, float]
     x: np.ndarray | None = None
     backend: str = ""
-    iterations: int | None = None
 
     @property
     def is_optimal(self) -> bool:

@@ -1,94 +1,43 @@
-"""LP/MILP backend based on scipy's HiGHS solvers.
+"""Solve a :class:`~repro.lp.model.LinearProgram` with HiGHS.
 
-This is the primary backend: :func:`scipy.optimize.linprog` (HiGHS dual
-simplex / interior point) for pure LPs and :func:`scipy.optimize.milp`
-(HiGHS branch and cut) for models with integer variables.  The in-house
-backends in :mod:`repro.lp.simplex` and :mod:`repro.lp.branch_and_bound`
-exist both as a fallback and as an independent cross-check.
+LPs and MILPs take the same path: :meth:`LinearProgram.to_arrays` and one
+:func:`scipy.optimize.milp` call (HiGHS; a model without integer variables
+is solved as a plain LP).  The test suite checks it against independent
+enumeration oracles (``tests/oracles.py``).
 """
 
 from __future__ import annotations
 
 import numpy as np
 from scipy import optimize as sciopt
-from scipy import sparse
 
 from .model import LinearProgram, LPSolution, LPStatus
 
 __all__ = ["solve_with_scipy"]
 
+#: ``scipy.optimize.milp`` status codes; any other code is an error.
+_STATUS = {0: LPStatus.OPTIMAL, 2: LPStatus.INFEASIBLE, 3: LPStatus.UNBOUNDED}
 
-def _bounds_for_linprog(bounds):
-    return [(lo, hi) for lo, hi in bounds]
 
-
-def solve_with_scipy(model: LinearProgram, *, method: str = "highs") -> LPSolution:
-    """Solve a :class:`LinearProgram` with scipy (HiGHS).
-
-    Mixed-integer models are routed to :func:`scipy.optimize.milp`; pure LPs
-    go through :func:`scipy.optimize.linprog`.
-    """
+def solve_with_scipy(model: LinearProgram) -> LPSolution:
+    """Solve a :class:`LinearProgram`, LP or MILP, with HiGHS."""
     arrays = model.to_arrays()
-    c = arrays["c"]
-    offset = arrays["offset"]
-    maximize = arrays["maximize"]
-    n = model.num_variables
-
-    if model.has_integer_variables():
-        constraints = []
-        if arrays["A_ub"].shape[0]:
-            constraints.append(
-                sciopt.LinearConstraint(arrays["A_ub"], -np.inf, arrays["b_ub"])
-            )
-        if arrays["A_eq"].shape[0]:
-            constraints.append(
-                sciopt.LinearConstraint(arrays["A_eq"], arrays["b_eq"], arrays["b_eq"])
-            )
-        lower = np.array([lo for lo, _ in arrays["bounds"]], dtype=float)
-        upper = np.array(
-            [np.inf if hi is None else hi for _, hi in arrays["bounds"]], dtype=float
-        )
-        res = sciopt.milp(
-            c=c,
-            constraints=constraints,
-            bounds=sciopt.Bounds(lower, upper),
-            integrality=arrays["integrality"],
-        )
-        if res.status == 0 and res.x is not None:
-            status = LPStatus.OPTIMAL
-        elif res.status == 2:
-            status = LPStatus.INFEASIBLE
-        elif res.status == 3:
-            status = LPStatus.UNBOUNDED
-        else:
-            status = LPStatus.ERROR
-        x = res.x if res.x is not None else None
-    else:
-        res = sciopt.linprog(
-            c=c,
-            A_ub=arrays["A_ub"] if arrays["A_ub"].shape[0] else None,
-            b_ub=arrays["b_ub"] if arrays["A_ub"].shape[0] else None,
-            A_eq=arrays["A_eq"] if arrays["A_eq"].shape[0] else None,
-            b_eq=arrays["b_eq"] if arrays["A_eq"].shape[0] else None,
-            bounds=_bounds_for_linprog(arrays["bounds"]),
-            method=method,
-        )
-        if res.status == 0:
-            status = LPStatus.OPTIMAL
-        elif res.status == 2:
-            status = LPStatus.INFEASIBLE
-        elif res.status == 3:
-            status = LPStatus.UNBOUNDED
-        else:
-            status = LPStatus.ERROR
-        x = res.x if res.x is not None else None
-
-    if x is None:
+    constraints = []
+    if arrays["A_ub"].shape[0]:
+        constraints.append(sciopt.LinearConstraint(arrays["A_ub"], -np.inf, arrays["b_ub"]))
+    if arrays["A_eq"].shape[0]:
+        constraints.append(sciopt.LinearConstraint(arrays["A_eq"], arrays["b_eq"], arrays["b_eq"]))
+    res = sciopt.milp(c=arrays["c"], constraints=constraints,
+                      bounds=sciopt.Bounds(arrays["lower"], arrays["upper"]),
+                      integrality=arrays["integrality"])
+    status = _STATUS.get(res.status, LPStatus.ERROR)
+    if status != LPStatus.OPTIMAL or res.x is None:
         return LPSolution(status=status, objective=float("nan"), values={},
                           x=None, backend="scipy")
 
-    raw_obj = float(np.dot(c, x)) + offset
-    objective = -raw_obj if maximize else raw_obj
+    x = np.asarray(res.x, dtype=float)
+    raw_obj = float(np.dot(arrays["c"], x)) + arrays["offset"]
+    objective = -raw_obj if arrays["maximize"] else raw_obj
     values = {var.name: float(x[var.index]) for var in model.variables}
     return LPSolution(status=status, objective=objective, values=values,
-                      x=np.asarray(x, dtype=float), backend="scipy")
+                      x=x, backend="scipy")

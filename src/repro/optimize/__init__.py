@@ -1,10 +1,8 @@
-"""Convex-optimisation substrate: bisection and duration allocation."""
+"""Convex-optimisation substrate: bounded duration allocation (the water-fill)."""
 
 from .allocation import AllocationResult, allocate_durations, equal_speed_durations
-from .bisection import bisect_root
 
 __all__ = [
-    "bisect_root",
     "AllocationResult",
     "allocate_durations",
     "equal_speed_durations",

@@ -1,15 +1,19 @@
-"""Reference solvers for the closed forms and the convex program.
+"""Reference solvers for the closed forms, the convex program and HiGHS.
 
 The library computes the re-execution speed floor, the pruned search's
 per-processor dual maximum and the bounded water-fill's common scale in
 closed form.  The bisections they replaced live on here, unchanged, as
 independent references for the property tests, next to SciPy's
 trust-constr and SLSQP run on the convex program the interior point of
-:mod:`repro.continuous.convex` solves.
+:mod:`repro.continuous.convex` solves.  The LP/MILP path of :mod:`repro.lp`
+(one HiGHS call) is checked against two enumerations that read the model's
+symbolic rows, not its :meth:`~repro.lp.LinearProgram.to_arrays` lowering:
+every vertex of a bounded LP, and every 0/1 point of a binary MILP.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Callable
 
@@ -18,8 +22,44 @@ from scipy import optimize as sciopt
 
 from repro.continuous.convex import ConvexResult
 from repro.core.reliability import ReliabilityModel
-from repro.optimize.bisection import bisect_root
+from repro.lp import LinearProgram
 from repro.solvers.pruned import _exec_energy
+
+
+def bisect_root(func: Callable[[float], float], lo: float, hi: float, *,
+                tol: float = 1e-12, max_iter: int = 200) -> float:
+    """Root of ``func`` on ``[lo, hi]`` by bisection.
+
+    ``func(lo)`` and ``func(hi)`` must have opposite signs (or one of them
+    must be zero).  The returned point ``x`` satisfies ``|hi - lo| <= tol *
+    max(1, |x|)`` after at most ``max_iter`` halvings.
+    """
+    if lo > hi:
+        raise ValueError(f"invalid bracket: lo={lo} > hi={hi}")
+    f_lo = func(lo)
+    f_hi = func(hi)
+    # repro: allow[REP006] -- exact-root early exit: any nonzero residual,
+    # however tiny, correctly falls through to the bisection loop
+    if f_lo == 0.0:
+        return lo
+    if f_hi == 0.0:  # repro: allow[REP006] -- exact-root early exit
+        return hi
+    if f_lo * f_hi > 0:
+        raise ValueError(
+            f"bisection bracket does not straddle a root: f({lo})={f_lo}, f({hi})={f_hi}"
+        )
+    for _ in range(max_iter):
+        mid = 0.5 * (lo + hi)
+        f_mid = func(mid)
+        if f_mid == 0.0:  # repro: allow[REP006] -- exact-root early exit
+            return mid
+        if f_lo * f_mid < 0:
+            hi, f_hi = mid, f_mid
+        else:
+            lo, f_lo = mid, f_mid
+        if hi - lo <= tol * max(1.0, abs(mid)):
+            break
+    return 0.5 * (lo + hi)
 
 
 def expand_bracket(func: Callable[[float], float], start: float, *,
@@ -298,3 +338,68 @@ def scipy_convex(mapping, platform, deadline: float, *, method: str,
         speeds={t: float(w[index[t]] / d[index[t]]) for t in tasks},
         start_times={t: float(start[index[t]]) for t in tasks},
         energy=energy(np.concatenate([d, res.x[n:]])), status="feasible")
+
+
+def _better(model: LinearProgram, value: float, best: float | None) -> bool:
+    if best is None:
+        return True
+    return value > best if model.sense == "max" else value < best
+
+
+def vertex_enumeration_lp(model: LinearProgram, *, tol: float = 1e-9) -> float | None:
+    """Optimal objective of a bounded, continuous LP by vertex enumeration.
+
+    Every row and every finite bound is a hyperplane ``a x = b``.  Each set
+    of ``n`` of them that includes every equality row is solved with
+    :func:`numpy.linalg.solve`; the best point that satisfies every row and
+    bound within ``tol`` is the optimum.  ``None`` means no vertex is
+    feasible, so a bounded LP is infeasible.
+    """
+    n = model.num_variables
+    planes: list[tuple[np.ndarray, float]] = []
+    equalities: list[int] = []
+    for con in model.constraints:
+        row = np.zeros(n)
+        for idx, coeff in con.expression.coeffs.items():
+            row[idx] += coeff
+        if con.sense == "==":
+            equalities.append(len(planes))
+        planes.append((row, -con.expression.constant))
+    for var in model.variables:
+        for bound in (var.lower, var.upper):
+            if bound is not None:
+                planes.append((np.eye(n)[var.index], float(bound)))
+    inequalities = [k for k in range(len(planes)) if k not in equalities]
+
+    def feasible(x: np.ndarray) -> bool:
+        return (all(con.violation(x) <= tol for con in model.constraints)
+                and all((v.lower is None or x[v.index] >= v.lower - tol)
+                        and (v.upper is None or x[v.index] <= v.upper + tol)
+                        for v in model.variables))
+
+    best: float | None = None
+    for chosen in itertools.combinations(inequalities, n - len(equalities)):
+        active = equalities + list(chosen)
+        A = np.array([planes[k][0] for k in active])
+        b = np.array([planes[k][1] for k in active])
+        if abs(np.linalg.det(A)) < 1e-12:
+            continue
+        x = np.linalg.solve(A, b)
+        if feasible(x) and _better(model, model.objective.value(x), best):
+            best = model.objective.value(x)
+    return best
+
+
+def binary_enumeration_milp(model: LinearProgram) -> float | None:
+    """Optimal objective of a MILP whose variables are all 0/1, by trying all
+    ``2^n`` points; ``None`` when none is feasible."""
+    if not all(v.is_integer and v.lower == 0 and v.upper == 1 for v in model.variables):
+        raise ValueError("binary_enumeration_milp needs 0/1 variables only")
+    best: float | None = None
+    for bits in itertools.product((0.0, 1.0), repeat=model.num_variables):
+        x = np.array(bits)
+        if all(con.violation(x) <= 1e-9 for con in model.constraints):
+            value = model.objective.value(x)
+            if _better(model, value, best):
+                best = value
+    return best

@@ -29,7 +29,7 @@ from repro.api.errors import (
     ErrorResponse,
     error_from_exception,
 )
-from repro.core import DiscreteSpeeds, TriCritProblem
+from repro.core import BiCritProblem, DiscreteSpeeds, TriCritProblem, VddHoppingSpeeds
 from repro.core.problem_io import problem_to_dict
 from repro.core.reliability import ReliabilityModel
 from repro.platform import Mapping, Platform
@@ -290,12 +290,27 @@ class TestEngineErrors:
             engine.solve(api.SolveRequest(problem=problem_to_dict(problem)))
         assert info.value.code == NO_ADMISSIBLE_SOLVER
 
-    @pytest.mark.parametrize("options", [{"bogus": 1}, {"method": "slsqp"}])
-    def test_unknown_solver_option_is_a_bad_request(self, engine, options,
-                                                    tricrit_fork_problem):
+    @pytest.mark.parametrize("solver, options", [
+        ("tricrit-exhaustive", {"bogus": 1}),
+        ("tricrit-exhaustive", {"method": "slsqp"}),
+        ("bicrit-discrete-milp", {"backend": "bnb"}),
+        ("bicrit-vdd-lp", {"backend": "simplex"}),
+    ], ids=["options0", "options1", "milp-backend", "vdd-lp-backend"])
+    def test_unknown_solver_option_is_a_bad_request(self, engine, solver, options,
+                                                    tricrit_fork_problem,
+                                                    small_chain_graph):
+        problem = tricrit_fork_problem
+        modes = (0.2, 0.6, 1.0)
+        speeds = {"bicrit-discrete-milp": DiscreteSpeeds(modes),
+                  "bicrit-vdd-lp": VddHoppingSpeeds(modes)}
+        if solver in speeds:
+            problem = BiCritProblem(
+                mapping=Mapping.single_processor(small_chain_graph),
+                platform=Platform(1, speeds[solver]),
+                deadline=2.0 * small_chain_graph.total_weight())
         service = api.Service(engine)
-        body = json.dumps({"problem": problem_to_dict(tricrit_fork_problem),
-                           "solver": "tricrit-exhaustive", "options": options})
+        body = json.dumps({"problem": problem_to_dict(problem),
+                           "solver": solver, "options": options})
         status, payload = service.handle("POST", "/v1/solve", body)
         assert status == 400
         assert payload["error"]["code"] == INVALID_REQUEST

@@ -14,6 +14,7 @@ from repro.discrete.exact import (
 from repro.platform.list_scheduling import critical_path_mapping
 from repro.platform.mapping import Mapping
 from repro.platform.platform import Platform
+from repro.solvers import UnknownSolverOptionError, solve
 
 MODES = (0.25, 0.5, 0.75, 1.0)
 
@@ -55,12 +56,11 @@ class TestBruteforce:
 
 
 class TestMilp:
-    @pytest.mark.parametrize("backend", ["scipy", "bnb"])
-    def test_matches_bruteforce_on_chains(self, backend):
+    def test_matches_bruteforce_on_chains(self):
         for seed in range(3):
             weights = list(generators.random_weights(4, seed=seed, low=1.0, high=3.0))
             problem = chain_problem(weights, 1.6)
-            milp = solve_bicrit_discrete_milp(problem, backend=backend)
+            milp = solve_bicrit_discrete_milp(problem)
             brute = solve_bicrit_discrete_bruteforce(problem)
             assert milp.energy == pytest.approx(brute.energy, rel=1e-6)
 
@@ -89,19 +89,15 @@ class TestMilp:
         result = solve_bicrit_discrete_milp(problem)
         assert result.feasible
 
-    def test_bnb_reports_nodes(self):
-        problem = chain_problem([1.0, 2.0, 1.0], 1.5)
-        result = solve_bicrit_discrete_milp(problem, backend="bnb")
-        assert result.metadata["nodes_explored"] >= 1
-
     def test_infeasible(self):
         problem = chain_problem([4.0, 4.0], 0.9)
         assert solve_bicrit_discrete_milp(problem).status == "infeasible"
 
     def test_unknown_backend(self):
+        # HiGHS is the only MILP engine: a backend choice is an unknown option.
         problem = chain_problem([1.0], 1.5)
-        with pytest.raises(ValueError):
-            solve_bicrit_discrete_milp(problem, backend="bogus")
+        with pytest.raises(UnknownSolverOptionError, match="'backend'"):
+            solve(problem, solver="bicrit-discrete-milp", backend="bnb")
 
     def test_discrete_never_beats_continuous(self):
         from repro.continuous.bicrit import solve_bicrit_continuous

@@ -1,4 +1,9 @@
-"""Cross-validation of the LP/MILP backends (scipy-HiGHS vs in-house)."""
+"""The one LP/MILP path (HiGHS) against enumeration oracles and known optima.
+
+Every model goes through ``to_arrays`` and one ``scipy.optimize.milp`` call.
+``tests/oracles.py`` reads the same models' symbolic rows instead: vertex
+enumeration for LPs and 0/1 enumeration for binary MILPs.
+"""
 
 from __future__ import annotations
 
@@ -7,14 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.lp import (
-    LinearProgram,
-    LPStatus,
-    solve,
-    solve_with_branch_and_bound,
-    solve_with_scipy,
-    solve_with_simplex,
-)
+from repro.lp import LinearProgram, LPStatus, solve_with_scipy
+from tests.oracles import binary_enumeration_milp, vertex_enumeration_lp
 
 
 def _diet_lp() -> LinearProgram:
@@ -45,8 +44,7 @@ class TestScipyBackend:
         m = LinearProgram()
         x = m.add_variable("x", lower=0.0)
         m.set_objective(-1 * x, "min")
-        status = solve_with_scipy(m).status
-        assert status in (LPStatus.UNBOUNDED, LPStatus.ERROR)
+        assert solve_with_scipy(m).status == LPStatus.UNBOUNDED
 
     def test_maximisation_sign(self):
         m = LinearProgram()
@@ -64,47 +62,58 @@ class TestScipyBackend:
         sol = solve_with_scipy(m)
         assert sol.objective == pytest.approx(3.0)
 
+    def test_free_integer_variable(self):
+        # A ``lower=None`` bound must reach HiGHS as -inf, not NaN (which it
+        # rejects as a model error, read back as "infeasible").
+        m = LinearProgram()
+        x = m.add_variable("x", lower=None, integer=True)
+        m.add_constraint(x >= -3.5)
+        m.set_objective(x, "min")
+        sol = solve_with_scipy(m)
+        assert sol.status == LPStatus.OPTIMAL
+        assert sol.objective == pytest.approx(-3.0)
+        assert sol["x"] == pytest.approx(-3.0)
+
 
 class TestSimplexBackend:
+    """Pure LPs, which HiGHS solves with its simplex, one case per kind of
+    row and bound that ``to_arrays`` lowers."""
+
     def test_simple_lp_matches_scipy(self):
         model = _diet_lp()
-        assert solve_with_simplex(model).objective == pytest.approx(
+        assert vertex_enumeration_lp(model) == pytest.approx(
             solve_with_scipy(model).objective, rel=1e-7
         )
 
-    def test_rejects_integer_models(self):
-        m = LinearProgram()
-        x = m.add_variable("x", integer=True)
-        m.set_objective(x, "min")
-        with pytest.raises(ValueError):
-            solve_with_simplex(m)
-
     def test_infeasible(self):
         m = LinearProgram()
-        x = m.add_variable("x", lower=0.0, upper=1.0)
+        x = m.add_variable("x", lower=None)
+        m.add_constraint(x <= 1)
         m.add_constraint(x >= 2)
         m.set_objective(x, "min")
-        assert solve_with_simplex(m).status == LPStatus.INFEASIBLE
+        assert solve_with_scipy(m).status == LPStatus.INFEASIBLE
+        assert vertex_enumeration_lp(m) is None
 
     def test_unbounded(self):
         m = LinearProgram()
-        x = m.add_variable("x", lower=0.0)
-        m.set_objective(-1 * x, "min")
-        assert solve_with_simplex(m).status == LPStatus.UNBOUNDED
+        x = m.add_variable("x", lower=None)
+        m.add_constraint(x <= 3)
+        m.set_objective(x, "min")
+        assert solve_with_scipy(m).status == LPStatus.UNBOUNDED
 
     def test_free_variable(self):
         m = LinearProgram()
         x = m.add_variable("x", lower=None)
         m.add_constraint(x >= -4)
         m.set_objective(x, "min")
-        sol = solve_with_simplex(m)
+        sol = solve_with_scipy(m)
         assert sol.objective == pytest.approx(-4.0)
 
     def test_upper_bounded_variable(self):
         m = LinearProgram()
         x = m.add_variable("x", lower=0.0, upper=2.5)
         m.set_objective(-1 * x, "min")
-        sol = solve_with_simplex(m)
+        sol = solve_with_scipy(m)
         assert sol.objective == pytest.approx(-2.5)
 
     def test_equality_constraints(self):
@@ -114,7 +123,7 @@ class TestSimplexBackend:
         m.add_constraint(x + y == 4)
         m.add_constraint(x - y == 2)
         m.set_objective(x + 2 * y, "min")
-        sol = solve_with_simplex(m)
+        sol = solve_with_scipy(m)
         assert sol.values["x"] == pytest.approx(3.0)
         assert sol.values["y"] == pytest.approx(1.0)
 
@@ -135,14 +144,15 @@ class TestSimplexBackend:
         m.set_objective(sum((float(c) * x for c, x in zip(cost, xs)), 0.0 * xs[0]),
                         "min")
         scipy_sol = solve_with_scipy(m)
-        simplex_sol = solve_with_simplex(m)
+        oracle = vertex_enumeration_lp(m)
         assert scipy_sol.status == LPStatus.OPTIMAL
-        assert simplex_sol.status == LPStatus.OPTIMAL
-        assert simplex_sol.objective == pytest.approx(scipy_sol.objective,
-                                                      rel=1e-6, abs=1e-6)
+        assert oracle is not None
+        assert oracle == pytest.approx(scipy_sol.objective, rel=1e-6, abs=1e-6)
 
 
 class TestBranchAndBound:
+    """MILPs, which HiGHS solves by branch and cut."""
+
     def _knapsack(self, values, weights, capacity) -> LinearProgram:
         m = LinearProgram("knapsack")
         xs = [m.add_variable(f"x{i}", lower=0.0, upper=1.0, integer=True)
@@ -155,26 +165,18 @@ class TestBranchAndBound:
 
     def test_knapsack_matches_scipy(self):
         model = self._knapsack([4, 3, 2, 5], [2, 3, 4, 5], 7)
-        bnb = solve_with_branch_and_bound(model)
-        assert bnb.objective == pytest.approx(solve_with_scipy(model).objective)
-
-    def test_with_simplex_relaxation(self):
+        assert binary_enumeration_milp(model) == pytest.approx(
+            solve_with_scipy(model).objective)
         model = self._knapsack([6, 5, 4], [3, 2, 4], 5)
-        bnb = solve_with_branch_and_bound(model, lp_backend="simplex")
-        assert bnb.objective == pytest.approx(11.0)
-
-    def test_reports_node_statistics(self):
-        model = self._knapsack([4, 3, 2, 5, 7, 1], [2, 3, 4, 5, 6, 1], 9)
-        bnb = solve_with_branch_and_bound(model)
-        assert bnb.iterations >= 1
-        assert bnb.stats.nodes_explored == bnb.iterations
+        assert solve_with_scipy(model).objective == pytest.approx(11.0)
 
     def test_infeasible_milp(self):
         m = LinearProgram()
         x = m.add_variable("x", lower=0.0, upper=1.0, integer=True)
         m.add_constraint(x >= 2)
         m.set_objective(x, "min")
-        assert solve_with_branch_and_bound(m).status == LPStatus.INFEASIBLE
+        assert solve_with_scipy(m).status == LPStatus.INFEASIBLE
+        assert binary_enumeration_milp(m) is None
 
     @given(st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=15, deadline=None)
@@ -185,13 +187,6 @@ class TestBranchAndBound:
         weights = rng.integers(1, 8, size=n).tolist()
         capacity = float(rng.integers(5, 20))
         model = self._knapsack(values, weights, capacity)
-        assert solve_with_branch_and_bound(model).objective == pytest.approx(
+        assert binary_enumeration_milp(model) == pytest.approx(
             solve_with_scipy(model).objective
         )
-
-    def test_solve_dispatcher(self):
-        model = _diet_lp()
-        assert solve(model, backend="scipy").is_optimal
-        assert solve(model, backend="simplex").is_optimal
-        with pytest.raises(ValueError):
-            solve(model, backend="bogus")

@@ -78,6 +78,14 @@ class TestLinearProgram:
         with pytest.raises(ValueError):
             m.add_variable("x", lower=2.0, upper=1.0)
 
+    def test_free_variable_with_an_upper_bound(self):
+        m = LinearProgram()
+        x = m.add_variable("x", lower=None, upper=5.0)
+        assert x.lower is None and x.upper == 5.0
+        arrays = m.to_arrays()
+        np.testing.assert_array_equal(arrays["lower"], [-np.inf])
+        np.testing.assert_array_equal(arrays["upper"], [5.0])
+
     def test_add_constraint_type_check(self):
         m = LinearProgram()
         x = m.add_variable("x")
@@ -106,7 +114,8 @@ class TestLinearProgram:
         np.testing.assert_allclose(arrays["A_ub"][1], [-1.0, 1.0])
         np.testing.assert_allclose(arrays["A_eq"], [[1.0, 1.0]])
         np.testing.assert_allclose(arrays["b_eq"], [5.0])
-        assert arrays["bounds"] == [(0.0, 4.0), (1.0, None)]
+        np.testing.assert_array_equal(arrays["lower"], [0.0, 1.0])
+        np.testing.assert_array_equal(arrays["upper"], [4.0, np.inf])
         assert not arrays["maximize"]
 
     def test_to_arrays_maximisation_negates(self):

@@ -1,4 +1,5 @@
-"""Tests of the optimisation substrate: bisection and allocation."""
+"""Tests of the optimisation substrate (allocation) and of the bisection
+oracles in ``tests/oracles.py`` it is checked against."""
 
 from __future__ import annotations
 
@@ -12,8 +13,12 @@ from repro.optimize.allocation import (
     allocate_durations_with_bounds,
     equal_speed_durations,
 )
-from repro.optimize.bisection import bisect_root
-from tests.oracles import bisection_waterfill, expand_bracket, solve_monotone_increasing
+from tests.oracles import (
+    bisect_root,
+    bisection_waterfill,
+    expand_bracket,
+    solve_monotone_increasing,
+)
 
 
 class TestBisection:

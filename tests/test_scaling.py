@@ -23,8 +23,7 @@ class TestProbes:
         assert all(p.energy > 0 for p in points)
 
     def test_discrete_exact_scaling_bruteforce(self):
-        points = measure_discrete_exact_scaling([3, 5], seed=1, backend="bruteforce",
-                                                modes=(0.5, 1.0))
+        points = measure_discrete_exact_scaling([3, 5], seed=1, modes=(0.5, 1.0))
         assert points[0].work_units == pytest.approx(2 ** 3)
         assert points[1].work_units == pytest.approx(2 ** 5)
 
@@ -49,7 +48,7 @@ class TestGrowthFit:
 
     def test_end_to_end_complexity_contrast(self):
         exact = measure_discrete_exact_scaling([3, 4, 5, 6, 7], seed=2,
-                                               backend="bruteforce", modes=(0.5, 1.0))
+                                               modes=(0.5, 1.0))
         lp = measure_vdd_lp_scaling([3, 6, 12, 24], seed=2, modes=(0.5, 1.0))
         exact_fit = fit_growth_exponent(exact)
         lp_fit = fit_growth_exponent(lp)

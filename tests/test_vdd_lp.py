@@ -91,12 +91,6 @@ class TestLpSolution:
         raw = solve_bicrit_vdd_lp(problem, canonicalize=False)
         assert canonical.energy == pytest.approx(raw.energy, rel=1e-6)
 
-    def test_backends_agree(self):
-        problem = chain_problem([2.0, 1.0, 1.5], 1.6)
-        scipy_result = solve_bicrit_vdd_lp(problem, backend="scipy")
-        simplex_result = solve_bicrit_vdd_lp(problem, backend="simplex")
-        assert simplex_result.energy == pytest.approx(scipy_result.energy, rel=1e-6)
-
     def test_infeasible_deadline(self):
         problem = chain_problem([5.0, 5.0], 0.9)
         result = solve_bicrit_vdd_lp(problem)
