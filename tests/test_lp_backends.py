@@ -167,8 +167,12 @@ class TestBranchAndBound:
         model = self._knapsack([4, 3, 2, 5], [2, 3, 4, 5], 7)
         assert binary_enumeration_milp(model) == pytest.approx(
             solve_with_scipy(model).objective)
+
+    def test_with_simplex_relaxation(self):
+        """HiGHS solves the branch-and-cut relaxations with its dual simplex."""
         model = self._knapsack([6, 5, 4], [3, 2, 4], 5)
         assert solve_with_scipy(model).objective == pytest.approx(11.0)
+        assert binary_enumeration_milp(model) == pytest.approx(11.0)
 
     def test_infeasible_milp(self):
         m = LinearProgram()
