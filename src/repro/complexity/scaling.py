@@ -61,7 +61,7 @@ def measure_vdd_lp_scaling(sizes: Sequence[int], *, seed: int = 0,
     """LP size and solve time of BI-CRIT VDD-HOPPING on growing chains."""
     # repro: allow[REP004] -- scaling study times the raw algorithm;
     # dispatch overhead and size caps would distort the measurement
-    from ..discrete.vdd_lp import build_vdd_lp, solve_bicrit_vdd_lp
+    from ..discrete.vdd_lp import solve_bicrit_vdd_lp
 
     points = []
     for i, n in enumerate(sizes):
@@ -69,12 +69,11 @@ def measure_vdd_lp_scaling(sizes: Sequence[int], *, seed: int = 0,
             n, seed + i, VddHoppingSpeeds(modes)
         )
         problem = BiCritProblem(mapping=mapping, platform=platform, deadline=deadline)
-        model, _, _ = build_vdd_lp(problem)
         start = time.perf_counter()
         result = solve_bicrit_vdd_lp(problem)
         elapsed = time.perf_counter() - start
         points.append(ScalingPoint(num_tasks=n, seconds=elapsed,
-                                   work_units=float(model.num_variables),
+                                   work_units=float(result.metadata["num_variables"]),
                                    energy=result.energy))
     return points
 

@@ -109,7 +109,9 @@ def solve_bicrit_vdd_lp(problem: BiCritProblem, *,
         return SolveResult(schedule=None, energy=math.inf,
                            status="infeasible" if solution.status == LPStatus.INFEASIBLE else "error",
                            solver="vdd-hopping-lp[scipy]",
-                           metadata={"lp_status": solution.status})
+                           metadata={"lp_status": solution.status,
+                                     "num_variables": model.num_variables,
+                                     "num_constraints": model.num_constraints})
 
     graph = problem.graph
     speed_model = problem.platform.speed_model

@@ -66,13 +66,15 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Any
 
 import numpy as np
 from scipy.optimize import brentq
 
 from ..continuous.heuristics import solve_with_reexec_set
 from ..core.problems import SolveResult, TriCritProblem
-from ..optimize.allocation import allocate_durations_with_bounds
+from ..dag.taskgraph import TaskId
+from ..optimize.allocation import AllocationResult, allocate_durations_with_bounds
 from .context import SolverContext
 from .limits import (
     PRUNED_CLASS_ENUM_BUDGET,
@@ -101,7 +103,7 @@ class _Instance:
 
     problem: TriCritProblem
     ctx: SolverContext
-    tasks: list  # positive-weight TaskIds, topological order
+    tasks: list[TaskId]  # positive-weight tasks, topological order
     w: np.ndarray  # weights
     proc: np.ndarray  # processor index per task
     lo_s: np.ndarray  # single-execution duration interval [lo_s, hi_s]
@@ -114,7 +116,7 @@ class _Instance:
     exponent: float
 
     def __post_init__(self) -> None:
-        self._cache: dict[frozenset, _Eval] = {}
+        self._cache: dict[frozenset[TaskId], _Eval] = {}
         self.bound_evaluations = 0
         self._proc_index = [np.flatnonzero(self.proc == p)
                             for p in range(int(self.proc.max()) + 1
@@ -139,12 +141,16 @@ class _Instance:
             bp = np.concatenate([clip_prices[:, idx].ravel(),
                                  self._dual_tau[idx]])
             self._breakpoints.append(np.unique(bp[(bp > 0.0) & np.isfinite(bp)]))
+        self._dual_tables: list[_DualTable | None] = [None] * len(self._proc_index)
+        self._dual_memo: dict[tuple[int, bytes],
+                              tuple[float, np.ndarray | None, bool]] = {}
+        self._position = {t: i for i, t in enumerate(self.tasks)}
 
     @property
     def evaluations(self) -> int:
         return len(self._cache)
 
-    def _chain_allocation(self, subset: frozenset):
+    def _chain_allocation(self, subset: frozenset[TaskId]) -> AllocationResult | None:
         """Restricted allocation on a single processor, from the flat arrays.
 
         All positive tasks serialise within the deadline, so the restricted
@@ -153,8 +159,9 @@ class _Instance:
         the precomputed arrays instead of recomputing them per solve.
         ``None`` when the subset is infeasible.
         """
-        mask_r = np.fromiter((t in subset for t in self.tasks), dtype=bool,
-                             count=len(self.tasks))
+        mask_r = np.zeros(len(self.tasks), dtype=bool)
+        mask_r[np.fromiter(map(self._position.__getitem__, subset),
+                           dtype=np.intp, count=len(subset))] = True
         if np.any(mask_r & ~self.reexec_ok) or np.any(~mask_r & ~self.single_ok):
             return None
         eff = np.where(mask_r, 2.0 * self.w, self.w)
@@ -166,7 +173,7 @@ class _Instance:
         except ValueError:
             return None
 
-    def evaluate(self, subset: frozenset) -> _Eval:
+    def evaluate(self, subset: frozenset[TaskId]) -> _Eval:
         """Exact restricted solve for one re-execution subset (memoized)."""
         cached = self._cache.get(subset)
         if cached is not None:
@@ -183,7 +190,7 @@ class _Instance:
         self._cache[subset] = ev
         return ev
 
-    def result_for(self, subset: frozenset, solver_name: str) -> SolveResult:
+    def result_for(self, subset: frozenset[TaskId], solver_name: str) -> SolveResult:
         """Full :class:`SolveResult` for a subset (built once, at the end)."""
         if self.ctx.is_single_processor:
             return solve_with_reexec_set(self.problem, subset,
@@ -194,7 +201,8 @@ class _Instance:
         return ev.result
 
 
-def _exec_energy(eff, d, a):
+def _exec_energy(eff: np.ndarray | float, d: np.ndarray | float,
+                 a: float) -> np.ndarray | float:
     """Energy ``eff^a / d^(a-1)`` computed as ``eff * (eff/d)^(a-1)``.
 
     The naive numerator/denominator form produces ``0/0 = NaN`` for denormal
@@ -235,7 +243,7 @@ def _build_instance(problem: TriCritProblem, ctx: SolverContext) -> _Instance:
     )
 
 
-def _forced_sets(inst: _Instance) -> tuple[set, set] | None:
+def _forced_sets(inst: _Instance) -> tuple[set[int], set[int]] | None:
     """(forced_in, forced_out) index sets, or ``None`` when plainly infeasible.
 
     *Out*: the dominance rule (cheapest re-execution no cheaper than the
@@ -245,7 +253,8 @@ def _forced_sets(inst: _Instance) -> tuple[set, set] | None:
     instance infeasible.
     """
     a = inst.exponent
-    forced_in, forced_out = set(), set()
+    forced_in: set[int] = set()
+    forced_out: set[int] = set()
     for i in range(len(inst.tasks)):
         if not inst.single_ok[i] and not inst.reexec_ok[i]:
             return None
@@ -297,6 +306,102 @@ def _switch_prices(s: np.ndarray, fr: np.ndarray, a: float) -> np.ndarray:
                     free)
 
 
+@dataclass
+class _DualTable:
+    """One processor's dual-bound constants, read by every node's bound.
+
+    Each of the processor's ``n`` tasks has four columns, one per option
+    code ``2 allow_s + allow_r``: closed (0), *In* (1, re-execution only),
+    *Out* (2, single only) and undecided (3, the dual's choice:
+    re-execution below the task's switch price).  Block ``c`` holds code
+    ``c``, so a node's codes select columns ``c n + j``.  ``rows`` holds
+    the minimum duration (``inf`` for a closed task), the ``lam = 0``
+    energy and duration, and the clipped duration at each of the ``K``
+    breakpoints ``bp``; ``pick0`` is the ``lam = 0`` choice.  A closed
+    option's duration cap is never read, so the table uses the open
+    option's cap throughout.  :meth:`midpoint` adds, per interval, the
+    durations clipped at the interval's midpoint and the effective weight
+    of the free ones, built on first use.
+    """
+
+    w: np.ndarray
+    lo_s: np.ndarray
+    hi_s: np.ndarray
+    lo_r: np.ndarray
+    hi_r: np.ndarray
+    tau: np.ndarray
+    bp: np.ndarray
+    mids: np.ndarray  # per interval (bp[k-1], bp[k]): its geometric midpoint
+    rows: np.ndarray  # (3 + K, 4 n)
+    pick0: np.ndarray  # (4 n,)
+    exponent: float
+
+    def __post_init__(self) -> None:
+        self._offsets = np.arange(self.w.size)
+        self._mid: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+    def columns(self, code: np.ndarray) -> np.ndarray:
+        return code * self.w.size + self._offsets
+
+    def midpoint(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """Clipped durations (0 where free) and free effective weights
+        (0 where clipped) at interval ``k``'s midpoint, per column."""
+        row = self._mid.get(k)
+        if row is None:
+            a, w = self.exponent, self.w
+            scale = ((a - 1.0) / self.mids[k:k + 1]) ** (1.0 / a)
+            raw_s, raw_r = w * scale, 2.0 * w * scale
+            free_s = (self.lo_s < raw_s) & (raw_s < self.hi_s)
+            free_r = (self.lo_r < raw_r) & (raw_r < self.hi_r)
+            clip_s = np.where(free_s, 0.0, np.clip(raw_s, self.lo_s, self.hi_s))
+            clip_r = np.where(free_r, 0.0, np.clip(raw_r, self.lo_r, self.hi_r))
+            eff_s = np.where(free_s, w, 0.0)
+            eff_r = np.where(free_r, 2.0 * w, 0.0)
+            reexec = self.mids[k] < self.tau
+            zero = np.zeros(w.size)
+            row = self._mid[k] = (
+                np.concatenate([zero, clip_r, clip_s,
+                                np.where(reexec, clip_r, clip_s)]),
+                np.concatenate([zero, eff_r, eff_s,
+                                np.where(reexec, eff_r, eff_s)]))
+        return row
+
+
+def _dual_table(inst: _Instance, idx: np.ndarray, bp: np.ndarray) -> _DualTable:
+    """Build the :class:`_DualTable` of the tasks ``idx`` on one processor."""
+    a = inst.exponent
+    w = inst.w[idx]
+    lo_s, hi_s = inst.lo_s[idx], inst.hi_s[idx]
+    lo_r, hi_r = inst.lo_r[idx], inst.hi_r[idx]
+    tau = inst._dual_tau[idx]
+    n = idx.size
+    with np.errstate(divide="ignore", invalid="ignore"):
+        e_s = _exec_energy(w, hi_s, a)
+        e_r = _exec_energy(2.0 * w, hi_r, a)
+    reexec0 = e_r < e_s
+    rows = np.empty((3 + bp.size, 4 * n))
+    rows[0] = np.concatenate([np.full(n, math.inf), lo_r, lo_s, lo_s])
+    rows[1] = np.concatenate([np.zeros(n), e_r, e_s,
+                              np.where(reexec0, e_r, e_s)])
+    rows[2] = np.concatenate([np.zeros(n), hi_r, hi_s,
+                              np.where(reexec0, hi_r, hi_s)])
+    # The breakpoint rows, filled in place block by block: the tables of
+    # the n = 200 chains run to ~1 MB, and each temporary costs page faults.
+    scale = (((a - 1.0) / bp) ** (1.0 / a))[:, None]
+    closed, d_r, d_s, und = np.moveaxis(rows[3:].reshape(bp.size, 4, n), 1, 0)
+    closed[...] = 0.0
+    np.clip(np.multiply(2.0 * w, scale, out=d_r), lo_r, hi_r, out=d_r)
+    np.clip(np.multiply(w, scale, out=d_s), lo_s, hi_s, out=d_s)
+    np.copyto(und, d_s)
+    np.copyto(und, d_r, where=bp[:, None] < tau)
+    left = np.concatenate([[0.0], bp[:-1]])
+    mids = np.where(left > 0.0, np.sqrt(left * bp), 0.5 * bp)
+    pick0 = np.concatenate([np.zeros(n, dtype=bool), np.ones(n, dtype=bool),
+                            np.zeros(n, dtype=bool), reexec0])
+    return _DualTable(w=w, lo_s=lo_s, hi_s=hi_s, lo_r=lo_r, hi_r=hi_r, tau=tau,
+                      bp=bp, mids=mids, rows=rows, pick0=pick0, exponent=a)
+
+
 def _dual_bound(inst: _Instance, allow_s: np.ndarray, allow_r: np.ndarray,
                 ) -> tuple[float, np.ndarray, bool]:
     """Best dual lower bound for a partial assignment.
@@ -308,108 +413,117 @@ def _dual_bound(inst: _Instance, allow_s: np.ndarray, allow_r: np.ndarray,
     bound is attained by a primal-feasible schedule (the ``lam = 0`` loose
     path held on every processor).
 
-    Each processor's dual is maximised exactly.  Its supergradient
-    ``sum_i d_i(lam) - D`` is piecewise ``A + B lam^(-1/a)``: it changes form
-    only where an option's duration hits a clip point,
-    ``lam = (a-1) (eff/lo)^a`` or ``(a-1) (eff/cap)^a``, and where a task's
-    choice switches (:func:`_switch_prices`); the instance holds every
-    such price per processor.  The supergradient is evaluated at every
-    sorted breakpoint at once; inside the bracketing interval its root is
-    ``lam = (a-1) (B / (D - A))^a``, and when it jumps over zero the
-    breakpoint itself is the maximiser.  Any ``lam`` yields a
-    valid bound, so rounding here costs tightness only.
+    The bound is a sum of per-processor duals, and branching on one task
+    changes one processor's: each processor's ``(bound, pick, exact)`` is
+    memoised on the instance, keyed by its tasks' option codes
+    ``2 allow_s + allow_r``.  A miss is answered by :func:`_processor_dual`
+    from the processor's :class:`_DualTable`.
     """
     inst.bound_evaluations += 1
-    D = inst.problem.deadline
-    a = inst.exponent
+    code = 2 * allow_s + allow_r
     total = 0.0
     pick = np.zeros(len(inst.tasks), dtype=bool)
     exact = True
-    for idx, bp in zip(inst._proc_index, inst._breakpoints):
+    for p, idx in enumerate(inst._proc_index):
         if idx.size == 0:
             continue
-        a_s, a_r = allow_s[idx], allow_r[idx]
-        if np.any(~a_s & ~a_r):
+        code_p = code[idx]
+        key = (p, code_p.tobytes())
+        dual = inst._dual_memo.get(key)
+        if dual is None:
+            dual = inst._dual_memo[key] = _processor_dual(inst, p, code_p)
+        bound, choose, loose = dual
+        if choose is None:
             return math.inf, pick, False
-        lo_s, hi_s = inst.lo_s[idx], inst.hi_s[idx]
-        lo_r, hi_r = inst.lo_r[idx], inst.hi_r[idx]
-        w = inst.w[idx]
-        min_lo = np.where(a_s, lo_s, lo_r)
-        if float(np.sum(min_lo)) > D * (1.0 + 1e-12):
-            return math.inf, pick, False
-        cap_s = np.where(a_s, hi_s, lo_s)
-        cap_r = np.where(a_r, hi_r, lo_r)
-
-        def L(lam):
-            if lam <= 0.0:
-                d_s, d_r = hi_s, hi_r
-            else:
-                scale = ((a - 1.0) / lam) ** (1.0 / a)
-                d_s = np.clip(w * scale, lo_s, cap_s)
-                d_r = np.clip(2.0 * w * scale, lo_r, cap_r)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                v_s = np.where(a_s, _exec_energy(w, d_s, a) + lam * d_s,
-                               math.inf)
-                v_r = np.where(a_r, _exec_energy(2.0 * w, d_r, a) + lam * d_r,
-                               math.inf)
-            choose_r = v_r < v_s
-            phi = np.where(choose_r, v_r, v_s)
-            d = np.where(choose_r, d_r, d_s)
-            return float(np.sum(phi)) - lam * D, float(np.sum(d)) - D, choose_r
-
-        val, g, choose = L(0.0)
-        if g <= 1e-12 * max(1.0, D):
-            # Loose deadline: the dual choice at maximal durations fits, so
-            # the relaxation optimum is primal-achievable -- exact bound.
-            total += val
-            pick[idx] = choose
-            continue
-        exact = False
-
-        tau = np.where(a_s & a_r, inst._dual_tau[idx],
-                       np.where(a_r, math.inf, -math.inf))
-
-        def durations(lam: np.ndarray) -> tuple[np.ndarray, np.ndarray,
-                                                np.ndarray, np.ndarray]:
-            """Unclipped duration, bounds and effective weight of each task's
-            choice just right of each price in ``lam`` (``(K, n)`` arrays)."""
-            choose_r = lam[:, None] < tau
-            scale = ((a - 1.0) / lam) ** (1.0 / a)
-            eff = np.where(choose_r, 2.0 * w, w)
-            return (eff * scale[:, None], np.where(choose_r, lo_r, lo_s),
-                    np.where(choose_r, cap_r, cap_s), eff)
-
-        raw, lo, cap, _ = durations(bp)
-        slope = np.clip(raw, lo, cap).sum(axis=1) - D
-        crossed = np.flatnonzero(slope <= 0.0)
-        if crossed.size == 0:
-            # Every duration at its minimum still overruns D by less than the
-            # feasibility tolerance: the last breakpoint is as good as any.
-            # (No breakpoint at all takes weights whose durations underflow.)
-            lam = float(bp[-1]) if bp.size else 0.0
-        else:
-            k = int(crossed[0])
-            right = float(bp[k])
-            left = float(bp[k - 1]) if k else 0.0
-            mid = math.sqrt(left * right) if left > 0.0 else 0.5 * right
-            raw, lo, cap, eff = (x[0] for x in durations(np.array([mid])))
-            free = (lo < raw) & (raw < cap)
-            clipped = float(np.sum(np.where(free, 0.0, np.clip(raw, lo, cap))))
-            free_eff = float(np.sum(eff[free]))
-            lam = right
-            if free_eff > 0.0 and clipped < D:
-                lam = min(max((a - 1.0) * (free_eff / (D - clipped)) ** a,
-                              left), right)
-        best, _, best_choose = L(lam)
-        if val > best:
-            best, best_choose = val, choose
-        total += best
-        pick[idx] = best_choose
+        total += bound
+        pick[idx] = choose
+        exact = exact and loose
     return total, pick, exact
 
 
-def _threshold_incumbent(inst: _Instance, forced_in: set,
-                         free: list) -> tuple[float, frozenset] | None:
+def _processor_dual(inst: _Instance, p: int, code: np.ndarray,
+                    ) -> tuple[float, np.ndarray | None, bool]:
+    """One processor's maximised dual: ``(bound, pick, loose)``.
+
+    ``pick`` is ``None`` when the node is infeasible on this processor.
+    The node's option codes select one column per task of the processor's
+    table, so one gather and one row sum give the minimum duration, the
+    ``lam = 0`` energy and duration, and the supergradient
+    ``sum_i d_i(lam) - D`` at every breakpoint.  Between breakpoints the
+    supergradient is ``A + B lam^(-1/a)``; with the first breakpoint at
+    which it is no longer positive, the bracketing interval's midpoint row
+    gives ``A - D`` and ``B`` and the root ``lam = (a-1) (B / (D - A))^a``,
+    and when the supergradient jumps over zero the breakpoint itself is
+    the maximiser.  Any ``lam`` yields a valid bound, so rounding here
+    costs tightness only.  The returned bound and pick both come from one
+    evaluation of ``L`` at the chosen ``lam`` (:func:`_lagrangian`): a
+    maximiser often sits exactly on a switch price.
+    """
+    tab = inst._dual_tables[p]
+    if tab is None:
+        tab = inst._dual_tables[p] = _dual_table(inst, inst._proc_index[p],
+                                                 inst._breakpoints[p])
+    D = inst.problem.deadline
+    a = inst.exponent
+    cols = tab.columns(code)
+    sums = tab.rows.take(cols, axis=1).sum(axis=1)
+    if float(sums[0]) > D * (1.0 + 1e-12):
+        return math.inf, None, False
+    val = float(sums[1])
+    choose = tab.pick0.take(cols)
+    if float(sums[2]) - D <= 1e-12 * max(1.0, D):
+        # Loose deadline: the dual choice at maximal durations fits, so
+        # the relaxation optimum is primal-achievable -- exact bound.
+        return val, choose, True
+
+    bp = tab.bp
+    crossed = np.flatnonzero(sums[3:] <= D)
+    if crossed.size == 0:
+        # Every duration at its minimum still overruns D by less than the
+        # feasibility tolerance: the last breakpoint is as good as any.
+        # (No breakpoint at all takes weights whose durations underflow.)
+        lam = float(bp[-1]) if bp.size else 0.0
+    else:
+        k = int(crossed[0])
+        right = float(bp[k])
+        left = float(bp[k - 1]) if k else 0.0
+        clipped_row, free_row = tab.midpoint(k)
+        clipped = float(np.sum(clipped_row.take(cols)))
+        free = free_row.take(cols)
+        free_eff = float(np.sum(free[free > 0.0]))
+        lam = right
+        if free_eff > 0.0 and clipped < D:
+            lam = min(max((a - 1.0) * (free_eff / (D - clipped)) ** a,
+                          left), right)
+    best, best_choose = _lagrangian(tab, code, lam, D)
+    if val > best:
+        best, best_choose = val, choose
+    return best, best_choose, False
+
+
+def _lagrangian(tab: _DualTable, code: np.ndarray, lam: float, D: float,
+                ) -> tuple[float, np.ndarray]:
+    """``L(lam)`` on one processor and each task's choice there."""
+    a = tab.exponent
+    a_s, a_r = code > 1, code % 2 == 1
+    w = tab.w
+    if lam <= 0.0:
+        d_s, d_r = tab.hi_s, tab.hi_r
+    else:
+        # np.clip's bits, without its Python-level dispatch.
+        scale = ((a - 1.0) / lam) ** (1.0 / a)
+        d_s = np.minimum(np.maximum(w * scale, tab.lo_s), tab.hi_s)
+        d_r = np.minimum(np.maximum(2.0 * w * scale, tab.lo_r), tab.hi_r)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        v_s = np.where(a_s, _exec_energy(w, d_s, a) + lam * d_s, math.inf)
+        v_r = np.where(a_r, _exec_energy(2.0 * w, d_r, a) + lam * d_r,
+                       math.inf)
+    choose_r = v_r < v_s
+    return float(np.sum(np.where(choose_r, v_r, v_s))) - lam * D, choose_r
+
+
+def _threshold_incumbent(inst: _Instance, forced_in: set[int], free: list[int],
+                         ) -> tuple[float, frozenset[TaskId]] | None:
     """Best feasible subset over the dual-threshold prefix family.
 
     Orders the free tasks by decreasing switch price -- the multiplier at
@@ -427,7 +541,7 @@ def _threshold_incumbent(inst: _Instance, forced_in: set,
     order = [i for _, i in sorted(zip(-taus, free))]
     m = len(order)
 
-    def prefix(k: int) -> frozenset:
+    def prefix(k: int) -> frozenset[TaskId]:
         return base | frozenset(inst.tasks[i] for i in order[:k])
 
     step = max(1, m // 24)
@@ -439,7 +553,7 @@ def _threshold_incumbent(inst: _Instance, forced_in: set,
         for k in range(max(0, best_k - step), min(m, best_k + step) + 1):
             if k not in evals:
                 evals[k] = inst.evaluate(prefix(k))
-    best: tuple[float, frozenset] | None = None
+    best: tuple[float, frozenset[TaskId]] | None = None
     for k, ev in evals.items():
         if ev.feasible and (best is None or ev.energy < best[0]):
             best = (ev.energy, prefix(k))
@@ -449,15 +563,15 @@ def _threshold_incumbent(inst: _Instance, forced_in: set,
 # ----------------------------------------------------------------------
 # chain weight-class DP
 # ----------------------------------------------------------------------
-def _class_dp(inst: _Instance, forced_in: set, free: list,
-              budget: int) -> tuple[tuple[float, frozenset] | None, int] | None:
+def _class_dp(inst: _Instance, forced_in: set[int], free: list[int], budget: int,
+              ) -> tuple[tuple[float, frozenset[TaskId]] | None, int] | None:
     """Exact scan over weight-class count vectors, or ``None`` if over budget.
 
     Sound on a single processor only: there the restricted allocation energy
     depends on the multiset of (effective weight, floor) pairs, never on
     *which* equal-weight task re-executes.
     """
-    classes: dict[float, list] = {}
+    classes: dict[float, list[int]] = {}
     for i in free:
         classes.setdefault(float(inst.w[i]), []).append(i)
     members = list(classes.values())
@@ -469,7 +583,7 @@ def _class_dp(inst: _Instance, forced_in: set, free: list,
     base = frozenset(inst.tasks[i] for i in forced_in)
     vectors = sorted(itertools.product(*[range(len(g) + 1) for g in members]),
                      key=sum)
-    best: tuple[float, frozenset] | None = None
+    best: tuple[float, frozenset[TaskId]] | None = None
     for counts in vectors:
         chosen = set(base)
         for group, k in zip(members, counts):
@@ -494,7 +608,7 @@ def _search(problem: TriCritProblem, *, exact_mode: bool, max_tasks: int | None,
             f"pruned exact solver limited to {max_tasks} tasks (got {n}); "
             "use tricrit-pruned-gap for a certified bound beyond the limit")
 
-    def infeasible(extra: dict | None = None) -> SolveResult:
+    def infeasible(extra: dict[str, Any] | None = None) -> SolveResult:
         meta = {"nodes": 0, "lower_bound": math.inf, "optimality_gap": 0.0,
                 "strategy": "infeasibility-check",
                 "mode": "exact" if exact_mode else "gap"}
@@ -518,8 +632,8 @@ def _search(problem: TriCritProblem, *, exact_mode: bool, max_tasks: int | None,
                 - _exec_energy(2.0 * inst.w[i], inst.hi_r[i], a)) for i in free}
     free.sort(key=lambda i: gain[i], reverse=True)
 
-    def finish(subset: frozenset, energy: float, *, bound: float, nodes: int,
-               strategy: str, extra: dict | None = None) -> SolveResult:
+    def finish(subset: frozenset[TaskId], energy: float, *, bound: float, nodes: int,
+               strategy: str, extra: dict[str, Any] | None = None) -> SolveResult:
         result = inst.result_for(subset, solver_name)
         inc = energy
         gap = 0.0 if inc <= 0 else max(0.0, (inc - bound) / inc)
@@ -541,31 +655,20 @@ def _search(problem: TriCritProblem, *, exact_mode: bool, max_tasks: int | None,
         result.metadata.update(extra or {})
         return result
 
-    states_in = frozenset(forced_in)
-    states_out = frozenset(forced_out)
-
-    def masks(in_set: frozenset, out_set: frozenset) -> tuple[np.ndarray, np.ndarray]:
-        allow_s = inst.single_ok.copy()
-        allow_r = inst.reexec_ok.copy()
-        for i in in_set:
-            allow_s[i] = False
-        for i in out_set:
-            allow_r[i] = False
-        return allow_s, allow_r
-
-    def completion_subset(in_set: frozenset, pick: np.ndarray) -> frozenset:
-        chosen = {inst.tasks[i] for i in in_set}
-        for i in free:
-            if i not in in_set and pick[i]:
-                chosen.add(inst.tasks[i])
-        return frozenset(chosen)
+    def completion_subset(pick: np.ndarray) -> frozenset[TaskId]:
+        # The dual picks every In task's re-execution (its single run is
+        # closed) and no Out task's, so its picks are the whole completion.
+        return frozenset(inst.tasks[i] for i in np.flatnonzero(pick))
 
     # Root bound -- also the loose-deadline O(n) fast path.
-    allow_s, allow_r = masks(states_in, states_out)
-    root_bound, root_pick, root_exact = _dual_bound(inst, allow_s, allow_r)
+    root_s = inst.single_ok.copy()
+    root_r = inst.reexec_ok.copy()
+    root_s[sorted(forced_in)] = False
+    root_r[sorted(forced_out)] = False
+    root_bound, root_pick, root_exact = _dual_bound(inst, root_s, root_r)
     if not math.isfinite(root_bound):
         return infeasible({"strategy": "dual-bound"})
-    root_subset = completion_subset(states_in, root_pick)
+    root_subset = completion_subset(root_pick)
     incumbent = inst.evaluate(root_subset)
     # The lam = 0 dual choice fills each processor within the deadline, but
     # only on a single processor is that sufficient for schedule feasibility
@@ -596,7 +699,8 @@ def _search(problem: TriCritProblem, *, exact_mode: bool, max_tasks: int | None,
 
     # Best-first branch-and-bound on the free tasks.
     counter = itertools.count()
-    heap = [(root_bound, 0, next(counter), states_in, states_out)]
+    # A node carries its option masks; a child copies the one it changes.
+    heap = [(root_bound, 0, next(counter), root_s, root_r)]
     nodes = 1
 
     def gap_of(bound: float) -> float:
@@ -614,7 +718,7 @@ def _search(problem: TriCritProblem, *, exact_mode: bool, max_tasks: int | None,
                 break
             if node_budget is not None and nodes >= node_budget:
                 break
-        lb, depth, _, in_set, out_set = heapq.heappop(heap)
+        lb, depth, _, allow_s, allow_r = heapq.heappop(heap)
         if lb >= inc_energy - _REL_TOL * max(1.0, inc_energy):
             continue
         if depth >= len(free):
@@ -624,16 +728,20 @@ def _search(problem: TriCritProblem, *, exact_mode: bool, max_tasks: int | None,
             continue
         branch_task = free[depth]
         for add_to_in in (True, False):
-            child_in = in_set | {branch_task} if add_to_in else in_set
-            child_out = out_set if add_to_in else out_set | {branch_task}
-            allow_s, allow_r = masks(child_in, child_out)
-            child_bound, pick, child_exact = _dual_bound(inst, allow_s, allow_r)
+            child_s, child_r = allow_s, allow_r
+            if add_to_in:
+                child_s = allow_s.copy()
+                child_s[branch_task] = False
+            else:
+                child_r = allow_r.copy()
+                child_r[branch_task] = False
+            child_bound, pick, child_exact = _dual_bound(inst, child_s, child_r)
             nodes += 1
             if not math.isfinite(child_bound):
                 continue
             if child_bound >= inc_energy - _REL_TOL * max(1.0, inc_energy):
                 continue
-            child_subset = completion_subset(child_in, pick)
+            child_subset = completion_subset(pick)
             candidate = inst.evaluate(child_subset)
             if candidate.feasible and candidate.energy < inc_energy:
                 inc_energy, inc_subset = candidate.energy, child_subset
@@ -641,7 +749,7 @@ def _search(problem: TriCritProblem, *, exact_mode: bool, max_tasks: int | None,
                     candidate.energy <= child_bound * (1.0 + 1e-9) + 1e-12:
                 continue  # bound attained by its own completion; subtree closed
             heapq.heappush(heap, (child_bound, depth + 1, next(counter),
-                                  child_in, child_out))
+                                  child_s, child_r))
 
     if inc_subset is None:
         return infeasible({"strategy": "branch-and-bound", "nodes": nodes})

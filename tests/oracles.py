@@ -3,9 +3,10 @@
 The library computes the re-execution speed floor, the pruned search's
 per-processor dual maximum and the bounded water-fill's common scale in
 closed form.  The bisections they replaced live on here, unchanged, as
-independent references for the property tests, next to SciPy's
-trust-constr and SLSQP run on the convex program the interior point of
-:mod:`repro.continuous.convex` solves.  The LP/MILP path of :mod:`repro.lp`
+independent references for the property tests, and so does the per-node
+closure form of the dual bound that its per-processor tables replaced.
+Next to them are SciPy's trust-constr and SLSQP, run on the convex
+program the interior point of :mod:`repro.continuous.convex` solves.  The LP/MILP path of :mod:`repro.lp`
 (one HiGHS call) is checked against two enumerations that read the model's
 symbolic rows, not its :meth:`~repro.lp.LinearProgram.to_arrays` lowering:
 every vertex of a bounded LP, and every 0/1 point of a binary MILP.
@@ -197,6 +198,119 @@ def bisection_dual_bound(inst, allow_s: np.ndarray, allow_r: np.ndarray
                 lam_lo = lam_mid
             else:
                 lam_hi = lam_mid
+        total += best
+        pick[idx] = best_choose
+    return total, pick, exact
+
+
+def closure_dual_bound(inst, allow_s: np.ndarray, allow_r: np.ndarray,
+                       ) -> tuple[float, np.ndarray, bool]:
+    """The pruned search's dual bound as per-node closures over the
+    processor's tasks: ``L(lam)`` and the ``(K, n)`` supergradient pass
+    rebuilt from the node's masks, no tables and no memo.
+
+    ``allow_s`` / ``allow_r`` mark the options still open per task (an *In*
+    task allows re-execution only, an *Out* task single only, an undecided
+    task both).  Returns ``(bound, pick_reexec, exact)`` where
+    ``pick_reexec`` is the dual completion suggestion and ``exact`` means the
+    bound is attained by a primal-feasible schedule (the ``lam = 0`` loose
+    path held on every processor).
+
+    Each processor's dual is maximised exactly.  Its supergradient
+    ``sum_i d_i(lam) - D`` is piecewise ``A + B lam^(-1/a)``: it changes form
+    only where an option's duration hits a clip point,
+    ``lam = (a-1) (eff/lo)^a`` or ``(a-1) (eff/cap)^a``, and where a task's
+    choice switches (``pruned._switch_prices``); the instance holds every
+    such price per processor.  The supergradient is evaluated at every
+    sorted breakpoint at once; inside the bracketing interval its root is
+    ``lam = (a-1) (B / (D - A))^a``, and when it jumps over zero the
+    breakpoint itself is the maximiser.  Any ``lam`` yields a
+    valid bound, so rounding here costs tightness only.
+    """
+    inst.bound_evaluations += 1
+    D = inst.problem.deadline
+    a = inst.exponent
+    total = 0.0
+    pick = np.zeros(len(inst.tasks), dtype=bool)
+    exact = True
+    for idx, bp in zip(inst._proc_index, inst._breakpoints):
+        if idx.size == 0:
+            continue
+        a_s, a_r = allow_s[idx], allow_r[idx]
+        if np.any(~a_s & ~a_r):
+            return math.inf, pick, False
+        lo_s, hi_s = inst.lo_s[idx], inst.hi_s[idx]
+        lo_r, hi_r = inst.lo_r[idx], inst.hi_r[idx]
+        w = inst.w[idx]
+        min_lo = np.where(a_s, lo_s, lo_r)
+        if float(np.sum(min_lo)) > D * (1.0 + 1e-12):
+            return math.inf, pick, False
+        cap_s = np.where(a_s, hi_s, lo_s)
+        cap_r = np.where(a_r, hi_r, lo_r)
+
+        def L(lam):
+            if lam <= 0.0:
+                d_s, d_r = hi_s, hi_r
+            else:
+                scale = ((a - 1.0) / lam) ** (1.0 / a)
+                d_s = np.clip(w * scale, lo_s, cap_s)
+                d_r = np.clip(2.0 * w * scale, lo_r, cap_r)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                v_s = np.where(a_s, _exec_energy(w, d_s, a) + lam * d_s,
+                               math.inf)
+                v_r = np.where(a_r, _exec_energy(2.0 * w, d_r, a) + lam * d_r,
+                               math.inf)
+            choose_r = v_r < v_s
+            phi = np.where(choose_r, v_r, v_s)
+            d = np.where(choose_r, d_r, d_s)
+            return float(np.sum(phi)) - lam * D, float(np.sum(d)) - D, choose_r
+
+        val, g, choose = L(0.0)
+        if g <= 1e-12 * max(1.0, D):
+            # Loose deadline: the dual choice at maximal durations fits, so
+            # the relaxation optimum is primal-achievable -- exact bound.
+            total += val
+            pick[idx] = choose
+            continue
+        exact = False
+
+        tau = np.where(a_s & a_r, inst._dual_tau[idx],
+                       np.where(a_r, math.inf, -math.inf))
+
+        def durations(lam: np.ndarray) -> tuple[np.ndarray, np.ndarray,
+                                                np.ndarray, np.ndarray]:
+            """Unclipped duration, bounds and effective weight of each task's
+            choice just right of each price in ``lam`` (``(K, n)`` arrays)."""
+            choose_r = lam[:, None] < tau
+            scale = ((a - 1.0) / lam) ** (1.0 / a)
+            eff = np.where(choose_r, 2.0 * w, w)
+            return (eff * scale[:, None], np.where(choose_r, lo_r, lo_s),
+                    np.where(choose_r, cap_r, cap_s), eff)
+
+        raw, lo, cap, _ = durations(bp)
+        slope = np.clip(raw, lo, cap).sum(axis=1) - D
+        crossed = np.flatnonzero(slope <= 0.0)
+        if crossed.size == 0:
+            # Every duration at its minimum still overruns D by less than the
+            # feasibility tolerance: the last breakpoint is as good as any.
+            # (No breakpoint at all takes weights whose durations underflow.)
+            lam = float(bp[-1]) if bp.size else 0.0
+        else:
+            k = int(crossed[0])
+            right = float(bp[k])
+            left = float(bp[k - 1]) if k else 0.0
+            mid = math.sqrt(left * right) if left > 0.0 else 0.5 * right
+            raw, lo, cap, eff = (x[0] for x in durations(np.array([mid])))
+            free = (lo < raw) & (raw < cap)
+            clipped = float(np.sum(np.where(free, 0.0, np.clip(raw, lo, cap))))
+            free_eff = float(np.sum(eff[free]))
+            lam = right
+            if free_eff > 0.0 and clipped < D:
+                lam = min(max((a - 1.0) * (free_eff / (D - clipped)) ** a,
+                              left), right)
+        best, _, best_choose = L(lam)
+        if val > best:
+            best, best_choose = val, choose
         total += best
         pick[idx] = best_choose
     return total, pick, exact

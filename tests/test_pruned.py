@@ -16,7 +16,9 @@ through the v1 API error codes.
 
 from __future__ import annotations
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,7 +35,7 @@ from repro.continuous.exhaustive import (
 from repro.continuous.heuristics import best_of_heuristics, solve_with_reexec_set
 from repro.continuous.tricrit_chain import solve_tricrit_chain_exact
 from repro.core.columnar import ProblemBatch
-from repro.core.problem_io import problem_to_dict
+from repro.core.problem_io import problem_from_dict, problem_to_dict
 from repro.core.problems import InfeasibleProblemError, TriCritProblem
 from repro.core.reliability import ReliabilityModel
 from repro.core.speeds import ContinuousSpeeds
@@ -43,6 +45,7 @@ from repro.platform.mapping import Mapping
 from repro.platform.platform import Platform
 from repro.solvers.batch import solve_batch
 from repro.solvers.context import SolverContext
+from repro.solvers.dispatch import solve
 from repro.solvers.pruned import (
     _build_instance,
     _dual_bound,
@@ -50,9 +53,11 @@ from repro.solvers.pruned import (
     solve_tricrit_pruned,
     solve_tricrit_pruned_gap,
 )
-from tests.oracles import bisection_dual_bound
+from tests.oracles import bisection_dual_bound, closure_dual_bound
 
 REL = 1e-9
+POOL = json.loads((Path(__file__).parent / "fixtures" / "pruned_pool.json")
+                  .read_text())["instances"]
 
 
 def chain_enumeration(problem):
@@ -161,7 +166,7 @@ class TestMultiProcessorParity:
 # the dual bound: valid, and no weaker than the bisection it replaced
 # ----------------------------------------------------------------------
 @st.composite
-def partial_assignments(draw):
+def partial_assignments(draw, states=("in", "out", "free")):
     """A small chain or layered DAG and a random In/Out/free assignment."""
     seed = draw(st.integers(min_value=0, max_value=10_000))
     if draw(st.booleans()):
@@ -174,10 +179,26 @@ def partial_assignments(draw):
     problem = make_problem(graph, processors,
                            draw(st.floats(min_value=1.05, max_value=4.0)),
                            lambda0=draw(st.sampled_from([1e-5, 1e-4, 1e-3])))
-    states = draw(st.lists(st.sampled_from(["in", "out", "free"]),
+    states = draw(st.lists(st.sampled_from(states),
                            min_size=graph.num_tasks,
                            max_size=graph.num_tasks))
     return problem, states
+
+
+def option_masks(inst, states):
+    """``(allow_s, allow_r)`` for per-task states; ``closed`` shuts both."""
+    allow_s = inst.single_ok.copy()
+    allow_r = inst.reexec_ok.copy()
+    for i, state in enumerate(states[:len(inst.tasks)]):
+        allow_s[i] &= state not in ("in", "closed")
+        allow_r[i] &= state not in ("out", "closed")
+    return allow_s, allow_r
+
+
+def assert_same_dual(got, want, *, rel=0.0):
+    assert got[0] == pytest.approx(want[0], rel=rel, abs=0.0)
+    assert np.array_equal(got[1], want[1])
+    assert got[2] == want[2]
 
 
 class TestDualBound:
@@ -209,6 +230,49 @@ class TestDualBound:
         if best.feasible:
             assert bound <= best.energy * (1.0 + REL)
 
+
+    @given(partial_assignments(("in", "out", "free", "closed")),
+           st.integers(min_value=0, max_value=23))
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_tables_and_memo_match_the_closure_form(self, case, flip):
+        # The per-processor tables give the closure form's bound, pick and
+        # exactness; a memo hit -- the whole node again, or a child that
+        # changes one task and so one processor -- returns what a cold
+        # evaluation does.  Closed tasks and all-In masks that overrun the
+        # deadline are drawn too.
+        problem, states = case
+        ctx = SolverContext.for_problem(problem)
+        inst = _build_instance(problem, ctx)
+        allow_s, allow_r = option_masks(inst, states)
+        want = closure_dual_bound(inst, allow_s, allow_r)
+        count = inst.bound_evaluations
+        cold = _dual_bound(inst, allow_s, allow_r)
+        assert_same_dual(cold, want, rel=1e-12)
+        assert_same_dual(_dual_bound(inst, allow_s, allow_r), cold)
+        assert inst.bound_evaluations == count + 2
+
+        child = list(states)
+        i = flip % len(child)
+        child[i] = {"in": "out", "out": "free", "free": "in",
+                    "closed": "free"}[child[i]]
+        child_s, child_r = option_masks(inst, child)
+        warm = _dual_bound(inst, child_s, child_r)
+        fresh = _build_instance(problem, ctx)
+        assert_same_dual(warm, _dual_bound(fresh, child_s, child_r))
+        assert_same_dual(warm, closure_dual_bound(fresh, child_s, child_r),
+                         rel=1e-12)
+
+    def test_closed_or_overrunning_masks_have_no_bound(self):
+        problem = make_problem(generators.random_chain(6, seed=4), 1, 1.2,
+                               lambda0=1e-4)
+        inst = _build_instance(problem, SolverContext.for_problem(problem))
+        for states in (["free", "closed", "free", "out", "in", "free"],
+                       ["in"] * 6):
+            allow_s, allow_r = option_masks(inst, states)
+            got = _dual_bound(inst, allow_s, allow_r)
+            assert math.isinf(got[0]) and not got[2]
+            assert_same_dual(got, closure_dual_bound(inst, allow_s, allow_r))
 
     @given(partial_assignments())
     @settings(max_examples=30, deadline=None,
@@ -247,6 +311,29 @@ class TestDualBound:
                                  2.0 * graph.total_weight())
         inst = _build_instance(problem, SolverContext.for_problem(problem))
         assert len(set(inst.tau.tolist())) == 1
+
+
+# ----------------------------------------------------------------------
+# the served pool's searches, counted
+# ----------------------------------------------------------------------
+class TestPoolCounts:
+    @pytest.mark.parametrize("row", POOL, ids=[r["label"] for r in POOL])
+    def test_counts_and_answer_are_unchanged(self, row):
+        # A faster bound must not change the search: same nodes, restricted
+        # solves, bound evaluations and incumbent as when the fixture was
+        # recorded.
+        result = solve(problem_from_dict(row["problem"]), row["solver"])
+        meta = result.metadata
+        assert [meta["nodes"], meta["subsets_evaluated"],
+                meta["bound_evaluations"]] == [row["nodes"],
+                                               row["subsets_evaluated"],
+                                               row["bound_evaluations"]]
+        schedule = result.require_schedule()
+        assert sorted(str(t) for t, d in schedule.decisions.items()
+                      if d.is_reexecuted) == row["reexecuted"]
+        assert result.energy == pytest.approx(row["energy"], rel=1e-12)
+        assert meta["lower_bound"] == pytest.approx(row["lower_bound"],
+                                                    rel=1e-12)
 
 
 # ----------------------------------------------------------------------

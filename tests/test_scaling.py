@@ -6,11 +6,15 @@ import pytest
 
 from repro.complexity.scaling import (
     ScalingPoint,
+    _chain_problem,
     fit_growth_exponent,
     measure_discrete_exact_scaling,
     measure_tricrit_chain_scaling,
     measure_vdd_lp_scaling,
 )
+from repro.core.problems import BiCritProblem
+from repro.core.speeds import VddHoppingSpeeds
+from repro.discrete.vdd_lp import build_vdd_lp
 
 
 class TestProbes:
@@ -18,6 +22,12 @@ class TestProbes:
         points = measure_vdd_lp_scaling([3, 6], seed=1)
         assert len(points) == 2
         assert points[0].num_tasks == 3
+        # The LP size is the solved model's, read back from the solve.
+        _, mapping, platform, deadline = _chain_problem(3, 1, VddHoppingSpeeds(
+            (0.2, 0.4, 0.6, 0.8, 1.0)))
+        model, _, _ = build_vdd_lp(BiCritProblem(mapping=mapping, platform=platform,
+                                                 deadline=deadline))
+        assert points[0].work_units == model.num_variables
         # LP size grows linearly with the number of tasks (modes fixed).
         assert points[1].work_units == pytest.approx(2 * points[0].work_units)
         assert all(p.energy > 0 for p in points)
