@@ -26,10 +26,17 @@ gap-certified anytime mode beyond it:
    piecewise closed-form supergradient ``sum_i d_i(lam) - D``, so one sorted
    breakpoint scan maximises it exactly.  Tasks mapped to the same
    processor serialise within the makespan, so the bound decomposes as a
-   sum of per-processor duals.  When
+   sum of per-processor duals.  The scan's inputs -- per task and option
+   state (*In*, *Out*, undecided), the minimum duration, the ``lam = 0``
+   energy and duration and the clipped duration at every breakpoint --
+   are per-instance constants: each processor holds one table of them,
+   built on first use, and a node's bound selects one column per task and
+   sums the rows.
+   Branching on one task changes one processor's dual, so each
+   processor's result is memoised by its tasks' states.  When
    ``lam = 0`` already satisfies the deadline (loose-deadline instances)
-   the dual choice is primal-feasible and the bound is *exact* -- an
-   ``O(n)`` fast path that closes the node immediately.
+   the dual choice is primal-feasible and the bound is *exact* -- a fast
+   path that closes the node immediately.
 3. **Weight-class DP.**  On a single processor the restricted allocation
    depends only on the *multiset* of (effective weight, floor) pairs, so
    equal-weight tasks are interchangeable: enumerating re-execution *count
@@ -331,7 +338,7 @@ class _DualTable:
     hi_r: np.ndarray
     tau: np.ndarray
     bp: np.ndarray
-    mids: np.ndarray  # per interval (bp[k-1], bp[k]): its geometric midpoint
+    mids: np.ndarray  # geometric midpoint of (bp[k-1], bp[k]); bp[0] / 2 first
     rows: np.ndarray  # (3 + K, 4 n)
     pick0: np.ndarray  # (4 n,)
     exponent: float
@@ -385,8 +392,9 @@ def _dual_table(inst: _Instance, idx: np.ndarray, bp: np.ndarray) -> _DualTable:
                               np.where(reexec0, e_r, e_s)])
     rows[2] = np.concatenate([np.zeros(n), hi_r, hi_s,
                               np.where(reexec0, hi_r, hi_s)])
-    # The breakpoint rows, filled in place block by block: the tables of
-    # the n = 200 chains run to ~1 MB, and each temporary costs page faults.
+    # The breakpoint rows, filled in place block by block: a table holds
+    # (3 + K) x 4n floats with K up to 5n, and each temporary of that size
+    # costs page faults.
     scale = (((a - 1.0) / bp) ** (1.0 / a))[:, None]
     closed, d_r, d_s, und = np.moveaxis(rows[3:].reshape(bp.size, 4, n), 1, 0)
     closed[...] = 0.0
@@ -449,7 +457,10 @@ def _processor_dual(inst: _Instance, p: int, code: np.ndarray,
     The node's option codes select one column per task of the processor's
     table, so one gather and one row sum give the minimum duration, the
     ``lam = 0`` energy and duration, and the supergradient
-    ``sum_i d_i(lam) - D`` at every breakpoint.  Between breakpoints the
+    ``sum_i d_i(lam) - D`` at every breakpoint.  Selecting columns, rather
+    than multiplying by a 0/1 mask, adds the same numbers in the same
+    order as a per-task evaluation would, so the bound and the tie-breaks
+    it feeds do not depend on the table.  Between breakpoints the
     supergradient is ``A + B lam^(-1/a)``; with the first breakpoint at
     which it is no longer positive, the bracketing interval's midpoint row
     gives ``A - D`` and ``B`` and the root ``lam = (a-1) (B / (D - A))^a``,
@@ -490,6 +501,8 @@ def _processor_dual(inst: _Instance, p: int, code: np.ndarray,
         clipped_row, free_row = tab.midpoint(k)
         clipped = float(np.sum(clipped_row.take(cols)))
         free = free_row.take(cols)
+        # Only the free weights, as the per-task form sums them: pairwise
+        # summation groups terms by position, so the zeros would move it.
         free_eff = float(np.sum(free[free > 0.0]))
         lam = right
         if free_eff > 0.0 and clipped < D:
