@@ -11,19 +11,23 @@ remaining budget ``D - t_0``.  Given its time budget ``B`` a task is solved
 independently and optimally in O(1):
 
 * single execution: speed ``max(w/B, f_rel)`` (feasible when ``<= fmax``),
-  energy ``w f^2``;
+  energy ``w f^(alpha-1)``;
 * re-execution: both attempts at speed ``max(2w/B, floor)`` where ``floor``
   is the slowest equal speed meeting the reliability constraint twice,
-  energy ``2 w f^2``;
+  energy ``2 w f^(alpha-1)``;
 * the task picks the cheaper feasible option.
 
 The per-task energy as a function of the budget is piecewise smooth with a
-constant number of breakpoints (speed-clamping kinks plus the
-single/re-execution crossover), so the total energy as a function of ``t_0``
-has O(n) breakpoints; minimising it by scanning the breakpoint intervals
-(convex inside each interval) yields a polynomial-time algorithm
-(:func:`solve_tricrit_fork`).  :func:`solve_tricrit_fork_bruteforce`
-enumerates all ``2^(n+1)`` re-execution configurations as ground truth.
+constant number of breakpoints: the speed-clamping kinks and the
+single/re-execution crossover ``B = 2^(alpha/(alpha-1)) w / f_rel``.  So the
+total energy as a function of ``t_0`` has O(n) breakpoints, and between two
+of them every task keeps its option and clamp:
+``E(t_0) = A t_0^-(alpha-1) + C (D - t_0)^-(alpha-1) + K``, minimised in
+closed form.  :func:`solve_tricrit_fork` evaluates every breakpoint and every
+interval minimiser, a polynomial-time exact algorithm with no numerical
+search.  :func:`solve_tricrit_fork_bruteforce` enumerates all ``2^(n+1)``
+re-execution configurations with a bounded scalar search each, as an
+independent ground truth.
 """
 
 from __future__ import annotations
@@ -124,7 +128,7 @@ class _Fork:
 
     The re-execution floors come from the memoized
     :meth:`~repro.solvers.context.SolverContext.reexecution_floor`, so the
-    scalar searches over the source finish time never recompute them.
+    energy evaluations over the source finish time never recompute them.
     """
 
     problem: TriCritProblem
@@ -207,6 +211,7 @@ def _breakpoints(fork: _Fork) -> list[float]:
     platform = fork.problem.platform
     D = fork.problem.deadline
     frel = fork.frel
+    alpha = platform.energy_model.exponent
     points: set[float] = set()
 
     def task_breakpoints(task: TaskId) -> list[float]:
@@ -218,7 +223,8 @@ def _breakpoints(fork: _Fork) -> list[float]:
             2.0 * weight / platform.fmax,
             weight / frel,
             2.0 * weight / fork.floor[task],
-            2.0 * math.sqrt(2.0) * weight / frel,  # single/re-exec crossover
+            # single at frel costs as much as a re-execution at 2w/B
+            2.0 ** (alpha / (alpha - 1.0)) * weight / frel,
         ]
 
     for b in task_breakpoints(fork.source):
@@ -229,8 +235,37 @@ def _breakpoints(fork: _Fork) -> list[float]:
     return sorted(points)
 
 
-def solve_tricrit_fork(problem: TriCritProblem, *, grid_per_interval: int = 8) -> SolveResult:
-    """Polynomial-time TRI-CRIT solver for forks (breakpoint-interval scan)."""
+def _interval_minimiser(fork: _Fork, left: float, right: float) -> float | None:
+    """Exact minimiser of the total energy over one breakpoint interval.
+
+    Inside ``[left, right]`` every task keeps its option and speed clamp, so
+    ``E(t0) = A t0^-(alpha-1) + C (D - t0)^-(alpha-1) + K``, where ``A``
+    (``C``) sums ``(k w)^alpha`` over the unclamped source (children) terms,
+    ``k = 2`` for a re-execution.  The minimiser is
+    ``D A^(1/alpha) / (A^(1/alpha) + C^(1/alpha))``, clipped to the
+    interval.  Returns ``None`` when the interval is infeasible.
+    """
+    energy, choices = _total_energy(fork, 0.5 * (left + right))
+    if not math.isfinite(energy):
+        return None
+    alpha = fork.problem.platform.energy_model.exponent
+
+    def unclamped(task: TaskId) -> float:
+        choice = choices[task]
+        k, clamp = (2.0, fork.floor[task]) if choice.reexecute else (1.0, fork.frel)
+        return (k * fork.weight[task]) ** alpha if choice.speed > clamp else 0.0
+
+    a = unclamped(fork.source) ** (1.0 / alpha)
+    c = sum(unclamped(child) for child in fork.children) ** (1.0 / alpha)
+    if a <= 0.0:  # no unclamped source term: E is non-decreasing in t0
+        return left
+    if c <= 0.0:  # no unclamped child: E is non-increasing in t0
+        return right
+    return min(max(fork.problem.deadline * a / (a + c), left), right)
+
+
+def solve_tricrit_fork(problem: TriCritProblem) -> SolveResult:
+    """Polynomial-time TRI-CRIT solver for forks (exact breakpoint scan)."""
     fork = _fork_instance(problem)
     platform = problem.platform
     D = problem.deadline
@@ -250,47 +285,27 @@ def solve_tricrit_fork(problem: TriCritProblem, *, grid_per_interval: int = 8) -
         return SolveResult(schedule=None, energy=math.inf, status="infeasible",
                            solver="tricrit-fork-poly", metadata={"message": "empty fork"})
 
-    candidates = [t0_min, t0_max]
-    candidates.extend(
-        b for b in _breakpoints(fork) if t0_min <= b <= t0_max
-    )
-    candidates = sorted(set(candidates))
-
-    def energy_at(t0: float) -> float:
-        value = _total_energy(fork, t0)[0]
-        # minimize_scalar dislikes infinities; a large finite penalty keeps
-        # the bracketing arithmetic well defined.
-        return value if math.isfinite(value) else 1e300
+    breakpoints = sorted({t0_min, t0_max,
+                          *(b for b in _breakpoints(fork) if t0_min <= b <= t0_max)})
+    candidates = set(breakpoints)
+    for left, right in zip(breakpoints[:-1], breakpoints[1:]):
+        t0 = _interval_minimiser(fork, left, right)
+        if t0 is not None:
+            candidates.add(t0)
 
     best_t0 = None
     best_energy = math.inf
-    # Evaluate breakpoints themselves plus a bounded scalar minimisation on
-    # every interval (the per-interval restriction is smooth and convex).
-    for t0 in candidates:
-        e = energy_at(t0)
+    for t0 in sorted(candidates):
+        e = _total_energy(fork, t0)[0]
         if e < best_energy:
             best_energy, best_t0 = e, t0
-    for left, right in zip(candidates[:-1], candidates[1:]):
-        if right - left <= 1e-12:
-            continue
-        res = sciopt.minimize_scalar(energy_at, bounds=(left, right), method="bounded",
-                                     options={"xatol": 1e-8})
-        if res.fun < best_energy:
-            best_energy, best_t0 = float(res.fun), float(res.x)
-        # Guard against a non-convex corner case: coarse grid inside the interval.
-        for k in range(1, grid_per_interval):
-            t0 = left + (right - left) * k / grid_per_interval
-            e = energy_at(t0)
-            if e < best_energy:
-                best_energy, best_t0 = e, t0
-
-    if best_t0 is None or not math.isfinite(best_energy) or best_energy >= 1e299:
+    if best_t0 is None:
         return SolveResult(schedule=None, energy=math.inf, status="infeasible",
                            solver="tricrit-fork-poly",
                            metadata={"message": "no feasible source finish time"})
     _, choices = _total_energy(fork, best_t0)
     return _choices_to_result(problem, best_t0, choices, "tricrit-fork-poly",
-                              {"intervals": len(candidates) - 1})
+                              {"intervals": len(breakpoints) - 1})
 
 
 def solve_tricrit_fork_bruteforce(problem: TriCritProblem, *,
@@ -331,7 +346,7 @@ def solve_tricrit_fork_bruteforce(problem: TriCritProblem, *,
         if lo > hi:
             continue
 
-        def energy_at(t0: float, force=force) -> float:
+        def energy_at(t0: float, force: dict[TaskId, bool] = force) -> float:
             value = _total_energy(fork, t0, force=force)[0]
             return value if math.isfinite(value) else 1e300
 

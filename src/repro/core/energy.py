@@ -140,13 +140,6 @@ class EnergyModel:
         """Static part of the energy for ``num_processors`` kept on for ``makespan``."""
         return self.static_power * num_processors * makespan
 
-    # ------------------------------------------------------------------
-    # aggregate helpers
-    # ------------------------------------------------------------------
-    def total_energy(self, weights: ArrayLike, speeds: ArrayLike) -> float:
-        """Sum of single-execution energies (vectorised convenience)."""
-        return float(np.sum(self.task_energy(np.asarray(weights), np.asarray(speeds))))
-
 
 # ----------------------------------------------------------------------
 # module-level functional API (default cube-law model)

@@ -193,16 +193,6 @@ class ReliabilityModel:
             weight, self.fmin, self.fmax, self.lambda0, self.sensitivity,
             self.frel, tol=tol))
 
-    def min_single_execution_speed(self, weight: ArrayLike) -> float:
-        """Smallest speed meeting the constraint with a single execution.
-
-        Equals ``frel`` for every positive weight because reliability is
-        increasing in speed and the threshold is defined at ``frel``.
-        """
-        if np.asarray(weight, dtype=float).size and np.all(np.asarray(weight) == 0):
-            return self.fmin
-        return float(self.frel)
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"ReliabilityModel(fmin={self.fmin}, fmax={self.fmax}, "

@@ -17,7 +17,7 @@ valid iff the augmented graph is acyclic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from collections.abc import Iterable, Mapping as TMapping, Sequence
+from collections.abc import Mapping as TMapping, Sequence
 
 from ..dag.taskgraph import TaskGraph, TaskId
 
@@ -179,10 +179,6 @@ class Mapping:
                     f"processor orderings conflict with precedence constraints: {exc}"
                 ) from exc
         return self._augmented
-
-    def serialized_chains(self) -> list[list[TaskId]]:
-        """Per-processor ordered task lists (alias of :meth:`as_lists`)."""
-        return self.as_lists()
 
     def is_single_processor(self) -> bool:
         return self.num_processors == 1 or all(

@@ -74,8 +74,9 @@ def solve(problem: BiCritProblem, solver: str = "auto", *,
         heuristic outside its supported class.
     options:
         Extra keyword arguments for the underlying entry point, merged over
-        the descriptor's ``default_options`` (this is how per-call
-        ``max_tasks`` / ``method`` / ``backend`` overrides pass through).
+        the descriptor's ``default_options`` (e.g. a per-call ``max_tasks``
+        for the enumerations).  An option the entry point does not take
+        raises :class:`~repro.solvers.descriptors.UnknownSolverOptionError`.
         With ``"auto"`` only options every candidate understands should be
         used; prefer naming the solver when passing solver-specific knobs.
     """

@@ -38,7 +38,7 @@ import os
 import threading
 import time
 from collections import OrderedDict
-from collections.abc import Iterator, Mapping
+from collections.abc import Iterator
 from pathlib import Path
 from typing import Any
 
@@ -452,10 +452,3 @@ class ResultStore:
             "corrupt_quarantined_files": corrupt,
             "counters": self.counters(),
         }
-
-
-def envelope_payload(envelope: Mapping[str, Any]) -> Any:
-    """The payload of a raw envelope dict (tolerates legacy bare records)."""
-    if isinstance(envelope, Mapping) and "payload" in envelope and "checksum" in envelope:
-        return envelope["payload"]
-    return envelope

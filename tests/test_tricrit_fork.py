@@ -7,23 +7,29 @@ import math
 import pytest
 
 from repro.continuous.tricrit_fork import (
+    _breakpoints,
+    _fork_instance,
     best_choice_for_budget,
     solve_tricrit_fork,
     solve_tricrit_fork_bruteforce,
 )
+from repro.core.energy import EnergyModel
 from repro.core.problems import TriCritProblem
 from repro.core.reliability import ReliabilityModel
 from repro.core.speeds import ContinuousSpeeds
 from repro.dag import generators
 from repro.platform.mapping import Mapping
 from repro.platform.platform import Platform
+from repro.solvers import UnknownSolverOptionError, solve
 
 
-def fork_problem(source_weight, child_weights, slack, *, lambda0=1e-4) -> TriCritProblem:
+def fork_problem(source_weight, child_weights, slack, *, lambda0=1e-4,
+                 alpha=3.0) -> TriCritProblem:
     graph = generators.fork(source_weight, child_weights)
     model = ReliabilityModel(fmin=0.1, fmax=1.0, lambda0=lambda0)
     platform = Platform(len(child_weights) + 1, ContinuousSpeeds(0.1, 1.0),
-                        reliability_model=model)
+                        reliability_model=model,
+                        energy_model=EnergyModel(exponent=alpha))
     deadline = slack * graph.critical_path_weight()
     return TriCritProblem(Mapping.one_task_per_processor(graph), platform, deadline)
 
@@ -60,18 +66,43 @@ class TestBudgetChoice:
         assert not forced_single.reexecute
         assert forced_reexec.reexecute
 
+    @pytest.mark.parametrize("alpha", [2.0, 2.5, 3.0, 4.0])
+    def test_listed_crossover_prices_both_options_equally(self, alpha):
+        # frel = fmax = 1 and lambda0 = 1e-4 put the re-execution floor
+        # (~0.2) below 2w/B for every alpha here, so at the crossover budget
+        # B the re-execution runs at 2w/B and the single execution at frel.
+        weight = 2.0
+        problem = fork_problem(weight, [1.0], slack=8.0, alpha=alpha)
+        fork = _fork_instance(problem)
+        expected = 2.0 ** (alpha / (alpha - 1.0)) * weight / fork.frel
+        budget = min(_breakpoints(fork), key=lambda b: abs(b - expected))
+        kwargs = dict(model=problem.platform.reliability_model, fmin=0.1, fmax=1.0,
+                      exponent=problem.platform.energy_model.exponent)
+        single = best_choice_for_budget(weight, budget, force=False, **kwargs)
+        reexec = best_choice_for_budget(weight, budget, force=True, **kwargs)
+        assert fork.floor[fork.source] < 2.0 * weight / budget
+        assert single.speed == fork.frel
+        assert reexec.speed == pytest.approx(2.0 * weight / budget, rel=1e-12)
+        assert reexec.energy == pytest.approx(single.energy, rel=1e-12)
+
+
+PARITY_FORKS = [(2, 1.5, 0), (2, 3.0, 1), (3, 2.0, 2), (4, 2.5, 3), (5, 3.5, 4)]
+
 
 class TestPolynomialAlgorithm:
-    @pytest.mark.parametrize("n_children,slack,seed", [
-        (2, 1.5, 0), (2, 3.0, 1), (3, 2.0, 2), (4, 2.5, 3), (5, 3.5, 4),
+    # alpha = 3 (the paper's cube law) is the default: its rows carry no
+    # alpha suffix in their ids.
+    @pytest.mark.parametrize("n_children,slack,seed,alpha", [
+        *(pytest.param(*fork, 3.0, id="-".join(map(str, fork))) for fork in PARITY_FORKS),
+        *((*fork, alpha) for alpha in (2.0, 2.5, 4.0) for fork in PARITY_FORKS),
     ])
-    def test_matches_bruteforce(self, n_children, slack, seed):
+    def test_matches_bruteforce(self, n_children, slack, seed, alpha):
         weights = generators.random_weights(n_children + 1, seed=seed, low=1.0, high=4.0)
-        problem = fork_problem(weights[0], list(weights[1:]), slack)
+        problem = fork_problem(weights[0], list(weights[1:]), slack, alpha=alpha)
         poly = solve_tricrit_fork(problem)
         brute = solve_tricrit_fork_bruteforce(problem)
         assert poly.feasible and brute.feasible
-        assert poly.energy == pytest.approx(brute.energy, rel=1e-4)
+        assert poly.energy == pytest.approx(brute.energy, rel=1e-9)
 
     def test_schedule_is_feasible_and_reliable(self):
         problem = fork_problem(2.0, [1.0, 3.0, 2.0], slack=2.5)
@@ -105,6 +136,12 @@ class TestPolynomialAlgorithm:
         problem = TriCritProblem(Mapping.one_task_per_processor(graph), platform, 6.0)
         result = solve_tricrit_fork(problem)
         assert result.status == "infeasible"
+
+    def test_unknown_option(self):
+        # The breakpoint scan is exact: a grid resolution is an unknown option.
+        problem = fork_problem(2.0, [1.0, 3.0], slack=2.0)
+        with pytest.raises(UnknownSolverOptionError, match="'grid_per_interval'"):
+            solve(problem, solver="tricrit-fork-poly", grid_per_interval=8)
 
     def test_rejects_non_fork_graphs(self, tricrit_chain_problem):
         with pytest.raises(ValueError):
