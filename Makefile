@@ -8,11 +8,12 @@
 #   make smoke          - reduced-size smoke of the simulation + batch-solver perf paths
 #   make campaign-smoke - every E1-E13 scenario through the campaign runner
 #   make serve-smoke    - boot `python -m repro serve` (single + --workers 2 fleet), assert 200/schema + shared store
+#   make boot-check     - serve boot import-set test + the boot's top `-X importtime` entries
 #   make distributed-smoke - multi-worker coordinator + chaos tests under a hard timeout
 #   make refresh-golden - intentionally regenerate tests/golden/*.json snapshots
 #   make bench          - full benchmark/experiment suite (writes BENCH_*.json)
 #   make check          - lint + analyze + typecheck + coverage + smoke + campaign-smoke
-#                         + serve-smoke + distributed-smoke: what CI runs on every PR
+#                         + serve-smoke + boot-check + distributed-smoke: what CI runs on every PR
 
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
@@ -28,11 +29,11 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 # non-ternary branches are house style here.
 RUFF_RULES ?= E9,F63,F7,F82,B006,B008,B011,UP006,UP015,UP035,C400,C401,C402,C403,C404,C405,C413,C414,C416,C419,SIM101,SIM103,SIM110,SIM115,SIM118,SIM201,SIM202,SIM300
 
-.PHONY: help test lint analyze typecheck smoke campaign-smoke serve-smoke distributed-smoke bench check coverage refresh-golden
+.PHONY: help test lint analyze typecheck smoke campaign-smoke serve-smoke boot-check distributed-smoke bench check coverage refresh-golden
 
 # Print the target catalogue above (kept in one place: this header).
 help:
-	@sed -n '2,16p' Makefile | sed 's/^#//'
+	@sed -n '2,17p' Makefile | sed 's/^#//'
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -93,6 +94,18 @@ campaign-smoke:
 serve-smoke:
 	$(PYTHON) scripts/serve_smoke.py
 
+# Serve boot gate: `python -m repro serve` must boot without the campaign
+# stack, networkx or scipy.optimize, with every continuous solver loaded
+# before the bind (tests/test_boot.py).  Then the boot's heaviest imports,
+# by cumulative -X importtime microseconds (informational, not a gate).
+BOOT = import repro.api.server as s; s.serve = lambda *a, **k: 0; \
+	from repro.__main__ import main; main(["serve", "--no-store"])
+boot-check:
+	$(PYTHON) -m pytest tests/test_boot.py -q
+	@echo "serve boot, top imports by cumulative -X importtime (us):"
+	@$(PYTHON) -X importtime -c '$(BOOT)' 2>&1 >/dev/null \
+		| sort -t'|' -k2 -n -r | head -15
+
 # Multi-process fault-tolerance gate: the chaos proxy tests plus the
 # SIGKILL-a-worker-mid-sweep integration test.  The hard `timeout` wrapper
 # turns any coordinator deadlock or orphaned worker into a loud failure
@@ -105,4 +118,4 @@ distributed-smoke:
 bench:
 	$(PYTHON) -m pytest benchmarks/bench_*.py -q -s
 
-check: lint analyze typecheck coverage smoke campaign-smoke serve-smoke distributed-smoke
+check: lint analyze typecheck coverage smoke campaign-smoke serve-smoke boot-check distributed-smoke

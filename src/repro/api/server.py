@@ -25,6 +25,14 @@ Beyond the single process, this module owns the serving topology:
 ``make_server(port=0)`` binds an ephemeral port (read it back from
 ``server.server_address``), which is what the tests and the smoke script
 use; :func:`serve` is the blocking entry point behind the CLI.
+
+A single server's boot (:func:`main`) opens the store, imports every
+continuous-speed solver's module and builds the engine before the socket
+is bound, so ``/healthz`` answers only once no continuous request can pay
+an import.  The boot loads neither the campaign stack nor
+networkx nor ``scipy.optimize``; the discrete, incremental and VDD solvers
+(:mod:`repro.discrete`, LP/MILP on HiGHS) import ``scipy.optimize`` on
+their first call.
 """
 
 from __future__ import annotations
@@ -45,6 +53,7 @@ from pathlib import Path
 from typing import Any
 
 from ..core.gcscope import paused_gc
+from ..solvers import iter_solvers
 from ..store import ResultStore, StoreError, parse_bytes, resolve_store_root
 from .engine import Engine
 from .errors import SIZE_LIMIT, ErrorResponse
@@ -670,6 +679,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         except StoreError as exc:
             print(f"cannot open result store: {exc}", flush=True)
             return 2
+    # Load every continuous solver before the bind, so /healthz answers
+    # only once no continuous request can pay an import.
+    for solver in iter_solvers():
+        if "continuous" in solver.speed_models:
+            solver.resolve()
     engine = Engine(store=store, **overrides)
     return serve(args.host, args.port, engine=engine, verbose=args.verbose,
                  max_body_bytes=args.max_body_bytes or None,

@@ -15,13 +15,11 @@ Subcommands:
   tables without recomputing anything;
 * ``repro cache stats|gc|verify`` -- inspect the persistent result store
   (per-namespace entry/byte counts), evict it down to a byte budget, or
-  re-verify every record's content checksum (quarantining mismatches);
-* ``repro serve`` -- serve the versioned v1 JSON API over HTTP
-  (``POST /v1/solve``, ``/v1/solve-batch``, ``/v1/simulate``,
-  ``/v1/campaign``; ``GET /v1/solvers``, ``/v1/store``, ``/healthz``,
-  ``/metrics``), optionally as a pre-forked ``--workers N`` fleet sharing
-  the store -- see :mod:`repro.api.server` and the README's "Serving at
-  scale" section.
+  re-verify every record's content checksum (quarantining mismatches).
+
+``python -m repro serve`` (the v1 JSON API over HTTP) is routed by
+:mod:`repro.__main__` straight to :mod:`repro.api.server`, before this
+module or anything else of the campaign stack is imported.
 """
 
 from __future__ import annotations
@@ -234,8 +232,8 @@ def cmd_campaign(args: argparse.Namespace) -> int:
 
 
 def _run_distributed(args: argparse.Namespace, name: str, instances):
-    # Deferred import, mirroring cmd_serve: plain local campaigns should not
-    # pay for the HTTP/coordination layer.
+    # Deferred import: plain local campaigns should not pay for the
+    # HTTP/coordination layer.
     from .distributed import (
         parse_workers,
         run_distributed_campaign,
@@ -319,16 +317,6 @@ def cmd_cache(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_serve(args: argparse.Namespace) -> int:
-    # Deferred import: the CLI should not pay for (or require) the HTTP
-    # layer unless it is actually serving.  The server owns its own parser
-    # (--host/--port/--max-tasks/...), so the flags live in exactly one
-    # place; this subcommand just forwards everything after "serve".
-    from ..api.server import main
-
-    return main(args.server_args)
-
-
 def cmd_report(args: argparse.Namespace) -> int:
     cache = ResultCache(args.cache_dir)
     wanted = _lookup_scenario(args.scenario).name if args.scenario else None
@@ -378,7 +366,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="python -m repro",
         description="Campaign orchestration for the conf_ipps_Aupy12 "
                     "reproduction: list, run, sweep and cache the E1-E12 "
-                    "experiment scenarios.")
+                    "experiment scenarios.",
+        epilog="`python -m repro serve` serves the v1 JSON API over HTTP; "
+               "`python -m repro serve --help` lists its options.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_list = sub.add_parser("list", help="show the scenario registry")
@@ -455,15 +445,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_cache_flags(p_campaign)
     p_campaign.set_defaults(func=cmd_campaign)
 
-    p_serve = sub.add_parser(
-        "serve", add_help=False,
-        help="serve the v1 JSON API over HTTP (stdlib server); "
-             "see `serve --help` for --host/--port/--max-tasks/...")
-    p_serve.add_argument("server_args", nargs=argparse.REMAINDER,
-                         help="arguments for the API server "
-                              "(repro.api.server)")
-    p_serve.set_defaults(func=cmd_serve)
-
     p_report = sub.add_parser(
         "report", help="render cached result records without recomputing")
     p_report.add_argument("scenario", nargs="?", default=None,
@@ -497,16 +478,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    arglist = list(argv) if argv is not None else sys.argv[1:]
-    if arglist and arglist[0] == "serve":
-        # Forward to the server's own parser before argparse sees the rest:
-        # argparse.REMAINDER does not reliably capture leading optionals
-        # ("serve --port 0"), and this keeps every serve flag defined in
-        # exactly one place (repro.api.server.build_parser).
-        from ..api.server import main as serve_main
-
-        return serve_main(arglist[1:])
-    args = build_parser().parse_args(arglist)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except _UsageError as exc:

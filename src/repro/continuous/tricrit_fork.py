@@ -36,8 +36,6 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from scipy import optimize as sciopt
-
 from ..core.problems import SolveResult, TriCritProblem
 from ..core.reliability import ReliabilityModel
 from ..core.schedule import Schedule, TaskDecision
@@ -316,6 +314,10 @@ def solve_tricrit_fork_bruteforce(problem: TriCritProblem, *,
     function of the source finish time ``t_0`` and is minimised with a
     bounded scalar search.  Exponential -- only for small forks / tests.
     """
+    # Imported here: scipy.optimize is the reference's only use, and a
+    # module-level import would load it for every fork solve.
+    from scipy import optimize as sciopt
+
     fork = _fork_instance(problem)
     platform = problem.platform
     source = fork.source
@@ -331,7 +333,7 @@ def solve_tricrit_fork_bruteforce(problem: TriCritProblem, *,
         (fork.weight[c] / platform.fmax for c in fork.children if fork.weight[c] > 0),
         default=0.0,
     )
-    t0_min = max(w0 / platform.fmax if w0 > 0 else 0.0, 1e-12)
+    t0_min = w0 / platform.fmax if w0 > 0 else 0.0
     t0_max = problem.deadline - max_child_min
 
     best_energy = math.inf
@@ -341,7 +343,6 @@ def solve_tricrit_fork_bruteforce(problem: TriCritProblem, *,
         force = dict(zip(positive_tasks, reexec_tuple))
         configs += 1
         lo = 2.0 * w0 / platform.fmax if (w0 > 0 and force.get(source)) else t0_min
-        lo = max(lo, 1e-12)
         hi = t0_max
         if lo > hi:
             continue

@@ -399,10 +399,10 @@ def _problem_row(problem: BiCritProblem) -> _Row | None:
 
     # Structure and the canonical payload's task order (the lexicographic
     # topological order): a fork's source then its children sorted by id,
-    # or the chain walked from its source.  Raw adjacency, as the
-    # ``TaskGraph`` structure probes read it.
+    # or the chain walked from its source.  ``TaskGraph``'s own adjacency
+    # dicts, as its structure probes read them.
     graph = problem.graph
-    pred, succ = graph.graph._pred, graph.graph._succ
+    pred, succ = graph._pred, graph._succ
     n = len(pred)
     sources = [t for t, p in pred.items() if not p]
     if len(sources) != 1:
@@ -431,14 +431,14 @@ def _problem_row(problem: BiCritProblem) -> _Row | None:
         if len(ids) != n:
             return None
         is_chain = True
-    nodes = graph.graph._node
+    weight_of = graph._weight
     weights = []
     total = 0.0
     num_positive = 0
     for t in ids:       # the parser's left fold, not sum()'s
         if type(t) is not str:
             return None
-        w = nodes[t]["weight"]       # a float: TaskGraph stores float(w)
+        w = weight_of[t]             # a float: TaskGraph stores float(w)
         weights.append(w)
         total += w
         if w > 0.0:

@@ -26,8 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from collections.abc import Iterable, Sequence
 
-import networkx as nx
-
 from .taskgraph import TaskGraph, TaskId
 
 __all__ = [
@@ -159,8 +157,7 @@ def decompose(graph: TaskGraph) -> SPNode:
         (task_id,) = graph.tasks()
         return SPLeaf(task_id, graph.weight(task_id))
 
-    undirected = graph.graph.to_undirected(as_view=True)
-    components = list(nx.connected_components(undirected))
+    components = graph.components()
     if len(components) > 1:
         children = tuple(
             decompose(graph.subgraph(component)) for component in components

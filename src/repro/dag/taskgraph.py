@@ -2,21 +2,26 @@
 
 An application consists of ``n`` tasks ``T_1 ... T_n`` with dependence
 constraints forming a directed acyclic graph; task ``T_i`` carries a weight
-``w_i`` equal to its computation requirement.  :class:`TaskGraph` wraps a
-:class:`networkx.DiGraph` and adds the operations the scheduling algorithms
-need: weight access, topological iteration, critical-path computation,
-structural queries (chain / fork / join detection) and immutability-friendly
-copies.
+``w_i`` equal to its computation requirement.  :class:`TaskGraph` keeps the
+graph as insertion-ordered dict adjacency and adds the operations the
+scheduling algorithms need: weight access, topological iteration,
+critical-path computation, structural queries (chain / fork / join
+detection) and immutability-friendly copies.  networkx is only imported by
+the :meth:`TaskGraph.graph` / :meth:`TaskGraph.from_networkx` bridges.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from collections.abc import Hashable, Iterable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Any
 
-import networkx as nx
 import numpy as np
+
+if TYPE_CHECKING:  # pragma: no cover - the bridge types only
+    import networkx as nx
 
 __all__ = ["TaskGraph", "Task"]
 
@@ -44,36 +49,88 @@ class TaskGraph:
         Mapping from task identifier to computational weight ``w_i > 0``.
     edges:
         Iterable of ``(u, v)`` precedence constraints meaning ``u`` must
-        complete before ``v`` starts.
+        complete before ``v`` starts.  A repeated edge counts once.
 
     The constructor validates acyclicity and that every edge endpoint has a
-    weight.
+    weight.  Tasks keep the order of ``weights``; each task's predecessors
+    and successors keep the order their edges arrived in.
     """
 
     def __init__(self, weights: Mapping[TaskId, float],
                  edges: Iterable[tuple[TaskId, TaskId]] = ()) -> None:
-        g = nx.DiGraph()
+        weight: dict[TaskId, float] = {}
         for task_id, w in weights.items():
             w = float(w)
             if w < 0 or not math.isfinite(w):
                 raise ValueError(
                     f"task {task_id!r} has invalid weight {w}; weights must be finite and >= 0"
                 )
-            g.add_node(task_id, weight=w)
+            weight[task_id] = w
+        # dict-of-dict adjacency: the inner dicts are insertion-ordered sets.
+        pred: dict[TaskId, dict[TaskId, None]] = {t: {} for t in weight}
+        succ: dict[TaskId, dict[TaskId, None]] = {t: {} for t in weight}
+        num_edges = 0
         for u, v in edges:
-            if u not in g or v not in g:
+            if u not in weight or v not in weight:
                 raise ValueError(f"edge ({u!r}, {v!r}) references an unknown task")
             if u == v:
                 raise ValueError(f"self-loop on task {u!r}")
-            g.add_edge(u, v)
-        if not nx.is_directed_acyclic_graph(g):
-            cycle = nx.find_cycle(g)
-            raise ValueError(f"task graph contains a cycle: {cycle}")
-        self._g = g
-        self._topo_cache: tuple[TaskId, ...] | None = None
+            if v not in succ[u]:
+                succ[u][v] = None
+                pred[v][u] = None
+                num_edges += 1
+        self._weight = weight
+        self._pred = pred
+        self._succ = succ
+        self._num_edges = num_edges
+        order = self._lexicographic_order()
+        if len(order) < len(weight):
+            raise ValueError(f"task graph contains a cycle: {self._cycle(order)}")
+        self._topo = tuple(order)
+
+    def _lexicographic_order(self) -> list[TaskId]:
+        """Kahn's algorithm, always taking the ready task with the smallest
+        ``(str(id), insertion index)``.
+
+        This is ``networkx.lexicographical_topological_sort(key=str)``: the
+        order depends on the ids' strings, never on their hashes.  On a
+        cyclic graph the order stops short of the tasks on or after a cycle.
+        """
+        index = {t: i for i, t in enumerate(self._weight)}
+        indegree = {t: len(p) for t, p in self._pred.items()}
+        ready = [(str(t), index[t], t) for t, d in indegree.items() if d == 0]
+        heapq.heapify(ready)
+        order = []
+        while ready:
+            t = heapq.heappop(ready)[2]
+            order.append(t)
+            for child in self._succ[t]:
+                indegree[child] -= 1
+                if indegree[child] == 0:
+                    heapq.heappush(ready, (str(child), index[child], child))
+        return order
+
+    def _cycle(self, order: Sequence[TaskId]) -> list[tuple[TaskId, TaskId]]:
+        """One cycle among the tasks ``order`` left out, as its edges.
+
+        Every left-out task keeps a left-out predecessor, so walking
+        backwards from one must revisit a task ``t``; the walk since ``t``'s
+        first visit, reversed, is a cycle through ``t``.
+        """
+        done = set(order)
+        step = {t: next(p for p in preds if p not in done)
+                for t, preds in self._pred.items() if t not in done}
+        walk: dict[TaskId, None] = {}
+        t = next(iter(step))
+        while t not in walk:
+            walk[t] = None
+            t = step[t]
+        path = list(walk)
+        loop = [t, *reversed(path[path.index(t) + 1:])]
+        return list(zip(loop, loop[1:] + loop[:1]))
 
     # ------------------------------------------------------------------
-    # constructors
+    # constructors and the networkx bridge
     # ------------------------------------------------------------------
     @classmethod
     def from_networkx(cls, graph: nx.DiGraph, *, weight_attr: str = "weight") -> "TaskGraph":
@@ -85,6 +142,19 @@ class TaskGraph:
             weights[node] = float(data[weight_attr])
         return cls(weights, graph.edges())
 
+    @property
+    def graph(self) -> nx.DiGraph:
+        """A new networkx DiGraph of the tasks (``weight`` attribute) and edges.
+
+        networkx is imported here, on first use, not with this module.
+        """
+        import networkx as nx
+
+        g = nx.DiGraph()
+        g.add_nodes_from((t, {"weight": w}) for t, w in self._weight.items())
+        g.add_edges_from(self.edges())
+        return g
+
     def copy(self) -> "TaskGraph":
         """Deep copy of the task graph."""
         return TaskGraph(dict(self.weights()), list(self.edges()))
@@ -92,87 +162,100 @@ class TaskGraph:
     # ------------------------------------------------------------------
     # basic accessors
     # ------------------------------------------------------------------
-    @property
-    def graph(self) -> nx.DiGraph:
-        """Underlying networkx graph (treat as read-only)."""
-        return self._g
-
     def __len__(self) -> int:
-        return self._g.number_of_nodes()
+        return len(self._weight)
 
-    def __contains__(self, task_id: TaskId) -> bool:
-        return task_id in self._g
+    def __contains__(self, task_id: Any) -> bool:
+        try:
+            return task_id in self._weight
+        except TypeError:  # an unhashable id is no task
+            return False
 
     def __iter__(self) -> Iterator[TaskId]:
-        return iter(self._g.nodes())
+        return iter(self._weight)
 
     @property
     def num_tasks(self) -> int:
-        return self._g.number_of_nodes()
+        return len(self._weight)
 
     @property
     def num_edges(self) -> int:
-        return self._g.number_of_edges()
+        return self._num_edges
 
     def tasks(self) -> list[TaskId]:
         """All task identifiers (insertion order)."""
-        return list(self._g.nodes())
+        return list(self._weight)
 
     def weight(self, task_id: TaskId) -> float:
         """Weight ``w_i`` of a task."""
-        return float(self._g.nodes[task_id]["weight"])
+        return self._weight[task_id]
 
     def weights(self) -> dict[TaskId, float]:
         """Mapping of all task weights."""
-        return {t: float(d["weight"]) for t, d in self._g._node.items()}
+        return dict(self._weight)
 
     def weight_array(self, order: Sequence[TaskId] | None = None) -> np.ndarray:
         """Weights as a NumPy array, in ``order`` (default: topological)."""
-        ids = list(order) if order is not None else self.topological_order()
-        return np.array([self.weight(t) for t in ids], dtype=float)
+        ids = self._topo if order is None else order
+        return np.array([self._weight[t] for t in ids], dtype=float)
 
     def total_weight(self) -> float:
         """Sum of all task weights."""
-        return float(sum(d["weight"] for d in self._g._node.values()))
+        return float(sum(self._weight.values()))
 
     def edges(self) -> list[tuple[TaskId, TaskId]]:
-        return list(self._g.edges())
+        """All edges, grouped by source task in task order."""
+        return [(u, v) for u, succs in self._succ.items() for v in succs]
 
     def predecessors(self, task_id: TaskId) -> list[TaskId]:
-        return list(self._g.predecessors(task_id))
+        return list(self._pred[task_id])
 
     def successors(self, task_id: TaskId) -> list[TaskId]:
-        return list(self._g.successors(task_id))
+        return list(self._succ[task_id])
 
     def sources(self) -> list[TaskId]:
         """Tasks without predecessors (entry tasks)."""
-        # Raw adjacency dicts: these probes run once per solver dispatch,
-        # and the networkx degree/adjacency views cost more than the whole
-        # closed form they gate.
-        return [t for t, preds in self._g._pred.items() if not preds]
+        return [t for t, preds in self._pred.items() if not preds]
 
     def sinks(self) -> list[TaskId]:
         """Tasks without successors (exit tasks)."""
-        return [t for t, succs in self._g._succ.items() if not succs]
+        return [t for t, succs in self._succ.items() if not succs]
 
     # ------------------------------------------------------------------
-    # orderings and paths
+    # orderings, reachability and paths
     # ------------------------------------------------------------------
     def topological_order(self) -> list[TaskId]:
         """A deterministic topological ordering (lexicographic tie-break)."""
-        if self._topo_cache is None:
-            try:
-                order = list(nx.lexicographical_topological_sort(self._g, key=str))
-            except TypeError:  # pragma: no cover - heterogeneous unorderable ids
-                order = list(nx.topological_sort(self._g))
-            self._topo_cache = tuple(order)
-        return list(self._topo_cache)
+        return list(self._topo)
 
     def ancestors(self, task_id: TaskId) -> set[TaskId]:
-        return set(nx.ancestors(self._g, task_id))
+        """Tasks with a path to ``task_id``."""
+        return _reachable(self._pred, task_id)
 
     def descendants(self, task_id: TaskId) -> set[TaskId]:
-        return set(nx.descendants(self._g, task_id))
+        """Tasks reachable from ``task_id``."""
+        return _reachable(self._succ, task_id)
+
+    def components(self) -> list[list[TaskId]]:
+        """Weakly connected components, each found by a BFS.
+
+        Components come in the order of their first task; each lists its
+        tasks in the BFS order from that task.
+        """
+        seen: set[TaskId] = set()
+        found = []
+        for start in self._weight:
+            if start in seen:
+                continue
+            seen.add(start)
+            frontier = [start]
+            for t in frontier:      # grows while it is walked: a BFS queue
+                for nbr in (*self._pred[t], *self._succ[t]):
+                    if nbr not in seen:
+                        seen.add(nbr)
+                        frontier.append(nbr)
+            found.append(frontier)
+        return found
 
     def critical_path_weight(self) -> float:
         """Maximum total weight over all paths (the *critical path*).
@@ -218,7 +301,7 @@ class TaskGraph:
             return False
         if self.num_tasks == 1:
             return True
-        pred, succ = self._g._pred, self._g._succ
+        pred, succ = self._pred, self._succ
         degrees_ok = all(len(pred[t]) <= 1 and len(succ[t]) <= 1 for t in pred)
         # With all degrees <= 1, an *acyclic* graph (guaranteed by the
         # constructor) is a disjoint union of paths, and a union of k paths
@@ -235,7 +318,7 @@ class TaskGraph:
         """
         if self.num_tasks == 0:
             return False, None
-        pred, succ = self._g._pred, self._g._succ
+        pred, succ = self._pred, self._succ
         sources = [t for t, p in pred.items() if not p]
         if len(sources) != 1:
             return False, None
@@ -253,7 +336,7 @@ class TaskGraph:
         """Is the graph a join (all tasks feed one sink)?  Mirror of a fork."""
         if self.num_tasks == 0:
             return False, None
-        pred, succ = self._g._pred, self._g._succ
+        pred, succ = self._pred, self._succ
         sinks = [t for t, s in succ.items() if not s]
         if len(sinks) != 1:
             return False, None
@@ -292,10 +375,10 @@ class TaskGraph:
     def subgraph(self, task_ids: Iterable[TaskId]) -> "TaskGraph":
         """Induced subgraph on the given tasks."""
         keep = set(task_ids)
-        unknown = keep - set(self._g.nodes())
+        unknown = keep - self._weight.keys()
         if unknown:
             raise KeyError(f"unknown tasks: {sorted(map(str, unknown))}")
-        weights = {t: self.weight(t) for t in self._g.nodes() if t in keep}
+        weights = {t: w for t, w in self._weight.items() if t in keep}
         edges = [(u, v) for u, v in self.edges() if u in keep and v in keep]
         return TaskGraph(weights, edges)
 
@@ -314,3 +397,18 @@ class TaskGraph:
         return hash(
             (frozenset(self.weights().items()), frozenset(self.edges()))
         )
+
+
+def _reachable(adjacency: Mapping[TaskId, Mapping[TaskId, None]],
+               start: TaskId) -> set[TaskId]:
+    """Tasks reachable from ``start`` along ``adjacency`` (a DFS), without it."""
+    if start not in adjacency:
+        raise KeyError(f"unknown task {start!r}")
+    seen: set[TaskId] = set()
+    stack = [start]
+    while stack:
+        for nbr in adjacency[stack.pop()]:
+            if nbr not in seen:
+                seen.add(nbr)
+                stack.append(nbr)
+    return seen

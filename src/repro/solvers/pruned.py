@@ -76,7 +76,6 @@ from functools import lru_cache
 from typing import Any
 
 import numpy as np
-from scipy.optimize import brentq
 
 from ..continuous.heuristics import solve_with_reexec_set
 from ..core.problems import SolveResult, TriCritProblem
@@ -290,10 +289,21 @@ def _switch_ratio(a: float) -> float:
     ``v_s = w (s^(a-1) + lam / s)`` and ``v_r = 2 w a sigma^(a-1)`` with
     ``lam = (a-1) sigma^a``; they cross at ``sigma = u s``.  The left side
     minus the right falls strictly on ``(0, 1)`` from 1 to ``-a``, so the
-    root is unique.
+    root is unique.  A float bisection runs until the bracket's ends are
+    adjacent floats and returns the end with the smaller ``|f|``.
     """
-    return float(brentq(lambda u: 1.0 + (a - 1.0) * u ** a
-                        - 2.0 * a * u ** (a - 1.0), 0.0, 1.0, xtol=1e-300))
+    def f(u: float) -> float:
+        return 1.0 + (a - 1.0) * u ** a - 2.0 * a * u ** (a - 1.0)
+
+    lo, hi = 0.0, 1.0
+    mid = 0.5
+    while lo < mid < hi:
+        if f(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+        mid = 0.5 * (lo + hi)
+    return lo if abs(f(lo)) < abs(f(hi)) else hi
 
 
 def _switch_prices(s: np.ndarray, fr: np.ndarray, a: float) -> np.ndarray:

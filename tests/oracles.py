@@ -5,6 +5,8 @@ per-processor dual maximum and the bounded water-fill's common scale in
 closed form.  The bisections they replaced live on here, unchanged, as
 independent references for the property tests, and so does the per-node
 closure form of the dual bound that its per-processor tables replaced.
+The dual's switch ratio, now a float bisection, keeps SciPy's ``brentq``
+as its reference.
 Next to them are SciPy's trust-constr and SLSQP, run on the convex
 program the interior point of :mod:`repro.continuous.convex` solves.  The LP/MILP path of :mod:`repro.lp`
 (one HiGHS call) is checked against two enumerations that read the model's
@@ -127,6 +129,14 @@ def bisection_floor(model: ReliabilityModel, weight: float, *,
         if hi - lo <= 1e-14 * max(1.0, hi):
             break
     return hi
+
+
+def brentq_switch_ratio(a: float) -> float:
+    """The pruned dual's switch ratio ``u`` (``1 + (a-1) u^a = 2 a u^(a-1)``
+    on ``(0, 1)``) by SciPy's ``brentq``, as the library found it before its
+    float bisection."""
+    return float(sciopt.brentq(lambda u: 1.0 + (a - 1.0) * u ** a
+                               - 2.0 * a * u ** (a - 1.0), 0.0, 1.0, xtol=1e-300))
 
 
 def bisection_dual_bound(inst, allow_s: np.ndarray, allow_r: np.ndarray

@@ -50,10 +50,11 @@ from repro.solvers.pruned import (
     _build_instance,
     _dual_bound,
     _exec_energy,
+    _switch_ratio,
     solve_tricrit_pruned,
     solve_tricrit_pruned_gap,
 )
-from tests.oracles import bisection_dual_bound, closure_dual_bound
+from tests.oracles import bisection_dual_bound, brentq_switch_ratio, closure_dual_bound
 
 REL = 1e-9
 POOL = json.loads((Path(__file__).parent / "fixtures" / "pruned_pool.json")
@@ -199,6 +200,16 @@ def assert_same_dual(got, want, *, rel=0.0):
     assert got[0] == pytest.approx(want[0], rel=rel, abs=0.0)
     assert np.array_equal(got[1], want[1])
     assert got[2] == want[2]
+
+
+#: Exponents 1.05, 1.10, ..., 6.00.
+ALPHA_GRID = [round(1.05 + 0.05 * k, 2) for k in range(100)]
+
+
+def test_switch_ratio_within_8_ulp_of_brentq():
+    for alpha in ALPHA_GRID:
+        want = brentq_switch_ratio(alpha)
+        assert abs(_switch_ratio(alpha) - want) <= 8 * math.ulp(want), alpha
 
 
 class TestDualBound:

@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import ast
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.dag.taskgraph import Task, TaskGraph
 
@@ -204,3 +208,93 @@ def test_series_parallel_closed_form_is_hash_seed_independent():
             capture_output=True, timeout=300).stdout)
     assert outputs[0].count(b"\n") == 30
     assert outputs[0] == outputs[1]
+
+
+# ----------------------------------------------------------------------
+# parity with networkx, the library TaskGraph replaced, as the oracle
+# ----------------------------------------------------------------------
+#: Task ids: strings, integers, or both mixed (``1`` and ``"1"`` are distinct
+#: tasks whose ``str`` keys tie, so the insertion index breaks the tie).
+IDS = st.sampled_from([
+    st.text("abc", max_size=3),
+    st.integers(-3, 30),
+    st.one_of(st.integers(0, 12), st.sampled_from(["0", "1", "2", "10", "a"])),
+]).flatmap(lambda ids: st.lists(ids, max_size=12, unique=True))
+
+
+@st.composite
+def dags(draw):
+    """Weights in a drawn task order; edges along a drawn hidden order,
+    shuffled, some repeated."""
+    ids = draw(IDS)
+    rank = {t: i for i, t in enumerate(draw(st.permutations(ids)))}
+    pairs = [(u, v) for u in ids for v in ids if rank[u] < rank[v]]
+    edges = draw(st.lists(st.sampled_from(pairs), max_size=3 * len(ids))
+                 if pairs else st.just([]))
+    weights = {t: draw(st.floats(0.0, 10.0)) for t in ids}
+    return weights, edges
+
+
+def networkx_oracle(weights, edges) -> nx.DiGraph:
+    graph = nx.DiGraph()
+    graph.add_nodes_from((t, {"weight": w}) for t, w in weights.items())
+    graph.add_edges_from(edges)
+    return graph
+
+
+class TestNetworkxParity:
+    @given(dags())
+    @settings(max_examples=200, deadline=None)
+    def test_orders_adjacency_and_reachability(self, case):
+        weights, edges = case
+        g = TaskGraph(weights, edges)
+        oracle = networkx_oracle(weights, edges)
+        assert g.topological_order() == list(
+            nx.lexicographical_topological_sort(oracle, key=str))
+        assert g.tasks() == list(oracle.nodes)
+        assert g.edges() == list(oracle.edges)
+        assert g.num_edges == oracle.number_of_edges()
+        assert g.sources() == [t for t, d in oracle.in_degree if d == 0]
+        assert g.sinks() == [t for t, d in oracle.out_degree if d == 0]
+        for t in weights:
+            assert g.predecessors(t) == list(oracle.predecessors(t))
+            assert g.successors(t) == list(oracle.successors(t))
+            assert g.ancestors(t) == nx.ancestors(oracle, t)
+            assert g.descendants(t) == nx.descendants(oracle, t)
+
+    @given(dags())
+    @settings(max_examples=200, deadline=None)
+    def test_components(self, case):
+        g = TaskGraph(*case)
+        found = g.components()
+        want = list(nx.weakly_connected_components(networkx_oracle(*case)))
+        assert len(found) == len(want)
+        assert set(map(frozenset, found)) == set(map(frozenset, want))
+        # In the order of their first task, each led by that task.
+        index = {t: i for i, t in enumerate(g.tasks())}
+        starts = [min(index[t] for t in c) for c in found]
+        assert starts == sorted(starts)
+        assert [index[c[0]] for c in found] == starts
+
+    @given(dags())
+    @settings(max_examples=100, deadline=None)
+    def test_networkx_bridge_round_trips(self, case):
+        g = TaskGraph(*case)
+        assert TaskGraph.from_networkx(g.graph) == g
+        assert list(g.graph.nodes(data="weight")) == list(g.weights().items())
+
+    @given(dags(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_cycle_rejection_names_a_cycle(self, case, data):
+        weights, edges = case
+        if not edges:
+            return
+        u, v = data.draw(st.sampled_from(edges))
+        cyclic = [*edges, (v, u)]
+        assert not nx.is_directed_acyclic_graph(networkx_oracle(weights, cyclic))
+        with pytest.raises(ValueError, match="contains a cycle") as info:
+            TaskGraph(weights, cyclic)
+        cycle = ast.literal_eval(str(info.value).partition(": ")[2])
+        assert cycle
+        assert all(edge in set(cyclic) for edge in cycle)
+        assert all(a[1] == b[0] for a, b in zip(cycle, cycle[1:] + cycle[:1]))

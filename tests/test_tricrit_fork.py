@@ -152,6 +152,22 @@ class TestPolynomialAlgorithm:
         with pytest.raises(ValueError):
             solve_tricrit_fork_bruteforce(problem, max_tasks=10)
 
+    @pytest.mark.parametrize("alpha", [2.0, 2.5, 3.0, 4.0])
+    @pytest.mark.parametrize("frel", [0.5, 0.8])
+    def test_bruteforce_admits_a_zero_weight_source_at_slack_one(self, frel, alpha):
+        # The children fill the deadline at fmax, so the weightless source
+        # must finish at t0 = 0: the reference once floored t0 at 1e-12
+        # and reported these forks infeasible.
+        graph = generators.fork(0.0, [1.0, 2.0])
+        model = ReliabilityModel(fmin=0.1, fmax=1.0, frel=frel)
+        platform = Platform(3, ContinuousSpeeds(0.1, 1.0), reliability_model=model,
+                            energy_model=EnergyModel(exponent=alpha))
+        problem = TriCritProblem(Mapping.one_task_per_processor(graph), platform, 2.0)
+        poly = solve_tricrit_fork(problem)
+        brute = solve_tricrit_fork_bruteforce(problem)
+        assert poly.feasible and brute.feasible
+        assert brute.energy == pytest.approx(poly.energy, rel=1e-9)
+
     def test_bruteforce_configuration_count(self):
         problem = fork_problem(1.0, [1.0, 1.0], slack=2.0)
         brute = solve_tricrit_fork_bruteforce(problem)
