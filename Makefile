@@ -8,7 +8,7 @@
 #   make smoke          - reduced-size smoke of the simulation + batch-solver perf paths
 #   make campaign-smoke - every E1-E13 scenario through the campaign runner
 #   make serve-smoke    - boot `python -m repro serve` (single + --workers 2 fleet), assert 200/schema + shared store
-#   make boot-check     - serve boot import-set test + the boot's top `-X importtime` entries
+#   make boot-check     - serve boot import-set test + top `-X importtime` entries of the boot and `repro list`
 #   make distributed-smoke - multi-worker coordinator + chaos tests under a hard timeout
 #   make refresh-golden - intentionally regenerate tests/golden/*.json snapshots
 #   make bench          - full benchmark/experiment suite (writes BENCH_*.json)
@@ -104,6 +104,9 @@ boot-check:
 	$(PYTHON) -m pytest tests/test_boot.py -q
 	@echo "serve boot, top imports by cumulative -X importtime (us):"
 	@$(PYTHON) -X importtime -c '$(BOOT)' 2>&1 >/dev/null \
+		| sort -t'|' -k2 -n -r | head -15
+	@echo "python -m repro list, top imports by cumulative -X importtime (us):"
+	@$(PYTHON) -X importtime -m repro list 2>&1 >/dev/null \
 		| sort -t'|' -k2 -n -r | head -15
 
 # Multi-process fault-tolerance gate: the chaos proxy tests plus the

@@ -12,21 +12,14 @@ scale:
   fallback and per-instance progress;
 * :mod:`repro.campaign.distributed` -- fault-tolerant multi-worker execution
   over the v1 HTTP API (retry/backoff, worker eviction/readmission,
-  in-process degradation, resumable via the cache);
+  in-process degradation, resumable via the cache); imported from its own
+  module, so local campaigns never load the HTTP layer;
 * :mod:`repro.campaign.cache` -- content-addressed JSON result cache under
   ``.repro-cache/``;
 * :mod:`repro.campaign.cli` -- the ``python -m repro`` command line.
 """
 
 from .cache import DEFAULT_CACHE_DIR, ResultCache, canonicalize, instance_key
-from .distributed import (
-    DistributedCampaignResult,
-    RetryPolicy,
-    WorkerClient,
-    WorkerError,
-    run_distributed_campaign,
-    spawn_local_workers,
-)
 from .registry import get_scenario, iter_scenarios, register, scenario_names
 from .runner import (
     CampaignResult,
@@ -65,10 +58,4 @@ __all__ = [
     "CampaignResult",
     "InstanceResult",
     "failure_record",
-    "run_distributed_campaign",
-    "spawn_local_workers",
-    "DistributedCampaignResult",
-    "RetryPolicy",
-    "WorkerClient",
-    "WorkerError",
 ]

@@ -5,15 +5,17 @@ expected for TRI-CRIT (or for BI-CRIT under the DISCRETE models); the test
 suite and the complexity experiments therefore rely on exhaustive solvers
 whose correctness is easy to argue:
 
-* :func:`best_reexec_subset` is the one ``2^n`` re-execution subset
-  enumerator.  ``tricrit-exhaustive`` (below), ``tricrit-chain-exact``
-  (:mod:`repro.continuous.tricrit_chain`) and ``tricrit-vdd-exact``
-  (:mod:`repro.discrete.tricrit_vdd`) all run it, each with its own task
-  order, size guard and per-subset evaluation;
+* :func:`best_reexec_subset` is the scalar ``2^n`` re-execution subset
+  enumerator.  ``tricrit-exhaustive`` (below) and ``tricrit-vdd-exact``
+  (:mod:`repro.discrete.tricrit_vdd`) run it, each with its own task order,
+  size guard and per-subset evaluation;
 * :func:`solve_tricrit_exhaustive` enumerates every subset of re-executed
   tasks and solves the restricted problem for each with
   :func:`~repro.continuous.heuristics.solve_with_reexec_set` -- the global
-  optimum of TRI-CRIT CONTINUOUS on any mapped DAG (at exponential cost);
+  optimum of TRI-CRIT CONTINUOUS on any mapped DAG (at exponential cost).
+  On a single-processor mapping it returns the answer of the vectorized
+  chain enumeration (:func:`~repro.continuous.tricrit_chain.solve_tricrit_chain_exact`)
+  under its own name, so the two exact names agree bit for bit there;
 * :func:`best_known_tricrit` bundles the exhaustive solver (when affordable)
   with the heuristics to produce the best-known reference value used in the
   heuristic-quality experiments.
@@ -34,6 +36,7 @@ from ..solvers.limits import (
     EXHAUSTIVE_SUBSET_MAX_TASKS,
 )
 from .heuristics import best_of_heuristics, solve_with_reexec_set
+from .tricrit_chain import solve_tricrit_chain_exact
 
 __all__ = ["best_reexec_subset", "solve_tricrit_exhaustive", "best_known_tricrit"]
 
@@ -76,7 +79,8 @@ def solve_tricrit_exhaustive(problem: TriCritProblem, *,
     restricted solves is ``2^n``); it defaults to the central
     :data:`~repro.solvers.limits.EXHAUSTIVE_SUBSET_MAX_TASKS` shared with
     the VDD-HOPPING subset enumeration.  The metadata reports how many
-    subsets were evaluated.
+    subsets were evaluated.  A single-processor mapping takes the chain
+    enumeration's answer, relabelled.
     """
     ctx = SolverContext.for_problem(problem)
     positive = ctx.positive_tasks
@@ -84,6 +88,10 @@ def solve_tricrit_exhaustive(problem: TriCritProblem, *,
         raise ValueError(
             f"exhaustive TRI-CRIT limited to {max_tasks} tasks (got {len(positive)})"
         )
+    if ctx.is_single_processor:
+        result = solve_tricrit_chain_exact(problem)
+        result.solver = "tricrit-exhaustive"
+        return result
     return best_reexec_subset(
         positive,
         lambda subset: solve_with_reexec_set(problem, subset, context=ctx),

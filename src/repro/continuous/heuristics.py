@@ -27,8 +27,10 @@ Both heuristics share the same machinery:
    :func:`~repro.optimize.allocation.allocate_durations_with_bounds`; on
    any other mapping, the convex program of
    :func:`~repro.continuous.convex.solve_bicrit_convex`.  This is the
-   library's only fixed-subset TRI-CRIT solve: the subset enumerators, the
-   chain greedy and the pruned search's final schedule call it too;
+   library's only one-subset TRI-CRIT solve: the scalar subset enumerators,
+   the chain greedy and the pruned search's final schedule call it too
+   (the exact chain enumeration water-fills all its subsets at once, in
+   :func:`repro.solvers.batch.chain_subset_minimum`);
 2. the heuristic grows the re-execution set greedily, at each round scoring
    the candidate tasks with its family-specific criterion, fully re-solving
    the restricted problem for the few best candidates, and accepting the
@@ -38,7 +40,7 @@ Both heuristics share the same machinery:
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
+from collections.abc import Container, Iterable
 
 import numpy as np
 
@@ -150,6 +152,15 @@ def solve_with_reexec_set(problem: TriCritProblem, reexec: Iterable[TaskId], *,
         return SolveResult(schedule=None, energy=math.inf, status="infeasible",
                            solver=solver_name,
                            metadata={"reexecuted": reexecuted, "message": message})
+    schedule = reexec_schedule(problem, speeds, reexec_set)
+    return SolveResult(schedule=schedule, energy=schedule.energy(), status="feasible",
+                       solver=solver_name, metadata=metadata)
+
+
+def reexec_schedule(problem: TriCritProblem, speeds: dict[TaskId, float],
+                    reexec: Container[TaskId]) -> Schedule:
+    """The schedule running each positive-weight task at ``speeds[t]``, twice
+    for the tasks in ``reexec``; zero-weight tasks run once at ``fmax``."""
     graph = problem.graph
     decisions = {}
     for t in graph.tasks():
@@ -158,15 +169,13 @@ def solve_with_reexec_set(problem: TriCritProblem, reexec: Iterable[TaskId], *,
             decisions[t] = TaskDecision.single(t, w, problem.platform.fmax)
             continue
         speed = speeds[t]
-        if t in reexec_set:
+        if t in reexec:
             # ``speed`` is the speed of the effective task of weight 2w; both
             # actual executions run at that same speed.
             decisions[t] = TaskDecision.reexecuted(t, w, speed, speed)
         else:
             decisions[t] = TaskDecision.single(t, w, speed)
-    schedule = Schedule(problem.mapping, problem.platform, decisions)
-    return SolveResult(schedule=schedule, energy=schedule.energy(), status="feasible",
-                       solver=solver_name, metadata=metadata)
+    return Schedule(problem.mapping, problem.platform, decisions)
 
 
 def solve_tricrit_no_reexec(problem: TriCritProblem, *,

@@ -14,10 +14,11 @@ and convexity); a single-execution task has speed floor ``f_rel``.  This
 module chooses the set:
 
 * :func:`solve_tricrit_chain_exact` -- every re-execution subset, in the
-  processor's task order, through the shared enumerator
-  :func:`repro.continuous.exhaustive.best_reexec_subset` (exponential, used
-  as ground truth on small chains; its cost is itself part of the
-  NP-hardness experiment E7).
+  processor's task order, through the vectorized subset kernel
+  :func:`repro.solvers.batch.chain_subset_minimum` that ``solve_batch`` and
+  the server run too, so every entry point returns the same bits
+  (exponential, used as ground truth on small chains; its cost is itself
+  part of the NP-hardness experiment E7).
 * :func:`solve_tricrit_chain_greedy` -- the paper's strategy: start from no
   re-executions (everything slowed equally down to ``f_rel``), then greedily
   add the re-execution that saves the most energy while the deadline and
@@ -30,13 +31,17 @@ memoizes it per task.
 
 from __future__ import annotations
 
+import math
+
+import numpy as np
+
 from ..core.problems import SolveResult, TriCritProblem
 from ..core.reliability import ReliabilityModel
 from ..dag.taskgraph import TaskId
+from ..solvers.batch import chain_subset_minimum
 from ..solvers.context import SolverContext
 from ..solvers.limits import CHAIN_EXACT_MAX_TASKS
-from .exhaustive import best_reexec_subset
-from .heuristics import solve_with_reexec_set
+from .heuristics import reexec_schedule, solve_with_reexec_set
 
 __all__ = [
     "solve_tricrit_chain_exact",
@@ -77,10 +82,27 @@ def solve_tricrit_chain_exact(problem: TriCritProblem, *,
             f"exact chain solver limited to {max_tasks} tasks "
             f"(got {len(positive_ids)}); the subset enumeration is exponential"
         )
-    return best_reexec_subset(
-        positive_ids,
-        lambda subset: solve_with_reexec_set(problem, subset, context=ctx),
-        solver_name="tricrit-chain-exact")
+    platform = problem.platform
+    model = ctx.reliability
+    energy, speeds, reexecuted = chain_subset_minimum(
+        np.array([[problem.graph.weight(t) for t in positive_ids]]),
+        *(np.array([x]) for x in (problem.deadline, platform.fmin,
+                                  platform.fmax,
+                                  platform.energy_model.exponent)),
+        [np.array([x]) for x in (model.fmin, model.fmax, model.lambda0,
+                                 model.sensitivity, model.frel)])
+    evaluated = 2 ** len(positive_ids)
+    if not np.isfinite(energy[0]):
+        return SolveResult(schedule=None, energy=math.inf, status="infeasible",
+                           solver="tricrit-chain-exact",
+                           metadata={"subsets_evaluated": evaluated})
+    chosen = {t for t, r in zip(positive_ids, reexecuted[0]) if r}
+    schedule = reexec_schedule(
+        problem, dict(zip(positive_ids, speeds[0].tolist())), chosen)
+    return SolveResult(schedule=schedule, energy=float(energy[0]),
+                       status="optimal", solver="tricrit-chain-exact",
+                       metadata={"reexecuted": sorted(map(str, chosen)),
+                                 "subsets_evaluated": evaluated})
 
 
 def solve_tricrit_chain_greedy(problem: TriCritProblem) -> SolveResult:

@@ -1,10 +1,12 @@
 """Batched solver evaluation: whole instance lists as single NumPy programs.
 
-The scalar front door (:func:`repro.solvers.dispatch.solve`) evaluates one
-problem instance per call; campaign grids (the fork sweeps, the E13
-solver-ablation cells, Pareto curves) therefore pay per-instance Python
-overhead that dominates the cheap closed-form solvers of the paper's
-chain/fork analysis.  :func:`solve_batch` takes a columnar
+:func:`solve_batch` is the library's one solve pipeline: the scalar front
+door :func:`repro.solvers.dispatch.solve` is a batch of one, and the API
+engine hands it every request's cache misses, so a row gets the same
+answer from every entry point.  Campaign grids (the fork sweeps, the E13
+solver-ablation cells, Pareto curves) would otherwise pay per-instance
+Python overhead that dominates the cheap closed-form solvers of the
+paper's chain/fork analysis.  :func:`solve_batch` takes a columnar
 :class:`~repro.core.columnar.ProblemBatch` (an instance list is converted
 with :meth:`~repro.core.columnar.ProblemBatch.from_problems`), routes every
 row by masked predicates over its columns, and evaluates each route as one
@@ -16,33 +18,35 @@ array program straight off the ragged weight arrays:
 * **fork theorem** -- child weights are gathered into one padded matrix; the
   unsaturated formula, the paper's ``fmax`` saturation case and the
   per-child feasibility checks are evaluated for all forks at once (rows
-  whose speeds would clamp at ``fmin`` fall back to the scalar front-end,
-  exactly where the scalar route falls back to the convex program);
+  whose speeds would clamp at ``fmin`` run the closed-form solver's own
+  entry point, exactly where it falls back to the convex program);
 * **TRI-CRIT chain subset enumeration** -- instances with the same number of
-  positive tasks share one ``(2^n, n)`` re-execution mask table; the
+  positive tasks go through :func:`chain_subset_minimum` together: the
   restricted "slow everything equally" allocations of *every subset of every
   instance* are solved by one exact vectorized water-fill over a
   ``(batch, subsets, tasks)`` tensor, and the per-task re-execution speed
   floors come from one array call of the closed form
-  :func:`~repro.core.reliability.equal_reexecution_floor`;
+  :func:`~repro.core.reliability.equal_reexecution_floor`.  The same helper
+  is the body of
+  :func:`~repro.continuous.tricrit_chain.solve_tricrit_chain_exact`, so the
+  chain enumeration exists once;
 * every other row (anything the strict columnar parser could not certify,
   any other solver, solver-specific options) is admissibility-checked and
-  runs through the scalar dispatcher, so ``solve_batch`` is a drop-in
-  replacement for a ``[solve(p) for p in problems]`` loop for *every*
-  admissible solver and for ``solver="auto"``.
+  runs through its solver's descriptor (the per-row route), so
+  ``solve_batch`` takes *every* admissible solver and ``solver="auto"``.
 
 Results of the array routes are :class:`LazyScheduleResult` objects:
 energies, statuses and metadata are computed by the vectorized kernels, and
 an eager ``wire_view`` carries the response fields, while the per-task
 ``Schedule`` object (pure Python construction cost) is only materialised
-when ``result.schedule`` is first touched.  Equivalence with the scalar path
-is property-tested in ``tests/test_batch_solvers.py`` and the speedup is
-recorded by ``benchmarks/bench_batch_solvers.py``.
+when ``result.schedule`` is first touched.  Agreement with each solver's
+own entry point is property-tested in ``tests/test_batch_solvers.py``,
+entry-point parity in ``tests/test_entry_point_parity.py``, and the speedup
+is recorded by ``benchmarks/bench_batch_solvers.py``.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
@@ -76,13 +80,9 @@ KERNEL_FORK = "fork-closed-form"
 KERNEL_TRICRIT_CHAIN = "tricrit-chain-subsets"
 KERNEL_SCALAR = "scalar-fallback"
 
-#: Positive-task cap for the vectorized subset table: ``2^n`` rows per
-#: instance must stay addressable as one tensor (the scalar enumeration
-#: handles larger instances, so those rows fall back per instance).
-VECTOR_SUBSET_MAX_TASKS = 16
-
 #: Soft cap on ``batch * subsets * tasks`` elements held at once by the
-#: TRI-CRIT chain kernel; larger groups are processed in chunks.
+#: TRI-CRIT chain kernel; larger groups are processed in chunks of rows,
+#: and a single row's subsets in chunks of subsets.
 _SUBSET_TENSOR_BUDGET = 4_000_000
 
 
@@ -143,8 +143,8 @@ _ROUTE_KERNELS = {
 }
 
 #: Solvers with a fully columnar route; any other name sends every row
-#: through the per-row scalar route (which produces the exact scalar errors
-#: and results for solvers the array kernels do not implement).
+#: through the per-row route (which produces the solver's own errors and
+#: results for solvers the array kernels do not implement).
 _COLUMNAR_SOLVERS = frozenset({"auto", "bicrit-closed-form",
                                "tricrit-chain-exact", "tricrit-pruned"})
 
@@ -155,8 +155,8 @@ class ColumnarBatchPlan:
 
     Fast rows (``routes != ROUTE_LEGACY``) are solved straight off the
     columns without materialising ``Problem`` objects; legacy rows are
-    materialised, admissibility-checked, and run through the scalar
-    dispatcher with their ``legacy_descriptors`` entry.
+    materialised, admissibility-checked, and run through their
+    ``legacy_descriptors`` entry.
     """
 
     solver: str
@@ -189,13 +189,14 @@ def plan_batch(problems: ProblemBatch | Sequence[BiCritProblem],
     the scalar admissibility checks would probe (structure, mapping shape,
     speed-model kind, size caps), so a fast row is admissible for its
     kernel solver by construction.  Every other row is materialised and
-    checked the way the scalar dispatcher checks it: ``solver="auto"``
+    checked the way :func:`~repro.solvers.dispatch.select_solver` and the
+    descriptors check it: ``solver="auto"``
     selects through :func:`repro.solvers.dispatch.select_solver` (raising
     :class:`~repro.solvers.dispatch.NoAdmissibleSolverError` for a row
     nothing admits), a named solver raises
     :class:`~repro.solvers.descriptors.InadmissibleSolverError` like the
     descriptor itself would.  ``vectorize=False`` sends every row down the
-    scalar route (used when solver-specific options are passed, which the
+    per-row route (used when solver-specific options are passed, which the
     array kernels do not understand).
     """
     batch = (problems if isinstance(problems, ProblemBatch)
@@ -221,13 +222,16 @@ def plan_batch(problems: ProblemBatch | Sequence[BiCritProblem],
             routes[fork] = ROUTE_FORK
         if solver in ("auto", "tricrit-chain-exact", "tricrit-pruned"):
             # Positive-weight tasks only (the scalar guards and the
-            # descriptor admissibility agree on that count); the vectorized
-            # subset kernel computes the same optimum whichever of the two
-            # exact chain solvers was named.
+            # descriptor admissibility agree on that count), up to the chain
+            # enumeration's admissibility cap: past it, auto dispatch picks
+            # the pruned search and a named ``tricrit-chain-exact`` is
+            # inadmissible.  The vectorized subset kernel computes the same
+            # optimum whichever of the two exact chain solvers was named.
+            limit = get_solver("tricrit-chain-exact").max_tasks
             tri = (tricrit & cols["single_processor"]
                    & cols["mapping_in_order"]
                    & (cols["num_positive"] >= 1)
-                   & (cols["num_positive"] <= VECTOR_SUBSET_MAX_TASKS))
+                   & (cols["num_positive"] <= limit))
             routes[tri] = ROUTE_TRICRIT
     legacy_indices = np.flatnonzero(routes == ROUTE_LEGACY).tolist()
     descriptors: list[Solver] = []
@@ -253,13 +257,17 @@ def plan_batch(problems: ProblemBatch | Sequence[BiCritProblem],
 # ----------------------------------------------------------------------
 def solve_batch(problems: ProblemBatch | Sequence[BiCritProblem],
                 solver: str = "auto", **options: Any) -> list[SolveResult]:
-    """Solve many instances at once; a drop-in batched ``solve()`` loop.
+    """Solve many instances at once: the library's one solve pipeline.
 
-    Parameters mirror :func:`repro.solvers.dispatch.solve`; the return value
-    is one :class:`~repro.core.problems.SolveResult` per input row, in
-    input order, agreeing with the per-instance scalar path within floating
-    point tolerance (and bit-for-bit on statuses, routes and re-execution
-    subsets, modulo degenerate energy ties).
+    :func:`repro.solvers.dispatch.solve` is ``solve_batch([problem],
+    solver, **options)[0]``.  The return value is one
+    :class:`~repro.core.problems.SolveResult` per input row, in input
+    order; a row's answer does not depend on the rows beside it, so it is
+    the same bits whichever entry point (``solve``, a list, a
+    ``ProblemBatch``, the engine, the wire) brought it here.  A solver's
+    own entry point, called through its descriptor, agrees within floating
+    point tolerance (and on statuses and re-execution subsets, modulo
+    degenerate energy ties).
 
     ``problems`` is a :class:`~repro.core.columnar.ProblemBatch` or an
     instance list (converted with ``ProblemBatch.from_problems``; its rows
@@ -267,8 +275,8 @@ def solve_batch(problems: ProblemBatch | Sequence[BiCritProblem],
     understand -- single-processor CONTINUOUS chains, fully parallel
     CONTINUOUS forks, and TRI-CRIT chain subset enumerations -- are solved
     straight off the ragged weight arrays and carry an eager ``wire_view``
-    for the API layer; every other row runs through the scalar dispatcher.
-    Solver-specific ``options`` force the scalar route for the whole batch
+    for the API layer; every other row runs its solver's descriptor.
+    Solver-specific ``options`` force the per-row route for the whole batch
     (the kernels only implement the descriptor-default configurations).
     The kernels allocate a few objects per row, so automatic GC is paused
     for the call (:func:`repro.core.gcscope.paused_gc`).
@@ -295,7 +303,8 @@ def solve_batch(problems: ProblemBatch | Sequence[BiCritProblem],
 
 def _scalar_solve(problem: BiCritProblem, descriptor: Solver, *, auto: bool,
                   **options: Any) -> SolveResult:
-    """Per-row fallback, byte-compatible with ``dispatch.solve``.
+    """The per-row route: the descriptor's result plus the
+    ``metadata["dispatch"]`` record of what ran and why.
 
     The plan already checked admissibility, so the descriptor does not
     check it again (unless ``options`` asks for it explicitly).
@@ -389,9 +398,9 @@ def _fork_core(w0: np.ndarray, W: np.ndarray, deadlines: np.ndarray,
     child_violation = saturated[:, None] & (child_speed > fmax[:, None] * (1.0 + 1e-12))
     child_blocks = ~source_blocks & np.any(child_violation, axis=1)
 
-    # fmin clamping invalidates the algebraic formula; the scalar front-end
-    # falls through to the SP recursion / convex program there, so those
-    # rows take the per-instance path.
+    # fmin clamping invalidates the algebraic formula; the closed-form
+    # solver's entry point falls through to the SP recursion / convex
+    # program there, so those rows take the per-instance path.
     speeds_all = np.concatenate([source_speed[:, None], child_speed], axis=1)
     clamped = np.any((speeds_all > 0) & (speeds_all < fmin[:, None] * (1.0 - 1e-12)),
                      axis=1)
@@ -403,20 +412,29 @@ def _fork_core(w0: np.ndarray, W: np.ndarray, deadlines: np.ndarray,
 
 
 @lru_cache(maxsize=32)
-def _subset_masks(n: int) -> np.ndarray:
-    """The ``(2^n, n)`` re-execution mask table in enumeration order.
+def _subset_codes(n: int) -> np.ndarray:
+    """Every re-execution subset of ``n`` tasks as an ``n``-bit code, in
+    enumeration order (task ``j`` is bit ``n - 1 - j``).
 
-    Row order matches ``itertools.combinations`` by subset size then
-    position, which is the order of the scalar enumeration -- ``argmin``
-    therefore picks the same optimal subset as the scalar first-strict-min
-    scan.
+    The order is by subset size, then ``itertools.combinations`` order --
+    for a fixed size, descending code order -- which is the order of the
+    reference scan ``best_reexec_subset``: the first strict minimum
+    therefore picks the same optimal subset.
     """
-    rows = np.zeros((2 ** n, n), dtype=bool)
-    for row, subset in enumerate(
-            itertools.chain.from_iterable(
-                itertools.combinations(range(n), r) for r in range(n + 1))):
-        rows[row, list(subset)] = True
-    return rows
+    codes = np.arange(2 ** n, dtype=np.int64)
+    size = np.zeros_like(codes)
+    for j in range(n):
+        size += (codes >> j) & 1
+    ordered = codes[np.lexsort((-codes, size))]
+    ordered.flags.writeable = False     # cached and shared by every call
+    return ordered
+
+
+def _code_masks(codes: np.ndarray, n: int) -> np.ndarray:
+    """The ``(len(codes), n)`` re-execution mask rows of subset codes."""
+    bits = np.unpackbits(codes.astype(">u4").view(np.uint8).reshape(-1, 4),
+                         axis=1)
+    return np.ascontiguousarray(bits[:, 32 - n:]).view(bool)
 
 
 def _fill_cells(W: np.ndarray, deadlines: np.ndarray, pfmax: np.ndarray,
@@ -496,7 +514,7 @@ def _tricrit_chain_core(W: np.ndarray, deadlines: np.ndarray,
     # deadline, or the loose end when every task fits at its upper bound.
     max_time = upper.sum(axis=2)
     t = np.where(max_time <= deadlines[:, None],
-                 (1.0 / floor).max(axis=2) + 1.0, 0.0)
+                 (1.0 / floor).max(axis=2, initial=0.0) + 1.0, 0.0)
     active = (~infeasible & (min_time < deadlines[:, None])
               & (deadlines[:, None] < max_time))
     bi, si = np.nonzero(active)
@@ -515,6 +533,45 @@ def _tricrit_chain_core(W: np.ndarray, deadlines: np.ndarray,
         energy = np.sum(eff * (eff / durations) ** exponent, axis=2)
     energy[infeasible] = np.inf
     return eff, durations, energy
+
+
+def chain_subset_minimum(W: np.ndarray, deadlines: np.ndarray,
+                         pfmin: np.ndarray, pfmax: np.ndarray,
+                         alpha: np.ndarray, rel: Sequence[np.ndarray]
+                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The exact TRI-CRIT chain optimum of each row, over all ``2^n`` subsets.
+
+    ``W`` holds each row's positive task weights in processor order; the
+    other arguments are per-row columns, ``rel`` the reliability model's
+    ``(fmin, fmax, lambda0, sensitivity, frel)`` that
+    :func:`~repro.core.reliability.equal_reexecution_floor` takes.  Returns
+    ``(energy, speeds, reexecuted)``: per row the first strict minimum's
+    energy (``inf`` when no subset is feasible), its per-task execution
+    speeds and its re-execution mask.  The subset axis is processed in
+    chunks of :data:`_SUBSET_TENSOR_BUDGET` cells; each cell is computed on
+    its own, so neither the chunking nor the rows beside a row move its
+    answer.
+    """
+    B, n = W.shape
+    frel = rel[4]
+    reexec_floor = np.maximum(pfmin[:, None], equal_reexecution_floor(
+        W, *(column[:, None] for column in rel)))
+    codes = _subset_codes(n)
+    step = max(1, _SUBSET_TENSOR_BUDGET // max(1, B * n))
+    energy = np.full(B, np.inf)
+    speeds = np.zeros((B, n))
+    reexecuted = np.zeros((B, n), dtype=bool)
+    for start in range(0, codes.size, step):
+        masks = _code_masks(codes[start:start + step], n)
+        eff, durations, cells = _tricrit_chain_core(
+            W, deadlines, pfmin, pfmax, alpha, reexec_floor, frel, masks)
+        s = np.argmin(cells, axis=1)
+        rows = np.flatnonzero(cells[np.arange(B), s] < energy)
+        s = s[rows]
+        energy[rows] = cells[rows, s]
+        speeds[rows] = eff[rows, s] / durations[rows, s]
+        reexecuted[rows] = masks[s]
+    return energy, speeds, reexecuted
 
 
 # ----------------------------------------------------------------------
@@ -581,9 +638,9 @@ def schedule_executions(result: SolveResult
 
 def _columnar_dispatch(batch: ProblemBatch, i: int, solver_name: str,
                        auto: bool) -> dict:
-    """The scalar ``metadata["dispatch"]`` record, built from columns only.
+    """The ``metadata["dispatch"]`` record, built from columns only.
 
-    Key order and value types match ``dispatch.solve``'s record +
+    Key order and value types match :func:`_scalar_solve`'s record +
     ``SolverContext.describe()`` exactly (both kernel solvers are exact and
     CONTINUOUS; parser-verified rows are chains or forks, and the context's
     structure label probes ``is_chain`` first).
@@ -779,7 +836,7 @@ def _solve_fork_columnar(batch: ProblemBatch, rows: np.ndarray,
             continue
         if clamped_l[row]:
             # fmin-clamped rows leave the algebraic formula: materialise and
-            # run the scalar front-end.
+            # run the closed-form solver's entry point.
             results[i] = _scalar_solve(batch.problem(i),
                                        get_solver("bicrit-closed-form"),
                                        auto=plan.auto)
@@ -822,8 +879,6 @@ def _tricrit_columnar_chunk(batch: ProblemBatch, rows: list[int], n: int,
                             plan: ColumnarBatchPlan,
                             results: list[SolveResult | None]) -> None:
     B = len(rows)
-    masks = _subset_masks(n)
-    S = masks.shape[0]
     rows_a = np.asarray(rows, dtype=np.int64)
     cols = batch.columns
 
@@ -833,40 +888,28 @@ def _tricrit_columnar_chunk(batch: ProblemBatch, rows: list[int], n: int,
         weights = batch.row_weights(i)
         W[row] = weights[weights > 0]
 
-    deadlines = cols["deadline"][rows_a]
-    pfmin = cols["fmin"][rows_a]
     pfmax = cols["fmax"][rows_a]
-    alpha = cols["alpha"][rows_a]
-    frel = cols["rel_frel"][rows_a]
-
-    # One closed-form floor for every (instance, task) pair, fed from the
-    # reliability columns.
-    model = [cols[k][rows_a][:, None] for k in
-             ("rel_fmin", "rel_fmax", "rel_lambda0", "rel_sensitivity")]
-    reexec_floor = np.maximum(pfmin[:, None], equal_reexecution_floor(
-        W, *model, frel[:, None]))
-
-    eff, durations, energy = _tricrit_chain_core(W, deadlines, pfmin, pfmax,
-                                                 alpha, reexec_floor, frel,
-                                                 masks)
+    energy, f, reexec = chain_subset_minimum(
+        W, cols["deadline"][rows_a], cols["fmin"][rows_a], pfmax,
+        cols["alpha"][rows_a],
+        [cols[k][rows_a] for k in ("rel_fmin", "rel_fmax", "rel_lambda0",
+                                   "rel_sensitivity", "rel_frel")])
+    S = 2 ** n
 
     # Auto rows dispatch to the chain enumeration (priority order); a named
-    # ``tricrit-pruned`` keeps its own label, like the scalar path would.
+    # ``tricrit-pruned`` keeps its own label, like its descriptor would.
     label = plan.solver if plan.solver == "tricrit-pruned" \
         else "tricrit-chain-exact"
-    best = np.argmin(energy, axis=1)
     for row, i in enumerate(rows):
-        s = int(best[row])
         dispatch = _columnar_dispatch(batch, i, label, plan.auto)
-        if not np.isfinite(energy[row, s]):
+        if not np.isfinite(energy[row]):
             results[i] = SolveResult(
                 schedule=None, energy=math.inf, status="infeasible",
                 solver=label,
                 metadata={"subsets_evaluated": S, "dispatch": dispatch})
             continue
-        f = eff[row, s] / durations[row, s]           # (n,) exec speeds
-        per_exec = W[row] / f
-        task_time = per_exec * (1.0 + masks[s])       # exact x2 on re-exec
+        per_exec = W[row] / f[row]                    # f: exec speeds
+        task_time = per_exec * (1.0 + reexec[row])    # exact x2 on re-exec
         makespan = float(np.cumsum(task_time)[-1])    # left fold, in order
         fmax_row = float(pfmax[row])
         speeds: dict[str, list[float]] = {}
@@ -875,8 +918,8 @@ def _tricrit_columnar_chunk(batch: ProblemBatch, rows: list[int], n: int,
         row_weights = batch.row_weights(i).tolist()
         for t, w in zip(batch.task_ids[i], row_weights):
             if w > 0:
-                fv = float(f[cursor])
-                if masks[s, cursor]:
+                fv = float(f[row, cursor])
+                if reexec[row, cursor]:
                     speeds[t] = [fv, fv]
                     reexec_names.append(t)
                 else:
@@ -887,11 +930,11 @@ def _tricrit_columnar_chunk(batch: ProblemBatch, rows: list[int], n: int,
         result = LazyScheduleResult(
             builder=_WireScheduleBuilder(batch.payloads[i], speeds,
                                          row_weights),
-            energy=float(energy[row, s]), status="optimal",
+            energy=float(energy[row]), status="optimal",
             solver=label,
             metadata={"reexecuted": sorted(reexec_names),
                       "subsets_evaluated": S, "dispatch": dispatch})
         result.wire_view = {"makespan": makespan, "speeds": speeds,
-                            "num_reexecuted": int(masks[s].sum()),
+                            "num_reexecuted": int(reexec[row].sum()),
                             "dispatch": dispatch}
         results[i] = result

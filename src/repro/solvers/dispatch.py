@@ -13,9 +13,12 @@ The dispatcher is the single front door to the whole algorithm family:
   validating admissibility first so a structure or size violation fails
   with an explanation instead of a deep solver error.
 
-Either way the returned :class:`~repro.core.problems.SolveResult` is exactly
-what the underlying entry point produced, plus a ``metadata["dispatch"]``
-record of what ran and why.
+``solve`` is a batch of one: it runs
+:func:`repro.solvers.batch.solve_batch`, the pipeline the server runs, so a
+row gets the same answer from every entry point.  The returned
+:class:`~repro.core.problems.SolveResult` carries a ``metadata["dispatch"]``
+record of what ran and why.  To study a solver outside its admissible
+class, call its descriptor: ``get_solver(name)(problem, validate=False)``.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from typing import Any
 from ..core.problems import BiCritProblem, SolveResult
 from .context import SolverContext
 from .descriptors import Solver
-from .registry import get_solver, solvers_for
+from .registry import solvers_for
 
 __all__ = ["solve", "select_solver", "NoAdmissibleSolverError"]
 
@@ -54,24 +57,19 @@ def select_solver(problem: BiCritProblem, *,
         + "\n".join(rejections))
 
 
-def solve(problem: BiCritProblem, solver: str = "auto", *,
-          context: SolverContext | None = None,
-          validate: bool = True, **options: Any) -> SolveResult:
+def solve(problem: BiCritProblem, solver: str = "auto",
+          **options: Any) -> SolveResult:
     """Solve a BI-CRIT / TRI-CRIT instance through the solver registry.
+
+    ``solve_batch([problem], solver, **options)[0]``.
 
     Parameters
     ----------
     solver:
         ``"auto"`` (default) for exact-first dispatch, or a registry name
-        from :func:`repro.solvers.solver_names`.
-    context:
-        Optional precomputed :class:`SolverContext`; by default the
-        problem's memoized context is used (and created on first call).
-    validate:
-        Check admissibility before running a *named* solver (auto dispatch
-        only ever selects admissible solvers).  Disable to forward an
-        instance to a solver the descriptors would reject, e.g. to study a
-        heuristic outside its supported class.
+        from :func:`repro.solvers.solver_names`; a named solver the instance
+        does not admit raises
+        :class:`~repro.solvers.descriptors.InadmissibleSolverError`.
     options:
         Extra keyword arguments for the underlying entry point, merged over
         the descriptor's ``default_options`` (e.g. a per-call ``max_tasks``
@@ -80,17 +78,7 @@ def solve(problem: BiCritProblem, solver: str = "auto", *,
         With ``"auto"`` only options every candidate understands should be
         used; prefer naming the solver when passing solver-specific knobs.
     """
-    ctx = context if context is not None else SolverContext.for_problem(problem)
-    if solver == "auto":
-        descriptor = select_solver(problem, context=ctx)
-    else:
-        descriptor = get_solver(solver)
-    result = descriptor(problem, context=ctx, validate=validate and solver != "auto",
-                        **options)
-    result.metadata.setdefault("dispatch", {
-        "solver": descriptor.name,
-        "auto": solver == "auto",
-        "exactness": descriptor.exactness,
-        **ctx.describe(),
-    })
-    return result
+    # Imported here: the batch module imports ``select_solver`` from this one.
+    from .batch import solve_batch
+
+    return solve_batch([problem], solver, **options)[0]

@@ -34,18 +34,24 @@ __all__ = [
 #: and TRI-CRIT VDD-HOPPING (``solve_tricrit_vdd_exact``).  Each subset costs
 #: one restricted convex solve, so 14 tasks means at most 16384 solves.
 #:
+#: On a single-processor mapping ``solve_tricrit_exhaustive`` applies this
+#: guard and then returns the chain kernel's answer.
+#:
 #: Since the branch-and-bound solver (``tricrit-pruned``) landed, this limit
 #: no longer sets the library's exact-solve ceiling -- it only guards the
 #: blind reference enumerators, which the parity tests keep as ground truth.
 #: The ceiling for dispatch is :data:`PRUNED_EXACT_MAX_TASKS`.
 EXHAUSTIVE_SUBSET_MAX_TASKS = 14
 
-#: The chain subset enumeration is cheaper per subset (a closed-form
-#: bounded allocation instead of a convex program), so it affords more tasks.
-#: This guards *direct calls* to ``solve_tricrit_chain_exact``; the registry
-#: descriptor caps dispatch admissibility at
-#: :data:`EXHAUSTIVE_SUBSET_MAX_TASKS` so auto-dispatch hands 15+-task
-#: chains to the pruned branch-and-bound instead of a ``2^n`` enumeration.
+#: The chain subset enumeration is cheaper per subset (one vectorized
+#: water-fill cell of ``repro.solvers.batch.chain_subset_minimum`` instead
+#: of a convex program), so it affords more tasks; the kernel cuts the
+#: ``2^n`` subsets into chunks of its tensor budget, so memory stays
+#: bounded up to this guard.  It guards *direct calls* to
+#: ``solve_tricrit_chain_exact``; the registry descriptor caps dispatch
+#: admissibility at :data:`EXHAUSTIVE_SUBSET_MAX_TASKS` so auto-dispatch
+#: hands 15+-task chains to the pruned branch-and-bound instead of a ``2^n``
+#: enumeration.
 CHAIN_EXACT_MAX_TASKS = 22
 
 #: Positive-weight task bound under which the branch-and-bound solver

@@ -1,9 +1,10 @@
 """Pruned exact TRI-CRIT search: branch-and-bound over re-execution subsets.
 
-The blind enumerators (:func:`repro.continuous.exhaustive.solve_tricrit_exhaustive`
-and :func:`repro.continuous.tricrit_chain.solve_tricrit_chain_exact`, both
-running :func:`repro.continuous.exhaustive.best_reexec_subset`) hit the
-``2^n`` wall around 14-22 positive-weight tasks.  This module searches the
+The blind enumerators (:func:`repro.continuous.exhaustive.solve_tricrit_exhaustive`,
+a scalar scan through :func:`repro.continuous.exhaustive.best_reexec_subset`,
+and :func:`repro.continuous.tricrit_chain.solve_tricrit_chain_exact`, the
+vectorized subset kernel :func:`repro.solvers.batch.chain_subset_minimum`)
+hit the ``2^n`` wall around 14-22 positive-weight tasks.  This module searches the
 same subset space with three pruning devices, which together push the exact
 ceiling to :data:`~repro.solvers.limits.PRUNED_EXACT_MAX_TASKS` and yield a
 gap-certified anytime mode beyond it:

@@ -12,6 +12,9 @@ program the interior point of :mod:`repro.continuous.convex` solves.  The LP/MIL
 (one HiGHS call) is checked against two enumerations that read the model's
 symbolic rows, not its :meth:`~repro.lp.LinearProgram.to_arrays` lowering:
 every vertex of a bounded LP, and every 0/1 point of a binary MILP.
+The exact TRI-CRIT chain solve runs the vectorized subset kernel at every
+entry point; :func:`scalar_chain_enumeration` keeps the scalar enumeration
+it replaced (one water-fill per subset) as its reference.
 """
 
 from __future__ import annotations
@@ -24,8 +27,12 @@ import numpy as np
 from scipy import optimize as sciopt
 
 from repro.continuous.convex import ConvexResult
+from repro.continuous.exhaustive import best_reexec_subset
+from repro.continuous.heuristics import solve_with_reexec_set
+from repro.core.problems import SolveResult, TriCritProblem
 from repro.core.reliability import ReliabilityModel
 from repro.lp import LinearProgram
+from repro.solvers.context import SolverContext
 from repro.solvers.pruned import _exec_energy
 
 
@@ -357,6 +364,20 @@ def bisection_waterfill(weights, deadline: float, lower, upper, *,
         per_task = np.where(positive,
                             w * (w / durations) ** (exponent - 1.0), 0.0)
     return durations, float(np.sum(per_task))
+
+
+def scalar_chain_enumeration(problem: TriCritProblem) -> SolveResult:
+    """The exact chain optimum by the scalar ``2^n`` scan: every
+    re-execution subset of the positive tasks, in processor order, each
+    solved by :func:`~repro.continuous.heuristics.solve_with_reexec_set`'s
+    water-fill; the first strict minimum wins."""
+    ctx = SolverContext.for_problem(problem)
+    tasks = [t for t in problem.mapping.tasks_on(0)
+             if problem.graph.weight(t) > 0]
+    return best_reexec_subset(
+        tasks, lambda subset: solve_with_reexec_set(problem, subset,
+                                                    context=ctx),
+        solver_name="tricrit-chain-exact")
 
 
 def trust_constr_convex(mapping, platform, deadline: float, *,

@@ -1,10 +1,13 @@
-"""Property-based equivalence of ``solve_batch`` against per-instance ``solve``.
+"""Property-based equivalence of ``solve_batch`` against each solver's own
+entry point.
 
-The batched kernel (``repro.solvers.batch``) must be a drop-in replacement
-for a ``[solve(p) for p in problems]`` loop: for randomized chains, forks
+The batched kernel (``repro.solvers.batch``) must agree with calling each
+instance's solver through its descriptor: for randomized chains, forks
 and series-parallel instances, every admissible solver and the ``auto``
 dispatch must produce the same statuses, energies and (when materialised)
 feasible schedules, whether evaluated per instance or as one batch.  The
+TRI-CRIT chain kernel is also the chain solver's own entry point, so it is
+checked against the scalar subset enumeration of ``tests/oracles.py``.  The
 vectorized kernels (chain/fork closed forms, the TRI-CRIT chain subset
 table, the vectorized re-execution floors) are additionally checked to have
 actually engaged, so these tests cannot silently pass through the scalar
@@ -20,6 +23,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.continuous.tricrit_chain import solve_tricrit_chain_exact
 from repro.core.energy import EnergyModel
 from repro.core.problems import BiCritProblem, TriCritProblem
 from repro.core.reliability import ReliabilityModel, equal_reexecution_floor
@@ -32,17 +36,22 @@ from repro.solvers import (
     SolverContext,
     admissible_solvers,
     batch_is_feasible,
+    get_solver,
     plan_batch,
-    solve,
+    select_solver,
     solve_batch,
 )
+from repro.solvers import batch as batch_module
 from repro.solvers.batch import (
     KERNEL_CHAIN,
     KERNEL_FORK,
     KERNEL_SCALAR,
     KERNEL_TRICRIT_CHAIN,
     LazyScheduleResult,
+    _scalar_solve,
 )
+
+from tests.oracles import scalar_chain_enumeration
 
 # ----------------------------------------------------------------------
 # instance builders (plain functions so fresh problems are cheap to remake)
@@ -120,9 +129,18 @@ def assert_results_match(scalar, batch, problem, *, rel=1e-7):
             == materialised.is_feasible(problem.deadline)
 
 
+def descriptor_solve(problem, solver):
+    """The solver's own entry point through its descriptor, outside the
+    batch pipeline (``"auto"`` runs the solver dispatch would select)."""
+    descriptor = (select_solver(problem) if solver == "auto"
+                  else get_solver(solver))
+    return descriptor(problem)
+
+
 def roundtrip(problems, fresh, solver):
-    """Solve per instance, then re-build fresh instances and solve as a batch."""
-    scalar = [solve(p, solver=solver) for p in problems]
+    """Solve per instance through the descriptors, then re-build fresh
+    instances and solve them as a batch."""
+    scalar = [descriptor_solve(p, solver) for p in problems]
     batch = solve_batch(fresh, solver=solver)
     for s, b, p in zip(scalar, batch, fresh):
         assert_results_match(s, b, p)
@@ -273,13 +291,36 @@ class TestTriCritChainEquivalence:
             return tricrit_chain_problem(weights, slack, lambda0, frel)
 
         [kernel] = solve_batch([problem()])
-        scalar = solve(problem(), "tricrit-chain-exact")
+        scalar = scalar_chain_enumeration(problem())
         assert kernel.status == scalar.status
         assert kernel.metadata["subsets_evaluated"] \
             == scalar.metadata["subsets_evaluated"] == 2 ** len(weights)
         if scalar.feasible:
             assert abs(kernel.energy - scalar.energy) <= 1e-12 * scalar.energy
             assert kernel.metadata["reexecuted"] == scalar.metadata["reexecuted"]
+
+
+    @pytest.mark.parametrize("slack", [1.6, 3.5])
+    def test_subset_chunks_leave_the_row_unchanged(self, slack, monkeypatch):
+        # A 40-cell budget splits the 256 subsets of an 8-task row into
+        # chunks of 5; the first strict minimum across chunks is the one
+        # the single tensor finds, bit for bit.
+        def problem():
+            return tricrit_chain_problem([0.3 + 0.41 * i for i in range(8)],
+                                         slack, 1e-4, 0.7)
+
+        whole = solve_tricrit_chain_exact(problem())
+        [whole_row] = solve_batch([problem()])
+        monkeypatch.setattr(batch_module, "_SUBSET_TENSOR_BUDGET", 40)
+        chunked = solve_tricrit_chain_exact(problem())
+        [chunked_row] = solve_batch([problem()])
+        assert whole.metadata["reexecuted"]
+        assert chunked.energy == whole.energy == whole_row.energy \
+            == chunked_row.energy
+        assert chunked.metadata == whole.metadata
+        assert chunked.schedule.speed_assignment() \
+            == whole.schedule.speed_assignment()
+        assert chunked_row.wire_view == whole_row.wire_view
 
 
 class TestSeriesParallelFallback:
@@ -294,7 +335,7 @@ class TestSeriesParallelFallback:
         if ctx.is_single_processor or ctx.is_fork:
             return  # degenerate SP draw handled by a vectorized kernel
         assert plan.kernel_counts() == {KERNEL_SCALAR: 1}
-        scalar = solve(sp_problem(size, seed, slack))
+        scalar = descriptor_solve(sp_problem(size, seed, slack), "auto")
         [batch] = solve_batch([sp_problem(size, seed, slack)])
         assert_results_match(scalar, batch, problem)
 
@@ -315,13 +356,12 @@ class TestMixedAutoDispatch:
             problems.append(sp_problem(5, 42, slack))
             return problems
 
-        scalar = [solve(p) for p in build()]
+        scalar = [descriptor_solve(p, "auto") for p in build()]
         fresh = build()
         batch = solve_batch(fresh)
         for s, b, p in zip(scalar, batch, fresh):
             assert_results_match(s, b, p)
-            assert b.metadata["dispatch"]["solver"] \
-                == s.metadata["dispatch"]["solver"]
+            assert b.metadata["dispatch"]["solver"] == select_solver(p).name
             assert b.metadata["dispatch"]["auto"] is True
 
 
@@ -332,7 +372,7 @@ class TestBatchFrontDoor:
     def test_named_solver_validates_like_scalar(self):
         problem = fork_problem(2.0, [1.0, 3.0], 2.0)
         with pytest.raises(InadmissibleSolverError):
-            solve(problem, solver="tricrit-chain-exact")
+            get_solver("tricrit-chain-exact")(problem)
         with pytest.raises(InadmissibleSolverError):
             solve_batch([problem], solver="tricrit-chain-exact")
 
@@ -347,8 +387,8 @@ class TestBatchFrontDoor:
         assert plan.kernel_counts() == {KERNEL_SCALAR: 3}
         batch = solve_batch(problems, solver="bicrit-closed-form",
                             prefer_closed_form=True)
-        scalar = [solve(p, solver="bicrit-closed-form",
-                        prefer_closed_form=True) for p in problems]
+        scalar = [get_solver("bicrit-closed-form")(p, prefer_closed_form=True)
+                  for p in problems]
         for s, b, p in zip(scalar, batch, problems):
             assert_results_match(s, b, p)
 
@@ -369,8 +409,11 @@ class TestBatchFrontDoor:
             assert result.schedule.mapping is problem.mapping
 
     def test_lazy_metadata_equals_scalar_metadata(self):
+        # The per-row route builds the dispatch record from the solver
+        # context; the kernel builds it from the columns.
         problem = chain_problem([1.0, 2.0, 3.0], 2.0)
-        scalar = solve(problem, solver="bicrit-closed-form")
+        scalar = _scalar_solve(problem, get_solver("bicrit-closed-form"),
+                               auto=False)
         [batch] = solve_batch([chain_problem([1.0, 2.0, 3.0], 2.0)],
                               solver="bicrit-closed-form")
         assert batch.metadata["dispatch"] == scalar.metadata["dispatch"]
@@ -402,11 +445,11 @@ class TestBatchFrontDoor:
     def test_padded_tricrit_chain_admitted_like_scalar(self):
         # 23 mapped tasks but only 10 positive: every limit check counts
         # positive-weight tasks, so the instance is admissible through both
-        # the scalar front door and the batch planner (which may still
-        # vectorize it) -- and both agree on the optimum.
+        # the descriptor and the batch planner (which may still vectorize
+        # it) -- and both agree on the optimum.
         weights = [1.0] * 10 + [0.0] * 13
-        scalar = solve(tricrit_chain_problem(weights, 3.0),
-                       solver="tricrit-chain-exact")
+        scalar = get_solver("tricrit-chain-exact")(
+            tricrit_chain_problem(weights, 3.0))
         plan = plan_batch([tricrit_chain_problem(weights, 3.0)],
                           "tricrit-chain-exact")
         assert plan.kernel_counts() == {KERNEL_TRICRIT_CHAIN: 1}
@@ -421,18 +464,33 @@ class TestBatchFrontDoor:
         # error (neither path silently truncates or falls back).
         weights = [1.0] * 23
         with pytest.raises(ValueError, match="positive-weight tasks, limit is"):
-            solve(tricrit_chain_problem(weights, 3.0),
-                  solver="tricrit-chain-exact")
+            get_solver("tricrit-chain-exact")(
+                tricrit_chain_problem(weights, 3.0))
         with pytest.raises(ValueError, match="positive-weight tasks, limit is"):
             solve_batch([tricrit_chain_problem(weights, 3.0)],
                         solver="tricrit-chain-exact")
+
+    def test_chain_past_the_enumeration_cap_dispatches_like_its_descriptors(self):
+        # 15 positive tasks: the chain enumeration is inadmissible, so auto
+        # dispatch runs the pruned search and the named enumeration raises.
+        def problem():
+            return tricrit_chain_problem([1.0 + 0.1 * i for i in range(15)],
+                                         2.0)
+
+        assert plan_batch([problem()]).kernel_counts() == {KERNEL_SCALAR: 1}
+        [auto] = solve_batch([problem()])
+        assert auto.metadata["dispatch"]["solver"] == auto.solver \
+            == select_solver(problem()).name == "tricrit-pruned"
+        with pytest.raises(InadmissibleSolverError):
+            solve_batch([problem()], solver="tricrit-chain-exact")
 
     def test_tiny_weight_tricrit_chain_matches_scalar(self):
         # w^alpha / d^(alpha-1) underflowed to 0/0 here: the kernel called
         # the instance infeasible and the scalar enumeration kept the empty
         # re-execution set.  Both re-execute T0 at speed 2/3.
         weights = [1.0, 3.0716695484217615e-181]
-        scalar = solve(tricrit_chain_problem(weights, 3.0, lambda0=1e-5))
+        scalar = scalar_chain_enumeration(
+            tricrit_chain_problem(weights, 3.0, lambda0=1e-5))
         [batch] = solve_batch([tricrit_chain_problem(weights, 3.0,
                                                      lambda0=1e-5)])
         assert scalar.energy == pytest.approx(2 * (2 / 3) ** 2, rel=1e-9)
@@ -441,8 +499,9 @@ class TestBatchFrontDoor:
 
     def test_infeasible_chain_status_matches(self):
         problem = chain_problem([4.0, 4.0], 0.5)   # needs speed > fmax
-        scalar = solve(BiCritProblem(problem.mapping, problem.platform,
-                                     problem.deadline))
+        scalar = descriptor_solve(BiCritProblem(problem.mapping,
+                                                problem.platform,
+                                                problem.deadline), "auto")
         [batch] = solve_batch([problem])
         assert scalar.status == batch.status == "infeasible"
         assert batch.schedule is None

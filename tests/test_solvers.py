@@ -238,7 +238,7 @@ class TestDispatch:
         # (deeper) error -- the registry guard is what usually prevents this.
         dag = tricrit_problem(_small_instances()["dag"])
         with pytest.raises(ValueError, match="single-processor"):
-            solve(dag, solver="tricrit-chain-greedy", validate=False)
+            get_solver("tricrit-chain-greedy")(dag, validate=False)
 
     def test_no_admissible_solver_error_lists_reasons(self):
         # TRI-CRIT on a plain DISCRETE platform: no registered solver class.

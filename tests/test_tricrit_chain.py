@@ -102,6 +102,14 @@ class TestExactSolver:
         result = solve_tricrit_chain_exact(problem)
         assert result.metadata["subsets_evaluated"] == 2 ** 5
 
+    def test_chain_without_positive_tasks_evaluates_one_subset(self):
+        graph = generators.chain([0.0, 0.0])
+        platform = Platform(1, ContinuousSpeeds(0.1, 1.0))
+        problem = TriCritProblem(Mapping.single_processor(graph), platform, 1.0)
+        result = solve_tricrit_chain_exact(problem)
+        assert (result.status, result.energy) == ("optimal", 0.0)
+        assert result.metadata == {"reexecuted": [], "subsets_evaluated": 1}
+
     def test_max_tasks_guard(self):
         problem = chain_problem([1.0] * 6, slack=2.0)
         with pytest.raises(ValueError):
