@@ -61,7 +61,11 @@ from ..core.problems import BiCritProblem, SolveResult
 from ..core.reliability import equal_reexecution_floor
 from ..core.schedule import Execution, Schedule, TaskDecision
 from .context import SolverContext
-from .descriptors import InadmissibleSolverError, Solver
+from .descriptors import (
+    InadmissibleSolverError,
+    Solver,
+    UnknownSolverOptionError,
+)
 from .dispatch import select_solver
 from .registry import get_solver
 
@@ -81,8 +85,7 @@ KERNEL_TRICRIT_CHAIN = "tricrit-chain-subsets"
 KERNEL_SCALAR = "scalar-fallback"
 
 #: Soft cap on ``batch * subsets * tasks`` elements held at once by the
-#: TRI-CRIT chain kernel; larger groups are processed in chunks of rows,
-#: and a single row's subsets in chunks of subsets.
+#: TRI-CRIT chain kernel (:func:`chain_subset_minimum` chunks to it).
 _SUBSET_TENSOR_BUDGET = 4_000_000
 
 
@@ -205,7 +208,8 @@ def plan_batch(problems: ProblemBatch | Sequence[BiCritProblem],
     named = None if auto else get_solver(solver)
     cols = batch.columns
     routes = np.full(len(batch), ROUTE_LEGACY, dtype=np.int8)
-    if vectorize and len(batch) and solver in _COLUMNAR_SOLVERS:
+    if (vectorize and solver in _COLUMNAR_SOLVERS
+            and not cols["fallback"].all()):
         fast = ~cols["fallback"]
         bicrit = fast & (cols["kind"] == KIND_BICRIT)
         tricrit = fast & (cols["kind"] == KIND_TRICRIT)
@@ -279,8 +283,18 @@ def solve_batch(problems: ProblemBatch | Sequence[BiCritProblem],
     Solver-specific ``options`` force the per-row route for the whole batch
     (the kernels only implement the descriptor-default configurations).
     The kernels allocate a few objects per row, so automatic GC is paused
-    for the call (:func:`repro.core.gcscope.paused_gc`).
+    for the call (:func:`repro.core.gcscope.paused_gc`).  ``context`` and
+    ``validate`` are the descriptor's own arguments, not solver options:
+    passing either raises
+    :class:`~repro.solvers.descriptors.UnknownSolverOptionError`.
     """
+    reserved = sorted({"context", "validate"} & options.keys())
+    if reserved:
+        raise UnknownSolverOptionError(
+            f"solve_batch takes no {' or '.join(map(repr, reserved))} "
+            "option: every row is checked against its solver's admissible "
+            "class; to run a solver outside it, call its descriptor, "
+            "get_solver(name)(problem, validate=False)")
     with paused_gc():
         plan = plan_batch(problems, solver, vectorize=not options)
         batch = plan.batch
@@ -289,15 +303,13 @@ def solve_batch(problems: ProblemBatch | Sequence[BiCritProblem],
                                  plan.legacy_descriptors):
             results[i] = _scalar_solve(batch.problem(i), descriptor,
                                        auto=plan.auto, **options)
-        chain_rows = np.flatnonzero(plan.routes == ROUTE_CHAIN)
-        if len(chain_rows):
-            _solve_chain_columnar(batch, chain_rows, plan, results)
-        fork_rows = np.flatnonzero(plan.routes == ROUTE_FORK)
-        if len(fork_rows):
-            _solve_fork_columnar(batch, fork_rows, plan, results)
-        tri_rows = np.flatnonzero(plan.routes == ROUTE_TRICRIT)
-        if len(tri_rows):
-            _solve_tricrit_columnar(batch, tri_rows, plan, results)
+        if len(plan.legacy_indices) < len(batch):
+            for route, kernel in ((ROUTE_CHAIN, _solve_chain_columnar),
+                                  (ROUTE_FORK, _solve_fork_columnar),
+                                  (ROUTE_TRICRIT, _solve_tricrit_columnar)):
+                rows = np.flatnonzero(plan.routes == route)
+                if len(rows):
+                    kernel(batch, rows, plan, results)
     return results  # type: ignore[return-value]
 
 
@@ -307,10 +319,10 @@ def _scalar_solve(problem: BiCritProblem, descriptor: Solver, *, auto: bool,
     ``metadata["dispatch"]`` record of what ran and why.
 
     The plan already checked admissibility, so the descriptor does not
-    check it again (unless ``options`` asks for it explicitly).
+    check it again.
     """
     ctx = SolverContext.for_problem(problem)
-    result = descriptor(problem, context=ctx, **{"validate": False, **options})
+    result = descriptor(problem, context=ctx, validate=False, **options)
     result.metadata.setdefault("dispatch", {
         "solver": descriptor.name,
         "auto": auto,
@@ -547,30 +559,36 @@ def chain_subset_minimum(W: np.ndarray, deadlines: np.ndarray,
     :func:`~repro.core.reliability.equal_reexecution_floor` takes.  Returns
     ``(energy, speeds, reexecuted)``: per row the first strict minimum's
     energy (``inf`` when no subset is feasible), its per-task execution
-    speeds and its re-execution mask.  The subset axis is processed in
-    chunks of :data:`_SUBSET_TENSOR_BUDGET` cells; each cell is computed on
-    its own, so neither the chunking nor the rows beside a row move its
-    answer.
+    speeds and its re-execution mask.  No tensor holds more than
+    :data:`_SUBSET_TENSOR_BUDGET` cells: the rows are processed in chunks
+    that fit it with every subset, and a row whose subsets alone exceed it
+    in chunks of subsets.  Each cell is computed on its own, so neither the
+    chunking nor the rows beside a row move its answer.
     """
     B, n = W.shape
     frel = rel[4]
     reexec_floor = np.maximum(pfmin[:, None], equal_reexecution_floor(
         W, *(column[:, None] for column in rel)))
     codes = _subset_codes(n)
-    step = max(1, _SUBSET_TENSOR_BUDGET // max(1, B * n))
+    row_step = max(1, _SUBSET_TENSOR_BUDGET // (codes.size * max(1, n)))
     energy = np.full(B, np.inf)
     speeds = np.zeros((B, n))
     reexecuted = np.zeros((B, n), dtype=bool)
-    for start in range(0, codes.size, step):
-        masks = _code_masks(codes[start:start + step], n)
-        eff, durations, cells = _tricrit_chain_core(
-            W, deadlines, pfmin, pfmax, alpha, reexec_floor, frel, masks)
-        s = np.argmin(cells, axis=1)
-        rows = np.flatnonzero(cells[np.arange(B), s] < energy)
-        s = s[rows]
-        energy[rows] = cells[rows, s]
-        speeds[rows] = eff[rows, s] / durations[rows, s]
-        reexecuted[rows] = masks[s]
+    for r0 in range(0, B, row_step):
+        r = slice(r0, r0 + row_step)
+        b = min(row_step, B - r0)
+        step = max(1, _SUBSET_TENSOR_BUDGET // max(1, b * n))
+        for start in range(0, codes.size, step):
+            masks = _code_masks(codes[start:start + step], n)
+            eff, durations, cells = _tricrit_chain_core(
+                W[r], deadlines[r], pfmin[r], pfmax[r], alpha[r],
+                reexec_floor[r], frel[r], masks)
+            s = np.argmin(cells, axis=1)
+            rows = np.flatnonzero(cells[np.arange(b), s] < energy[r])
+            s = s[rows]
+            energy[r0 + rows] = cells[rows, s]
+            speeds[r0 + rows] = eff[rows, s] / durations[rows, s]
+            reexecuted[r0 + rows] = masks[s]
     return energy, speeds, reexecuted
 
 
@@ -863,19 +881,16 @@ def _solve_fork_columnar(batch: ProblemBatch, rows: np.ndarray,
 def _solve_tricrit_columnar(batch: ProblemBatch, rows: np.ndarray,
                             plan: ColumnarBatchPlan,
                             results: list[SolveResult | None]) -> None:
-    """TRI-CRIT chain subsets off the columns, grouped and chunked by size."""
+    """TRI-CRIT chain subsets off the columns, grouped by size."""
     npos = batch.columns["num_positive"]
     by_size: dict[int, list[int]] = {}
     for i in rows:
         by_size.setdefault(int(npos[i]), []).append(int(i))
     for n, group in by_size.items():
-        chunk = max(1, _SUBSET_TENSOR_BUDGET // max(1, (2 ** n) * n))
-        for start in range(0, len(group), chunk):
-            _tricrit_columnar_chunk(batch, group[start:start + chunk], n,
-                                    plan, results)
+        _tricrit_columnar_group(batch, group, n, plan, results)
 
 
-def _tricrit_columnar_chunk(batch: ProblemBatch, rows: list[int], n: int,
+def _tricrit_columnar_group(batch: ProblemBatch, rows: list[int], n: int,
                             plan: ColumnarBatchPlan,
                             results: list[SolveResult | None]) -> None:
     B = len(rows)

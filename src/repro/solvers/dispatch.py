@@ -77,6 +77,9 @@ def solve(problem: BiCritProblem, solver: str = "auto",
         raises :class:`~repro.solvers.descriptors.UnknownSolverOptionError`.
         With ``"auto"`` only options every candidate understands should be
         used; prefer naming the solver when passing solver-specific knobs.
+        ``context`` and ``validate`` are rejected the same way: to run a
+        solver outside its admissible class, call
+        ``get_solver(name)(problem, validate=False)``.
     """
     # Imported here: the batch module imports ``select_solver`` from this one.
     from .batch import solve_batch

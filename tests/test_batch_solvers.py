@@ -322,6 +322,23 @@ class TestTriCritChainEquivalence:
             == whole.schedule.speed_assignment()
         assert chunked_row.wire_view == whole_row.wire_view
 
+    def test_row_chunks_leave_the_rows_unchanged(self, monkeypatch):
+        # A budget of two rows' worth of subsets splits a 5-row batch of
+        # 8-task chains into row chunks of 2, 2 and 1.
+        def problems():
+            return [tricrit_chain_problem([0.3 + 0.41 * i + 0.07 * k
+                                           for i in range(8)],
+                                          1.4 + 0.5 * k, 1e-4, 0.7)
+                    for k in range(5)]
+
+        whole = solve_batch(problems())
+        monkeypatch.setattr(batch_module, "_SUBSET_TENSOR_BUDGET",
+                            2 * 256 * 8)
+        chunked = solve_batch(problems())
+        assert [r.energy for r in chunked] == [r.energy for r in whole]
+        assert [r.wire_view for r in chunked] == [r.wire_view for r in whole]
+        assert [r.metadata for r in chunked] == [r.metadata for r in whole]
+
 
 class TestSeriesParallelFallback:
     @given(st.integers(min_value=3, max_value=9),

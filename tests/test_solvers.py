@@ -35,8 +35,10 @@ from repro.solvers import (
     get_solver,
     iter_solvers,
     limits,
+    UnknownSolverOptionError,
     select_solver,
     solve,
+    solve_batch,
     solver_names,
     solvers_for,
 )
@@ -239,6 +241,19 @@ class TestDispatch:
         dag = tricrit_problem(_small_instances()["dag"])
         with pytest.raises(ValueError, match="single-processor"):
             get_solver("tricrit-chain-greedy")(dag, validate=False)
+
+    @pytest.mark.parametrize("option", [{"validate": False},
+                                        {"context": None}])
+    def test_descriptor_arguments_are_not_solve_options(self, option):
+        # ``solve`` checks every row against its solver's class; the
+        # descriptor's own ``validate``/``context`` are refused, with the
+        # descriptor call named as the way out.
+        chain = tricrit_problem(_small_instances()["chain"])
+        with pytest.raises(UnknownSolverOptionError,
+                           match=r"get_solver\(name\)\(problem, validate=False\)"):
+            solve(chain, solver="tricrit-chain-exact", **option)
+        with pytest.raises(UnknownSolverOptionError, match=next(iter(option))):
+            solve_batch([chain], **option)
 
     def test_no_admissible_solver_error_lists_reasons(self):
         # TRI-CRIT on a plain DISCRETE platform: no registered solver class.

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.continuous.exhaustive import solve_tricrit_exhaustive
+from repro.continuous.exhaustive import best_reexec_subset, solve_tricrit_exhaustive
 from repro.continuous.heuristics import solve_with_reexec_set
 from repro.continuous.tricrit_chain import (
     reexecution_speed_floor,
@@ -22,13 +22,16 @@ from repro.dag import generators
 from repro.platform.mapping import Mapping
 from repro.platform.platform import Platform
 
+from tests.oracles import scalar_chain_enumeration
 
-def single_processor_problem(graph, slack, *, lambda0=1e-4,
-                             frel=None) -> TriCritProblem:
+
+def single_processor_problem(graph, slack, *, lambda0=1e-4, frel=None,
+                             order=None) -> TriCritProblem:
     model = ReliabilityModel(fmin=0.1, fmax=1.0, lambda0=lambda0, frel=frel)
     platform = Platform(1, ContinuousSpeeds(0.1, 1.0), reliability_model=model)
     deadline = slack * graph.total_weight()  # fmax = 1
-    return TriCritProblem(Mapping.single_processor(graph), platform, deadline)
+    return TriCritProblem(Mapping.single_processor(graph, order), platform,
+                          deadline)
 
 
 def chain_problem(weights, slack, *, lambda0=1e-4, frel=None) -> TriCritProblem:
@@ -131,19 +134,43 @@ class TestOneEnumerator:
            frel=st.sampled_from([None, 0.6]))
     def test_exhaustive_matches_chain_exact_on_one_processor(
             self, family, weights, slack, lambda0, frel):
-        # Both names enumerate subsets through the same restricted solve,
-        # so on one processor they agree exactly, forks included.
+        # On one processor ``tricrit-exhaustive`` is the chain kernel's
+        # answer relabelled; both are checked against the scalar scan of
+        # the oracle, and that scan against one in topological order (a
+        # fork's children run on the processor in reverse), so the
+        # enumeration order does not move the optimum.
         graph = (generators.chain(weights) if family == "chain"
                  else generators.fork(weights[0], weights[1:]))
         if graph.total_weight() <= 0:
             return
+        topo = graph.topological_order()
+        order = topo[:1] + topo[1:][::-1] if family == "fork" else topo
         problem = single_processor_problem(graph, slack, lambda0=lambda0,
-                                           frel=frel)
+                                           frel=frel, order=order)
         chain = solve_tricrit_chain_exact(problem)
         exhaustive = solve_tricrit_exhaustive(problem)
+        assert exhaustive.solver == "tricrit-exhaustive"
         assert exhaustive.energy == chain.energy
         assert exhaustive.metadata.get("reexecuted") \
             == chain.metadata.get("reexecuted")
+
+        scan = scalar_chain_enumeration(problem)
+        positive = [t for t in topo if graph.weight(t) > 0]
+        topological = best_reexec_subset(
+            positive, lambda subset: solve_with_reexec_set(problem, subset),
+            solver_name="tricrit-exhaustive")
+        assert exhaustive.status == scan.status == topological.status
+        assert exhaustive.metadata["subsets_evaluated"] \
+            == scan.metadata["subsets_evaluated"] \
+            == topological.metadata["subsets_evaluated"]
+        if scan.feasible:
+            assert abs(exhaustive.energy - scan.energy) <= 1e-12 * scan.energy
+            assert abs(topological.energy - scan.energy) \
+                <= 1e-12 * scan.energy
+            # The kernel's subset is an optimum of the scalar water-fill.
+            own = solve_with_reexec_set(
+                problem, tuple(exhaustive.metadata["reexecuted"]))
+            assert abs(own.energy - scan.energy) <= 1e-12 * scan.energy
 
 
 class TestGreedyStrategy:
