@@ -95,7 +95,7 @@ serve-smoke:
 	$(PYTHON) scripts/serve_smoke.py
 
 # Serve boot gate: `python -m repro serve` must boot without the campaign
-# stack, networkx or scipy.optimize, with every continuous solver loaded
+# stack, networkx or any SciPy module, with every continuous solver loaded
 # before the bind (tests/test_boot.py).  Then the boot's heaviest imports,
 # by cumulative -X importtime microseconds (informational, not a gate).
 BOOT = import repro.api.server as s; s.serve = lambda *a, **k: 0; \

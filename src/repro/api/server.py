@@ -29,10 +29,10 @@ use; :func:`serve` is the blocking entry point behind the CLI.
 A single server's boot (:func:`main`) opens the store, imports every
 continuous-speed solver's module and builds the engine before the socket
 is bound, so ``/healthz`` answers only once no continuous request can pay
-an import.  The boot loads neither the campaign stack nor
-networkx nor ``scipy.optimize``; the discrete, incremental and VDD solvers
-(:mod:`repro.discrete`, LP/MILP on HiGHS) import ``scipy.optimize`` on
-their first call.
+an import.  The boot loads neither the campaign stack nor networkx nor
+any SciPy module (the convex program's linear algebra is numpy's); the
+discrete, incremental and VDD solvers (:mod:`repro.discrete`, LP/MILP on
+HiGHS) import ``scipy.optimize`` on their first call.
 """
 
 from __future__ import annotations

@@ -23,6 +23,14 @@ is cross-validated against the closed forms of
 :mod:`repro.continuous.closed_form` in the test suite and in experiment E1,
 and against an independent SciPy optimiser in the tests.
 
+What the program takes from the mapping -- the augmented order, the
+precedence rows, ``G`` and the maximum-speed critical path -- is compiled
+once per mapping into a :class:`ConvexProgram` (:func:`convex_program`); a
+solve passes only per-task weights and speed bounds, one row per program,
+and the interior point runs on the whole stack of rows at once.  The linear
+algebra is numpy's: one batched ``np.linalg.cholesky`` of a bordered Newton
+matrix per iteration, whose factor holds ``L^-1`` for both directions.
+
 Per-task speed bounds and *effective weights* can be overridden, which is
 how the TRI-CRIT heuristics reuse this solver: a re-executed task appears
 with effective weight ``2 w_i`` and a lower speed bound equal to the slowest
@@ -36,7 +44,6 @@ from dataclasses import dataclass
 from collections.abc import Mapping as TMapping
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs
 
 from ..core.problems import BiCritProblem, SolveResult
 from ..core.schedule import Schedule, TaskDecision
@@ -44,12 +51,24 @@ from ..dag.taskgraph import TaskGraph, TaskId
 from ..platform.mapping import Mapping
 from ..platform.platform import Platform
 
-__all__ = ["ConvexResult", "solve_bicrit_convex", "solve_bicrit_continuous_dag"]
+__all__ = ["ConvexResult", "ConvexProgram", "ConvexStack", "convex_program",
+           "solve_bicrit_convex", "solve_bicrit_continuous_dag"]
 
 #: Relative stop tolerance of the interior point: the duality gap and the
 #: dual residual against the energy, the primal residual against ``D``.
 _IPM_TOL = 1e-12
 _IPM_MAX_ITER = 100
+
+#: Rows per interior-point stack: bounds the ``(rows, constraints,
+#: columns)`` temporaries of one solve to a few MB.
+STACK_ROWS = 256
+
+#: The bordered factorisation's lower-right block, ``_BORDER * I``: far
+#: above any ``K^-1`` entry an iteration can meet, far below overflow.
+_BORDER = 1e150
+
+#: Interior-point outcomes, by code.
+_STATUS = ("optimal", "feasible", "infeasible")
 
 
 @dataclass
@@ -75,76 +94,350 @@ class ConvexResult:
         return self.status in ("optimal", "feasible")
 
 
-def _critical_path_durations(graph: TaskGraph, durations: TMapping[TaskId, float]) -> float:
-    finish: dict[TaskId, float] = {}
-    for t in graph.topological_order():
-        start = max((finish[p] for p in graph.predecessors(t)), default=0.0)
-        finish[t] = start + durations[t]
-    return max(finish.values(), default=0.0)
+@dataclass
+class ConvexStack:
+    """Raw output of :meth:`ConvexProgram.solve`, one entry per row.
 
-
-def _max_step(v: np.ndarray, dv: np.ndarray) -> float:
-    """Largest ``alpha`` keeping ``v + alpha dv >= 0`` (``inf`` if any)."""
-    ratio = np.divide(-v, dv, out=np.full_like(v, np.inf), where=dv < 0.0)
-    return float(ratio.min())
-
-
-def _interior_point(G: np.ndarray, h: np.ndarray, w: np.ndarray, a: float,
-                    x: np.ndarray, scale: float,
-                    base: float) -> tuple[np.ndarray, float, int, str]:
-    """Minimise ``base + sum w (w/d)^(a-1)`` over ``x = [d, s]`` subject to
-    ``G x <= h``.
-
-    An infeasible-start Mehrotra predictor-corrector.  ``x`` must hold every
-    ``d`` strictly inside its box rows; every other row may be violated,
-    its slack starting at ``scale``.  Box rows start with their true slack,
-    so their residual stays zero and ``d`` stays positive.  Returns the
-    point, the duality gap ``s·z``, the iteration count and the status:
-    ``"optimal"`` once the gap and both residuals are at the stop
-    tolerance, else ``"feasible"`` when the primal residual is, else
-    ``"infeasible"``.
+    ``durations`` and ``starts`` are ``(S, n)`` over the program's positive
+    tasks.  A row whose deadline cannot be met even at the maximum speeds
+    has ``inf`` energy and NaN durations and starts.
     """
-    k = w.size
+
+    durations: np.ndarray
+    starts: np.ndarray
+    energy: np.ndarray
+    status: list[str]
+    iterations: np.ndarray
+    gap: np.ndarray
+    messages: list[str]
+
+
+def _residual(r: np.ndarray) -> np.ndarray:
+    """Per row of ``(S, c, 1)`` residuals, the largest magnitude."""
+    return np.maximum.reduce(np.abs(r), axis=1, keepdims=True)
+
+
+def _factor(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cholesky factors of a stack of matrices, and which fail.
+
+    A failed matrix gets a zero factor.  One batched call; only when it
+    fails are the matrices factored one by one, to tell which.
+    """
+    try:
+        return np.linalg.cholesky(A), np.zeros(len(A), dtype=bool)
+    except np.linalg.LinAlgError:
+        pass
+    factors = np.zeros_like(A)
+    failed = np.zeros(len(A), dtype=bool)
+    for i in range(len(A)):
+        try:
+            factors[i] = np.linalg.cholesky(A[i:i + 1])[0]
+        except np.linalg.LinAlgError:
+            failed[i] = True
+    return factors, failed
+
+
+@dataclass(frozen=True)
+class _Rows:
+    """The constraint rows of one free-duration mask.
+
+    ``G`` over ``x = [free d, s]`` and its transpose ``GT``; ``GH`` is
+    ``G`` with one more row per free duration, ``[I 0]``, so that
+    ``GHᵀ diag(v) GH`` with ``v = [z/σ, ∇²f]`` is the whole Newton matrix;
+    ``fixed`` holds the columns of the fixed durations and ``kept`` the
+    full program's rows that remain.
+    """
+
+    G: np.ndarray
+    GT: np.ndarray
+    GH: np.ndarray
+    GHT: np.ndarray
+    fixed: np.ndarray
+    kept: np.ndarray
+
+
+def _interior_point(rows: _Rows, h: np.ndarray, w: np.ndarray, a: float, x: np.ndarray,
+                    scale: np.ndarray, base: np.ndarray,
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Minimise ``base + sum w (w/d)^(a-1)`` over ``x = [d, s]`` subject to
+    ``G x <= h``, for every row of a stack.
+
+    ``h``, ``w``, ``x`` (2-D) and ``scale``, ``base`` (1-D) hold one row
+    per program; the constraint matrix is shared.  An infeasible-start
+    Mehrotra predictor-corrector.  ``x`` must hold every ``d`` strictly
+    inside its box rows; every other row may be violated, its slack
+    starting at ``scale``.  Box rows start with their true slack, so their
+    residual stays zero and ``d`` stays positive.  A row leaves the stack
+    when it stops: ``"optimal"`` once the gap and both residuals are at the
+    stop tolerance; past the iteration cap or on a failed Cholesky
+    factorisation, ``"feasible"`` when the primal residual is, else
+    ``"infeasible"``.  No operation mixes two rows, so a row gets the same
+    bits alone as in any stack.  Returns the points, the duality gaps
+    ``s·z``, the iteration counts and the status codes (indices into
+    ``_STATUS``).
+
+    Inside, every row is a column, ``(S, ·, 1)``, so that each product
+    with the shared matrices is one matrix-vector product per row.
+    """
+    G, GT, GH, GHT = rows.G, rows.GT, rows.GH, rows.GHT
+    count, k = w.shape
+    p = h.shape[1]
+    x_out = np.empty_like(x)
+    gap_out = np.empty(count)
+    iterations_out = np.empty(count, dtype=int)
+    code_out = np.empty(count, dtype=int)
+    live = np.arange(count)
+    x, h, w = x[:, :, None], h[:, :, None], w[:, :, None]
+    scale, base = scale[:, None, None], base[:, None, None]
     slack = h - G @ x
-    slack = np.where(slack > 0.0, slack, scale)
-    z = np.ones(h.size)
-    grad = np.zeros(x.size)
-    hess = np.zeros(x.size)
+    # ``sz`` holds the slacks, then the duals: one array for the step rules.
+    sz = np.concatenate([np.where(slack > 0.0, slack, scale), np.ones_like(h)], axis=1)
+    grad = np.zeros_like(x)
+    hessian = a * (a - 1.0)
+    m = x.shape[1]
+    # ``[[K, I], [I, C]]``: the Cholesky factor of this bordered matrix is
+    # ``[[L, 0], [L^-T, *]]``, so one factorisation both tests the Newton
+    # matrix ``K = L Lᵀ`` and yields ``K^-1 = L^-T L^-1``.  ``C`` is large
+    # enough that its block, ``C - K^-1``, never decides the outcome.
+    bordered = np.zeros((count, 2 * m, 2 * m))
+    bordered[:, m:, :m] = bordered[:, :m, m:] = np.eye(m)
+    bordered[:, m:, m:] = _BORDER * np.eye(m)
     for iterations in range(_IPM_MAX_ITER + 1):
-        speed = w / x[:k]
-        energy = base + float(np.sum(w * speed ** (a - 1.0)))
-        grad[:k] = -(a - 1.0) * speed ** a
-        hess[:k] = a * (a - 1.0) * speed ** a / x[:k]
-        r_dual = grad + G.T @ z
+        slack, z = sz[:, :p], sz[:, p:]
+        d = x[:, :k]
+        power = (w / d) ** a
+        grad[:, :k] = -(a - 1.0) * power
+        r_dual = GT @ z + grad
         r_primal = G @ x + slack - h
-        gap = float(slack @ z)
-        primal_ok = float(np.max(np.abs(r_primal))) <= _IPM_TOL * scale
-        status = "feasible" if primal_ok else "infeasible"
-        if primal_ok and gap <= _IPM_TOL * energy and \
-                scale * float(np.max(np.abs(r_dual))) <= _IPM_TOL * energy:
-            return x, gap, iterations, "optimal"
-        if iterations == _IPM_MAX_ITER:
-            break
-        factor, info = dpotrf(G.T @ (G * (z / slack)[:, None]) + np.diag(hess))
-        if info != 0:
-            break
-
-        def direction(r_comp: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-            dx = dpotrs(factor, G.T @ ((r_comp - z * r_primal) / slack) - r_dual)[0]
-            ds = -r_primal - G @ dx
-            return dx, ds, -(r_comp + z * ds) / slack
-
-        _, ds, dz = direction(slack * z)
-        alpha = min(1.0, _max_step(np.concatenate([slack, z]), np.concatenate([ds, dz])))
-        mu = gap / h.size
-        mu_aff = float((slack + alpha * ds) @ (z + alpha * dz)) / h.size
-        dx, ds, dz = direction(slack * z + ds * dz - (mu_aff / mu) ** 3 * mu)
-        alpha = min(1.0, 0.99 * _max_step(np.concatenate([slack, z]),
-                                          np.concatenate([ds, dz])))
+        gap = np.add.reduce(slack * z, axis=1, keepdims=True)
+        tol_energy = _IPM_TOL * (base + np.add.reduce(d * power, axis=1, keepdims=True))
+        # The gap test is the cheap one: the residual tests run for the
+        # rows that pass it.
+        optimal = (gap <= tol_energy).reshape(-1)
+        if np.count_nonzero(optimal):
+            optimal &= ((_residual(r_primal) <= _IPM_TOL * scale)
+                        & (scale * _residual(r_dual) <= tol_energy)).reshape(-1)
+        stop = optimal | (iterations == _IPM_MAX_ITER)
+        ratio = z / slack
+        if np.count_nonzero(stop) < live.size:
+            bordered[:, :m, :m] = GHT @ (GH * np.concatenate([ratio, hessian * power / d],
+                                                             axis=1))
+            factors, failed = _factor(bordered)
+            stop |= failed
+        if np.count_nonzero(stop):
+            done = live[stop]
+            x_out[done] = x[stop, :, 0]
+            gap_out[done] = gap[stop, 0, 0]
+            iterations_out[done] = iterations
+            feasible = (_residual(r_primal[stop]) <= _IPM_TOL * scale[stop]).reshape(-1)
+            code_out[done] = np.where(optimal[stop], 0, np.where(feasible, 1, 2))
+            keep = ~stop
+            live, x, sz, w, h, scale, base, grad, bordered, factors, r_primal, gap, \
+                ratio = (v[keep] for v in (live, x, sz, w, h, scale, base, grad, bordered,
+                                           factors, r_primal, gap, ratio))
+            if live.size == 0:
+                break
+            slack, z = sz[:, :p], sz[:, p:]
+        inverse_t = factors[:, m:, :m].transpose(0, 2, 1).copy()  # L^-1
+        inverse = inverse_t.transpose(0, 2, 1)
+        # Newton's right side is Gᵀ(r_c/σ) - q for a complementarity
+        # residual r_c; the predictor's r_c = σ∘z makes it -q.
+        q = GT @ (ratio * r_primal) + grad
+        dx = -(inverse @ (inverse_t @ q))
+        ds = -r_primal - G @ dx
+        dsz = np.concatenate([ds, -z - ratio * ds], axis=1)
+        step = sz + dsz / np.maximum(1.0, -np.minimum.reduce(dsz / sz, axis=1, keepdims=True))
+        centre = np.add.reduce(step[:, :p] * step[:, p:], axis=1, keepdims=True) / gap
+        shift = (dsz[:, :p] * dsz[:, p:] - centre ** 3 * (gap / p)) / slack
+        dx = inverse @ (inverse_t @ (GT @ shift - q))
+        ds = -r_primal - G @ dx
+        dsz = np.concatenate([ds, -(z + shift) - ratio * ds], axis=1)
+        alpha = 0.99 / np.maximum(0.99, -np.minimum.reduce(dsz / sz, axis=1, keepdims=True))
         x = x + alpha * dx
-        slack = slack + alpha * ds
-        z = z + alpha * dz
-    return x, float(slack @ z), iterations, status
+        sz = sz + alpha * dsz
+    return x_out, gap_out, iterations_out, code_out
+
+
+def _positive_edges(augmented: TaskGraph, zero_tasks: list[TaskId],
+                    ) -> list[tuple[TaskId, TaskId]]:
+    """The augmented edges with every zero-weight task contracted.
+
+    A zero-weight task takes no time, so an edge path through it becomes a
+    direct edge between its positive neighbours.  The fixpoint runs over an
+    insertion-ordered dict, not a set: the returned edge list orders the
+    program's constraint rows, and set iteration would leak hash-randomised
+    order into them (REP001).
+    """
+    if not zero_tasks:
+        return list(augmented.edges())
+    edge_set: dict[tuple[TaskId, TaskId], None] = dict.fromkeys(augmented.edges())
+    changed = True
+    while changed:
+        changed = False
+        for z in zero_tasks:
+            preds = [u for (u, v) in edge_set if v == z]
+            succs = [v for (u, v) in edge_set if u == z]
+            for u in preds:
+                for v in succs:
+                    if (u, v) not in edge_set and u != v:
+                        edge_set[(u, v)] = None
+                        changed = True
+    zero = set(zero_tasks)
+    return [(u, v) for (u, v) in edge_set if u not in zero and v not in zero]
+
+
+class ConvexProgram:
+    """The convex program's structure for one mapping, compiled once.
+
+    ``tasks`` is the augmented topological order and ``positive`` the tasks
+    that take time, in that order; zero-weight tasks are contracted out of
+    the precedence rows.  Over ``x = [d, s]`` the rows of ``G x <= h`` are
+    ``s_u + d_u - s_v <= 0`` per edge, ``s_t + d_t <= D`` per task, then
+    ``-d <= -lo``, ``d <= hi`` and ``-s <= 0``.  The maximum-speed critical
+    path is kept as index arrays, one ``(tasks, predecessors)`` pair per
+    level of the precedence DAG.  Build one with :func:`convex_program`,
+    which keeps it with the mapping.
+    """
+
+    def __init__(self, augmented: TaskGraph, zero: frozenset[TaskId]) -> None:
+        self.tasks: tuple[TaskId, ...] = tuple(augmented.topological_order())
+        self.positive: tuple[TaskId, ...] = tuple(t for t in self.tasks if t not in zero)
+        n = len(self.positive)
+        index = {t: i for i, t in enumerate(self.positive)}
+        edges = _positive_edges(augmented, [t for t in self.tasks if t in zero])
+        tail = np.array([index[u] for u, _ in edges], dtype=np.intp)
+        head = np.array([index[v] for _, v in edges], dtype=np.intp)
+        rows = np.arange(len(edges))
+        eye = np.eye(2 * n)
+        precedence = np.zeros((len(edges), 2 * n))
+        precedence[rows, tail] = 1.0
+        precedence[rows, n + tail] = 1.0
+        precedence[rows, n + head] = -1.0
+        self.G = np.vstack([precedence, eye[:n] + eye[n:], -eye[:n], eye[:n], -eye[n:]])
+        self.edges = len(edges)
+        # Edges run forward in ``positive`` order, so one pass sets every
+        # task's level; a predecessor list is padded with ``n``, a column
+        # that holds the start time 0.
+        preds: list[list[int]] = [[] for _ in range(n)]
+        for u, v in zip(tail.tolist(), head.tolist()):
+            preds[v].append(u)
+        level = [0] * n
+        for i in range(n):
+            level[i] = 1 + max(level[j] for j in preds[i]) if preds[i] else 0
+        self._levels: list[tuple[np.ndarray, np.ndarray]] = []
+        for lv in range(max(level, default=-1) + 1):
+            members = [i for i in range(n) if level[i] == lv]
+            width = max(1, max(len(preds[i]) for i in members))
+            self._levels.append((np.array(members, dtype=np.intp), np.array(
+                [preds[i] + [n] * (width - len(preds[i])) for i in members],
+                dtype=np.intp)))
+        self._groups: dict[bytes, _Rows] = {}
+
+    def makespan(self, durations: np.ndarray) -> np.ndarray:
+        """Per row of ``durations`` ``(S, n)``, the longest path's length."""
+        finish = np.zeros((durations.shape[0], durations.shape[1] + 1))
+        for members, preds in self._levels:
+            finish[:, members] = finish[:, preds].max(axis=2) + durations[:, members]
+        return finish.max(axis=1)
+
+    def _rows(self, free: np.ndarray) -> _Rows:
+        """The :class:`_Rows` of one free-duration mask (memoised).
+
+        A duration whose box is a point is a constant: its column moves
+        into ``h`` and its two box rows go.
+        """
+        key = free.tobytes()
+        rows = self._groups.get(key)
+        if rows is None:
+            n = len(self.positive)
+            columns = np.concatenate([free, np.ones(n, dtype=bool)])
+            kept = np.concatenate([np.ones(self.edges + n, dtype=bool), free, free,
+                                   np.ones(n, dtype=bool)])
+            G = self.G[kept][:, columns]
+            GH = np.vstack([G, np.eye(G.shape[1])[:int(free.sum())]])
+            rows = self._groups[key] = _Rows(
+                G=G, GT=np.ascontiguousarray(G.T), GH=GH, GHT=np.ascontiguousarray(GH.T),
+                fixed=self.G[kept][:, ~columns], kept=kept)
+        return rows
+
+    def solve(self, w: np.ndarray, fmin: np.ndarray, fmax: np.ndarray, deadline: float,
+              a: float) -> ConvexStack:
+        """Solve the program once per row of ``w`` / ``fmin`` / ``fmax``.
+
+        The three are ``(S, n)`` over :attr:`positive`: effective weights
+        (all positive) and speed bounds.  A row whose maximum-speed
+        makespan exceeds ``deadline`` by more than 1e-9 relative is
+        infeasible; within that tolerance it is solved at that makespan,
+        so the program always has a feasible point.  Rows are solved in
+        stacks of at most :data:`STACK_ROWS` sharing one free-duration mask.
+        """
+        rows, n = w.shape
+        if n == 0:
+            return ConvexStack(durations=np.zeros((rows, 0)), starts=np.zeros((rows, 0)),
+                               energy=np.zeros(rows), status=["optimal"] * rows,
+                               iterations=np.zeros(rows, dtype=int), gap=np.zeros(rows),
+                               messages=[""] * rows)
+        durations = np.full((rows, n), np.nan)
+        starts = np.full((rows, n), np.nan)
+        energy = np.full(rows, np.inf)
+        codes = np.full(rows, 2)
+        iterations = np.zeros(rows, dtype=int)
+        gap = np.zeros(rows)
+        d_lower = w / fmax
+        min_makespan = self.makespan(d_lower)
+        reachable = ~(min_makespan > deadline * (1.0 + 1e-9))
+        messages = [""] * rows
+        for i in np.flatnonzero(~reachable).tolist():
+            messages[i] = (f"even at the maximum speeds the makespan is "
+                           f"{min_makespan[i]:.6g} > D={deadline:.6g}")
+        D = np.maximum(deadline, min_makespan)
+        d_upper = np.where(fmin > 0, w / np.where(fmin > 0, fmin, 1.0), np.inf)
+        d_upper = np.minimum(d_upper, D[:, None])  # a task never exceeds the deadline
+        free = d_upper > d_lower
+        solvable = np.flatnonzero(reachable)
+        groups: dict[bytes, list[int]] = {}
+        for i in solvable.tolist():
+            groups.setdefault(free[i].tobytes(), []).append(i)
+        for group in groups.values():
+            members = np.array(group)
+            mask = free[members[0]]
+            program_rows = self._rows(mask)
+            for start in range(0, members.size, STACK_ROWS):
+                r = members[start:start + STACK_ROWS]
+                lo, hi, wr = d_lower[r], d_upper[r], w[r]
+                h = np.zeros((r.size, self.edges + 4 * n))
+                h[:, self.edges:self.edges + n] = D[r][:, None]
+                h[:, self.edges + n:self.edges + 2 * n] = -lo
+                h[:, self.edges + 2 * n:self.edges + 3 * n] = hi
+                h = h[:, program_rows.kept]
+                base = np.zeros(r.size)
+                if not mask.all():
+                    # One product per row (a column), as in the interior point.
+                    h = h - (program_rows.fixed @ lo[:, ~mask, None])[:, :, 0]
+                    w_fixed = wr[:, ~mask]
+                    base = np.sum(w_fixed * (w_fixed / lo[:, ~mask]) ** (a - 1.0), axis=1)
+                start_x = np.concatenate([(0.5 * (lo + hi))[:, mask], np.zeros((r.size, n))],
+                                         axis=1)
+                x, gap[r], iterations[r], codes[r] = _interior_point(
+                    program_rows, h, wr[:, mask], a, start_x, D[r], base)
+                d = lo.copy()
+                d[:, mask] = x[:, :int(mask.sum())]
+                durations[r] = d
+                starts[r] = x[:, int(mask.sum()):]
+                energy[r] = np.sum(wr * (wr / d) ** (a - 1.0), axis=1)
+        status = [_STATUS[c] for c in codes.tolist()]
+        for i in np.flatnonzero(reachable & (codes != 0)).tolist():
+            messages[i] = (f"interior point stopped after {iterations[i]} iterations, "
+                           f"gap {gap[i]:.3g}")
+        return ConvexStack(durations=durations, starts=starts, energy=energy, status=status,
+                           iterations=iterations, gap=gap, messages=messages)
+
+
+def convex_program(mapping: Mapping, zero: frozenset[TaskId] = frozenset()) -> ConvexProgram:
+    """``mapping``'s :class:`ConvexProgram` with the tasks ``zero`` taking no
+    time, compiled on first use and kept with the mapping."""
+    return mapping.compiled(("convex-program", zero),
+                            lambda: ConvexProgram(mapping.augmented_graph(), zero))
 
 
 def solve_bicrit_convex(mapping: Mapping, platform: Platform, deadline: float, *,
@@ -153,6 +446,8 @@ def solve_bicrit_convex(mapping: Mapping, platform: Platform, deadline: float, *
                         max_speed: TMapping[TaskId, float] | float | None = None,
                         exponent: float | None = None) -> ConvexResult:
     """Solve the convex program described in the module docstring.
+
+    The mapping's compiled :class:`ConvexProgram` solves a stack of one row.
 
     Parameters
     ----------
@@ -164,18 +459,18 @@ def solve_bicrit_convex(mapping: Mapping, platform: Platform, deadline: float, *
         ``fmin`` / ``fmax``.
     """
     graph = mapping.graph
-    augmented = mapping.augmented_graph()
     if deadline <= 0:
         raise ValueError("deadline must be positive")
     a = float(exponent if exponent is not None else platform.energy_model.exponent)
     if a <= 1.0:
         raise ValueError("power exponent must exceed 1")
 
-    tasks = augmented.topological_order()
     weights = {
         t: float(effective_weights[t]) if effective_weights is not None else graph.weight(t)
-        for t in tasks
+        for t in graph.tasks()
     }
+    program = convex_program(mapping, frozenset(t for t, v in weights.items() if v <= 0))
+    tasks = program.tasks
 
     def bound_of(spec: TMapping[TaskId, float] | float | None, default: float,
                  task: TaskId) -> float:
@@ -193,109 +488,25 @@ def solve_bicrit_convex(mapping: Mapping, platform: Platform, deadline: float, *
                 f"task {t!r} has min speed {fmin_of[t]} above max speed {fmax_of[t]}"
             )
 
-    positive = [t for t in tasks if weights[t] > 0]
-    zero_tasks = [t for t in tasks if weights[t] <= 0]
-    n = len(positive)
-    index = {t: i for i, t in enumerate(positive)}
+    positive = program.positive
 
-    # Quick infeasibility check at maximum speeds.
-    dmin = {t: weights[t] / fmax_of[t] for t in positive}
-    dmin.update({t: 0.0 for t in zero_tasks})
-    min_makespan = _critical_path_durations(augmented, dmin)
-    if min_makespan > deadline * (1.0 + 1e-9):
+    def row(values: dict[TaskId, float]) -> np.ndarray:
+        return np.array([[values[t] for t in positive]], dtype=float).reshape(1, -1)
+
+    stack = program.solve(row(weights), row(fmin_of), row(fmax_of), float(deadline), a)
+    if math.isinf(stack.energy[0]):
         return ConvexResult({}, {}, {}, math.inf, "infeasible",
-                            solver_message=(
-                                f"even at the maximum speeds the makespan is "
-                                f"{min_makespan:.6g} > D={deadline:.6g}"))
-    # Within that tolerance the deadline counts as met: solve at the
-    # maximum-speed makespan, so the program always has a feasible point.
-    deadline = max(deadline, min_makespan)
-
-    if n == 0:
-        durations = {t: 0.0 for t in tasks}
-        return ConvexResult(durations, {t: 0.0 for t in tasks},
-                            {t: 0.0 for t in tasks}, 0.0, "optimal")
-
-    w = np.array([weights[t] for t in positive])
-    d_lower = np.array([weights[t] / fmax_of[t] for t in positive])
-    d_upper = np.array([
-        weights[t] / fmin_of[t] if fmin_of[t] > 0 else np.inf for t in positive
-    ])
-    d_upper = np.minimum(d_upper, deadline)  # a task can never exceed the deadline
-
-    # Linear constraints.  Precedence edges involving zero-weight tasks can be
-    # contracted: a zero-weight task takes no time, so its start time equals
-    # the max of its predecessors' finish times; we keep them as variables-free
-    # pass-through by projecting edges onto positive-weight tasks transitively.
-    # For simplicity (zero-weight tasks are rare) we treat a zero-weight task
-    # as taking zero duration: edges through it become direct edges between its
-    # positive neighbours.
-    def positive_edges() -> list[tuple[TaskId, TaskId]]:
-        if not zero_tasks:
-            return list(augmented.edges())
-        # Iteratively replace edges through zero-weight tasks.  The fixpoint
-        # runs over an insertion-ordered dict, not a set: the returned edge
-        # list orders the solver's constraint rows, and set iteration would
-        # leak hash-randomised order into them (REP001).
-        edge_set: dict[tuple[TaskId, TaskId], None] = dict.fromkeys(
-            augmented.edges())
-        changed = True
-        while changed:
-            changed = False
-            for z in zero_tasks:
-                preds = [u for (u, v) in edge_set if v == z]
-                succs = [v for (u, v) in edge_set if u == z]
-                for u in preds:
-                    for v in succs:
-                        if (u, v) not in edge_set and u != v:
-                            edge_set[(u, v)] = None
-                            changed = True
-        return [
-            (u, v) for (u, v) in edge_set
-            if u not in zero_tasks and v not in zero_tasks
-        ]
-
-    # Rows of G x <= h over x = [d, s]: s_u + d_u - s_v <= 0 per edge,
-    # s_t + d_t <= D per task, then -d <= -d_lower, d <= d_upper, -s <= 0.
-    edges = positive_edges()
-    tail = np.array([index[u] for u, _ in edges], dtype=int)
-    head = np.array([index[v] for _, v in edges], dtype=int)
-    rows = np.arange(len(edges))
-    eye = np.eye(2 * n)
-    precedence = np.zeros((len(edges), 2 * n))
-    precedence[rows, tail] = 1.0
-    precedence[rows, n + tail] = 1.0
-    precedence[rows, n + head] = -1.0
-    G = np.vstack([precedence, eye[:n] + eye[n:], -eye[:n], eye[:n], -eye[n:]])
-    h = np.concatenate([np.zeros(len(edges)), np.full(n, deadline),
-                        -d_lower, d_upper, np.zeros(n)])
-    # A duration whose box is a point is a constant: fold its column into h
-    # and drop its two box rows.
-    free = d_upper > d_lower
-    d = d_lower.copy()
-    columns = np.concatenate([free, np.ones(n, dtype=bool)])
-    kept = np.concatenate([np.ones(len(edges) + n, dtype=bool), free, free,
-                           np.ones(n, dtype=bool)])
-    h = (h - G[:, ~columns] @ d[~free])[kept]
-    G = G[kept][:, columns]
-    start = np.concatenate([0.5 * (d_lower + d_upper)[free], np.zeros(n)])
-    x, gap, iterations, status = _interior_point(
-        G, h, w[free], a, start, deadline,
-        float(np.sum(w[~free] * (w[~free] / d[~free]) ** (a - 1.0))))
-    d[free] = x[:int(free.sum())]
-    s = x[int(free.sum()):]
-
-    durations = {t: float(d[index[t]]) for t in positive}
+                            solver_message=stack.messages[0])
+    zero_tasks = [t for t in tasks if weights[t] <= 0]
+    durations = dict(zip(positive, stack.durations[0].tolist()))
     durations.update({t: 0.0 for t in zero_tasks})
     speeds = {t: (weights[t] / durations[t] if durations[t] > 0 else 0.0) for t in tasks}
-    start_times = {t: float(s[index[t]]) for t in positive}
+    start_times = dict(zip(positive, stack.starts[0].tolist()))
     start_times.update({t: 0.0 for t in zero_tasks})
-    energy = float(np.sum(w * (w / d) ** (a - 1.0)))
-    message = "" if status == "optimal" else (
-        f"interior point stopped after {iterations} iterations, gap {gap:.3g}")
     return ConvexResult(durations=durations, speeds=speeds, start_times=start_times,
-                        energy=energy, status=status, solver_message=message,
-                        iterations=iterations, gap=gap)
+                        energy=float(stack.energy[0]), status=stack.status[0],
+                        solver_message=stack.messages[0],
+                        iterations=int(stack.iterations[0]), gap=float(stack.gap[0]))
 
 
 def solve_bicrit_continuous_dag(problem: BiCritProblem) -> SolveResult:

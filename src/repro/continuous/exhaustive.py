@@ -10,9 +10,11 @@ whose correctness is easy to argue:
   (:mod:`repro.discrete.tricrit_vdd`) run it, each with its own task order,
   size guard and per-subset evaluation;
 * :func:`solve_tricrit_exhaustive` enumerates every subset of re-executed
-  tasks and solves the restricted problem for each with
-  :func:`~repro.continuous.heuristics.solve_with_reexec_set` -- the global
-  optimum of TRI-CRIT CONTINUOUS on any mapped DAG (at exponential cost).
+  tasks and solves the restricted problem for each -- the global optimum of
+  TRI-CRIT CONTINUOUS on any mapped DAG (at exponential cost).  The
+  subsets' convex programs run in stacks
+  (:func:`~repro.continuous.heuristics.solve_reexec_sets`), and only the
+  winner's schedule is built.
   On a single-processor mapping it returns the answer of the vectorized
   chain enumeration (:func:`~repro.continuous.tricrit_chain.solve_tricrit_chain_exact`)
   under its own name, so the two exact names agree bit for bit there;
@@ -25,7 +27,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
+from typing import TypeVar
 
 from ..core.problems import InfeasibleProblemError, SolveResult, TriCritProblem
 from ..dag.taskgraph import TaskId
@@ -35,10 +38,31 @@ from ..solvers.limits import (
     BEST_KNOWN_PRUNED_LIMIT,
     EXHAUSTIVE_SUBSET_MAX_TASKS,
 )
-from .heuristics import best_of_heuristics, solve_with_reexec_set
+from .heuristics import RestrictedSolve, best_of_heuristics, solve_reexec_sets
 from .tricrit_chain import solve_tricrit_chain_exact
 
 __all__ = ["best_reexec_subset", "solve_tricrit_exhaustive", "best_known_tricrit"]
+
+
+_C = TypeVar("_C", SolveResult, RestrictedSolve)
+
+
+def _reexec_subsets(tasks: Sequence[TaskId]) -> Iterator[tuple[TaskId, ...]]:
+    """Every subset of ``tasks``: by size, then in ``itertools.combinations``
+    order (the row order of the vectorized kernel's mask table)."""
+    for r in range(len(tasks) + 1):
+        yield from itertools.combinations(tasks, r)
+
+
+def _cheapest(candidates: Iterable[_C]) -> tuple[_C | None, int]:
+    """The first strict minimum-energy feasible candidate, and the count."""
+    best: _C | None = None
+    evaluated = 0
+    for candidate in candidates:
+        evaluated += 1
+        if candidate.feasible and (best is None or candidate.energy < best.energy):
+            best = candidate
+    return best, evaluated
 
 
 def best_reexec_subset(tasks: Sequence[TaskId],
@@ -53,14 +77,12 @@ def best_reexec_subset(tasks: Sequence[TaskId],
     subset the result is infeasible.  Either way the metadata counts
     ``subsets_evaluated``.
     """
-    best: SolveResult | None = None
-    evaluated = 0
-    for r in range(len(tasks) + 1):
-        for subset in itertools.combinations(tasks, r):
-            candidate = solve(subset)
-            evaluated += 1
-            if candidate.feasible and (best is None or candidate.energy < best.energy):
-                best = candidate
+    best, evaluated = _cheapest(solve(subset) for subset in _reexec_subsets(tasks))
+    return _relabel(best, evaluated, solver_name, status)
+
+
+def _relabel(best: SolveResult | None, evaluated: int, solver_name: str,
+             status: str) -> SolveResult:
     if best is None:
         return SolveResult(schedule=None, energy=math.inf, status="infeasible",
                            solver=solver_name,
@@ -80,7 +102,9 @@ def solve_tricrit_exhaustive(problem: TriCritProblem, *,
     :data:`~repro.solvers.limits.EXHAUSTIVE_SUBSET_MAX_TASKS` shared with
     the VDD-HOPPING subset enumeration.  The metadata reports how many
     subsets were evaluated.  A single-processor mapping takes the chain
-    enumeration's answer, relabelled.
+    enumeration's answer, relabelled; any other solves the subsets' convex
+    programs in stacks and keeps :func:`best_reexec_subset`'s first strict
+    minimum.
     """
     ctx = SolverContext.for_problem(problem)
     positive = ctx.positive_tasks
@@ -92,10 +116,10 @@ def solve_tricrit_exhaustive(problem: TriCritProblem, *,
         result = solve_tricrit_chain_exact(problem)
         result.solver = "tricrit-exhaustive"
         return result
-    return best_reexec_subset(
-        positive,
-        lambda subset: solve_with_reexec_set(problem, subset, context=ctx),
-        solver_name="tricrit-exhaustive")
+    subsets = [frozenset(subset) for subset in _reexec_subsets(positive)]
+    best, evaluated = _cheapest(solve_reexec_sets(problem, subsets, ctx))
+    result = best.result(problem, "tricrit-exhaustive") if best is not None else None
+    return _relabel(result, evaluated, "tricrit-exhaustive", "optimal")
 
 
 def best_known_tricrit(problem: TriCritProblem, *,

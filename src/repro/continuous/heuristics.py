@@ -40,7 +40,9 @@ Both heuristics share the same machinery:
 from __future__ import annotations
 
 import math
-from collections.abc import Container, Iterable
+from collections.abc import Container, Iterable, Iterator, Mapping as TMapping, Sequence
+from dataclasses import dataclass
+from typing import Any
 
 import numpy as np
 
@@ -49,10 +51,13 @@ from ..core.schedule import Schedule, TaskDecision
 from ..dag.taskgraph import TaskId
 from ..optimize.allocation import allocate_durations_with_bounds
 from ..solvers.context import SolverContext
-from .convex import ConvexResult, solve_bicrit_convex
+from .convex import STACK_ROWS, ConvexResult, solve_bicrit_convex
 
 __all__ = [
+    "RestrictedSolve",
     "solve_with_reexec_set",
+    "solve_reexec_sets",
+    "reexec_energy",
     "solve_tricrit_no_reexec",
     "heuristic_energy_gain",
     "heuristic_parallel_slack",
@@ -118,6 +123,50 @@ def _restricted_waterfill(problem: TriCritProblem, reexec: frozenset[TaskId],
             if p}, ""
 
 
+@dataclass
+class RestrictedSolve:
+    """One re-execution subset's restricted solve, before any schedule.
+
+    ``speeds`` holds every positive-weight task's speed, ``None`` when the
+    subset is infeasible; ``energy`` is the energy of the schedule
+    :meth:`result` builds, by the same float expression
+    (:func:`reexec_energy`), so a search can rank subsets and build one
+    schedule, for the subset it keeps.
+    """
+
+    reexec: frozenset[TaskId]
+    speeds: dict[TaskId, float] | None
+    energy: float
+    metadata: dict[str, Any]
+
+    @property
+    def feasible(self) -> bool:
+        return self.speeds is not None
+
+    def result(self, problem: TriCritProblem, solver_name: str) -> SolveResult:
+        """The :class:`SolveResult` of :func:`solve_with_reexec_set`."""
+        if self.speeds is None:
+            return SolveResult(schedule=None, energy=math.inf, status="infeasible",
+                               solver=solver_name, metadata=dict(self.metadata))
+        schedule = reexec_schedule(problem, self.speeds, self.reexec)
+        return SolveResult(schedule=schedule, energy=schedule.energy(), status="feasible",
+                           solver=solver_name, metadata=dict(self.metadata))
+
+
+def _restricted(problem: TriCritProblem, reexec: frozenset[TaskId],
+                speeds: dict[TaskId, float] | None, message: str,
+                convex: tuple[str, float] | None) -> RestrictedSolve:
+    """A :class:`RestrictedSolve` with :func:`solve_with_reexec_set`'s
+    metadata; ``convex`` is the convex program's status and gap, if one ran."""
+    metadata: dict[str, Any] = {"reexecuted": sorted(map(str, reexec))}
+    if speeds is None:
+        metadata["message"] = message
+        return RestrictedSolve(reexec, None, math.inf, metadata)
+    if convex is not None:
+        metadata["convex_status"], metadata["convex_gap"] = convex
+    return RestrictedSolve(reexec, speeds, reexec_energy(problem, speeds, reexec), metadata)
+
+
 def solve_with_reexec_set(problem: TriCritProblem, reexec: Iterable[TaskId], *,
                           solver_name: str = "tricrit-restricted",
                           context: SolverContext | None = None) -> SolveResult:
@@ -125,7 +174,8 @@ def solve_with_reexec_set(problem: TriCritProblem, reexec: Iterable[TaskId], *,
 
     This is the one fixed-subset TRI-CRIT solve: a single-processor mapping
     water-fills the deadline in closed form, any other mapping solves the
-    convex program (its duality gap is ``metadata["convex_gap"]``).
+    convex program (its duality gap is ``metadata["convex_gap"]``;
+    :func:`solve_reexec_sets` solves many subsets in one stack).
     Returns an infeasible :class:`SolveResult` when even the maximum speeds
     cannot accommodate the chosen re-executions within the deadline; raises
     ``ValueError`` for a re-executed task that is not in the problem.
@@ -137,24 +187,73 @@ def solve_with_reexec_set(problem: TriCritProblem, reexec: Iterable[TaskId], *,
         raise ValueError(
             f"re-executed tasks not in the problem: {sorted(map(str, unknown))}")
     reexec_set = frozenset(t for t in chosen if problem.graph.weight(t) > 0)
-    reexecuted = sorted(map(str, reexec_set))
-    speeds: dict[TaskId, float] | None
     if ctx.is_single_processor:
         speeds, message = _restricted_waterfill(problem, reexec_set, ctx)
-        metadata = {"reexecuted": reexecuted}
+        row = _restricted(problem, reexec_set, speeds, message, None)
     else:
         result = _restricted_convex(problem, reexec_set, ctx)
-        speeds = result.speeds if result.feasible else None
-        message = result.solver_message
-        metadata = {"reexecuted": reexecuted, "convex_status": result.status,
-                    "convex_gap": result.gap}
-    if speeds is None:
-        return SolveResult(schedule=None, energy=math.inf, status="infeasible",
-                           solver=solver_name,
-                           metadata={"reexecuted": reexecuted, "message": message})
-    schedule = reexec_schedule(problem, speeds, reexec_set)
-    return SolveResult(schedule=schedule, energy=schedule.energy(), status="feasible",
-                       solver=solver_name, metadata=metadata)
+        row = _restricted(problem, reexec_set, result.speeds if result.feasible else None,
+                          result.solver_message, (result.status, result.gap))
+    return row.result(problem, solver_name)
+
+
+def solve_reexec_sets(problem: TriCritProblem, subsets: Sequence[frozenset[TaskId]],
+                      context: SolverContext | None = None) -> Iterator[RestrictedSolve]:
+    """:func:`solve_with_reexec_set`'s convex solve for many subsets of
+    positive-weight tasks, in stacks, without building schedules.
+
+    For a multi-processor mapping: the context's compiled
+    :class:`~repro.continuous.convex.ConvexProgram` solves up to
+    :data:`~repro.continuous.convex.STACK_ROWS` subsets per stack, each
+    row on the same arrays as :func:`solve_with_reexec_set` would pass, so
+    a subset's speeds and energy are bit for bit the ones that solve gives.
+    Yields one :class:`RestrictedSolve` per subset, in order.
+    """
+    ctx = context if context is not None else SolverContext.for_problem(problem)
+    program = ctx.convex_program
+    tasks = program.positive
+    platform = problem.platform
+    w, floors, frel = ctx.restricted_columns
+    for start in range(0, len(subsets), STACK_ROWS):
+        chunk = subsets[start:start + STACK_ROWS]
+        twice = np.array([[t in subset for t in tasks] for subset in chunk],
+                         dtype=bool).reshape(len(chunk), len(tasks))
+        weights = np.where(twice, 2.0 * w, w)
+        fmin = np.where(twice, floors, frel)
+        fmax = np.full_like(weights, platform.fmax)
+        too_fast = fmin > fmax * (1.0 + 1e-12)
+        if too_fast.any():
+            i, j = np.argwhere(too_fast)[0]
+            raise ValueError(
+                f"task {tasks[j]!r} has min speed {fmin[i, j]} above max speed {fmax[i, j]}")
+        stack = program.solve(weights, fmin, fmax, problem.deadline,
+                              platform.energy_model.exponent)
+        speeds = weights / stack.durations
+        for i, subset in enumerate(chunk):
+            feasible = stack.status[i] in ("optimal", "feasible")
+            yield _restricted(
+                problem, subset,
+                dict(zip(tasks, speeds[i].tolist())) if feasible else None,
+                stack.messages[i], (stack.status[i], float(stack.gap[i])))
+
+
+def reexec_energy(problem: TriCritProblem, speeds: TMapping[TaskId, float],
+                  reexec: Container[TaskId]) -> float:
+    """``reexec_schedule(problem, speeds, reexec).energy()``, bit for bit,
+    without the schedule: the same terms, summed in the same order."""
+    graph = problem.graph
+    alpha = problem.platform.energy_model.exponent
+    fmax = problem.platform.fmax
+
+    def decision(t: TaskId) -> float:
+        w = graph.weight(t)
+        if w <= 0:
+            return fmax ** alpha * 0.0
+        f = speeds[t]
+        energy = f ** alpha * (w / f)
+        return energy + energy if t in reexec else energy
+
+    return float(sum(decision(t) for t in graph.tasks()))
 
 
 def reexec_schedule(problem: TriCritProblem, speeds: dict[TaskId, float],

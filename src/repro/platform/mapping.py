@@ -17,11 +17,14 @@ valid iff the augmented graph is acyclic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from collections.abc import Mapping as TMapping, Sequence
+from collections.abc import Callable, Hashable, Mapping as TMapping, Sequence
+from typing import Any, TypeVar
 
 from ..dag.taskgraph import TaskGraph, TaskId
 
 __all__ = ["Mapping", "InvalidMappingError"]
+
+_T = TypeVar("_T")
 
 
 class InvalidMappingError(ValueError):
@@ -62,6 +65,7 @@ class Mapping:
                 f"tasks not mapped to any processor: {sorted(map(str, missing))}"
             )
         self._augmented: TaskGraph | None = None
+        self._compiled: dict[Hashable, Any] = {}
         # Validate acyclicity eagerly: building the augmented graph raises if
         # the processor orderings contradict the precedence constraints.
         self.augmented_graph()
@@ -179,6 +183,18 @@ class Mapping:
                     f"processor orderings conflict with precedence constraints: {exc}"
                 ) from exc
         return self._augmented
+
+    def compiled(self, key: Hashable, build: Callable[[], _T]) -> _T:
+        """``build()``, run once per ``key`` and kept with this mapping.
+
+        A mapping does not change after construction, so a structure other
+        layers compile from it (the convex program's constraint rows, one
+        per set of zero-weight tasks) is shared by every solve that reaches
+        the mapping.
+        """
+        if key not in self._compiled:
+            self._compiled[key] = build()
+        return self._compiled[key]
 
     def is_single_processor(self) -> bool:
         return self.num_processors == 1 or all(

@@ -148,8 +148,7 @@ _ROUTE_KERNELS = {
 #: Solvers with a fully columnar route; any other name sends every row
 #: through the per-row route (which produces the solver's own errors and
 #: results for solvers the array kernels do not implement).
-_COLUMNAR_SOLVERS = frozenset({"auto", "bicrit-closed-form",
-                               "tricrit-chain-exact", "tricrit-pruned"})
+_COLUMNAR_SOLVERS = frozenset({"auto", "bicrit-closed-form", "tricrit-chain-exact"})
 
 
 @dataclass
@@ -224,13 +223,13 @@ def plan_batch(problems: ProblemBatch | Sequence[BiCritProblem],
                     & cols["one_task_per_processor"])
             routes[chain] = ROUTE_CHAIN
             routes[fork] = ROUTE_FORK
-        if solver in ("auto", "tricrit-chain-exact", "tricrit-pruned"):
+        if solver in ("auto", "tricrit-chain-exact"):
             # Positive-weight tasks only (the scalar guards and the
             # descriptor admissibility agree on that count), up to the chain
             # enumeration's admissibility cap: past it, auto dispatch picks
             # the pruned search and a named ``tricrit-chain-exact`` is
-            # inadmissible.  The vectorized subset kernel computes the same
-            # optimum whichever of the two exact chain solvers was named.
+            # inadmissible.  A named ``tricrit-pruned`` takes the per-row
+            # route, so it reports its own search's counters.
             limit = get_solver("tricrit-chain-exact").max_tasks
             tri = (tricrit & cols["single_processor"]
                    & cols["mapping_in_order"]
@@ -911,10 +910,8 @@ def _tricrit_columnar_group(batch: ProblemBatch, rows: list[int], n: int,
                                    "rel_sensitivity", "rel_frel")])
     S = 2 ** n
 
-    # Auto rows dispatch to the chain enumeration (priority order); a named
-    # ``tricrit-pruned`` keeps its own label, like its descriptor would.
-    label = plan.solver if plan.solver == "tricrit-pruned" \
-        else "tricrit-chain-exact"
+    # Auto rows dispatch to the chain enumeration (priority order).
+    label = "tricrit-chain-exact"
     for row, i in enumerate(rows):
         dispatch = _columnar_dispatch(batch, i, label, plan.auto)
         if not np.isfinite(energy[row]):

@@ -35,6 +35,7 @@ from ..dag.series_parallel import NotSeriesParallelError, decompose
 from ..dag.taskgraph import TaskGraph, TaskId
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..continuous.convex import ConvexProgram
     from ..core.schedule import Schedule
     from ..dag.series_parallel import SPNode
     from ..simulation.compile import CompiledSchedule
@@ -284,6 +285,29 @@ class SolverContext:
         with np.errstate(divide="ignore", invalid="ignore"):
             budget = np.where(w > 0, model.fault_rate(model.frel) * w / model.frel, 0.0)
         return budget
+
+    @cached_property
+    def restricted_columns(self) -> tuple[np.ndarray, np.ndarray, float]:
+        """Per task of :attr:`convex_program`'s positive tasks, the weight
+        and the re-execution speed floor, then the single-execution floor
+        ``max(frel, fmin)``: what every restricted TRI-CRIT solve of this
+        instance passes to the program, bar its subset."""
+        tasks = self.convex_program.positive
+        return (np.array([self.graph.weight(t) for t in tasks], dtype=float),
+                np.array([self.reexecution_floor(t) for t in tasks], dtype=float),
+                max(self.reliability.frel, self.problem.platform.fmin))
+
+    @cached_property
+    def convex_program(self) -> "ConvexProgram":
+        """The mapping's compiled convex program over the positive-weight
+        tasks: every restricted solve of this instance passes only its
+        weights and speed floors to it (kept with the mapping, so
+        :func:`~repro.continuous.convex.solve_bicrit_convex` finds it too)."""
+        # Imported here: the continuous package imports this module.
+        from ..continuous.convex import convex_program
+
+        return convex_program(self.problem.mapping, frozenset(
+            t for t in self.graph.tasks() if self.graph.weight(t) <= 0))
 
     def compiled(self, schedule: "Schedule") -> "CompiledSchedule":
         """Flat-array form of a schedule (per-schedule memoized exposures)."""

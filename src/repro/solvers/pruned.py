@@ -48,9 +48,13 @@ gap-certified anytime mode beyond it:
 
 Leaves are evaluated exactly.  On a single processor the search
 water-fills straight from its precomputed duration arrays (the hot inner
-loop); the returned schedule, and every multi-processor evaluation, comes
-from the library's one fixed-subset solve,
-:func:`repro.continuous.heuristics.solve_with_reexec_set`.
+loop), and the returned schedule comes from the library's one fixed-subset
+solve, :func:`repro.continuous.heuristics.solve_with_reexec_set`.  On any
+other mapping an evaluation is that solve's convex program run by
+:func:`repro.continuous.heuristics.solve_reexec_sets`, which keeps the
+speeds and the energy but builds no schedule; the one schedule is built
+for the returned subset.  The threshold sweep below solves each of its
+grids as one stack.
 
 Incumbents come from the dual solution itself: each bound evaluation
 suggests a completion (the per-task option choices at the best multiplier),
@@ -78,7 +82,7 @@ from typing import Any
 
 import numpy as np
 
-from ..continuous.heuristics import solve_with_reexec_set
+from ..continuous.heuristics import RestrictedSolve, solve_reexec_sets, solve_with_reexec_set
 from ..core.problems import SolveResult, TriCritProblem
 from ..dag.taskgraph import TaskId
 from ..optimize.allocation import AllocationResult, allocate_durations_with_bounds
@@ -101,7 +105,7 @@ class _Eval:
 
     feasible: bool
     energy: float
-    result: SolveResult | None = None  # kept only on the multi-processor path
+    row: RestrictedSolve | None = None  # kept only on the multi-processor path
 
 
 @dataclass
@@ -189,13 +193,19 @@ class _Instance:
             alloc = self._chain_allocation(subset)
             ev = (_Eval(False, math.inf) if alloc is None
                   else _Eval(True, float(alloc.energy)))
-        else:
-            result = solve_with_reexec_set(self.problem, subset,
-                                           solver_name="tricrit-pruned",
-                                           context=self.ctx)
-            ev = _Eval(result.feasible, result.energy, result)
-        self._cache[subset] = ev
-        return ev
+            self._cache[subset] = ev
+            return ev
+        return self.evaluate_many([subset])[0]
+
+    def evaluate_many(self, subsets: list[frozenset[TaskId]]) -> list[_Eval]:
+        """:meth:`evaluate` for each subset; on a multi-processor mapping the
+        ones not yet cached are solved as one stack."""
+        if not self.ctx.is_single_processor:
+            missing = [s for s in dict.fromkeys(subsets) if s not in self._cache]
+            for subset, row in zip(missing, solve_reexec_sets(self.problem, missing,
+                                                              self.ctx)):
+                self._cache[subset] = _Eval(row.feasible, row.energy, row)
+        return [self.evaluate(s) for s in subsets]
 
     def result_for(self, subset: frozenset[TaskId], solver_name: str) -> SolveResult:
         """Full :class:`SolveResult` for a subset (built once, at the end)."""
@@ -203,9 +213,9 @@ class _Instance:
             return solve_with_reexec_set(self.problem, subset,
                                          solver_name=solver_name,
                                          context=self.ctx)
-        ev = self.evaluate(subset)
-        assert ev.result is not None
-        return ev.result
+        row = self.evaluate(subset).row
+        assert row is not None
+        return row.result(self.problem, solver_name)
 
 
 def _exec_energy(eff: np.ndarray | float, d: np.ndarray | float,
@@ -555,7 +565,8 @@ def _threshold_incumbent(inst: _Instance, forced_in: set[int], free: list[int],
     evaluates the prefix subsets on a coarse-then-refined grid of prefix
     lengths: the optimum is usually close to a threshold set in this
     ordering, so this lands a near-optimal incumbent with ``O(log n)``-ish
-    restricted solves.
+    restricted solves.  Each grid is one :meth:`_Instance.evaluate_many`
+    call.
     """
     base = frozenset(inst.tasks[i] for i in forced_in)
     if not free:
@@ -568,15 +579,17 @@ def _threshold_incumbent(inst: _Instance, forced_in: set[int], free: list[int],
     def prefix(k: int) -> frozenset[TaskId]:
         return base | frozenset(inst.tasks[i] for i in order[:k])
 
+    def sweep(ks: list[int]) -> None:
+        evals.update(zip(ks, inst.evaluate_many([prefix(k) for k in ks])))
+
     step = max(1, m // 24)
-    evals = {k: inst.evaluate(prefix(k))
-             for k in sorted({*range(0, m + 1, step), m})}
+    evals: dict[int, _Eval] = {}
+    sweep(sorted({*range(0, m + 1, step), m}))
     feasible_ks = [k for k, ev in evals.items() if ev.feasible]
     if feasible_ks:
         best_k = min(feasible_ks, key=lambda k: evals[k].energy)
-        for k in range(max(0, best_k - step), min(m, best_k + step) + 1):
-            if k not in evals:
-                evals[k] = inst.evaluate(prefix(k))
+        sweep([k for k in range(max(0, best_k - step), min(m, best_k + step) + 1)
+               if k not in evals])
     best: tuple[float, frozenset[TaskId]] | None = None
     for k, ev in evals.items():
         if ev.feasible and (best is None or ev.energy < best[0]):

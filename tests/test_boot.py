@@ -34,7 +34,8 @@ print(json.dumps(sorted(sys.modules)))
 """
 
 #: Modules serving never uses: a served boot must not pay for them.
-NOT_AT_BOOT = ("networkx", "scipy.optimize", "repro.campaign", "repro.experiments")
+NOT_AT_BOOT = ("networkx", "scipy", "scipy.optimize", "repro.campaign",
+               "repro.experiments")
 
 
 #: ``import repro.campaign.cli``, then the module set.

@@ -4,10 +4,16 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.continuous.closed_form import chain_bicrit, fork_energy, series_parallel_bicrit
-from repro.continuous.convex import solve_bicrit_convex, solve_bicrit_continuous_dag
+from repro.continuous.convex import (
+    STACK_ROWS,
+    convex_program,
+    solve_bicrit_continuous_dag,
+    solve_bicrit_convex,
+)
 from repro.core.problems import BiCritProblem
 from repro.core.speeds import ContinuousSpeeds
 from repro.dag import generators
@@ -175,3 +181,71 @@ class TestProblemWrapper:
         result = solve_bicrit_continuous_dag(problem)
         assert result.status == "infeasible"
         assert result.schedule is None
+
+
+class TestStacks:
+    """A row's answer does not depend on the rows solved beside it."""
+
+    @staticmethod
+    def program_rows(count: int, seed: int):
+        graph = generators.random_layered_dag(3, 3, seed=2)
+        schedule = critical_path_mapping(graph, 3, fmax=1.0)
+        program = convex_program(schedule.mapping)
+        rng = np.random.default_rng(seed)
+        n = len(program.positive)
+        base = np.array([graph.weight(t) for t in program.positive])
+        w = base * rng.uniform(0.6, 1.4, size=(count, n))
+        fmin = np.full((count, n), 0.1)
+        fmax = np.ones((count, n))
+        # Row 1: too heavy for the deadline even at fmax.  Row 2: two
+        # durations pinned to a point box (its own free-duration mask).
+        w[1] *= 10.0
+        fmin[2, :2] = 1.0
+        return program, w, fmin, fmax, 1.8 * schedule.makespan
+
+    @staticmethod
+    def assert_same_rows(stack, rows, other):
+        for name in ("durations", "starts", "energy", "iterations", "gap"):
+            np.testing.assert_array_equal(getattr(stack, name)[rows],
+                                          getattr(other, name), strict=True)
+        assert [stack.status[i] for i in rows] == other.status
+        assert [stack.messages[i] for i in rows] == other.messages
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_row_alone_equals_the_row_in_stacks_of_3_and_9(self, seed):
+        program, w, fmin, fmax, deadline = self.program_rows(9, seed)
+        nine = program.solve(w, fmin, fmax, deadline, 3.0)
+        assert nine.status[1] == "infeasible" and math.isinf(nine.energy[1])
+        assert nine.status[2] == "optimal"
+        # Rows stop at different iterations, so rows leave mid-stack.
+        assert len(set(nine.iterations[[0, 2, 3, 4, 5, 6, 7, 8]].tolist())) > 1
+        for i in range(9):
+            alone = program.solve(w[i:i + 1], fmin[i:i + 1], fmax[i:i + 1], deadline, 3.0)
+            self.assert_same_rows(nine, [i], alone)
+        for start in range(0, 9, 3):
+            rows = list(range(start, start + 3))
+            three = program.solve(w[rows], fmin[rows], fmax[rows], deadline, 3.0)
+            self.assert_same_rows(nine, rows, three)
+
+    def test_rows_past_one_stack_are_split_unchanged(self):
+        program, w, fmin, fmax, deadline = self.program_rows(3, 0)
+        rows = np.arange(STACK_ROWS + 3) % 3
+        many = program.solve(w[rows], fmin[rows], fmax[rows], deadline, 3.0)
+        tail = rows[STACK_ROWS:]
+        few = program.solve(w[tail], fmin[tail], fmax[tail], deadline, 3.0)
+        self.assert_same_rows(many, [STACK_ROWS, STACK_ROWS + 1, STACK_ROWS + 2], few)
+
+    def test_solve_bicrit_convex_is_a_stack_of_one(self):
+        program, w, fmin, fmax, deadline = self.program_rows(3, 0)
+        graph = generators.random_layered_dag(3, 3, seed=2)
+        mapping = critical_path_mapping(graph, 3, fmax=1.0).mapping
+        platform = Platform(3, ContinuousSpeeds(0.1, 1.0))
+        stack = program.solve(w, fmin, fmax, deadline, 3.0)
+        for i in (0, 2):
+            weights = dict(zip(program.positive, w[i].tolist()))
+            floors = dict(zip(program.positive, fmin[i].tolist()))
+            result = solve_bicrit_convex(mapping, platform, deadline,
+                                         effective_weights=weights, min_speed=floors)
+            assert list(result.durations.values()) == stack.durations[i].tolist()
+            assert result.energy == stack.energy[i]
+            assert (result.gap, result.iterations) == (stack.gap[i], stack.iterations[i])

@@ -32,7 +32,12 @@ from repro.continuous.exhaustive import (
     best_reexec_subset,
     solve_tricrit_exhaustive,
 )
-from repro.continuous.heuristics import best_of_heuristics, solve_with_reexec_set
+from repro.continuous.heuristics import (
+    best_of_heuristics,
+    reexec_energy,
+    reexec_schedule,
+    solve_with_reexec_set,
+)
 from repro.continuous.tricrit_chain import solve_tricrit_chain_exact
 from repro.core.columnar import ProblemBatch
 from repro.core.problem_io import problem_from_dict, problem_to_dict
@@ -46,6 +51,7 @@ from repro.platform.platform import Platform
 from repro.solvers.batch import solve_batch
 from repro.solvers.context import SolverContext
 from repro.solvers.dispatch import solve
+from repro.solvers.registry import get_solver
 from repro.solvers.pruned import (
     _build_instance,
     _dual_bound,
@@ -161,6 +167,50 @@ class TestMultiProcessorParity:
         reference = solve_tricrit_exhaustive(problem)
         pruned = solve_tricrit_pruned(problem)
         assert pruned.energy == pytest.approx(reference.energy, rel=REL)
+
+    @pytest.mark.parametrize("slack", [1.3, 2.0])
+    def test_stacked_exhaustive_keeps_the_first_strict_minimum(self, slack):
+        # The stacked enumeration against the scalar scan over the same
+        # restricted solves: same subset, same bits.
+        problem = make_problem(generators.random_layered_dag(3, 2, seed=1),
+                               2, slack, lambda0=1e-3)
+        ctx = SolverContext.for_problem(problem)
+        stacked = solve_tricrit_exhaustive(problem)
+        scalar = best_reexec_subset(
+            ctx.positive_tasks,
+            lambda subset: solve_with_reexec_set(problem, subset, context=ctx),
+            solver_name="tricrit-exhaustive")
+        assert stacked.energy == scalar.energy
+        assert stacked.metadata == scalar.metadata
+        assert stacked.schedule.decisions == scalar.schedule.decisions
+
+    def test_evaluate_energy_is_the_schedule_energy(self):
+        # Multi-processor evaluations keep no schedule; their energy must
+        # still be Schedule.energy() of the schedule built at the end.
+        problem = make_problem(generators.random_layered_dag(3, 3, seed=4),
+                               3, 2.0, lambda0=1e-3)
+        ctx = SolverContext.for_problem(problem)
+        inst = _build_instance(problem, ctx)
+        tasks = inst.tasks
+        subsets = [frozenset(tasks[:k]) for k in range(len(tasks) + 1)]
+        subsets += [frozenset(tasks[k::3]) for k in range(3)]
+        evals = inst.evaluate_many(subsets)
+        assert inst.evaluations == len(set(subsets))
+        feasible = 0
+        for subset, ev in zip(subsets, evals):
+            restricted = solve_with_reexec_set(problem, subset, context=ctx)
+            assert ev.feasible == restricted.feasible
+            if not ev.feasible:
+                continue
+            feasible += 1
+            result = inst.result_for(subset, "tricrit-pruned")
+            assert ev.energy == result.require_schedule().energy() == restricted.energy
+            assert result.schedule.decisions == restricted.schedule.decisions
+            speeds = {t: d.executions[0].speeds[0]
+                      for t, d in result.schedule.decisions.items()}
+            assert reexec_energy(problem, speeds, subset) == \
+                reexec_schedule(problem, speeds, subset).energy()
+        assert feasible >= 2
 
 
 # ----------------------------------------------------------------------
@@ -327,6 +377,22 @@ class TestDualBound:
 # ----------------------------------------------------------------------
 # the served pool's searches, counted
 # ----------------------------------------------------------------------
+class TestNamedRoute:
+    def test_named_pruned_on_a_small_chain_runs_the_search(self):
+        # A chain the subset kernel could take: a named tricrit-pruned
+        # request still runs (and counts) the branch and bound.  Thirteen
+        # distinct weights put the class DP over its budget, so it branches.
+        problem = make_problem(generators.random_chain(13, seed=4), 1, 2.0,
+                               lambda0=1e-3)
+        via_solve = solve(problem, "tricrit-pruned")
+        direct = get_solver("tricrit-pruned")(problem)
+        keys = ("nodes", "subsets_evaluated", "bound_evaluations")
+        assert [via_solve.metadata[k] for k in keys] == \
+            [direct.metadata[k] for k in keys]
+        assert via_solve.solver == direct.solver == "tricrit-pruned"
+        assert via_solve.energy == direct.energy
+
+
 class TestPoolCounts:
     @pytest.mark.parametrize("row", POOL, ids=[r["label"] for r in POOL])
     def test_counts_and_answer_are_unchanged(self, row):
