@@ -5,14 +5,10 @@ expected for TRI-CRIT (or for BI-CRIT under the DISCRETE models); the test
 suite and the complexity experiments therefore rely on exhaustive solvers
 whose correctness is easy to argue:
 
-* :func:`best_reexec_subset` is the scalar ``2^n`` re-execution subset
-  enumerator.  ``tricrit-exhaustive`` (below) and ``tricrit-vdd-exact``
-  (:mod:`repro.discrete.tricrit_vdd`) run it, each with its own task order,
-  size guard and per-subset evaluation;
 * :func:`solve_tricrit_exhaustive` enumerates every subset of re-executed
   tasks and solves the restricted problem for each -- the global optimum of
   TRI-CRIT CONTINUOUS on any mapped DAG (at exponential cost).  The
-  subsets' convex programs run in stacks
+  subsets are solved in stacks
   (:func:`~repro.continuous.heuristics.solve_reexec_sets`), and only the
   winner's schedule is built.
   On a single-processor mapping it returns the answer of the vectorized
@@ -21,13 +17,20 @@ whose correctness is easy to argue:
 * :func:`best_known_tricrit` bundles the exhaustive solver (when affordable)
   with the heuristics to produce the best-known reference value used in the
   heuristic-quality experiments.
+
+The subset order (:func:`_reexec_subsets`: by size, then in
+``itertools.combinations`` order) and the first strict minimum
+(:func:`_cheapest`, relabelled by :func:`_relabel`) are shared with
+``tricrit-vdd-exact`` (:mod:`repro.discrete.tricrit_vdd`); the scalar scan
+they replaced, one restricted solve per subset, is the test oracle
+``tests/oracles.py::best_reexec_subset``.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from typing import TypeVar
 
 from ..core.problems import InfeasibleProblemError, SolveResult, TriCritProblem
@@ -41,7 +44,7 @@ from ..solvers.limits import (
 from .heuristics import RestrictedSolve, best_of_heuristics, solve_reexec_sets
 from .tricrit_chain import solve_tricrit_chain_exact
 
-__all__ = ["best_reexec_subset", "solve_tricrit_exhaustive", "best_known_tricrit"]
+__all__ = ["solve_tricrit_exhaustive", "best_known_tricrit"]
 
 
 _C = TypeVar("_C", SolveResult, RestrictedSolve)
@@ -63,22 +66,6 @@ def _cheapest(candidates: Iterable[_C]) -> tuple[_C | None, int]:
         if candidate.feasible and (best is None or candidate.energy < best.energy):
             best = candidate
     return best, evaluated
-
-
-def best_reexec_subset(tasks: Sequence[TaskId],
-                       solve: Callable[[tuple[TaskId, ...]], SolveResult], *,
-                       solver_name: str, status: str = "optimal") -> SolveResult:
-    """Cheapest feasible result of ``solve`` over every subset of ``tasks``.
-
-    The one reference ``2^n`` enumeration: subsets by size, then in
-    ``itertools.combinations`` order of ``tasks`` (the row order of the
-    vectorized kernel's mask table), keeping the first strict minimum.  The
-    winner is relabelled ``solver_name`` / ``status``; with no feasible
-    subset the result is infeasible.  Either way the metadata counts
-    ``subsets_evaluated``.
-    """
-    best, evaluated = _cheapest(solve(subset) for subset in _reexec_subsets(tasks))
-    return _relabel(best, evaluated, solver_name, status)
 
 
 def _relabel(best: SolveResult | None, evaluated: int, solver_name: str,
@@ -103,8 +90,8 @@ def solve_tricrit_exhaustive(problem: TriCritProblem, *,
     the VDD-HOPPING subset enumeration.  The metadata reports how many
     subsets were evaluated.  A single-processor mapping takes the chain
     enumeration's answer, relabelled; any other solves the subsets' convex
-    programs in stacks and keeps :func:`best_reexec_subset`'s first strict
-    minimum.
+    programs in stacks and keeps the first strict minimum in
+    :func:`_reexec_subsets` order.
     """
     ctx = SolverContext.for_problem(problem)
     positive = ctx.positive_tasks

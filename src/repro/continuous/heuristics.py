@@ -22,19 +22,20 @@ Both heuristics share the same machinery:
    problem where a re-executed task has effective weight ``2 w_i`` and a
    speed floor equal to the slowest equal-speed pair meeting the
    reliability threshold, while a single-execution task has speed floor
-   ``f_rel`` (:func:`solve_with_reexec_set`).  On one processor it is the
-   bounded water-filling of
-   :func:`~repro.optimize.allocation.allocate_durations_with_bounds`; on
-   any other mapping, the convex program of
-   :func:`~repro.continuous.convex.solve_bicrit_convex`.  This is the
-   library's only one-subset TRI-CRIT solve: the scalar subset enumerators,
-   the chain greedy and the pruned search's final schedule call it too
-   (the exact chain enumeration water-fills all its subsets at once, in
-   :func:`repro.solvers.batch.chain_subset_minimum`);
+   ``f_rel``.  :func:`solve_reexec_sets` is the library's one solve of it,
+   for any number of subsets: on one processor the bounded water-filling
+   of :func:`~repro.optimize.allocation.allocate_durations_with_bounds`,
+   on any other mapping the compiled convex program of
+   :mod:`repro.continuous.convex`, in stacks.  :func:`solve_with_reexec_set`
+   is a stack of one with its schedule built; the subset enumerations, the
+   greedy rounds (:func:`greedy_round`, shared with the chain greedy) and
+   the pruned search run stacks and build one schedule, for the subset
+   they keep (the exact chain enumeration water-fills all its subsets at
+   once, in :func:`repro.solvers.batch.chain_subset_minimum`);
 2. the heuristic grows the re-execution set greedily, at each round scoring
    the candidate tasks with its family-specific criterion, fully re-solving
-   the restricted problem for the few best candidates, and accepting the
-   best improvement until none remains.
+   the restricted problem for the few best candidates (one stack), and
+   accepting the best improvement until none remains.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ from ..core.schedule import Schedule, TaskDecision
 from ..dag.taskgraph import TaskId
 from ..optimize.allocation import allocate_durations_with_bounds
 from ..solvers.context import SolverContext
-from .convex import STACK_ROWS, ConvexResult, solve_bicrit_convex
+from .convex import STACK_ROWS
 
 __all__ = [
     "RestrictedSolve",
@@ -66,25 +67,8 @@ __all__ = [
 ]
 
 
-def _restricted_convex(problem: TriCritProblem, reexec: frozenset[TaskId],
-                       ctx: SolverContext) -> ConvexResult:
-    graph = problem.graph
-    platform = problem.platform
-    effective = {}
-    min_speed = {}
-    frel = max(ctx.reliability.frel, platform.fmin)
-    for t in graph.tasks():
-        w = graph.weight(t)
-        if t in reexec:
-            effective[t] = 2.0 * w
-            # Memoized on the context: the subset enumerations query the
-            # same per-task floors for every one of their 2^n solves.
-            min_speed[t] = ctx.reexecution_floor(t)
-        else:
-            effective[t] = w
-            min_speed[t] = frel if w > 0 else platform.fmin
-    return solve_bicrit_convex(problem.mapping, platform, problem.deadline,
-                               effective_weights=effective, min_speed=min_speed)
+#: Why a subset with a speed floor above the platform's ``fmax`` is infeasible.
+_TOO_FAST = "a reliability speed floor exceeds fmax"
 
 
 def _restricted_waterfill(problem: TriCritProblem, reexec: frozenset[TaskId],
@@ -109,7 +93,7 @@ def _restricted_waterfill(problem: TriCritProblem, reexec: frozenset[TaskId],
     positive = effective > 0
     # Zero-weight tasks take no time and carry no reliability floor.
     if np.any(positive & (floor > platform.fmax * (1.0 + 1e-12))):
-        return None, "a reliability speed floor exceeds fmax"
+        return None, _TOO_FAST
     lower = np.where(positive, effective / platform.fmax, 0.0)
     upper = np.where(positive, effective / floor, 0.0)
     try:
@@ -172,13 +156,11 @@ def solve_with_reexec_set(problem: TriCritProblem, reexec: Iterable[TaskId], *,
                           context: SolverContext | None = None) -> SolveResult:
     """Optimal continuous speeds for a *fixed* re-execution set.
 
-    This is the one fixed-subset TRI-CRIT solve: a single-processor mapping
-    water-fills the deadline in closed form, any other mapping solves the
-    convex program (its duality gap is ``metadata["convex_gap"]``;
-    :func:`solve_reexec_sets` solves many subsets in one stack).
+    :func:`solve_reexec_sets` on a stack of one, with the schedule built.
     Returns an infeasible :class:`SolveResult` when even the maximum speeds
-    cannot accommodate the chosen re-executions within the deadline; raises
-    ``ValueError`` for a re-executed task that is not in the problem.
+    cannot accommodate the chosen re-executions within the deadline, or a
+    speed floor exceeds ``fmax``; raises ``ValueError`` for a re-executed
+    task that is not in the problem.
     """
     ctx = context if context is not None else SolverContext.for_problem(problem)
     chosen = tuple(reexec)
@@ -186,33 +168,33 @@ def solve_with_reexec_set(problem: TriCritProblem, reexec: Iterable[TaskId], *,
     if unknown:
         raise ValueError(
             f"re-executed tasks not in the problem: {sorted(map(str, unknown))}")
-    reexec_set = frozenset(t for t in chosen if problem.graph.weight(t) > 0)
-    if ctx.is_single_processor:
-        speeds, message = _restricted_waterfill(problem, reexec_set, ctx)
-        row = _restricted(problem, reexec_set, speeds, message, None)
-    else:
-        result = _restricted_convex(problem, reexec_set, ctx)
-        row = _restricted(problem, reexec_set, result.speeds if result.feasible else None,
-                          result.solver_message, (result.status, result.gap))
-    return row.result(problem, solver_name)
+    subset = frozenset(t for t in chosen if problem.graph.weight(t) > 0)
+    return next(solve_reexec_sets(problem, [subset], ctx)).result(problem, solver_name)
 
 
 def solve_reexec_sets(problem: TriCritProblem, subsets: Sequence[frozenset[TaskId]],
                       context: SolverContext | None = None) -> Iterator[RestrictedSolve]:
-    """:func:`solve_with_reexec_set`'s convex solve for many subsets of
-    positive-weight tasks, in stacks, without building schedules.
+    """The restricted solve of many subsets of positive-weight tasks,
+    without building schedules: the library's one fixed-subset TRI-CRIT
+    solve.
 
-    For a multi-processor mapping: the context's compiled
-    :class:`~repro.continuous.convex.ConvexProgram` solves up to
-    :data:`~repro.continuous.convex.STACK_ROWS` subsets per stack, each
-    row on the same arrays as :func:`solve_with_reexec_set` would pass, so
-    a subset's speeds and energy are bit for bit the ones that solve gives.
+    A single-processor mapping water-fills each subset
+    (:func:`_restricted_waterfill`).  Any other mapping hands the context's
+    compiled :class:`~repro.continuous.convex.ConvexProgram` up to
+    :data:`~repro.continuous.convex.STACK_ROWS` subsets per stack; no
+    operation there mixes two rows, so a subset's speeds and energy are the
+    same bits in any stack (its duality gap is ``metadata["convex_gap"]``).
+    A subset with a speed floor above ``fmax`` is infeasible on either.
     Yields one :class:`RestrictedSolve` per subset, in order.
     """
     ctx = context if context is not None else SolverContext.for_problem(problem)
-    program = ctx.convex_program
-    tasks = program.positive
-    platform = problem.platform
+    if ctx.is_single_processor:
+        for subset in subsets:
+            speeds, message = _restricted_waterfill(problem, subset, ctx)
+            yield _restricted(problem, subset, speeds, message, None)
+        return
+    tasks = ctx.convex_program.positive
+    fmax = problem.platform.fmax
     w, floors, frel = ctx.restricted_columns
     for start in range(0, len(subsets), STACK_ROWS):
         chunk = subsets[start:start + STACK_ROWS]
@@ -220,21 +202,22 @@ def solve_reexec_sets(problem: TriCritProblem, subsets: Sequence[frozenset[TaskI
                          dtype=bool).reshape(len(chunk), len(tasks))
         weights = np.where(twice, 2.0 * w, w)
         fmin = np.where(twice, floors, frel)
-        fmax = np.full_like(weights, platform.fmax)
-        too_fast = fmin > fmax * (1.0 + 1e-12)
-        if too_fast.any():
-            i, j = np.argwhere(too_fast)[0]
-            raise ValueError(
-                f"task {tasks[j]!r} has min speed {fmin[i, j]} above max speed {fmax[i, j]}")
-        stack = program.solve(weights, fmin, fmax, problem.deadline,
-                              platform.energy_model.exponent)
-        speeds = weights / stack.durations
-        for i, subset in enumerate(chunk):
-            feasible = stack.status[i] in ("optimal", "feasible")
+        solvable = ~np.any(fmin > fmax * (1.0 + 1e-12), axis=1)
+        stack = ctx.convex_program.solve(
+            weights[solvable], fmin[solvable], np.full_like(fmin[solvable], fmax),
+            problem.deadline, problem.platform.energy_model.exponent)
+        speeds = weights[solvable] / stack.durations
+        k = 0
+        for subset, ok in zip(chunk, solvable.tolist()):
+            if not ok:
+                yield _restricted(problem, subset, None, _TOO_FAST, None)
+                continue
+            feasible = stack.status[k] in ("optimal", "feasible")
             yield _restricted(
                 problem, subset,
-                dict(zip(tasks, speeds[i].tolist())) if feasible else None,
-                stack.messages[i], (stack.status[i], float(stack.gap[i])))
+                dict(zip(tasks, speeds[k].tolist())) if feasible else None,
+                stack.messages[k], (stack.status[k], float(stack.gap[k])))
+            k += 1
 
 
 def reexec_energy(problem: TriCritProblem, speeds: TMapping[TaskId, float],
@@ -362,6 +345,24 @@ def _rank_by_slack(tasks: list[TaskId], slacks: dict[TaskId, float],
     return ranked
 
 
+def greedy_round(problem: TriCritProblem, reexec: frozenset[TaskId],
+                 candidates: Sequence[TaskId], energy: float,
+                 ctx: SolverContext) -> RestrictedSolve | None:
+    """One round of a greedy re-execution growth: ``reexec`` plus each
+    candidate, solved as one :func:`solve_reexec_sets` call.
+
+    Scanning in ``candidates`` order, a feasible row is kept when it beats
+    the energy to beat -- ``energy`` at first, then the row last kept -- by
+    more than 1e-12.  Returns the last row kept, or ``None``.
+    """
+    best: RestrictedSolve | None = None
+    rows = solve_reexec_sets(problem, [reexec | {t} for t in candidates], ctx)
+    for row in rows:
+        if row.feasible and row.energy < (energy if best is None else best.energy) - 1e-12:
+            best = row
+    return best
+
+
 def _greedy_growth(problem: TriCritProblem, *, score: str,
                    candidates_per_round: int, solver_name: str) -> SolveResult:
     ctx = SolverContext.for_problem(problem)
@@ -393,21 +394,13 @@ def _greedy_growth(problem: TriCritProblem, *, score: str,
                                     problem.deadline)
         else:  # pragma: no cover - defensive
             raise ValueError(f"unknown score {score!r}")
-        best_candidate: SolveResult | None = None
-        best_task: TaskId | None = None
-        for t in scored[:candidates_per_round]:
-            candidate = solve_with_reexec_set(problem, reexec | {t},
-                                              solver_name=solver_name, context=ctx)
-            solves += 1
-            if candidate.feasible and candidate.energy < (
-                best_candidate.energy if best_candidate else current.energy
-            ) - 1e-12:
-                best_candidate = candidate
-                best_task = t
-        if best_candidate is None:
+        candidates = scored[:candidates_per_round]
+        solves += len(candidates)
+        best = greedy_round(problem, reexec, candidates, current.energy, ctx)
+        if best is None:
             break
-        current = best_candidate
-        reexec = reexec | {best_task}
+        current = best.result(problem, solver_name)
+        reexec = best.reexec
     current.solver = solver_name
     current.metadata.update({"convex_solves": solves, "rounds": rounds,
                              "reexecuted": sorted(map(str, reexec))})

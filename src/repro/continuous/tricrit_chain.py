@@ -5,8 +5,9 @@ simple case when there is only one processor and a set of tasks mapped on
 this processor (linear chain)".  Nevertheless the paper reports an optimal
 *strategy* for that case: "first slow the execution of all tasks equally,
 then choose the tasks to be re-executed".  Once the re-executed set is
-fixed, what is left is the bounded water-filling of
-:func:`repro.continuous.heuristics.solve_with_reexec_set`: a re-executed
+fixed, what is left is the bounded water-filling that
+:func:`repro.continuous.heuristics.solve_reexec_sets` runs on one
+processor: a re-executed
 task behaves like a task of effective weight ``2 w_i`` whose speed floor is
 the slowest speed at which two executions still meet the reliability
 threshold (both executions at the same speed, which is optimal by symmetry
@@ -22,7 +23,8 @@ module chooses the set:
 * :func:`solve_tricrit_chain_greedy` -- the paper's strategy: start from no
   re-executions (everything slowed equally down to ``f_rel``), then greedily
   add the re-execution that saves the most energy while the deadline and
-  reliability constraints stay satisfied.
+  reliability constraints stay satisfied; each round is one
+  :func:`repro.continuous.heuristics.greedy_round`, the heuristics' round.
 
 :func:`reexecution_speed_floor` is the one formula for that re-execution
 floor; :meth:`repro.solvers.context.SolverContext.reexecution_floor`
@@ -41,7 +43,7 @@ from ..dag.taskgraph import TaskId
 from ..solvers.batch import chain_subset_minimum
 from ..solvers.context import SolverContext
 from ..solvers.limits import CHAIN_EXACT_MAX_TASKS
-from .heuristics import reexec_schedule, solve_with_reexec_set
+from .heuristics import greedy_round, reexec_schedule, solve_with_reexec_set
 
 __all__ = [
     "solve_tricrit_chain_exact",
@@ -114,32 +116,17 @@ def solve_tricrit_chain_greedy(problem: TriCritProblem) -> SolveResult:
     best improvement, and stops when no addition lowers the energy.
     """
     ctx, positive_ids = _chain_tasks(problem)
-
-    def evaluate(subset: frozenset[TaskId]) -> SolveResult:
-        return solve_with_reexec_set(problem, subset, context=ctx)
-
     current_set: frozenset[TaskId] = frozenset()
-    current = evaluate(current_set)
+    current = solve_with_reexec_set(problem, current_set, context=ctx)
     evaluated = 1
-    improved = True
-    while improved:
-        improved = False
-        best_candidate = None
-        best_task = None
-        for t in positive_ids:
-            if t in current_set:
-                continue
-            candidate = evaluate(current_set | {t})
-            evaluated += 1
-            if candidate.feasible and candidate.energy < (
-                best_candidate.energy if best_candidate else current.energy
-            ) - 1e-12:
-                best_candidate = candidate
-                best_task = t
-        if best_candidate is not None and best_candidate.energy < current.energy - 1e-12:
-            current = best_candidate
-            current_set = current_set | {best_task}
-            improved = True
+    while True:
+        candidates = [t for t in positive_ids if t not in current_set]
+        evaluated += len(candidates)
+        best = greedy_round(problem, current_set, candidates, current.energy, ctx)
+        if best is None:
+            break
+        current = best.result(problem, "tricrit-chain-greedy")
+        current_set = best.reexec
     current.solver = "tricrit-chain-greedy"
     if current.feasible:
         current.status = "optimal"

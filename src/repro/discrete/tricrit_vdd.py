@@ -14,7 +14,9 @@ Consequently this module offers:
   where, for each subset, speeds are obtained from the restricted continuous
   program and rounded to bracketing modes while preserving reliability
   (exact up to the continuous-restriction rounding; exponential cost,
-  matching the NP-completeness result);
+  matching the NP-completeness result).  The continuous twin's ``2^n``
+  subsets are one :func:`~repro.continuous.heuristics.solve_reexec_sets`
+  call, in the subset order of ``tricrit-exhaustive``;
 * :func:`solve_tricrit_vdd_heuristic` -- the paper's adaptation: run the
   CONTINUOUS best-of heuristic, then round every execution to the two
   closest bracketing modes while matching execution time and reliability
@@ -27,9 +29,8 @@ import math
 
 from ..core.problems import SolveResult, TriCritProblem
 from ..core.speeds import VddHoppingSpeeds
-from ..continuous.exhaustive import best_reexec_subset
-from ..continuous.heuristics import best_of_heuristics, solve_with_reexec_set
-from ..solvers.context import SolverContext
+from ..continuous.exhaustive import _cheapest, _reexec_subsets, _relabel
+from ..continuous.heuristics import best_of_heuristics, solve_reexec_sets
 from ..solvers.limits import EXHAUSTIVE_SUBSET_MAX_TASKS
 from .rounding import round_schedule_to_vdd
 
@@ -99,10 +100,8 @@ def solve_tricrit_vdd_exact(problem: TriCritProblem, *,
             f"exact VDD TRI-CRIT limited to {max_tasks} tasks (got {len(positive)})"
         )
     twin = _continuous_twin_problem(problem)
-    twin_ctx = SolverContext.for_problem(twin)
-    return best_reexec_subset(
-        positive,
-        lambda subset: _round_result(
-            problem, solve_with_reexec_set(twin, subset, context=twin_ctx),
-            "tricrit-vdd-exact"),
-        solver_name="tricrit-vdd-exact", status="feasible")
+    subsets = [frozenset(subset) for subset in _reexec_subsets(positive)]
+    rounded = (_round_result(problem, row.result(twin, "tricrit-restricted"),
+                             "tricrit-vdd-exact")
+               for row in solve_reexec_sets(twin, subsets))
+    return _relabel(*_cheapest(rounded), "tricrit-vdd-exact", "feasible")

@@ -429,7 +429,8 @@ def _subset_codes(n: int) -> np.ndarray:
 
     The order is by subset size, then ``itertools.combinations`` order --
     for a fixed size, descending code order -- which is the order of the
-    reference scan ``best_reexec_subset``: the first strict minimum
+    other subset enumerations (``continuous.exhaustive._reexec_subsets``)
+    and of the test oracle ``best_reexec_subset``: the first strict minimum
     therefore picks the same optimal subset.
     """
     codes = np.arange(2 ** n, dtype=np.int64)

@@ -1,7 +1,7 @@
 """Pruned exact TRI-CRIT search: branch-and-bound over re-execution subsets.
 
 The blind enumerators (:func:`repro.continuous.exhaustive.solve_tricrit_exhaustive`,
-a scalar scan through :func:`repro.continuous.exhaustive.best_reexec_subset`,
+every subset in stacks of :func:`repro.continuous.heuristics.solve_reexec_sets`,
 and :func:`repro.continuous.tricrit_chain.solve_tricrit_chain_exact`, the
 vectorized subset kernel :func:`repro.solvers.batch.chain_subset_minimum`)
 hit the ``2^n`` wall around 14-22 positive-weight tasks.  This module searches the
@@ -49,12 +49,12 @@ gap-certified anytime mode beyond it:
 Leaves are evaluated exactly.  On a single processor the search
 water-fills straight from its precomputed duration arrays (the hot inner
 loop), and the returned schedule comes from the library's one fixed-subset
-solve, :func:`repro.continuous.heuristics.solve_with_reexec_set`.  On any
-other mapping an evaluation is that solve's convex program run by
-:func:`repro.continuous.heuristics.solve_reexec_sets`, which keeps the
-speeds and the energy but builds no schedule; the one schedule is built
-for the returned subset.  The threshold sweep below solves each of its
-grids as one stack.
+solve, :func:`repro.continuous.heuristics.solve_reexec_sets`, as a stack of
+one (:func:`~repro.continuous.heuristics.solve_with_reexec_set`).  On any
+other mapping an evaluation is a row of that solve's convex stacks, which
+keeps the speeds and the energy but builds no schedule; the one schedule
+is built for the returned subset.  The threshold sweep below solves each
+of its grids as one stack.
 
 Incumbents come from the dual solution itself: each bound evaluation
 suggests a completion (the per-task option choices at the best multiplier),

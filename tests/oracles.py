@@ -14,7 +14,9 @@ symbolic rows, not its :meth:`~repro.lp.LinearProgram.to_arrays` lowering:
 every vertex of a bounded LP, and every 0/1 point of a binary MILP.
 The exact TRI-CRIT chain solve runs the vectorized subset kernel at every
 entry point; :func:`scalar_chain_enumeration` keeps the scalar enumeration
-it replaced (one water-fill per subset) as its reference.
+it replaced (one water-fill per subset) as its reference.  The other subset
+enumerations solve their subsets in stacks; :func:`best_reexec_subset` is
+the scalar scan they replaced, one solve per subset.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ import numpy as np
 from scipy import optimize as sciopt
 
 from repro.continuous.convex import ConvexResult
-from repro.continuous.exhaustive import best_reexec_subset
 from repro.continuous.heuristics import solve_with_reexec_set
 from repro.core.problems import SolveResult, TriCritProblem
 from repro.core.reliability import ReliabilityModel
@@ -364,6 +365,33 @@ def bisection_waterfill(weights, deadline: float, lower, upper, *,
         per_task = np.where(positive,
                             w * (w / durations) ** (exponent - 1.0), 0.0)
     return durations, float(np.sum(per_task))
+
+
+def best_reexec_subset(tasks, solve: Callable[[tuple], SolveResult], *,
+                       solver_name: str, status: str = "optimal") -> SolveResult:
+    """Cheapest feasible result of ``solve`` over every subset of ``tasks``.
+
+    The scalar ``2^n`` scan: subsets by size, then in
+    ``itertools.combinations`` order of ``tasks``, one ``solve`` each,
+    keeping the first strict minimum.  The winner is relabelled
+    ``solver_name`` / ``status``; with no feasible subset the result is
+    infeasible.  Either way the metadata counts ``subsets_evaluated``.
+    """
+    best = None
+    evaluated = 0
+    for size in range(len(tasks) + 1):
+        for subset in itertools.combinations(tasks, size):
+            evaluated += 1
+            result = solve(subset)
+            if result.feasible and (best is None or result.energy < best.energy):
+                best = result
+    if best is None:
+        return SolveResult(schedule=None, energy=math.inf, status="infeasible",
+                           solver=solver_name, metadata={"subsets_evaluated": evaluated})
+    best.solver = solver_name
+    best.status = status
+    best.metadata["subsets_evaluated"] = evaluated
+    return best
 
 
 def scalar_chain_enumeration(problem: TriCritProblem) -> SolveResult:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 from unittest import mock
 
 import pytest
@@ -12,9 +13,11 @@ from repro.continuous.convex import solve_bicrit_convex
 from repro.continuous.exhaustive import best_known_tricrit, solve_tricrit_exhaustive
 from repro.continuous.heuristics import (
     TRICRIT_HEURISTICS,
+    _restricted,
     best_of_heuristics,
     heuristic_energy_gain,
     heuristic_parallel_slack,
+    solve_reexec_sets,
     solve_tricrit_no_reexec,
     solve_with_reexec_set,
 )
@@ -26,6 +29,7 @@ from repro.platform.list_scheduling import critical_path_mapping
 from repro.platform.mapping import Mapping
 from repro.platform.platform import Platform
 from repro.solvers.context import SolverContext
+from repro.solvers.dispatch import solve
 from tests.oracles import scipy_convex, trust_constr_convex
 
 
@@ -71,6 +75,68 @@ class TestRestrictedSolver:
         all_tasks = list(problem.graph.tasks())
         result = solve_with_reexec_set(problem, all_tasks)
         assert not result.feasible
+
+
+def too_fast_problem(graph, num_processors) -> TriCritProblem:
+    """``frel`` above the platform's ``fmax``: every single execution is
+    too fast to run, while a re-execution's floor is well inside."""
+    model = ReliabilityModel(fmin=0.1, fmax=1.0, frel=0.9)
+    platform = Platform(num_processors, ContinuousSpeeds(0.1, 0.8),
+                        reliability_model=model)
+    mapping = (Mapping.single_processor(graph) if num_processors == 1
+               else critical_path_mapping(graph, num_processors, fmax=0.8).mapping)
+    return TriCritProblem(mapping, platform, 50.0)
+
+
+class TestStackedRestrictedSolve:
+    """A subset solved in a stack is the same solve as the subset alone."""
+
+    @pytest.mark.parametrize("problem", [
+        make_problem(generators.random_chain(5, seed=2), 1, slack=1.2),
+        make_problem(generators.random_fork(4, seed=3), 5, slack=1.2),
+        make_problem(generators.random_layered_dag(2, 3, seed=4), 3, slack=1.2),
+        too_fast_problem(generators.random_fork(3, seed=1), 2),
+    ], ids=["chain", "fork", "layered", "fork-too-fast"])
+    def test_each_row_equals_the_subset_alone(self, problem):
+        positive = SolverContext.for_problem(problem).positive_tasks
+        subsets = [frozenset(c) for r in range(len(positive) + 1)
+                   for c in itertools.combinations(positive, r)]
+        rows = list(solve_reexec_sets(problem, subsets))
+        assert [row.reexec for row in rows] == subsets
+        for subset, row in zip(subsets, rows):
+            stacked = row.result(problem, "tricrit-restricted")
+            alone = solve_with_reexec_set(problem, subset)
+            assert (stacked.status, stacked.energy) == (alone.status, alone.energy)
+            assert stacked.metadata == alone.metadata
+            if alone.feasible:
+                assert row.energy == alone.energy
+                assert stacked.schedule.decisions == alone.schedule.decisions
+            else:
+                assert stacked.schedule is None
+        feasible = sum(row.feasible for row in rows)
+        assert 0 < feasible < len(rows)
+
+
+class TestTooFastFloors:
+    """A subset whose speed floor exceeds ``fmax`` is infeasible, on any
+    mapping, and the enumerations go on past it."""
+
+    def test_exhaustive_equals_pruned(self):
+        problem = too_fast_problem(generators.random_fork(3, seed=1), 2)
+        exhaustive = solve(problem, solver="tricrit-exhaustive")
+        pruned = solve(problem, solver="tricrit-pruned")
+        assert exhaustive.status == pruned.status == "optimal"
+        assert exhaustive.energy == pytest.approx(pruned.energy, rel=1e-9)
+        assert exhaustive.metadata["reexecuted"] == pruned.metadata["reexecuted"]
+
+    @pytest.mark.parametrize("graph, processors", [
+        (generators.random_chain(3, seed=1), 1),
+        (generators.random_fork(3, seed=1), 2),
+    ], ids=["chain", "fork"])
+    def test_no_reexec_is_infeasible(self, graph, processors):
+        result = solve(too_fast_problem(graph, processors), solver="tricrit-no-reexec")
+        assert result.status == "infeasible"
+        assert result.metadata["message"] == "a reliability speed floor exceeds fmax"
 
 
 class TestHeuristicFamilies:
@@ -170,14 +236,37 @@ class TestMethodIndependence:
 
     @staticmethod
     def counting_backend(method, calls):
-        def backend(mapping, platform, deadline, **program):
-            calls.append(method)
-            return scipy_convex(mapping, platform, deadline, method=method, **program)
+        """``solve_reexec_sets`` with SciPy's ``method`` solving each
+        multi-processor subset from the same weights and speed floors; one
+        processor keeps the real water-fill."""
+        def backend(problem, subsets, context=None):
+            ctx = context if context is not None else SolverContext.for_problem(problem)
+            if ctx.is_single_processor:
+                yield from solve_reexec_sets(problem, subsets, ctx)
+                return
+            for subset in subsets:
+                calls.append(method)
+                result = scipy_convex(problem.mapping, problem.platform, problem.deadline,
+                                      method=method,
+                                      **TestInteriorPointParity.restricted_program(
+                                          problem, subset))
+                yield _restricted(problem, subset,
+                                  result.speeds if result.feasible else None,
+                                  result.solver_message, (result.status, result.gap))
         return backend
 
-    # The example is a chain whose slack ranking SLSQP's noise used to flip.
+    # The first example is a chain whose slack ranking SLSQP's noise used
+    # to flip.  Derandomized draws are seeded by the test's source, so the
+    # six cases drawn before the backend moved to ``solve_reexec_sets`` are
+    # pinned below them.
     @settings(max_examples=6, deadline=None, derandomize=True)
     @example(family="chain", seed=3, slack=3.0)
+    @example(family="chain", seed=0, slack=1.5)
+    @example(family="fork", seed=149, slack=2.0)
+    @example(family="chain", seed=2498, slack=3.0)
+    @example(family="fork", seed=35788, slack=1.5)
+    @example(family="fork", seed=65536, slack=2.0)
+    @example(family="fork", seed=21242, slack=3.0)
     @given(family=st.sampled_from(["chain", "fork"]),
            seed=st.integers(min_value=0, max_value=2**16),
            slack=st.sampled_from([1.5, 2.0, 3.0]))
@@ -190,7 +279,7 @@ class TestMethodIndependence:
             native = heuristic(problem)
             for method in ("slsqp", "trust-constr"):
                 calls = []
-                with mock.patch("repro.continuous.heuristics.solve_bicrit_convex",
+                with mock.patch("repro.continuous.heuristics.solve_reexec_sets",
                                 self.counting_backend(method, calls)):
                     other = heuristic(problem)
                 assert other.metadata.get("reexecuted") == native.metadata.get("reexecuted")

@@ -27,11 +27,7 @@ from hypothesis import strategies as st
 
 from repro import api
 from repro.api.errors import INFEASIBLE_PROBLEM, ApiError
-from repro.continuous.exhaustive import (
-    best_known_tricrit,
-    best_reexec_subset,
-    solve_tricrit_exhaustive,
-)
+from repro.continuous.exhaustive import best_known_tricrit, solve_tricrit_exhaustive
 from repro.continuous.heuristics import (
     best_of_heuristics,
     reexec_energy,
@@ -60,7 +56,12 @@ from repro.solvers.pruned import (
     solve_tricrit_pruned,
     solve_tricrit_pruned_gap,
 )
-from tests.oracles import bisection_dual_bound, brentq_switch_ratio, closure_dual_bound
+from tests.oracles import (
+    best_reexec_subset,
+    bisection_dual_bound,
+    brentq_switch_ratio,
+    closure_dual_bound,
+)
 
 REL = 1e-9
 POOL = json.loads((Path(__file__).parent / "fixtures" / "pruned_pool.json")

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.continuous.exhaustive import best_reexec_subset, solve_tricrit_exhaustive
+from repro.continuous.exhaustive import solve_tricrit_exhaustive
 from repro.continuous.heuristics import solve_with_reexec_set
 from repro.continuous.tricrit_chain import (
     reexecution_speed_floor,
@@ -22,7 +22,7 @@ from repro.dag import generators
 from repro.platform.mapping import Mapping
 from repro.platform.platform import Platform
 
-from tests.oracles import scalar_chain_enumeration
+from tests.oracles import best_reexec_subset, scalar_chain_enumeration
 
 
 def single_processor_problem(graph, slack, *, lambda0=1e-4, frel=None,

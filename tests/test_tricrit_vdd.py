@@ -8,11 +8,19 @@ from repro.core.problems import TriCritProblem
 from repro.core.reliability import ReliabilityModel
 from repro.core.speeds import ContinuousSpeeds, VddHoppingSpeeds
 from repro.dag import generators
-from repro.discrete.tricrit_vdd import solve_tricrit_vdd_exact, solve_tricrit_vdd_heuristic
+from repro.continuous.heuristics import solve_with_reexec_set
+from repro.discrete.tricrit_vdd import (
+    _continuous_twin_problem,
+    _round_result,
+    solve_tricrit_vdd_exact,
+    solve_tricrit_vdd_heuristic,
+)
 from repro.discrete.vdd_lp import two_speed_structure
 from repro.platform.list_scheduling import critical_path_mapping
 from repro.platform.mapping import Mapping
 from repro.platform.platform import Platform
+from repro.solvers.context import SolverContext
+from tests.oracles import best_reexec_subset
 
 MODES = (0.2, 0.4, 0.6, 0.8, 1.0)
 
@@ -101,3 +109,27 @@ class TestExact:
     def test_requires_vdd_platform(self, tricrit_chain_problem):
         with pytest.raises(TypeError):
             solve_tricrit_vdd_exact(tricrit_chain_problem)
+
+    @pytest.mark.parametrize("graph, processors, slack", [
+        (generators.random_fork(4, seed=3), 3, 2.0),
+        (generators.random_series_parallel(5, seed=4), 3, 1.5),
+        (generators.random_layered_dag(3, 2, seed=5), 3, 2.0),
+    ], ids=["fork", "series-parallel", "layered"])
+    def test_stacked_scan_equals_the_scalar_scan(self, graph, processors, slack):
+        # One stack of every twin subset against one restricted solve per
+        # subset, in graph order: same subset, same bits.
+        problem = vdd_tricrit_problem(graph, processors, slack)
+        twin = _continuous_twin_problem(problem)
+        ctx = SolverContext.for_problem(twin)
+        positive = [t for t in graph.tasks() if graph.weight(t) > 0]
+        scalar = best_reexec_subset(
+            positive, lambda subset: _round_result(
+                problem, solve_with_reexec_set(twin, subset, context=ctx),
+                "tricrit-vdd-exact"),
+            solver_name="tricrit-vdd-exact", status="feasible")
+        stacked = solve_tricrit_vdd_exact(problem)
+        assert scalar.feasible
+        assert (stacked.solver, stacked.status) == (scalar.solver, scalar.status)
+        assert stacked.energy == scalar.energy
+        assert stacked.metadata == scalar.metadata
+        assert stacked.schedule.decisions == scalar.schedule.decisions
