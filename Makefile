@@ -1,7 +1,7 @@
 # Convenience targets for the reproduction repo.  `make help` lists these.
 #
 #   make test           - tier-1 test suite (the gate every PR must keep green)
-#   make coverage       - tier-1 suite under pytest-cov with the CI coverage floor
+#   make coverage       - tier-1 suite under pytest-cov with the CI coverage floor (lists the 15 slowest tests)
 #   make lint           - ruff check (critical rules; skipped when ruff is absent)
 #   make analyze        - repo-specific static analysis (REP001-REP008 invariant rules)
 #   make typecheck      - mypy over the strict-rung packages (skipped when mypy is absent)
@@ -76,11 +76,11 @@ refresh-golden:
 # Skipped gracefully when pytest-cov is not installed locally.
 coverage:
 	@if $(PYTHON) -c "import pytest_cov" >/dev/null 2>&1; then \
-		$(PYTHON) -m pytest -q --cov=src/repro --cov-report=term \
+		$(PYTHON) -m pytest -q --durations=15 --cov=src/repro --cov-report=term \
 			--cov-report=xml:coverage.xml --cov-fail-under=80; \
 	else \
 		echo "pytest-cov not installed; running plain tier-1 suite instead"; \
-		$(PYTHON) -m pytest -x -q; \
+		$(PYTHON) -m pytest -x -q --durations=15; \
 	fi
 
 campaign-smoke:

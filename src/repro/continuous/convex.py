@@ -24,10 +24,13 @@ is cross-validated against the closed forms of
 and against an independent SciPy optimiser in the tests.
 
 What the program takes from the mapping -- the augmented order, the
-precedence rows, ``G`` and the maximum-speed critical path -- is compiled
-once per mapping into a :class:`ConvexProgram` (:func:`convex_program`); a
-solve passes only per-task weights and speed bounds, one row per program,
-and the interior point runs on the whole stack of rows at once.  The linear
+precedence rows, one constraint-matrix set and the maximum-speed critical
+path -- is compiled once per mapping into a :class:`ConvexProgram`
+(:func:`convex_program`); a solve passes only per-task weights and speed
+bounds, one row per program, and the interior point runs on the whole
+stack of rows at once.  Every duration is a column of every row: one whose
+box is a point (a single execution at ``frel = fmax``, say) is pinned in
+its row, so rows with different point boxes share a stack.  The linear
 algebra is numpy's: one batched ``np.linalg.cholesky`` of a bordered Newton
 matrix per iteration, whose factor holds ``L^-1`` for both directions.
 
@@ -137,37 +140,23 @@ def _factor(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return factors, failed
 
 
-@dataclass(frozen=True)
-class _Rows:
-    """The constraint rows of one free-duration mask.
-
-    ``G`` over ``x = [free d, s]`` and its transpose ``GT``; ``GH`` is
-    ``G`` with one more row per free duration, ``[I 0]``, so that
-    ``GHᵀ diag(v) GH`` with ``v = [z/σ, ∇²f]`` is the whole Newton matrix;
-    ``fixed`` holds the columns of the fixed durations and ``kept`` the
-    full program's rows that remain.
-    """
-
-    G: np.ndarray
-    GT: np.ndarray
-    GH: np.ndarray
-    GHT: np.ndarray
-    fixed: np.ndarray
-    kept: np.ndarray
-
-
-def _interior_point(rows: _Rows, h: np.ndarray, w: np.ndarray, a: float, x: np.ndarray,
-                    scale: np.ndarray, base: np.ndarray,
+def _interior_point(program: ConvexProgram, h: np.ndarray, w: np.ndarray, a: float,
+                    x: np.ndarray, scale: np.ndarray, pinned: np.ndarray | None,
                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Minimise ``base + sum w (w/d)^(a-1)`` over ``x = [d, s]`` subject to
+    """Minimise ``sum w (w/d)^(a-1)`` over ``x = [d, s]`` subject to
     ``G x <= h``, for every row of a stack.
 
-    ``h``, ``w``, ``x`` (2-D) and ``scale``, ``base`` (1-D) hold one row
-    per program; the constraint matrix is shared.  An infeasible-start
-    Mehrotra predictor-corrector.  ``x`` must hold every ``d`` strictly
-    inside its box rows; every other row may be violated, its slack
+    ``h``, ``w``, ``x`` (2-D) and ``scale`` (1-D) hold one row per program;
+    ``program``'s matrices are shared.  An infeasible-start Mehrotra
+    predictor-corrector.  ``x`` must hold every ``d`` strictly inside its
+    box rows, or at its point; every other row may be violated, its slack
     starting at ``scale``.  Box rows start with their true slack, so their
-    residual stays zero and ``d`` stays positive.  A row leaves the stack
+    residual stays zero and ``d`` stays positive.  ``pinned`` ``(S, n)``
+    marks the point-box durations, ``None`` when no row has one.  A pinned
+    duration's Newton row and column are a unit entry with zero right side
+    and zero dual residual, so its step is exactly 0; its two box rows are
+    inert: dual 0, ``h = G x + σ`` (residual 0), and no part in the centring
+    target, the step rules or the constraint count.  A row leaves the stack
     when it stops: ``"optimal"`` once the gap and both residuals are at the
     stop tolerance; past the iteration cap or on a failed Cholesky
     factorisation, ``"feasible"`` when the primal residual is, else
@@ -179,8 +168,8 @@ def _interior_point(rows: _Rows, h: np.ndarray, w: np.ndarray, a: float, x: np.n
     Inside, every row is a column, ``(S, ·, 1)``, so that each product
     with the shared matrices is one matrix-vector product per row.
     """
-    G, GT, GH, GHT = rows.G, rows.GT, rows.GH, rows.GHT
-    count, k = w.shape
+    G, GT, GH, GHT = program.G, program.GT, program.GH, program.GHT
+    count, n = w.shape
     p = h.shape[1]
     x_out = np.empty_like(x)
     gap_out = np.empty(count)
@@ -188,33 +177,54 @@ def _interior_point(rows: _Rows, h: np.ndarray, w: np.ndarray, a: float, x: np.n
     code_out = np.empty(count, dtype=int)
     live = np.arange(count)
     x, h, w = x[:, :, None], h[:, :, None], w[:, :, None]
-    scale, base = scale[:, None, None], base[:, None, None]
-    slack = h - G @ x
+    scale = scale[:, None, None]
+    Gx = G @ x
+    slack = h - Gx
     # ``sz`` holds the slacks, then the duals: one array for the step rules.
     sz = np.concatenate([np.where(slack > 0.0, slack, scale), np.ones_like(h)], axis=1)
+    constraints: float | np.ndarray = p
+    pins: tuple[np.ndarray, ...] = ()
+    if pinned is not None:
+        # Per row: ``free`` zeroes a pinned column's row of ``L^-1`` (so its
+        # right side) and its dual residual, ``cross`` marks its Newton row
+        # and column, ``active`` zeroes an inert row's centring target and
+        # ``pad`` makes an inert dual's step ratio 0/1.
+        column = np.concatenate([pinned, np.zeros_like(pinned)], axis=1)[:, :, None]
+        inert = np.zeros((count, p, 1), dtype=bool)
+        inert[:, program.edges + n:program.edges + 3 * n, 0] = np.tile(pinned, 2)
+        h = np.where(inert, Gx + sz[:, :p], h)
+        sz[:, p:][inert] = 0.0
+        pins = free, cross, active, pad, constraints = (
+            (~column).astype(float), column | column.transpose(0, 2, 1),
+            (~inert).astype(float),
+            np.concatenate([np.zeros_like(inert), inert], axis=1).astype(float),
+            p - 2.0 * np.count_nonzero(pinned, axis=1)[:, None, None])
     grad = np.zeros_like(x)
     hessian = a * (a - 1.0)
     m = x.shape[1]
+    eye = np.eye(m)
     # ``[[K, I], [I, C]]``: the Cholesky factor of this bordered matrix is
     # ``[[L, 0], [L^-T, *]]``, so one factorisation both tests the Newton
     # matrix ``K = L Lᵀ`` and yields ``K^-1 = L^-T L^-1``.  ``C`` is large
     # enough that its block, ``C - K^-1``, never decides the outcome.
     bordered = np.zeros((count, 2 * m, 2 * m))
-    bordered[:, m:, :m] = bordered[:, :m, m:] = np.eye(m)
-    bordered[:, m:, m:] = _BORDER * np.eye(m)
+    bordered[:, m:, :m] = bordered[:, :m, m:] = eye
+    bordered[:, m:, m:] = _BORDER * eye
     for iterations in range(_IPM_MAX_ITER + 1):
         slack, z = sz[:, :p], sz[:, p:]
-        d = x[:, :k]
+        d = x[:, :n]
         power = (w / d) ** a
-        grad[:, :k] = -(a - 1.0) * power
+        grad[:, :n] = -(a - 1.0) * power
         r_dual = GT @ z + grad
         r_primal = G @ x + slack - h
         gap = np.add.reduce(slack * z, axis=1, keepdims=True)
-        tol_energy = _IPM_TOL * (base + np.add.reduce(d * power, axis=1, keepdims=True))
+        tol_energy = _IPM_TOL * np.add.reduce(d * power, axis=1, keepdims=True)
         # The gap test is the cheap one: the residual tests run for the
         # rows that pass it.
         optimal = (gap <= tol_energy).reshape(-1)
         if np.count_nonzero(optimal):
+            if pins:
+                r_dual *= free
             optimal &= ((_residual(r_primal) <= _IPM_TOL * scale)
                         & (scale * _residual(r_dual) <= tol_energy)).reshape(-1)
         stop = optimal | (iterations == _IPM_MAX_ITER)
@@ -222,6 +232,8 @@ def _interior_point(rows: _Rows, h: np.ndarray, w: np.ndarray, a: float, x: np.n
         if np.count_nonzero(stop) < live.size:
             bordered[:, :m, :m] = GHT @ (GH * np.concatenate([ratio, hessian * power / d],
                                                              axis=1))
+            if pins:
+                np.copyto(bordered[:, :m, :m], eye, where=cross)
             factors, failed = _factor(bordered)
             stop |= failed
         if np.count_nonzero(stop):
@@ -232,27 +244,35 @@ def _interior_point(rows: _Rows, h: np.ndarray, w: np.ndarray, a: float, x: np.n
             feasible = (_residual(r_primal[stop]) <= _IPM_TOL * scale[stop]).reshape(-1)
             code_out[done] = np.where(optimal[stop], 0, np.where(feasible, 1, 2))
             keep = ~stop
-            live, x, sz, w, h, scale, base, grad, bordered, factors, r_primal, gap, \
-                ratio = (v[keep] for v in (live, x, sz, w, h, scale, base, grad, bordered,
+            live, x, sz, w, h, scale, grad, bordered, factors, r_primal, gap, \
+                ratio = (v[keep] for v in (live, x, sz, w, h, scale, grad, bordered,
                                            factors, r_primal, gap, ratio))
             if live.size == 0:
                 break
+            if pins:
+                pins = free, cross, active, pad, constraints = tuple(v[keep] for v in pins)
             slack, z = sz[:, :p], sz[:, p:]
         inverse_t = factors[:, m:, :m].transpose(0, 2, 1).copy()  # L^-1
+        if pins:
+            inverse_t *= free
         inverse = inverse_t.transpose(0, 2, 1)
         # Newton's right side is Gᵀ(r_c/σ) - q for a complementarity
         # residual r_c; the predictor's r_c = σ∘z makes it -q.
         q = GT @ (ratio * r_primal) + grad
+        divisor = sz + pad if pins else sz
         dx = -(inverse @ (inverse_t @ q))
         ds = -r_primal - G @ dx
         dsz = np.concatenate([ds, -z - ratio * ds], axis=1)
-        step = sz + dsz / np.maximum(1.0, -np.minimum.reduce(dsz / sz, axis=1, keepdims=True))
+        step = sz + dsz / np.maximum(1.0, -np.minimum.reduce(dsz / divisor, axis=1,
+                                                             keepdims=True))
         centre = np.add.reduce(step[:, :p] * step[:, p:], axis=1, keepdims=True) / gap
-        shift = (dsz[:, :p] * dsz[:, p:] - centre ** 3 * (gap / p)) / slack
+        target = centre ** 3 * (gap / constraints)
+        shift = (dsz[:, :p] * dsz[:, p:] - (target * active if pins else target)) / slack
         dx = inverse @ (inverse_t @ (GT @ shift - q))
         ds = -r_primal - G @ dx
         dsz = np.concatenate([ds, -(z + shift) - ratio * ds], axis=1)
-        alpha = 0.99 / np.maximum(0.99, -np.minimum.reduce(dsz / sz, axis=1, keepdims=True))
+        alpha = 0.99 / np.maximum(0.99, -np.minimum.reduce(dsz / divisor, axis=1,
+                                                           keepdims=True))
         x = x + alpha * dx
         sz = sz + alpha * dsz
     return x_out, gap_out, iterations_out, code_out
@@ -293,10 +313,13 @@ class ConvexProgram:
     that take time, in that order; zero-weight tasks are contracted out of
     the precedence rows.  Over ``x = [d, s]`` the rows of ``G x <= h`` are
     ``s_u + d_u - s_v <= 0`` per edge, ``s_t + d_t <= D`` per task, then
-    ``-d <= -lo``, ``d <= hi`` and ``-s <= 0``.  The maximum-speed critical
-    path is kept as index arrays, one ``(tasks, predecessors)`` pair per
-    level of the precedence DAG.  Build one with :func:`convex_program`,
-    which keeps it with the mapping.
+    ``-d <= -lo``, ``d <= hi`` and ``-s <= 0``; ``GH`` is ``G`` with one
+    more row per duration, ``[I 0]``, so that ``GHᵀ diag(v) GH`` with
+    ``v = [z/σ, ∇²f]`` is the whole Newton matrix.  ``G``, ``GT``, ``GH``
+    and ``GHT`` serve every row and every point box.  The maximum-speed
+    critical path is kept as index arrays, one ``(tasks, predecessors)``
+    pair per level of the precedence DAG.  Build one with
+    :func:`convex_program`, which keeps it with the mapping.
     """
 
     def __init__(self, augmented: TaskGraph, zero: frozenset[TaskId]) -> None:
@@ -313,7 +336,13 @@ class ConvexProgram:
         precedence[rows, tail] = 1.0
         precedence[rows, n + tail] = 1.0
         precedence[rows, n + head] = -1.0
-        self.G = np.vstack([precedence, eye[:n] + eye[n:], -eye[:n], eye[:n], -eye[n:]])
+        G = np.vstack([precedence, eye[:n] + eye[n:], -eye[:n], eye[:n], -eye[n:]])
+        # A product's BLAS kernel, and so its rounding, follows the layout:
+        # ``G`` is column-major, the other three row-major.
+        self.G = np.asfortranarray(G)
+        self.GT = np.ascontiguousarray(G.T)
+        self.GH = np.vstack([G, eye[:n]])
+        self.GHT = np.ascontiguousarray(self.GH.T)
         self.edges = len(edges)
         # Edges run forward in ``positive`` order, so one pass sets every
         # task's level; a predecessor list is padded with ``n``, a column
@@ -331,7 +360,6 @@ class ConvexProgram:
             self._levels.append((np.array(members, dtype=np.intp), np.array(
                 [preds[i] + [n] * (width - len(preds[i])) for i in members],
                 dtype=np.intp)))
-        self._groups: dict[bytes, _Rows] = {}
 
     def makespan(self, durations: np.ndarray) -> np.ndarray:
         """Per row of ``durations`` ``(S, n)``, the longest path's length."""
@@ -339,26 +367,6 @@ class ConvexProgram:
         for members, preds in self._levels:
             finish[:, members] = finish[:, preds].max(axis=2) + durations[:, members]
         return finish.max(axis=1)
-
-    def _rows(self, free: np.ndarray) -> _Rows:
-        """The :class:`_Rows` of one free-duration mask (memoised).
-
-        A duration whose box is a point is a constant: its column moves
-        into ``h`` and its two box rows go.
-        """
-        key = free.tobytes()
-        rows = self._groups.get(key)
-        if rows is None:
-            n = len(self.positive)
-            columns = np.concatenate([free, np.ones(n, dtype=bool)])
-            kept = np.concatenate([np.ones(self.edges + n, dtype=bool), free, free,
-                                   np.ones(n, dtype=bool)])
-            G = self.G[kept][:, columns]
-            GH = np.vstack([G, np.eye(G.shape[1])[:int(free.sum())]])
-            rows = self._groups[key] = _Rows(
-                G=G, GT=np.ascontiguousarray(G.T), GH=GH, GHT=np.ascontiguousarray(GH.T),
-                fixed=self.G[kept][:, ~columns], kept=kept)
-        return rows
 
     def solve(self, w: np.ndarray, fmin: np.ndarray, fmax: np.ndarray, deadline: float,
               a: float) -> ConvexStack:
@@ -368,8 +376,9 @@ class ConvexProgram:
         (all positive) and speed bounds.  A row whose maximum-speed
         makespan exceeds ``deadline`` by more than 1e-9 relative is
         infeasible; within that tolerance it is solved at that makespan,
-        so the program always has a feasible point.  Rows are solved in
-        stacks of at most :data:`STACK_ROWS` sharing one free-duration mask.
+        so the program always has a feasible point.  A duration whose box
+        is a point is pinned there.  Rows are solved in row order, in
+        stacks of at most :data:`STACK_ROWS`, whatever their point boxes.
         """
         rows, n = w.shape
         if n == 0:
@@ -393,38 +402,23 @@ class ConvexProgram:
         D = np.maximum(deadline, min_makespan)
         d_upper = np.where(fmin > 0, w / np.where(fmin > 0, fmin, 1.0), np.inf)
         d_upper = np.minimum(d_upper, D[:, None])  # a task never exceeds the deadline
-        free = d_upper > d_lower
+        pinned = d_upper <= d_lower
         solvable = np.flatnonzero(reachable)
-        groups: dict[bytes, list[int]] = {}
-        for i in solvable.tolist():
-            groups.setdefault(free[i].tobytes(), []).append(i)
-        for group in groups.values():
-            members = np.array(group)
-            mask = free[members[0]]
-            program_rows = self._rows(mask)
-            for start in range(0, members.size, STACK_ROWS):
-                r = members[start:start + STACK_ROWS]
-                lo, hi, wr = d_lower[r], d_upper[r], w[r]
-                h = np.zeros((r.size, self.edges + 4 * n))
-                h[:, self.edges:self.edges + n] = D[r][:, None]
-                h[:, self.edges + n:self.edges + 2 * n] = -lo
-                h[:, self.edges + 2 * n:self.edges + 3 * n] = hi
-                h = h[:, program_rows.kept]
-                base = np.zeros(r.size)
-                if not mask.all():
-                    # One product per row (a column), as in the interior point.
-                    h = h - (program_rows.fixed @ lo[:, ~mask, None])[:, :, 0]
-                    w_fixed = wr[:, ~mask]
-                    base = np.sum(w_fixed * (w_fixed / lo[:, ~mask]) ** (a - 1.0), axis=1)
-                start_x = np.concatenate([(0.5 * (lo + hi))[:, mask], np.zeros((r.size, n))],
-                                         axis=1)
-                x, gap[r], iterations[r], codes[r] = _interior_point(
-                    program_rows, h, wr[:, mask], a, start_x, D[r], base)
-                d = lo.copy()
-                d[:, mask] = x[:, :int(mask.sum())]
-                durations[r] = d
-                starts[r] = x[:, int(mask.sum()):]
-                energy[r] = np.sum(wr * (wr / d) ** (a - 1.0), axis=1)
+        for start in range(0, solvable.size, STACK_ROWS):
+            r = solvable[start:start + STACK_ROWS]
+            lo, hi, wr = d_lower[r], d_upper[r], w[r]
+            h = np.zeros((r.size, self.edges + 4 * n))
+            h[:, self.edges:self.edges + n] = D[r][:, None]
+            h[:, self.edges + n:self.edges + 2 * n] = -lo
+            h[:, self.edges + 2 * n:self.edges + 3 * n] = hi
+            pins = pinned[r]
+            start_x = np.concatenate([np.where(pins, lo, 0.5 * (lo + hi)),
+                                      np.zeros((r.size, n))], axis=1)
+            x, gap[r], iterations[r], codes[r] = _interior_point(
+                self, h, wr, a, start_x, D[r], pins if pins.any() else None)
+            durations[r] = x[:, :n]
+            starts[r] = x[:, n:]
+            energy[r] = np.sum(wr * (wr / x[:, :n]) ** (a - 1.0), axis=1)
         status = [_STATUS[c] for c in codes.tolist()]
         for i in np.flatnonzero(reachable & (codes != 0)).tolist():
             messages[i] = (f"interior point stopped after {iterations[i]} iterations, "

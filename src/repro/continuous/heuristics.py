@@ -363,15 +363,27 @@ def greedy_round(problem: TriCritProblem, reexec: frozenset[TaskId],
     return best
 
 
+def greedy_start(problem: TriCritProblem, ctx: SolverContext) -> frozenset[TaskId]:
+    """The re-execution set a greedy growth starts from: none, or every
+    positive-weight task when the single-execution floor ``max(frel, fmin)``,
+    the same for every task, exceeds ``fmax`` -- then no task can run once
+    (the pruned search's forced *In* rule)."""
+    platform = problem.platform
+    if max(ctx.reliability.frel, platform.fmin) > platform.fmax * (1.0 + 1e-12):
+        return frozenset(ctx.positive_tasks)
+    return frozenset()
+
+
 def _greedy_growth(problem: TriCritProblem, *, score: str,
                    candidates_per_round: int, solver_name: str) -> SolveResult:
     ctx = SolverContext.for_problem(problem)
-    current = solve_tricrit_no_reexec(problem, context=ctx)
+    reexec = greedy_start(problem, ctx)
+    current = solve_with_reexec_set(problem, reexec, context=ctx)
     if not current.feasible:
         return SolveResult(schedule=None, energy=math.inf, status="infeasible",
                            solver=solver_name,
-                           metadata={"message": "no reliable schedule without re-execution"})
-    reexec: frozenset[TaskId] = frozenset()
+                           metadata={"message": "no reliable schedule " + (
+                               "with every task re-executed" if reexec else "without re-execution")})
     positive = [t for t in problem.graph.tasks() if problem.graph.weight(t) > 0]
     topo_index = {t: k for k, t in enumerate(problem.graph.topological_order())}
     solves = 1
@@ -431,10 +443,12 @@ def best_of_heuristics(problem: TriCritProblem, *,
     """Take the best of the two families (the paper's recommended combination).
 
     Raises :class:`~repro.core.problems.InfeasibleProblemError` when neither
-    family finds any reliable schedule (every growth round infeasible): both
-    families start from the no-re-execution baseline and re-execution only
-    adds work, so in that case the instance itself is infeasible and callers
-    must see that -- not a silent infinite-energy record.
+    family finds any reliable schedule: both families start from
+    :func:`greedy_start` -- no re-execution, or every task re-executed when
+    a single execution's floor exceeds ``fmax`` and no other set can be
+    reliable -- and from there re-execution only adds work at ``fmax``, so
+    an infeasible start means an infeasible instance, and callers must see
+    that -- not a silent infinite-energy record.
     """
     a = heuristic_energy_gain(problem, candidates_per_round=candidates_per_round)
     b = heuristic_parallel_slack(problem, candidates_per_round=candidates_per_round)

@@ -43,7 +43,7 @@ from ..dag.taskgraph import TaskId
 from ..solvers.batch import chain_subset_minimum
 from ..solvers.context import SolverContext
 from ..solvers.limits import CHAIN_EXACT_MAX_TASKS
-from .heuristics import greedy_round, reexec_schedule, solve_with_reexec_set
+from .heuristics import greedy_round, greedy_start, reexec_schedule, solve_with_reexec_set
 
 __all__ = [
     "solve_tricrit_chain_exact",
@@ -111,12 +111,14 @@ def solve_tricrit_chain_greedy(problem: TriCritProblem) -> SolveResult:
     """The paper's chain strategy: slow everything equally, then add re-executions.
 
     Starting from the no-re-execution solution (all tasks at the common
-    speed, floored at ``f_rel``), the heuristic repeatedly evaluates adding
-    each not-yet-re-executed task to the re-execution set, keeps the single
-    best improvement, and stops when no addition lowers the energy.
+    speed, floored at ``f_rel``), or from every task re-executed when
+    ``f_rel`` exceeds ``fmax`` (:func:`~repro.continuous.heuristics.greedy_start`),
+    the heuristic repeatedly evaluates adding each not-yet-re-executed task
+    to the re-execution set, keeps the single best improvement, and stops
+    when no addition lowers the energy.
     """
     ctx, positive_ids = _chain_tasks(problem)
-    current_set: frozenset[TaskId] = frozenset()
+    current_set = greedy_start(problem, ctx)
     current = solve_with_reexec_set(problem, current_set, context=ctx)
     evaluated = 1
     while True:

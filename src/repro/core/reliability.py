@@ -211,8 +211,8 @@ def equal_reexecution_floor(weight: ArrayLike, fmin: ArrayLike, fmax: ArrayLike,
     the equality ``p(f) = sqrt(p(frel))`` reads ``c f e^{c f} = c K`` with
     ``K = lambda0 w e^{c fmax} / sqrt(p(frel))``, so ``f = W0(c K) / c``.
     It is evaluated as ``wrightomega(log c + log(lambda0 w) + c fmax -
-    log(p(frel)) / 2) / c``, which never forms ``e^{c fmax}``; ``c = 0``
-    gives ``f = lambda0 w / sqrt(p(frel))``.
+    log(p(frel)) / 2) / c``, which never forms ``e^{c fmax}``; ``c = 0``,
+    or a subnormal ``c``, gives ``f = lambda0 w / sqrt(p(frel))``.
 
     End cases: ``fmin`` when even ``fmin`` meets the budget within ``tol``
     (this covers a failure probability clipped at 1), ``frel`` when ``frel``
@@ -248,7 +248,9 @@ def equal_reexecution_floor(weight: ArrayLike, fmin: ArrayLike, fmax: ArrayLike,
         c = np.where(span > 0, sensitivity / safe_span, 0.0)[solve]
         rate_w = lambda0[solve] * w[solve]
         sqrt_budget = np.sqrt(budget[solve])
-        flat = c <= 0.0
+        # A subnormal ``c`` has lost its significant bits, and ``e^{c fmax}``
+        # is 1 to double precision: the ``c = 0`` form is the exact one.
+        flat = c < np.finfo(float).tiny
         safe_c = np.where(flat, 1.0, c)
         z = (np.log(safe_c) + np.log(rate_w) + safe_c * fmax[solve]
              - 0.5 * np.log(budget[solve]))

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import itertools
 import math
+import pickle
 
 import numpy as np
 import pytest
 
 from repro.continuous.closed_form import chain_bicrit, fork_energy, series_parallel_bicrit
+from repro.continuous import convex
 from repro.continuous.convex import (
     STACK_ROWS,
     convex_program,
@@ -198,7 +201,7 @@ class TestStacks:
         fmin = np.full((count, n), 0.1)
         fmax = np.ones((count, n))
         # Row 1: too heavy for the deadline even at fmax.  Row 2: two
-        # durations pinned to a point box (its own free-duration mask).
+        # durations pinned to a point box.
         w[1] *= 10.0
         fmin[2, :2] = 1.0
         return program, w, fmin, fmax, 1.8 * schedule.makespan
@@ -249,3 +252,43 @@ class TestStacks:
             assert list(result.durations.values()) == stack.durations[i].tolist()
             assert result.energy == stack.energy[i]
             assert (result.gap, result.iterations) == (stack.gap[i], stack.iterations[i])
+
+    @staticmethod
+    def point_box_rows():
+        """One row per point-box mask: every subset of the durations pinned
+        at ``fmin = fmax``, the same weights and deadline on every row."""
+        program, w, fmin, fmax, deadline = TestStacks.program_rows(3, 0)
+        n = len(program.positive)
+        masks = np.array(list(itertools.product([False, True], repeat=n)))
+        rows = len(masks)
+        return (program, masks, np.repeat(w[:1], rows, axis=0),
+                np.where(masks, 1.0, fmin[0]), np.ones((rows, n)), deadline)
+
+    def test_point_box_masks_share_stacks(self, monkeypatch):
+        program, masks, w, fmin, fmax, deadline = self.point_box_rows()
+        calls = []
+
+        def counted(*args):
+            calls.append(len(args[1]))
+            return interior_point(*args)
+
+        interior_point = convex._interior_point
+        monkeypatch.setattr(convex, "_interior_point", counted)
+        stack = program.solve(w, fmin, fmax, deadline, 3.0)
+        assert len(calls) == math.ceil(len(masks) / STACK_ROWS)
+        assert "infeasible" not in stack.status
+        # A pinned duration never moves off its point.
+        np.testing.assert_array_equal(stack.durations[masks], (w / fmax)[masks], strict=True)
+        for i in (0, 1, len(masks) // 2 + 3, len(masks) - 1):
+            alone = program.solve(w[i:i + 1], fmin[i:i + 1], fmax[i:i + 1], deadline, 3.0)
+            self.assert_same_rows(stack, [i], alone)
+
+    def test_compiled_state_does_not_grow_with_masks(self):
+        _, _, w, fmin, fmax, deadline = self.point_box_rows()
+        graph = generators.random_layered_dag(3, 3, seed=2)
+        mapping = critical_path_mapping(graph, 3, fmax=1.0).mapping
+        program = convex_program(mapping)
+        program.solve(w[:1], fmin[:1], fmax[:1], deadline, 3.0)
+        size = len(pickle.dumps(mapping))
+        program.solve(w, fmin, fmax, deadline, 3.0)
+        assert len(pickle.dumps(mapping)) == size

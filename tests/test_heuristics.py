@@ -138,6 +138,26 @@ class TestTooFastFloors:
         assert result.status == "infeasible"
         assert result.metadata["message"] == "a reliability speed floor exceeds fmax"
 
+    @pytest.mark.parametrize("graph, processors, solver", [
+        (generators.random_chain(3, seed=1), 1, "tricrit-heuristic-energy-gain"),
+        (generators.random_chain(3, seed=1), 1, "tricrit-heuristic-parallel-slack"),
+        (generators.random_chain(3, seed=1), 1, "tricrit-best-of"),
+        (generators.random_chain(3, seed=1), 1, "tricrit-chain-greedy"),
+        (generators.random_fork(3, seed=1), 2, "tricrit-heuristic-energy-gain"),
+        (generators.random_fork(3, seed=1), 2, "tricrit-heuristic-parallel-slack"),
+        (generators.random_fork(3, seed=1), 2, "tricrit-best-of"),
+    ], ids=["chain-energy-gain", "chain-parallel-slack", "chain-best-of", "chain-greedy",
+            "fork-energy-gain", "fork-parallel-slack", "fork-best-of"])
+    def test_greedy_loops_start_from_every_task_reexecuted(self, graph, processors, solver):
+        # No task can run once, so no one-task addition to the empty set is
+        # feasible: the greedy loops must start from the forced set.
+        problem = too_fast_problem(graph, processors)
+        result = solve(problem, solver=solver)
+        pruned = solve(problem, solver="tricrit-pruned")
+        assert result.feasible
+        assert result.energy == pytest.approx(pruned.energy, rel=1e-9)
+        assert result.metadata["reexecuted"] == pruned.metadata["reexecuted"]
+
 
 class TestHeuristicFamilies:
     def test_both_families_feasible_and_never_worse_than_no_reexec(self, layered_problem):

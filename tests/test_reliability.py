@@ -172,6 +172,7 @@ class TestClosedFormFloor:
     @example((ReliabilityModel(0.1, 1.0, 10.0, 5.0), 100.0))     # p(frel) = 1
     @example((ReliabilityModel(0.1, 1.0, 1e-3, 4.0, 0.6), 7.0))  # frel < fmax
     @example((ReliabilityModel(0.3, 0.3 + 1e-7, 1e-3, 60.0), 9.0))
+    @example((ReliabilityModel(1.0, 1.000000001, 1.0, 5e-324), 1.0))  # subnormal c
     @settings(max_examples=300, deadline=None)
     def test_matches_the_bisection(self, case):
         model, weight = case
