@@ -8,7 +8,7 @@
 #   make smoke          - reduced-size smoke of the simulation + batch-solver perf paths
 #   make campaign-smoke - every E1-E13 scenario through the campaign runner
 #   make serve-smoke    - boot `python -m repro serve` (single + --workers 2 fleet), assert 200/schema + shared store
-#   make boot-check     - serve boot import-set test + top `-X importtime` entries of the boot and `repro list`
+#   make boot-check     - serve boot import-set test + top `-X importtime` entries of the boot, its first TRI-CRIT request and `repro list`
 #   make distributed-smoke - multi-worker coordinator + chaos tests under a hard timeout
 #   make refresh-golden - intentionally regenerate tests/golden/*.json snapshots
 #   make bench          - full benchmark/experiment suite (writes BENCH_*.json)
@@ -96,15 +96,22 @@ serve-smoke:
 
 # Serve boot gate: `python -m repro serve` must boot without the campaign
 # stack, networkx or any SciPy module, with every continuous solver loaded
-# before the bind (tests/test_boot.py).  Then the boot's heaviest imports,
-# by cumulative -X importtime microseconds (informational, not a gate).
+# before the bind, and its first TRI-CRIT request must load no SciPy module
+# either (tests/test_boot.py).  Then the heaviest imports of the boot and of
+# that first request (tests/test_boot.py's TRICRIT_REQUEST_SCRIPT, whose
+# imports after its "first request" line are the request's), by cumulative
+# -X importtime microseconds (informational, not a gate).
 BOOT = import repro.api.server as s; s.serve = lambda *a, **k: 0; \
 	from repro.__main__ import main; main(["serve", "--no-store"])
+TRICRIT_REQUEST = from tests.test_boot import TRICRIT_REQUEST_SCRIPT as s; print(s)
 boot-check:
 	$(PYTHON) -m pytest tests/test_boot.py -q
 	@echo "serve boot, top imports by cumulative -X importtime (us):"
 	@$(PYTHON) -X importtime -c '$(BOOT)' 2>&1 >/dev/null \
 		| sort -t'|' -k2 -n -r | head -15
+	@echo "first TRI-CRIT /v1/solve after the boot, top imports by cumulative -X importtime (us):"
+	@$(PYTHON) -X importtime -c "$$($(PYTHON) -c '$(TRICRIT_REQUEST)')" 2>&1 >/dev/null \
+		| sed -n '/^first request$$/,$$p' | sed 1d | sort -t'|' -k2 -n -r | head -15
 	@echo "python -m repro list, top imports by cumulative -X importtime (us):"
 	@$(PYTHON) -X importtime -m repro list 2>&1 >/dev/null \
 		| sort -t'|' -k2 -n -r | head -15

@@ -30,9 +30,11 @@ A single server's boot (:func:`main`) opens the store, imports every
 continuous-speed solver's module and builds the engine before the socket
 is bound, so ``/healthz`` answers only once no continuous request can pay
 an import.  The boot loads neither the campaign stack nor networkx nor
-any SciPy module (the convex program's linear algebra is numpy's); the
-discrete, incremental and VDD solvers (:mod:`repro.discrete`, LP/MILP on
-HiGHS) import ``scipy.optimize`` on their first call.
+any SciPy module, and no BI-CRIT or continuous TRI-CRIT request loads one
+later (the convex program's linear algebra is numpy's, the re-execution
+floor's Wright omega is :mod:`repro.core.reliability`'s own).  SciPy
+loads only on the first call of a discrete, incremental or VDD solver
+(:mod:`repro.discrete`, LP/MILP on HiGHS through ``scipy.optimize``).
 """
 
 from __future__ import annotations

@@ -33,6 +33,8 @@ failure probability at ``f_rel``.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 from typing import Union
 
@@ -210,9 +212,11 @@ def equal_reexecution_floor(weight: ArrayLike, fmin: ArrayLike, fmax: ArrayLike,
     ``p(f) = lambda0 e^{c (fmax - f)} w / f`` and ``c = d / (fmax - fmin)``
     the equality ``p(f) = sqrt(p(frel))`` reads ``c f e^{c f} = c K`` with
     ``K = lambda0 w e^{c fmax} / sqrt(p(frel))``, so ``f = W0(c K) / c``.
-    It is evaluated as ``wrightomega(log c + log(lambda0 w) + c fmax -
-    log(p(frel)) / 2) / c``, which never forms ``e^{c fmax}``; ``c = 0``,
-    or a subnormal ``c``, gives ``f = lambda0 w / sqrt(p(frel))``.
+    It is evaluated as ``omega(log c + log(lambda0 w) + c fmax -
+    log(p(frel)) / 2) / c`` with the Wright omega function
+    ``omega(z) = W0(e^z)`` (:func:`_wright_omega`), which never forms
+    ``e^{c fmax}``; ``c = 0``, or a subnormal ``c``, gives
+    ``f = lambda0 w / sqrt(p(frel))``.
 
     End cases: ``fmin`` when even ``fmin`` meets the budget within ``tol``
     (this covers a failure probability clipped at 1), ``frel`` when ``frel``
@@ -241,19 +245,62 @@ def equal_reexecution_floor(weight: ArrayLike, fmin: ArrayLike, fmax: ArrayLike,
     out[at_fmin] = fmin[at_fmin]
     solve &= ~at_fmin & (failure(frel) ** 2 - budget <= tol)
     if np.any(solve):
-        # Imported here: scipy.special costs ~18 MB and an import at server
-        # start, and no BI-CRIT request needs it.
-        from scipy.special import wrightomega
-
         c = np.where(span > 0, sensitivity / safe_span, 0.0)[solve]
         rate_w = lambda0[solve] * w[solve]
-        sqrt_budget = np.sqrt(budget[solve])
+        f = rate_w / np.sqrt(budget[solve])
         # A subnormal ``c`` has lost its significant bits, and ``e^{c fmax}``
         # is 1 to double precision: the ``c = 0`` form is the exact one.
-        flat = c < np.finfo(float).tiny
-        safe_c = np.where(flat, 1.0, c)
-        z = (np.log(safe_c) + np.log(rate_w) + safe_c * fmax[solve]
-             - 0.5 * np.log(budget[solve]))
-        f = np.where(flat, rate_w / sqrt_budget, wrightomega(z) / safe_c)
+        curved = ~(c < np.finfo(float).tiny)
+        if np.any(curved):
+            c = c[curved]
+            z = (np.log(c) + np.log(rate_w[curved]) + c * fmax[solve][curved]
+                 - 0.5 * np.log(budget[solve][curved]))
+            f[curved] = np.array([_wright_omega(v) for v in z.tolist()]) / c
         out[solve] = np.clip(f, fmin[solve], frel[solve])
     return out
+
+
+#: The second FSC step's threshold, ``72 eps``.
+_TWO_STEP_TOL = 72.0 * sys.float_info.epsilon
+
+
+def _wright_omega(x: float) -> float:
+    """The Wright omega function on the real axis: the ``w`` with
+    ``w + log w = x``, i.e. ``W0(e^x)``.
+
+    The real-axis iteration of Lawrence, Corless & Jeffrey, "Algorithm 917:
+    Complex double-precision evaluation of the Wright omega function" (ACM
+    TOMS 38(3), 2012), step for step as ``scipy.special.wrightomega``
+    evaluates a real argument, so on a platform libm it returns SciPy's
+    bits.  ``e^x`` is already exact below ``x = -50`` and ``x`` above
+    ``1e20``.  Between them an initial guess by region, ``e^x`` below
+    ``-2``, ``e^{2(x-1)/3}`` on ``[-2, 1)`` and ``x - log x + log x / x``
+    from ``1``, takes one Fritsch-Shafer-Crowley (FSC) step, and a second
+    one when the first step's error estimate ``|(2w^2 - 8w - 1) r^4|``
+    reaches ``72 eps |1 + w|^6``.  ``omega(+inf) = +inf``,
+    ``omega(-inf) = 0`` and NaN stays NaN.  The steps are written out in
+    full: the floor calls this once per cell.
+    """
+    if math.isnan(x) or x > 1e20:
+        return x
+    if x < -50.0:
+        return math.exp(x)
+    if x < -2.0:
+        w = math.exp(x)
+    elif x < 1.0:
+        w = math.exp(2.0 * (x - 1.0) / 3.0)
+    else:
+        w = math.log(x)
+        w = x - w + w / x
+    # An FSC step: ``r`` is the residual of ``w + log w = x``.
+    r = x - w - math.log(w)
+    wp1 = w + 1.0
+    t = 2.0 * wp1 * (wp1 + 2.0 / 3.0 * r)
+    w *= 1.0 + r / wp1 * (t - r) / (t - 2.0 * r)
+    if (abs((2.0 * w * w - 8.0 * w - 1.0) * abs(r) ** 4.0)
+            >= _TWO_STEP_TOL * abs(wp1) ** 6.0):
+        r = x - w - math.log(w)
+        wp1 = w + 1.0
+        t = 2.0 * wp1 * (wp1 + 2.0 / 3.0 * r)
+        w *= 1.0 + r / wp1 * (t - r) / (t - 2.0 * r)
+    return w

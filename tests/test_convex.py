@@ -292,3 +292,38 @@ class TestStacks:
         size = len(pickle.dumps(mapping))
         program.solve(w, fmin, fmax, deadline, 3.0)
         assert len(pickle.dumps(mapping)) == size
+
+
+class TestFactor:
+    """``_factor`` against factoring the stack one matrix at a time."""
+
+    @staticmethod
+    def stack(count: int, bad: list[int], seed: int = 0) -> np.ndarray:
+        """``count`` positive definite 6x6 matrices, those at ``bad``
+        made indefinite."""
+        rng = np.random.default_rng(seed)
+        m = rng.normal(size=(count, 6, 6))
+        A = m @ m.transpose(0, 2, 1) + 0.1 * np.eye(6)
+        A[bad, 0, 0] = -1.0
+        return A
+
+    @staticmethod
+    def one_by_one(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        factors = np.zeros_like(A)
+        failed = np.zeros(len(A), dtype=bool)
+        for i in range(len(A)):
+            try:
+                factors[i] = np.linalg.cholesky(A[i])
+            except np.linalg.LinAlgError:
+                failed[i] = True
+        return factors, failed
+
+    @pytest.mark.parametrize("count, bad", [
+        (1, []), (1, [0]), (64, []), (64, [0]), (64, [37]), (64, [63]),
+        (63, [5, 6, 40]), (37, list(range(0, 37, 4))), (9, list(range(9)))])
+    def test_matches_one_by_one(self, count, bad):
+        A = self.stack(count, bad)
+        want_factors, want_failed = self.one_by_one(A)
+        factors, failed = convex._factor(A)
+        np.testing.assert_array_equal(failed, want_failed, strict=True)
+        np.testing.assert_array_equal(factors, want_factors, strict=True)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.core.reliability import ReliabilityModel, equal_reexecution_floor
+from repro.core.reliability import ReliabilityModel, _wright_omega, equal_reexecution_floor
 from tests.oracles import bisection_floor
 
 
@@ -193,3 +193,46 @@ class TestClosedFormFloor:
         wide = equal_reexecution_floor(np.array([w for _, w in cases]),
                                        *model_columns([m for m, _ in cases]))
         assert scalar == alone == wide[at]
+
+
+def ordered_bits(x: np.ndarray) -> np.ndarray:
+    """Doubles as integers in the same order, one apart per ulp."""
+    bits = x.view(np.int64)
+    return np.where(bits < 0, np.iinfo(np.int64).min - bits, bits)
+
+
+class TestWrightOmega:
+    """The real-axis Wright omega against ``scipy.special.wrightomega``."""
+
+    @staticmethod
+    def arguments() -> np.ndarray:
+        """A dense grid over ``[-800, 800]``, dense grids on both sides of
+        each region edge, and the special values."""
+        grids = [np.linspace(-800.0, 800.0, 400_001)]
+        for edge in (-50.0, -2.0, 1.0, 1e20):
+            grids.append(edge + np.linspace(-1e-3, 1e-3, 10_001) * abs(edge))
+            grids.append(edge + np.arange(-1000, 1001) * np.spacing(edge))
+        grids.append(np.array([np.inf, -np.inf, np.nan, 0.0, -0.0, 1e300,
+                               -1e300, -744.0, -745.1, -745.2, -746.0, -1e4]))
+        return np.concatenate(grids)
+
+    def test_within_four_ulp_of_scipy(self):
+        from scipy.special import wrightomega
+
+        z = self.arguments()
+        ours = np.array([_wright_omega(v) for v in z.tolist()])
+        ref = wrightomega(z)
+        nan = np.isnan(ref)
+        np.testing.assert_array_equal(np.isnan(ours), nan)
+        ulps = np.abs(ordered_bits(ours[~nan]) - ordered_bits(ref[~nan]))
+        assert ulps.max() <= 4
+        identical = np.count_nonzero(ulps == 0) / ulps.size
+        print(f"Wright omega: {identical:.4%} of {z.size} values bit-identical to SciPy")
+
+    def test_special_values(self):
+        assert _wright_omega(math.inf) == math.inf
+        assert _wright_omega(-math.inf) == 0.0
+        assert math.isnan(_wright_omega(math.nan))
+        assert _wright_omega(-746.0) == 0.0          # e^x underflows
+        assert _wright_omega(1e21) == 1e21
+        assert _wright_omega(1.0) == 1.0             # 1 + log 1 = 1
