@@ -21,7 +21,9 @@ the life of the process:
   :class:`repro.store.ResultStore`, the LRU becomes a write-through view
   over the shared on-disk tier (``results`` namespace): computed results
   are published as rebuildable schedule records, survive restarts, and are
-  visible to every worker process sharing the store root;
+  visible to every worker process sharing the store root.  A store hit is
+  answered from its record alone: no ``Problem`` and no ``Schedule`` is
+  built unless a caller reads ``result.schedule``;
 * **request coalescing** -- identical in-flight rows are single-flighted
   per process: one leader computes, concurrent duplicates wait and share
   the answer (flagged ``cached`` on the wire);
@@ -52,10 +54,9 @@ from typing import Any
 from ..core.columnar import ProblemBatch, problem_content_key
 from ..core.gcscope import paused_gc
 from ..core.problems import BiCritProblem, SolveResult
-from ..core.schedule import Execution, Schedule, TaskDecision
 from ..simulation import run_monte_carlo
 from ..solvers import SolverContext, get_solver
-from ..solvers.batch import schedule_executions
+from ..solvers.batch import LazyScheduleResult, ScheduleBuilder, schedule_executions
 from ..solvers.batch import solve_batch as _kernel_solve_batch
 # Not called here; kept because perfbench/spans.py patches it by name.
 from ..solvers.dispatch import solve as _kernel_solve
@@ -102,8 +103,8 @@ STORE_NAMESPACE = "results"
 
 #: Bump when the persisted result payload layout changes; part of the
 #: request key, so stale persistent records become silent misses instead of
-#: parse failures.
-_RESULT_SCHEMA_VERSION = 1
+#: parse failures.  Version 2 records keep the wire ``makespan``.
+_RESULT_SCHEMA_VERSION = 2
 
 #: Waiter deadline on a coalesced in-flight solve (defensive; a leader that
 #: outlives this has effectively hung).
@@ -178,6 +179,8 @@ class Engine:
         self._latencies: dict[str, deque[float]] = {}  # guarded-by: _lock
         self._latency_window = latency_window
         self._created = time.time()
+        # Options blob of an option-free request, by solver name.
+        self._bare_blobs: dict[str, bytes] = {}
 
     # ------------------------------------------------------------------
     # problem intake
@@ -244,19 +247,25 @@ class Engine:
 
     def _options_blob(self, solver: str,
                       options: Mapping[str, Any]) -> bytes:
+        if not options and solver in self._bare_blobs:
+            return self._bare_blobs[solver]
         from .. import __version__
 
         try:
             # The version tag makes keys library-version-scoped: now that
             # results persist across processes, a record written by an older
             # repro (or an older payload schema) must miss, not deserialise.
-            return _canonical_blob({
+            blob = _canonical_blob({
                 "solver": solver, "options": dict(options),
                 "version": f"repro-{__version__}/"
                            f"result-schema-{_RESULT_SCHEMA_VERSION}"})
         except TypeError as exc:
             raise ApiError(INVALID_REQUEST,
                            f"options are not JSON-canonicalisable: {exc}") from exc
+        if not options:
+            # Solver names reach here checked: the registry bounds the memo.
+            self._bare_blobs[solver] = blob
+        return blob
 
     def _batch_request_keys(self, content_keys: Sequence[str], solver: str,
                             options: Mapping[str, Any]) -> list[str]:
@@ -309,17 +318,19 @@ class Engine:
         The schedule is stored as the full per-execution interval lists
         (not the flat wire ``speeds`` view, which conflates VDD-hopping
         intra-task intervals with re-executions), so the stored form
-        round-trips to a real :class:`Schedule` against the interned
-        problem -- simulate and the object layer work on a store hit.
+        round-trips to a real :class:`Schedule` against the row's problem --
+        simulate and the object layer work on a store hit.
         :func:`~repro.solvers.batch.schedule_executions` owns that format
         (columnar rows give it without building a ``Problem`` or
-        ``Schedule``).
+        ``Schedule``).  The wire ``makespan`` rides along, so a hit answers
+        without walking a schedule.
         """
         executions = schedule_executions(result)
         payload: dict[str, Any] = {
             "status": result.status,
             "solver": result.solver,
             "energy": float(result.energy),
+            "makespan": Engine._wire_view(result)["makespan"],
             "metadata": {},
             "schedule": None,
         }
@@ -333,30 +344,46 @@ class Engine:
         return payload
 
     @staticmethod
-    def _result_from_payload(payload: Any,
-                             problem: BiCritProblem) -> SolveResult | None:
-        """Rebuild a :class:`SolveResult` from a stored record; ``None``
-        (a miss) when the record does not fit this problem."""
-        if not isinstance(payload, Mapping):
+    def _result_from_record(record: Any, row: Any,
+                            task_names: Sequence[str]
+                            ) -> LazyScheduleResult | None:
+        """A store hit answered from its record alone; ``None`` (a miss)
+        when the record does not fit the row.
+
+        The wire view is read off the record (speeds flattened from the
+        interval lists the way ``Schedule.speed_assignment`` flattens
+        them), and the schedule is deferred to a
+        :class:`~repro.solvers.batch.ScheduleBuilder` over the stored
+        executions and ``row`` (the row's ``Problem`` or wire payload).
+        The record fits when it names exactly the row's tasks.
+        """
+        if not isinstance(record, Mapping):
             return None
         try:
-            schedule = None
-            sched_payload = payload.get("schedule")
-            if sched_payload is not None:
-                by_name = {str(t): t for t in problem.graph.tasks()}
-                decisions = {}
-                for name, runs in sched_payload["executions"].items():
-                    task = by_name[name]
-                    decisions[task] = TaskDecision(task, tuple(
-                        Execution.from_intervals(run) for run in runs))
-                schedule = Schedule(problem.mapping, problem.platform,
-                                    decisions)
-            return SolveResult(
-                schedule=schedule, energy=float(payload["energy"]),
-                status=str(payload["status"]), solver=str(payload["solver"]),
-                metadata=dict(payload.get("metadata") or {}))
-        except (KeyError, TypeError, ValueError):
+            metadata = dict(record.get("metadata") or {})
+            stored = record["schedule"]
+            builder = None
+            speeds: dict[str, list[float]] = {}
+            num_reexecuted = 0
+            if stored is not None:
+                runs = stored["executions"]
+                if runs.keys() != set(task_names):
+                    return None
+                for name, task_runs in runs.items():
+                    speeds[name] = [f for run in task_runs for f, _ in run]
+                    num_reexecuted += len(task_runs) == 2
+                builder = ScheduleBuilder(row, runs=runs)
+            result = LazyScheduleResult(
+                builder=builder, energy=float(record["energy"]),
+                status=str(record["status"]), solver=str(record["solver"]),
+                metadata=metadata)
+            result.wire_view = {"makespan": record["makespan"],
+                                "speeds": speeds,
+                                "num_reexecuted": num_reexecuted,
+                                "dispatch": metadata.get("dispatch", {})}
+        except (AttributeError, KeyError, TypeError, ValueError):
             return None
+        return result
 
     def submit_batch(self, problems: Sequence[Any], solver: str = "auto", *,
                      options: Mapping[str, Any] | None = None
@@ -415,20 +442,18 @@ class Engine:
         content_keys = batch.content_keys()
         keys = self._batch_request_keys(content_keys, solver, options)
         out: list[tuple[SolveResult, bool] | None] = [None] * n_rows
-        misses = self._peel(batch, content_keys, keys, out)
+        misses = self._peel(batch, keys, out)
         while misses:
             misses = self._solve_misses(batch, keys, misses, solver, options,
                                         out)
         return out  # type: ignore[return-value]
 
-    def _peel(self, batch: ProblemBatch, content_keys: list[str],
-              keys: list[str],
+    def _peel(self, batch: ProblemBatch, keys: list[str],
               out: list[tuple[SolveResult, bool] | None]) -> list[int]:
         """Serve cache hits into ``out``; returns the rows that missed.
 
         One LRU pass under one lock, then a store pass over the LRU misses.
-        Only a store hit materialises its row (interned by content key),
-        to rebuild the record.
+        A store hit is answered from its record: no row is materialised.
         """
         misses: list[int] = []
         with self._lock:
@@ -443,10 +468,9 @@ class Engine:
             return misses
         still: list[int] = []
         for i in misses:
-            payload = self.store.get(keys[i], STORE_NAMESPACE)
-            result = (None if payload is None else self._result_from_payload(
-                payload, self.resolve_problem(batch.payloads[i],
-                                              content_keys[i])))
+            record = self.store.get(keys[i], STORE_NAMESPACE)
+            result = (None if record is None else self._result_from_record(
+                record, batch.row_source(i), batch.task_names(i)))
             if result is None:
                 still.append(i)
             else:
@@ -536,40 +560,38 @@ class Engine:
     # ------------------------------------------------------------------
     # wire layer (the HTTP service)
     # ------------------------------------------------------------------
+    @staticmethod
+    def _wire_view(result: SolveResult) -> dict[str, Any]:
+        """``result``'s response fields (``makespan``, ``speeds``,
+        ``num_reexecuted``, ``dispatch``), computed at most once.
+
+        Columnar rows and store hits carry theirs from the start; any
+        other result walks its schedule once here and keeps the view, so
+        a later LRU hit, or its store record, reads it back.
+        """
+        view = getattr(result, "wire_view", None)
+        if view is None:
+            schedule = result.schedule
+            view = {"makespan": None, "speeds": {}, "num_reexecuted": 0,
+                    "dispatch": canonicalize(
+                        result.metadata.get("dispatch", {}))}
+            if schedule is not None:
+                view["makespan"] = float(schedule.makespan())
+                view["speeds"] = {
+                    str(t): [float(x) for x in s]
+                    for t, s in schedule.speed_assignment().items()}
+                view["num_reexecuted"] = schedule.num_reexecuted()
+            result.wire_view = view
+        return view
+
     def _build_response(self, result: SolveResult, *, cached: bool,
                         elapsed_ms: float) -> SolveResponse:
-        view = getattr(result, "wire_view", None)
-        if view is not None:
-            # Columnar results carry their wire fields precomputed, so the
-            # response never touches ``result.schedule`` (which would force
-            # per-task object materialization on the zero-copy path).  The
-            # dispatch record is already in canonical plain-typed form
-            # (``canonicalize`` preserves insertion order, so re-running it
-            # would return an equal dict).
-            dispatch = view.get("dispatch")
-            if dispatch is None:
-                dispatch = canonicalize(result.metadata.get("dispatch", {}))
-            return SolveResponse(
-                energy=float(result.energy), status=result.status,
-                solver=result.solver, feasible=result.feasible,
-                makespan=view["makespan"], speeds=view["speeds"],
-                num_reexecuted=view["num_reexecuted"],
-                dispatch=dispatch,
-                cached=cached, elapsed_ms=elapsed_ms)
-        schedule = result.schedule
-        speeds: dict[str, list[float]] = {}
-        makespan = None
-        num_reexecuted = 0
-        if schedule is not None:
-            speeds = {str(t): [float(x) for x in s]
-                      for t, s in schedule.speed_assignment().items()}
-            makespan = float(schedule.makespan())
-            num_reexecuted = schedule.num_reexecuted()
+        view = self._wire_view(result)
         return SolveResponse(
             energy=float(result.energy), status=result.status,
             solver=result.solver, feasible=result.feasible,
-            makespan=makespan, speeds=speeds, num_reexecuted=num_reexecuted,
-            dispatch=canonicalize(result.metadata.get("dispatch", {})),
+            makespan=view["makespan"], speeds=view["speeds"],
+            num_reexecuted=view["num_reexecuted"], dispatch=view["dispatch"],
             cached=cached, elapsed_ms=elapsed_ms)
 
     def solve(self, request: SolveRequest) -> SolveResponse:

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import re
 import sys
 import threading
 from collections.abc import Mapping as TMapping, Sequence
@@ -83,6 +84,10 @@ KIND_TRICRIT = 1
 _TEMPLATE_CAP = 4096
 _templates: dict[tuple, Any] = {}  # guarded-by: _templates_lock
 _templates_lock = threading.Lock()
+
+#: A float slot of a rendered skeleton: json writes each NUL-delimited
+#: slot token as backslash-u escapes, which no (NUL-free) id renders to.
+_SLOT = re.compile(r'"\\u0000(\d+)\\u0000"')
 
 _NUMBER = (int, float)
 _MAX_FLOAT = sys.float_info.max
@@ -595,7 +600,7 @@ class ProblemBatch:
         """Materialise (and memoise) the ``Problem`` object for one row.
 
         The zero-copy hot path never calls this for fast rows; it exists for
-        fallback rows, store hits and compatibility consumers.
+        fallback rows and compatibility consumers.
         """
         problem = self._problems[i]
         if problem is None:
@@ -604,6 +609,20 @@ class ProblemBatch:
             problem = problem_from_dict(dict(self.payloads[i]))
             self._problems[i] = problem
         return problem
+
+    def row_source(self, i: int) -> Any:
+        """Row ``i``'s ``Problem`` when one is at hand (an object row, or a
+        materialised one), else its wire payload; never parses."""
+        problem = self._problems[i]
+        return self.payloads[i] if problem is None else problem
+
+    def task_names(self, i: int) -> list[str]:
+        """Row ``i``'s task names, ``str(task)`` of each task: the parsed
+        ids of a fast row, the materialised graph's tasks otherwise."""
+        ids = self.task_ids[i]
+        if ids is not None:
+            return ids
+        return [str(t) for t in self.problem(i).graph.tasks()]
 
     def take(self, indices: Sequence[int]) -> ProblemBatch:
         """Sub-batch of the given rows (used to peel cache hits by mask)."""
@@ -647,9 +666,11 @@ class ProblemBatch:
             edges = sorted((ids[0], c) for c in ids[1:])
         return perm, edges
 
-    def _template_for(self, row: _Row) -> Any:
+    def _template_for(self, row: _Row) -> tuple[Any, bytes | None]:
         """The (memoised) canonical-JSON template for a row's skeleton, or
-        ``False`` when no trustworthy template exists for it."""
+        ``False`` when no trustworthy template exists for it; with the
+        row's canonical blob when this call built the template (its
+        verification rendered it), else ``None``."""
         if len(row.mapping_lists) == 1 and row.mapping_in_order:
             # mapping == [task_ids]: fully determined by the ids tuple, so
             # skip the nested-tuple build on the (hot) standard layout.
@@ -662,19 +683,22 @@ class ProblemBatch:
                      row.prob_rel is None)
         with _templates_lock:
             template = _templates.get(signature)
-        if template is None:
-            template = self._build_template(row)
-            with _templates_lock:
-                _templates[signature] = template
-                if len(_templates) > _TEMPLATE_CAP:
-                    del _templates[next(iter(_templates))]
-        return template
+        if template is not None:
+            return template, None
+        template, blob = self._build_template(row)
+        with _templates_lock:
+            _templates[signature] = template
+            if len(_templates) > _TEMPLATE_CAP:
+                del _templates[next(iter(_templates))]
+        return template, blob
 
-    def _build_template(self, row: _Row) -> Any:
+    def _build_template(self, row: _Row) -> tuple[Any, bytes | None]:
+        """``(template, blob)``: the skeleton's template (``False`` when
+        untrustworthy) and the row's canonical blob, when computed."""
         from ..store.canonical import canonical_blob  # deferred: no core -> store cycle
 
         if any("\x00" in t for t in row.task_ids):
-            return False
+            return False, None
         perm, edges = self._canonical_order(row)
         kind = "tricrit" if row.kind == KIND_TRICRIT else "bicrit"
 
@@ -709,31 +733,25 @@ class ProblemBatch:
         }
         if row.kind == KIND_TRICRIT:
             skeleton["reliability_model"] = rel_skeleton(row.prob_rel is not None)
-        blob = canonical_blob(skeleton).decode("utf-8")
-        # json renders the NUL sentinels as backslash-u escapes, which
-        # can never collide with the (NUL-free) id strings of the skeleton.
-        rendered = [f'"\\u0000{k}\\u0000"' for k in range(len(slots))]
-        if any(blob.count(tok) != 1 for tok in rendered):
-            return False
-        positions = sorted((blob.index(tok), k, tok)
-                           for k, tok in enumerate(rendered))
+        skeleton_blob = canonical_blob(skeleton).decode("utf-8")
+        # One pass over the slots, in blob order; each must occur once.
         parts: list[str] = []
         order: list[int] = []
         prev = 0
-        for pos, k, tok in positions:
-            parts.append(blob[prev:pos])
-            order.append(k)
-            prev = pos + len(tok)
-        parts.append(blob[prev:])
+        for match in _SLOT.finditer(skeleton_blob):
+            parts.append(skeleton_blob[prev:match.start()])
+            order.append(int(match.group(1)))
+            prev = match.end()
+        parts.append(skeleton_blob[prev:])
+        if sorted(order) != list(range(len(slots))):
+            return False, None
         template = (parts, order, perm, perm == list(range(len(perm))))
 
         # Verify the template byte-for-byte against the real canonical blob
         # of this row before trusting it for the whole signature class.
-        values = self._slot_values(row, perm)
-        fast = self._render(template, values)
-        if fast.encode("utf-8") != canonical_blob(self._canonical_payload(row)):
-            return False
-        return template
+        blob = canonical_blob(self._canonical_payload(row))
+        fast = self._render(template, self._slot_values(row, perm))
+        return (template if fast.encode("utf-8") == blob else False), blob
 
     @staticmethod
     def _slot_values(row: _Row, perm: list[int],
@@ -806,7 +824,12 @@ class ProblemBatch:
             if row is None:
                 keys.append(problem_content_key(self.problem(i)))
                 continue
-            template = self._template_for(row)
+            template, blob = self._template_for(row)
+            if blob is not None:
+                # This row built the template: its verification blob is
+                # the key's preimage.
+                keys.append(sha256(blob).hexdigest())
+                continue
             if template is False:
                 keys.append(sha256(
                     canonical_blob(self._canonical_payload(row))).hexdigest())

@@ -74,6 +74,7 @@ __all__ = [
     "plan_batch",
     "ColumnarBatchPlan",
     "LazyScheduleResult",
+    "ScheduleBuilder",
     "batch_is_feasible",
 ]
 
@@ -99,10 +100,12 @@ class LazyScheduleResult(SolveResult):
     batch without touching Python-level schedule objects; constructing the
     per-task :class:`~repro.core.schedule.TaskDecision` dictionaries is
     deferred until a caller actually reads ``result.schedule`` (experiment
-    drivers that only consume ``result.energy`` never pay for it).
+    drivers that only consume ``result.energy`` never pay for it).  The
+    engine's store hits are results of this class too, over the record.
     """
 
-    def __init__(self, *, builder: Callable[[], Schedule], energy: float,
+    def __init__(self, *, builder: Callable[[], Schedule] | None,
+                 energy: float,
                  status: str, solver: str,
                  metadata: dict[str, Any] | None = None) -> None:
         self._schedule_builder: Callable[[], Schedule] | None = builder
@@ -596,21 +599,23 @@ def chain_subset_minimum(W: np.ndarray, deadlines: np.ndarray,
 # kernels: ProblemBatch rows straight to the array programs
 # ----------------------------------------------------------------------
 @dataclass
-class _WireScheduleBuilder:
-    """Deferred schedule for a columnar fast row.
+class ScheduleBuilder:
+    """Deferred schedule for a columnar fast row or a stored record.
 
     The wire response path reads ``result.wire_view`` and the persistent
     store reads :meth:`executions`; neither touches ``result.schedule``.
-    A row built from a ``Problem`` builds its schedule against that object
-    (``payload`` is the object itself); a wire row pays for parsing its
-    payload here instead.  ``speeds`` and ``weights`` are in payload task
-    order, which is the parsed graph's task order.  Picklable, so columnar
-    results survive the campaign pool.
+    A kernel row carries its ``speeds`` and ``weights``, in payload task
+    order, which is the parsed graph's task order; a store hit carries the
+    record's interval lists as ``runs``.  The schedule is built against
+    ``payload`` when it is a ``Problem`` object; a wire payload is parsed
+    here instead.  Picklable, so columnar results survive the campaign
+    pool.
     """
 
     payload: Any
-    speeds: dict[str, list[float]]
-    weights: list[float]
+    speeds: dict[str, list[float]] | None = None
+    weights: list[float] | None = None
+    runs: dict[str, list[list[list[float]]]] | None = None
 
     def executions(self) -> dict[str, list[list[list[float]]]]:
         """Each task's executions as ``[[f, duration]]`` interval lists.
@@ -618,6 +623,8 @@ class _WireScheduleBuilder:
         ``Execution.at_speed``'s arithmetic: a zero-weight execution lasts
         0.0, and a re-executed task has two executions of the full weight.
         """
+        if self.runs is not None:
+            return self.runs
         return {t: [[[f, w / f if w > 0 else 0.0]] for f in fs]
                 for (t, fs), w in zip(self.speeds.items(), self.weights)}
 
@@ -626,10 +633,13 @@ class _WireScheduleBuilder:
         if not isinstance(problem, BiCritProblem):
             from ..core.problem_io import problem_from_dict
             problem = problem_from_dict(problem)
-        decisions = {
-            t: TaskDecision(t, tuple(Execution.from_intervals(run)
-                                     for run in runs))
-            for t, runs in self.executions().items()}
+        # Records name tasks by ``str(task)``; kernel rows' ids are strings.
+        task_of = {str(t): t for t in problem.graph.tasks()}
+        decisions = {}
+        for name, runs in self.executions().items():
+            task = task_of[name]
+            decisions[task] = TaskDecision(task, tuple(
+                Execution.from_intervals(run) for run in runs))
         return Schedule(problem.mapping, problem.platform, decisions)
 
 
@@ -640,11 +650,11 @@ def schedule_executions(result: SolveResult
 
     This is the persistent store's record format.  An unbuilt columnar row
     gives it straight from the kernel's speeds
-    (:meth:`_WireScheduleBuilder.executions`), so no ``Problem`` or
+    (:meth:`ScheduleBuilder.executions`), so no ``Problem`` or
     ``Schedule`` is built to store it.
     """
     if isinstance(result, LazyScheduleResult) and isinstance(
-            result._schedule_builder, _WireScheduleBuilder):
+            result._schedule_builder, ScheduleBuilder):
         return result._schedule_builder.executions()
     schedule = result.schedule
     if schedule is None:
@@ -771,7 +781,7 @@ def _solve_chain_columnar(batch: ProblemBatch, rows: np.ndarray,
                                           plan.auto)
             dispatch_memo[memo_key] = dispatch
         result = LazyScheduleResult(
-            builder=_WireScheduleBuilder(payloads[i], speeds, row_weights),
+            builder=ScheduleBuilder(payloads[i], speeds, row_weights),
             energy=row_energy, status="optimal",
             solver="continuous-closed-form[chain]",
             metadata={"route": "chain", "closed_form_energy": row_energy,
@@ -866,7 +876,7 @@ def _solve_fork_columnar(batch: ProblemBatch, rows: np.ndarray,
         speeds = dict(zip(ids, [[f] if w > 0 else [fmax_row]
                                 for w, f in zip(row_weights, row_speeds)]))
         result = LazyScheduleResult(
-            builder=_WireScheduleBuilder(batch.payloads[i], speeds,
+            builder=ScheduleBuilder(batch.payloads[i], speeds,
                                          row_weights),
             energy=row_energy, status="optimal",
             solver="continuous-closed-form[fork]",
@@ -941,7 +951,7 @@ def _tricrit_columnar_group(batch: ProblemBatch, rows: list[int], n: int,
             else:
                 speeds[t] = [fmax_row]
         result = LazyScheduleResult(
-            builder=_WireScheduleBuilder(batch.payloads[i], speeds,
+            builder=ScheduleBuilder(batch.payloads[i], speeds,
                                          row_weights),
             energy=float(energy[row]), status="optimal",
             solver=label,

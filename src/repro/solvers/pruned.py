@@ -151,7 +151,12 @@ class _Instance:
         for idx in self._proc_index:
             bp = np.concatenate([clip_prices[:, idx].ravel(),
                                  self._dual_tau[idx]])
-            self._breakpoints.append(np.unique(bp[(bp > 0.0) & np.isfinite(bp)]))
+            # ``np.unique``'s values (positive and finite here) without its
+            # lazy ``numpy.ma`` import on the first served request.
+            bp = np.sort(bp[(bp > 0.0) & np.isfinite(bp)])
+            keep = np.ones(bp.size, dtype=bool)
+            keep[1:] = bp[1:] != bp[:-1]
+            self._breakpoints.append(bp[keep])
         self._dual_tables: list[_DualTable | None] = [None] * len(self._proc_index)
         self._dual_memo: dict[tuple[int, bytes],
                               tuple[float, np.ndarray | None, bool]] = {}

@@ -18,7 +18,8 @@ from typing import Any
 
 import numpy as np
 
-__all__ = ["canonicalize", "canonical_blob", "content_checksum"]
+__all__ = ["canonicalize", "canonical_blob", "content_checksum",
+           "decoded_checksum"]
 
 
 def canonicalize(value: Any) -> Any:
@@ -48,13 +49,29 @@ def canonicalize(value: Any) -> Any:
                     "for the result cache")
 
 
+#: ``json.dumps(value, sort_keys=True, separators=(",", ":"))`` without
+#: building an encoder per call.
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def canonical_blob(value: Any) -> bytes:
     """The canonical, key-sorted, whitespace-free JSON bytes of ``value``."""
-    return json.dumps(canonicalize(value), sort_keys=True,
-                      separators=(",", ":")).encode("utf-8")
+    return _ENCODER.encode(canonicalize(value)).encode("utf-8")
 
 
 def content_checksum(value: Any) -> str:
     """SHA-256 hex digest of :func:`canonical_blob` -- the integrity hash
     stored alongside every persistent record and re-checked on read."""
     return hashlib.sha256(canonical_blob(value)).hexdigest()
+
+
+def decoded_checksum(value: Any) -> str:
+    """:func:`content_checksum` of a value ``json`` decoded, in one pass of
+    the C encoder.
+
+    A decoded value holds only plain lists, string-keyed dicts, ``str``,
+    ``int``, ``float``, ``bool`` and ``None``, on which :func:`canonicalize`
+    is the identity, so skipping it hashes the same bytes.  This is the
+    store's read-side integrity check.
+    """
+    return hashlib.sha256(_ENCODER.encode(value).encode("utf-8")).hexdigest()

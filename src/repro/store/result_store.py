@@ -14,7 +14,9 @@ JSON; this module gives those keys a durable, multi-process home:
   ``{"v", "key", "namespace", "created_unix", "checksum", "payload"}`` where
   ``checksum`` is the SHA-256 of the canonical payload JSON.  Keys hash the
   *request* configuration, not the stored content, so the envelope checksum
-  is what lets ``verify`` detect bit rot or foreign tampering;
+  is what lets ``verify`` detect bit rot or foreign tampering.  Reads check
+  it with one encoder pass over the decoded payload
+  (:func:`~repro.store.canonical.decoded_checksum`);
 * **in-memory index** -- a small LRU of deserialised payloads keyed by
   ``(namespace, key)`` and invalidated by file ``(mtime_ns, size)``, so a
   hot read is a ``stat`` instead of a read+parse while writes from *other
@@ -42,7 +44,7 @@ from collections.abc import Iterator
 from pathlib import Path
 from typing import Any
 
-from .canonical import content_checksum
+from .canonical import content_checksum, decoded_checksum
 
 __all__ = ["ResultStore", "StoreError", "DEFAULT_STORE_DIR",
            "resolve_store_root", "parse_bytes"]
@@ -93,6 +95,12 @@ def parse_bytes(text: str) -> int:
     if value < 0:
         raise ValueError(f"byte count must be >= 0, got {text!r}")
     return value
+
+
+def _load(path: Path) -> Any:
+    """One envelope file, decoded as strict UTF-8 text (so a file in any
+    other encoding raises ``ValueError``, as a text-mode read does)."""
+    return json.loads(path.read_bytes().decode("utf-8"))
 
 
 def _is_key(name: str) -> bool:
@@ -170,8 +178,7 @@ class ResultStore:
     def _read_envelope(self, path: Path, key: str, namespace: str) -> Any | None:
         """Parse + integrity-check one envelope file; quarantine on damage."""
         try:
-            with path.open(encoding="utf-8") as fh:
-                envelope = json.load(fh)
+            envelope = _load(path)
         except FileNotFoundError:
             return None
         # ValueError covers JSONDecodeError and the UnicodeDecodeError a
@@ -183,7 +190,8 @@ class ResultStore:
             return None
         if (not isinstance(envelope, dict) or "payload" not in envelope
                 or envelope.get("key") not in (None, key)
-                or envelope.get("checksum") != content_checksum(envelope["payload"])):
+                or envelope.get("checksum")
+                != decoded_checksum(envelope["payload"])):
             self.quarantine(path)
             return None
         return envelope["payload"]
@@ -207,8 +215,7 @@ class ResultStore:
             return
         for path in sorted(ns_dir.rglob("*.json")):
             try:
-                with path.open(encoding="utf-8") as fh:
-                    envelope = json.load(fh)
+                envelope = _load(path)
             except ValueError:
                 self.quarantine(path)
                 continue
@@ -216,7 +223,7 @@ class ResultStore:
                 continue
             if (not isinstance(envelope, dict) or "payload" not in envelope
                     or envelope.get("checksum")
-                    != content_checksum(envelope["payload"])):
+                    != decoded_checksum(envelope["payload"])):
                 self.quarantine(path)
                 continue
             yield envelope
@@ -381,12 +388,11 @@ class ResultStore:
             for path in sorted(ns_dir.rglob("*.json")):
                 checked += 1
                 try:
-                    with path.open(encoding="utf-8") as fh:
-                        envelope = json.load(fh)
+                    envelope = _load(path)
                     valid = (isinstance(envelope, dict)
                              and "payload" in envelope
                              and envelope.get("checksum")
-                             == content_checksum(envelope["payload"]))
+                             == decoded_checksum(envelope["payload"]))
                 except ValueError:
                     valid = False
                 except OSError:

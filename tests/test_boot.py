@@ -7,7 +7,7 @@ below runs that boot with :func:`repro.api.server.serve` stubbed out, so
 nothing binds a socket, and reports the modules it loaded.  The other
 direction holds too: the campaign command line loads the HTTP layer only
 when a campaign runs on workers.  A first TRI-CRIT request after the
-boot loads no SciPy module either.
+boot loads no SciPy module either, and no ``numpy.ma``.
 """
 
 from __future__ import annotations
@@ -122,6 +122,13 @@ def campaign_cli_modules() -> set[str]:
     return loaded_modules(CAMPAIGN_CLI_SCRIPT)
 
 
+@pytest.fixture(scope="module")
+def first_tricrit_request() -> tuple[list, set[str]]:
+    """``([status, solver], modules)`` of a boot plus one TRI-CRIT solve."""
+    *_, answer, modules = run_fresh(TRICRIT_REQUEST_SCRIPT)
+    return json.loads(answer), set(json.loads(modules))
+
+
 @pytest.mark.parametrize("module", NOT_AT_BOOT)
 def test_serve_boot_skips(boot_modules, module):
     assert module not in boot_modules
@@ -134,15 +141,23 @@ def test_serve_boot_loads_every_continuous_solver(boot_modules):
     assert modules <= boot_modules
 
 
-def test_first_tricrit_request_loads_no_scipy():
+def test_first_tricrit_request_loads_no_scipy(first_tricrit_request):
     # A floor strictly inside ``(fmin, frel)`` is none of the end cases, so
     # the request evaluates the Wright omega function: SciPy's, once.
     model = ReliabilityModel(0.1, 1.0, 1e-5, 3.0, 0.7)
     floors = [model.min_equal_reexecution_speed(w) for w in CHAIN_WEIGHTS]
     assert any(model.fmin < f < model.frel for f in floors)
-    *_, answer, modules = run_fresh(TRICRIT_REQUEST_SCRIPT)
-    assert json.loads(answer) == [200, "tricrit-pruned"]
-    assert not [m for m in json.loads(modules) if m.partition(".")[0] == "scipy"]
+    answer, modules = first_tricrit_request
+    assert answer == [200, "tricrit-pruned"]
+    assert not [m for m in modules if m.partition(".")[0] == "scipy"]
+
+
+def test_first_tricrit_request_loads_no_masked_arrays(first_tricrit_request):
+    # ``np.unique`` imports ``numpy.ma`` on first use (numpy 2.x); the
+    # pruned search's breakpoint tables do without it.
+    answer, modules = first_tricrit_request
+    assert answer == [200, "tricrit-pruned"]
+    assert "numpy.ma" not in modules
 
 
 @pytest.mark.parametrize("module", NOT_IN_CAMPAIGN_CLI)

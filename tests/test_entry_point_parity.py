@@ -8,17 +8,21 @@ from:
 * ``solve_batch`` on an instance list;
 * ``solve_batch`` on a ``ProblemBatch`` parsed from the wire payloads;
 * ``Engine.submit``;
-* ``Service.handle("POST", "/v1/solve")``.
+* ``Service.handle("POST", "/v1/solve")``;
+* a store hit: a restarted engine over the store the first one wrote.
 
 The instances cover the kernel routes (BI-CRIT chains and forks, TRI-CRIT
 chains) with zero-weight tasks, and single-processor mappings that do not
 follow the graph's task order, which take the per-row route.  Each entry
-point gets fresh problem objects, so no memoized context is shared.
+point gets fresh problem objects, so no memoized context is shared.  A
+store hit answers from its record: it builds no ``Problem`` and no
+``Schedule`` until its ``schedule`` is read.
 """
 
 from __future__ import annotations
 
 import json
+import tempfile
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -33,6 +37,7 @@ from repro.dag import generators
 from repro.platform.mapping import Mapping
 from repro.platform.platform import Platform
 from repro.solvers import solve, solve_batch
+from repro.store import ResultStore
 
 from tests.test_batch_solvers import (
     chain_problem,
@@ -109,3 +114,70 @@ def test_every_entry_point_returns_the_same_answer(payload):
     assert status == 200
     assert (wire["status"], wire["solver"], wire["energy"],
             wire["num_reexecuted"], wire["speeds"]) == answers[0][0]
+
+
+def wire_fields(response):
+    """A ``/v1/solve`` body without its timing and cache flag, as sorted
+    JSON text: equal text means equal values, bit for bit."""
+    fields = {k: v for k, v in response.items()
+              if k not in ("cached", "elapsed_ms")}
+    return json.dumps(fields, sort_keys=True)
+
+
+@settings(max_examples=40, deadline=None)
+@given(payloads)
+def test_a_restarted_store_hit_answers_like_the_fresh_solve(payload):
+    body = json.dumps({"problem": payload})
+    with tempfile.TemporaryDirectory() as root:
+        status, fresh = Service(Engine(store=ResultStore(root))).handle(
+            "POST", "/v1/solve", body)
+        assert status == 200 and fresh["cached"] is False
+        status, hit = Service(Engine(store=ResultStore(root))).handle(
+            "POST", "/v1/solve", body)
+        assert status == 200 and hit["cached"] is True
+        assert wire_fields(hit) == wire_fields(fresh)
+
+        stored, cached = Engine(store=ResultStore(root)).submit(
+            problem_from_dict(payload))
+        assert cached
+    reference = solve(problem_from_dict(payload))
+    assert (stored.status, stored.solver, stored.energy) == (
+        reference.status, reference.solver, reference.energy)
+    if reference.schedule is None:
+        assert stored.schedule is None
+    else:
+        assert stored.schedule.decisions == reference.schedule.decisions
+
+
+def test_a_stored_pick_builds_nothing_until_its_schedule_is_read(
+        tmp_path, monkeypatch):
+    import repro.core.problem_io as problem_io
+    from repro.core.schedule import Schedule
+
+    payload = problem_to_dict(tricrit_chain_problem([1.0, 0.0, 2.0], 4.0))
+    Engine(store=ResultStore(tmp_path)).submit(payload)
+    calls = {"problem_from_dict": 0, "Schedule": 0}
+    parse, init = problem_io.problem_from_dict, Schedule.__init__
+
+    def counting_parse(*args, **kwargs):
+        calls["problem_from_dict"] += 1
+        return parse(*args, **kwargs)
+
+    def counting_init(self, *args, **kwargs):
+        calls["Schedule"] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(problem_io, "problem_from_dict", counting_parse)
+    monkeypatch.setattr(Schedule, "__init__", counting_init)
+    engine = Engine(store=ResultStore(tmp_path))
+    result, cached = engine.submit(payload)
+    status, wire = Service(engine).handle(
+        "POST", "/v1/solve", json.dumps({"problem": payload}))
+    assert cached and status == 200 and wire["cached"]
+    assert wire["num_reexecuted"] == 2
+    assert calls == {"problem_from_dict": 0, "Schedule": 0}
+    assert engine.metrics()["cache"]["problem_pool_entries"] == 0
+
+    schedule = result.schedule
+    assert calls == {"problem_from_dict": 1, "Schedule": 1}
+    assert schedule.num_reexecuted() == 2

@@ -26,11 +26,12 @@ from repro.api.types import SimulateRequest, SolveRequest
 from repro.campaign.cache import ResultCache
 from repro.core.problem_io import problem_to_dict
 from repro.core.problems import BiCritProblem
+from repro.dag.taskgraph import TaskGraph
 from repro.platform.mapping import Mapping
 from repro.solvers.batch import solve_batch
 from repro.solvers.descriptors import InadmissibleSolverError
 from repro.store import Coalescer, ResultStore, StoreError, resolve_store_root
-from repro.store.canonical import content_checksum
+from repro.store.canonical import content_checksum, decoded_checksum
 
 from tests.test_batch_solvers import chain_problem
 
@@ -103,6 +104,29 @@ class TestResultStore:
         path.write_text(json.dumps(envelope), encoding="utf-8")
         assert store.get(KEY_A) is None
         assert path.with_suffix(path.suffix + ".corrupt").exists()
+
+    def test_read_check_accepts_exactly_what_the_canonical_check_does(
+            self, tmp_path):
+        # A decoded record is canonical already, so one encoder pass over it
+        # hashes what ``content_checksum`` hashes: same accepts, same
+        # quarantines, whatever the file's key order or number spelling.
+        values = [{"b": [1, 2.5, None, True], "a": {"z": "café", "y": -0.0}},
+                  [1e300, 5e-324, float("inf"), 0, -7], "plain", 3, None,
+                  {"nested": [[{"k": 1.0}], []], "": False}]
+        for value in values:
+            decoded = json.loads(json.dumps(value))
+            assert decoded_checksum(decoded) == content_checksum(decoded) \
+                == content_checksum(value)
+        store = ResultStore(tmp_path)
+        path = store.put(KEY_A, values[0])
+        envelope = json.loads(path.read_text())
+        # Same content, keys reversed and floats spelled long: still valid.
+        envelope["payload"] = {"a": {"y": -0.0, "z": "café"},
+                               "b": [1, 2.50, None, True]}
+        path.write_text(json.dumps(envelope, indent=2), encoding="utf-8")
+        assert ResultStore(tmp_path).get(KEY_A) == values[0]
+        assert store.verify() == {"checked": 1, "ok": 1, "quarantined": 0}
+        assert [e["payload"] for e in store.records()] == [values[0]]
 
     def test_verify_quarantines_only_damaged_records(self, tmp_path):
         store = ResultStore(tmp_path)
@@ -310,6 +334,21 @@ class TestEngineStore:
         assert [cached for _, cached in pairs] == [True, True]
         assert restarted.metrics()["store"]["hits"] == 2
 
+    def test_a_hit_on_int_task_ids_rebuilds_their_schedule(
+            self, tmp_path, monkeypatch, continuous_platform):
+        # Records name tasks by str(task); the deferred schedule maps the
+        # names back to the problem's own (here int) ids.
+        graph = TaskGraph({0: 1.0, 1: 2.0, 2: 0.5}, [(0, 1), (1, 2)])
+        problem = BiCritProblem(Mapping.single_processor(graph),
+                                continuous_platform, 7.0)
+        fresh, _ = api.Engine(store=ResultStore(tmp_path)).submit(problem)
+        restarted = api.Engine(store=ResultStore(tmp_path))
+        _forbid_solves(monkeypatch)
+        hit, cached = restarted.submit(problem)
+        assert cached
+        assert hit.schedule.decisions == fresh.schedule.decisions
+        assert set(hit.schedule.decisions) == {0, 1, 2}
+
     def test_store_disabled_engine_never_touches_disk(
             self, tmp_path, monkeypatch, small_chain_problem):
         monkeypatch.chdir(tmp_path)   # a stray default store would land here
@@ -335,6 +374,52 @@ class TestEngineStore:
         stats = engine.store_stats()
         assert stats["enabled"] is True
         assert stats["namespaces"]["results"]["entries"] == 1
+
+    def test_schema_one_record_misses(self, tmp_path, monkeypatch,
+                                      small_chain_problem):
+        # A record written before the wire makespan was kept lives under
+        # another key: the current engine misses it and writes its own.
+        store = ResultStore(tmp_path)
+        monkeypatch.setattr("repro.api.engine._RESULT_SCHEMA_VERSION", 1)
+        api.Engine(store=store).submit(small_chain_problem)
+        monkeypatch.undo()
+        assert store.count("results") == 1
+        result, cached = api.Engine(store=ResultStore(tmp_path)).submit(
+            small_chain_problem)
+        assert not cached
+        assert store.count("results") == 2
+
+    def test_record_without_makespan_misses(self, tmp_path,
+                                            small_chain_problem):
+        # Under the current key, a record lacking a field reads as a miss
+        # (and is rewritten), never as a wrong answer.
+        store = ResultStore(tmp_path)
+        api.Engine(store=store).submit(small_chain_problem)
+        (envelope,) = store.records()
+        del envelope["payload"]["makespan"]
+        store.put(envelope["key"], envelope["payload"])
+        engine = api.Engine(store=ResultStore(tmp_path))
+        result, cached = engine.submit(small_chain_problem)
+        assert not cached
+        assert engine.metrics()["store"]["misses"] == 1
+        (envelope,) = store.records()
+        assert "makespan" in envelope["payload"]
+
+    def test_tampered_engine_record_is_quarantined(self, tmp_path,
+                                                   small_chain_problem):
+        store = ResultStore(tmp_path)
+        first, _ = api.Engine(store=store).submit(small_chain_problem)
+        (path,) = (tmp_path / "results").rglob("*.json")
+        envelope = json.loads(path.read_text())
+        envelope["payload"]["energy"] /= 2      # valid JSON, wrong hash
+        path.write_text(json.dumps(envelope), encoding="utf-8")
+        restarted = ResultStore(tmp_path)
+        result, cached = api.Engine(store=restarted).submit(
+            small_chain_problem)
+        assert not cached
+        assert result.energy == first.energy
+        assert restarted.counters()["quarantined"] == 1
+        assert path.with_suffix(path.suffix + ".corrupt").exists()
 
     def test_version_skew_means_miss_not_garbage(self, tmp_path, monkeypatch,
                                                  small_chain_problem):

@@ -1,9 +1,10 @@
 """The store-attached columnar batch path stays zero-copy.
 
 With a :class:`~repro.store.ResultStore` attached, ``/v1/solve-batch``
-must still build no per-row ``Problem``, ``TaskGraph`` or ``Schedule`` on
-an all-miss batch: the store peel looks keys up before materialising a
-row, and the stored record is built from the kernel's speeds.  These
+must still build no per-row ``Problem``, ``TaskGraph`` or ``Schedule``,
+on an all-miss batch or on store hits: the store peel looks keys up
+before materialising a row, a hit answers from its record, and the stored
+record is built from the kernel's speeds.  These
 tests pin that property, the equality of the records built either way,
 and the exact bytes of a store envelope, so records written by any
 version of the writer stay readable by every other.
@@ -146,17 +147,19 @@ class TestStoreAttachedZeroCopy:
         assert counts == {"problems": 0, "graphs": 0, "schedules": 0}, counts
         assert store.count("results") == len(payloads)
 
-    def test_restart_materialises_only_the_hit_rows(self, tmp_path):
+    def test_restart_materialises_no_rows(self, tmp_path):
         stored = _mixed_payloads()
         fresh = Engine(store=ResultStore(tmp_path)).solve_batch(
             SolveBatchRequest.from_dict({"problems": stored}))
 
-        # A restarted engine (empty LRU) gets the stored rows plus new ones.
+        # A restarted engine (empty LRU) gets the stored rows plus new ones:
+        # the hits answer from their records, the misses from the kernels.
         new_rows = _mixed_payloads(offset=0.05)
         restarted = Engine(store=ResultStore(tmp_path))
         response, counts = _count_allocations(restarted, stored + new_rows)
         assert response.cached_count == len(stored)
-        assert counts["problems"] == len(stored), counts
+        assert counts == {"problems": 0, "graphs": 0, "schedules": 0}, counts
+        assert restarted.metrics()["cache"]["problem_pool_entries"] == 0
         assert [row.cached for row in response.results] == (
             [True] * len(stored) + [False] * len(new_rows))
         assert _normalised_rows(response)[:len(stored)] == _normalised_rows(fresh)
