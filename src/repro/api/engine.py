@@ -300,14 +300,22 @@ class Engine:
     # ------------------------------------------------------------------
     # the two-level cache (in-memory LRU over the persistent store)
     # ------------------------------------------------------------------
-    def _store_put(self, key: str, result: SolveResult) -> None:
-        """Publish a computed result to the shared tier (best effort --
-        a full disk or read-only root must not fail the solve)."""
+    def _store_put(self, keys: Sequence[str],
+                   results: Sequence[SolveResult]) -> None:
+        """Publish computed results to the shared tier in one write call
+        (best effort -- a record that cannot be built or written is
+        skipped, and a full disk or read-only root must not fail the
+        solve)."""
         if self.store is None:
             return
+        records: list[tuple[str, dict[str, Any]]] = []
+        for key, result in zip(keys, results):
+            try:
+                records.append((key, self._result_to_payload(result)))
+            except (TypeError, ValueError):
+                continue
         try:
-            self.store.put(key, self._result_to_payload(result),
-                           STORE_NAMESPACE)
+            self.store.put_many(records, STORE_NAMESPACE)
         except (OSError, TypeError, ValueError):
             pass
 
@@ -525,8 +533,8 @@ class Engine:
                     for i, result in zip(rows, results):
                         out[i] = (result, False)
                         self._results.put(keys[i], result)
+                self._store_put([keys[i] for i in rows], results)
                 for i, result in zip(rows, results):
-                    self._store_put(keys[i], result)
                     self._coalescer.resolve(led.pop(i), result=result)
         except BaseException as exc:
             for flight in led.values():

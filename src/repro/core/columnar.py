@@ -80,9 +80,13 @@ KIND_TRICRIT = 1
 
 #: Canonical-JSON key templates by row skeleton, shared by every batch, so
 #: a one-row request reuses the template (and its one-off verification) the
-#: first row of its skeleton built.  Oldest entries go first past the cap.
+#: second row of its skeleton built.  A skeleton seen once is only noted in
+#: ``_seen``: its row is keyed by its plain blob, since most never recur
+#: (a request that renames its tasks).  Oldest entries go first past the
+#: cap, in each table.
 _TEMPLATE_CAP = 4096
 _templates: dict[tuple, Any] = {}  # guarded-by: _templates_lock
+_seen: dict[tuple, None] = {}  # guarded-by: _templates_lock
 _templates_lock = threading.Lock()
 
 #: A float slot of a rendered skeleton: json writes each NUL-delimited
@@ -668,9 +672,10 @@ class ProblemBatch:
 
     def _template_for(self, row: _Row) -> tuple[Any, bytes | None]:
         """The (memoised) canonical-JSON template for a row's skeleton, or
-        ``False`` when no trustworthy template exists for it; with the
-        row's canonical blob when this call built the template (its
-        verification rendered it), else ``None``."""
+        ``False`` when no trustworthy template exists for it or the
+        skeleton is seen for the first time; with the row's canonical blob
+        when this call built the template (its verification rendered it),
+        else ``None``."""
         if len(row.mapping_lists) == 1 and row.mapping_in_order:
             # mapping == [task_ids]: fully determined by the ids tuple, so
             # skip the nested-tuple build on the (hot) standard layout.
@@ -683,8 +688,17 @@ class ProblemBatch:
                      row.prob_rel is None)
         with _templates_lock:
             template = _templates.get(signature)
+            first = template is None and signature not in _seen
+            if first:
+                _seen[signature] = None
+                if len(_seen) > _TEMPLATE_CAP:
+                    del _seen[next(iter(_seen))]
+            elif template is None:
+                del _seen[signature]
         if template is not None:
             return template, None
+        if first:
+            return False, None
         template, blob = self._build_template(row)
         with _templates_lock:
             _templates[signature] = template

@@ -72,6 +72,7 @@ def decoded_checksum(value: Any) -> str:
     A decoded value holds only plain lists, string-keyed dicts, ``str``,
     ``int``, ``float``, ``bool`` and ``None``, on which :func:`canonicalize`
     is the identity, so skipping it hashes the same bytes.  This is the
-    store's read-side integrity check.
+    store's integrity check on both sides: a reader's over the payload it
+    decoded, the writer's over its encoded payload decoded again.
     """
     return hashlib.sha256(_ENCODER.encode(value).encode("utf-8")).hexdigest()

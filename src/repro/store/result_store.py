@@ -8,15 +8,16 @@ JSON; this module gives those keys a durable, multi-process home:
 * **sharded layout** -- ``root/<namespace>/<key[:2]>/<key>.json`` keeps any
   one directory small even with hundreds of thousands of entries;
 * **atomic writes** -- records land via a per-process/thread temp file and
-  ``Path.replace`` (an atomic rename on POSIX), so concurrent writers never
+  ``os.replace`` (an atomic rename on POSIX), so concurrent writers never
   expose a torn record: readers see the old complete record or the new one;
 * **envelope + checksum** -- every file wraps its payload in
   ``{"v", "key", "namespace", "created_unix", "checksum", "payload"}`` where
-  ``checksum`` is the SHA-256 of the canonical payload JSON.  Keys hash the
-  *request* configuration, not the stored content, so the envelope checksum
-  is what lets ``verify`` detect bit rot or foreign tampering.  Reads check
-  it with one encoder pass over the decoded payload
-  (:func:`~repro.store.canonical.decoded_checksum`);
+  ``checksum`` is the SHA-256 of the canonical JSON of the payload a reader
+  decodes from the file.  Keys hash the *request* configuration, not the
+  stored content, so the envelope checksum is what lets ``verify`` detect
+  bit rot or foreign tampering.  Both sides take it with
+  :func:`~repro.store.canonical.decoded_checksum`: the writer over the
+  decoded bytes it writes, a reader over the payload it decoded;
 * **in-memory index** -- a small LRU of deserialised payloads keyed by
   ``(namespace, key)`` and invalidated by file ``(mtime_ns, size)``, so a
   hot read is a ``stat`` instead of a read+parse while writes from *other
@@ -37,14 +38,15 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import threading
 import time
 from collections import OrderedDict
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from pathlib import Path
 from typing import Any
 
-from .canonical import content_checksum, decoded_checksum
+from .canonical import decoded_checksum
 
 __all__ = ["ResultStore", "StoreError", "DEFAULT_STORE_DIR",
            "resolve_store_root", "parse_bytes"]
@@ -59,6 +61,16 @@ ENVELOPE_VERSION = 1
 
 #: Deserialised-payload LRU entries held per store instance.
 DEFAULT_INDEX_ENTRIES = 1024
+
+#: A store key: a hex content hash (at least the two shard characters and
+#: one more).
+_KEY = re.compile(r"[0-9a-f]{3,}")
+
+#: Insertion-order, whitespace-free C encoder of a record's payload: the
+#: bytes ``json.dumps(envelope, separators=(",", ":"))`` writes for it.
+_RECORD_ENCODER = json.JSONEncoder(separators=(",", ":"))
+
+_WRITE_FLAGS = os.O_WRONLY | os.O_CREAT | os.O_TRUNC | getattr(os, "O_CLOEXEC", 0)
 
 
 class StoreError(RuntimeError):
@@ -97,14 +109,40 @@ def parse_bytes(text: str) -> int:
     return value
 
 
-def _load(path: Path) -> Any:
+def _load(path: str | os.PathLike) -> Any:
     """One envelope file, decoded as strict UTF-8 text (so a file in any
     other encoding raises ``ValueError``, as a text-mode read does)."""
-    return json.loads(path.read_bytes().decode("utf-8"))
+    with open(path, "rb") as fh:
+        return json.loads(fh.read().decode("utf-8"))
 
 
-def _is_key(name: str) -> bool:
-    return len(name) >= 3 and all(c in "0123456789abcdef" for c in name)
+def _write_atomically(path: str, tmp: str, data: bytes) -> os.stat_result:
+    """Write ``data`` to ``tmp`` and rename it onto ``path``; the temp
+    file's ``fstat`` (the rename keeps its mtime and size).  The shard
+    directory is created only when opening the temp file finds it missing,
+    and the temp file is removed if anything fails."""
+    try:
+        fd = os.open(tmp, _WRITE_FLAGS, 0o666)
+    except FileNotFoundError:
+        # First write into this shard, or the tree was removed.
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        fd = os.open(tmp, _WRITE_FLAGS, 0o666)
+    try:
+        try:
+            view = memoryview(data)
+            while view:
+                view = view[os.write(fd, view):]
+            stat = os.fstat(fd)
+        finally:
+            os.close(fd)
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
+    return stat
 
 
 class ResultStore:
@@ -119,6 +157,7 @@ class ResultStore:
                  max_bytes: int | None = None,
                  index_entries: int = DEFAULT_INDEX_ENTRIES) -> None:
         self.root = resolve_store_root(root)
+        self._root = os.fspath(self.root)
         if max_bytes is not None and max_bytes < 0:
             raise StoreError(f"max_bytes must be >= 0, got {max_bytes}")
         self.max_bytes = max_bytes
@@ -131,9 +170,14 @@ class ResultStore:
     # -- addressing ----------------------------------------------------
     def path_for(self, key: str, namespace: str = "results") -> Path:
         """On-disk location of ``key``: ``root/<ns>/<key[:2]>/<key>.json``."""
-        if not _is_key(key):
+        return Path(self._path(key, f"{self._root}/{namespace}/"))
+
+    @staticmethod
+    def _path(key: str, ns_dir: str) -> str:
+        """``key``'s file under a namespace directory prefix, as a string."""
+        if _KEY.fullmatch(key) is None:
             raise StoreError(f"store keys are hex content hashes, got {key!r}")
-        return self.root / namespace / key[:2] / f"{key}.json"
+        return f"{ns_dir}{key[:2]}/{key}.json"
 
     def namespaces(self) -> list[str]:
         """Namespace directories present under the root, sorted."""
@@ -152,9 +196,9 @@ class ResultStore:
         while the file's ``(mtime_ns, size)`` is unchanged, so writes from
         other processes invalidate naturally.
         """
-        path = self.path_for(key, namespace)
+        path = self._path(key, f"{self._root}/{namespace}/")
         try:
-            stat = path.stat()
+            stat = os.stat(path)
         except OSError:
             self._bump("misses")
             return None
@@ -175,7 +219,7 @@ class ResultStore:
             self._counters["hits"] += 1
         return payload
 
-    def _read_envelope(self, path: Path, key: str, namespace: str) -> Any | None:
+    def _read_envelope(self, path: str, key: str, namespace: str) -> Any | None:
         """Parse + integrity-check one envelope file; quarantine on damage."""
         try:
             envelope = _load(path)
@@ -232,53 +276,58 @@ class ResultStore:
     def put(self, key: str, payload: Any, namespace: str = "results") -> Path:
         """Persist ``payload`` under ``key`` atomically; returns the path.
 
-        The envelope checksum is computed over the canonical payload JSON;
-        the write goes through a per-process/thread temp file and an atomic
-        rename, so a concurrent reader sees either the previous complete
-        record or this one -- never a prefix.
+        A :meth:`put_many` of one: a failed write raises its error.
         """
-        path = self.path_for(key, namespace)
-        envelope = {
-            "v": ENVELOPE_VERSION,
-            "key": key,
-            "namespace": namespace,
-            "created_unix": time.time(),
-            "checksum": content_checksum(payload),
-            "payload": payload,
-        }
-        # One-shot ``json.dumps`` runs CPython's C encoder; ``json.dump`` to
-        # a file streams through the pure-Python one.  ASCII output, so the
-        # bytes equal a UTF-8 text write of the same string.
-        # repro: allow[REP002] -- envelope body only; its key and checksum
-        # were computed upstream via canonical_blob
-        data = json.dumps(envelope, separators=(",", ":")).encode()
-        tmp = path.with_suffix(
-            f".tmp-{os.getpid()}-{threading.get_ident()}")
-        try:
+        self.put_many([(key, payload)], namespace)
+        return self.path_for(key, namespace)
+
+    def put_many(self, items: Iterable[tuple[str, Any]],
+                 namespace: str = "results") -> int:
+        """Persist ``(key, payload)`` records atomically; returns how many
+        were written.
+
+        Each payload is encoded once, in insertion order, and those bytes
+        are the envelope's payload; the checksum is taken over what a
+        reader decodes from them, so every record reads back in every
+        process.  Each write goes through a per-process/thread temp file
+        and an atomic rename, so a concurrent reader sees either the
+        previous complete record or this one -- never a prefix.  The
+        records share one timestamp and one index update, and a store with
+        a byte budget evicts once, after the writes.  A record that cannot
+        be written (``OSError``, or a ``TypeError``/``ValueError`` from
+        encoding it) is skipped; the others are still written, and the
+        first such error is raised after them.
+        """
+        ns_dir = f"{self._root}/{namespace}/"
+        records = [(self._path(key, ns_dir), key, payload)
+                   for key, payload in items]
+        # The envelope fields between each key and checksum, in field order.
+        middle = (f'","namespace":{_RECORD_ENCODER.encode(namespace)},'
+                  f'"created_unix":{time.time()!r},"checksum":"')
+        suffix = f".tmp-{os.getpid()}-{threading.get_ident()}"
+        written: list[tuple[str, Any, os.stat_result]] = []
+        error: Exception | None = None
+        for path, key, payload in records:
             try:
-                fh = tmp.open("wb")
-            except FileNotFoundError:
-                # First write into this shard, or the tree was removed.
-                path.parent.mkdir(parents=True, exist_ok=True)
-                fh = tmp.open("wb")
-            with fh:
-                fh.write(data)
-            tmp.replace(path)
-        except BaseException:
-            tmp.unlink(missing_ok=True)
-            raise
-        try:
-            stat = path.stat()
-        except OSError:
-            stat = None
+                body = _RECORD_ENCODER.encode(payload)
+                checksum = decoded_checksum(json.loads(body))
+                data = (f'{{"v":{ENVELOPE_VERSION},"key":"{key}{middle}'
+                        f'{checksum}","payload":{body}}}').encode()
+                stat = _write_atomically(path, path[:-5] + suffix, data)
+            except (OSError, TypeError, ValueError) as exc:
+                error = error or exc
+                continue
+            written.append((key, payload, stat))
         with self._lock:
-            self._counters["writes"] += 1
-            if stat is not None:
+            self._counters["writes"] += len(written)
+            for key, payload, stat in written:
                 self._remember((namespace, key), stat.st_mtime_ns,
                                stat.st_size, payload)
-        if self.max_bytes is not None:
+        if written and self.max_bytes is not None:
             self.evict_to(self.max_bytes)
-        return path
+        if error is not None:
+            raise error
+        return len(written)
 
     def delete(self, key: str, namespace: str = "results") -> bool:
         """Remove one record; True if a file was deleted."""
@@ -313,13 +362,14 @@ class ResultStore:
         return removed
 
     # -- maintenance ---------------------------------------------------
-    def quarantine(self, path: Path) -> Path | None:
+    def quarantine(self, path: str | os.PathLike) -> Path | None:
         """Move a damaged entry aside (best effort); returns its new path.
 
         ``<key>.json.corrupt`` does not match the ``*.json`` glob, so the
         entry vanishes from reads and counts while staying on disk for
         post-mortem inspection.
         """
+        path = Path(path)
         target = path.with_suffix(path.suffix + ".corrupt")
         try:
             path.replace(target)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import pickle
+import uuid
 
 import pytest
 
@@ -203,6 +204,39 @@ class TestKeyParity:
             scalar = [hashlib.sha256((problem_content_key(p) + "|").encode(
                 "utf-8") + blob).hexdigest() for p in problems]
             assert vec == scalar
+
+    def test_a_skeleton_builds_its_template_at_the_second_sighting(
+            self, monkeypatch):
+        # Fresh task ids: the first row of a skeleton is keyed by its plain
+        # blob, the second builds (and verifies) the template, later rows
+        # render it; every key equals the scalar path's.
+        builds = []
+        real_build = ProblemBatch._build_template
+
+        def counting_build(self, row):
+            builds.append(row)
+            return real_build(self, row)
+
+        monkeypatch.setattr(ProblemBatch, "_build_template", counting_build)
+        tag = uuid.uuid4().hex
+
+        def renamed(slack):
+            payload = problem_to_dict(chain_problem([1.0, 2.0, 0.5], slack))
+            name = {t["id"]: f"{tag}-{t['id']}"
+                    for t in payload["graph"]["tasks"]}
+            for t in payload["graph"]["tasks"]:
+                t["id"] = name[t["id"]]
+            payload["graph"]["edges"] = [[name[u], name[v]] for u, v
+                                         in payload["graph"]["edges"]]
+            payload["mapping"] = [[name[t] for t in p]
+                                  for p in payload["mapping"]]
+            return payload
+
+        for slack, built in ((1.3, 0), (1.4, 1), (1.5, 1)):
+            payload = renamed(slack)
+            assert ProblemBatch.from_wire([payload]).content_keys() == [
+                problem_content_key(problem_from_dict(payload))]
+            assert len(builds) == built
 
     def test_request_carries_parsed_batch(self):
         req = SolveBatchRequest.from_dict({"problems": _payloads()})

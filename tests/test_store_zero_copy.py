@@ -14,14 +14,16 @@ from __future__ import annotations
 
 import errno
 import json
+import os
 import types
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import repro.store.result_store as result_store_mod
+from repro.api import Service
 from repro.api.engine import Engine
 from repro.api.types import SolveBatchRequest, SolveRequest
 from repro.core.columnar import ProblemBatch
@@ -29,7 +31,7 @@ from repro.core.problem_io import problem_from_dict, problem_to_dict
 from repro.core.schedule import TaskDecision
 from repro.solvers.batch import LazyScheduleResult, schedule_executions, solve_batch
 from repro.store import ResultStore
-from repro.store.canonical import canonical_blob
+from repro.store.canonical import canonical_blob, content_checksum
 
 from tests.test_batch_solvers import chain_problem, fork_problem, tricrit_chain_problem
 from tests.test_columnar_equivalence import (
@@ -175,12 +177,17 @@ PINNED_ENVELOPE = (
 KEY = "a" * 64
 
 
-class TestEnvelopeBytes:
-    @pytest.fixture
-    def frozen_clock(self, monkeypatch):
-        monkeypatch.setattr(result_store_mod, "time",
-                            types.SimpleNamespace(time=lambda: FROZEN_UNIX))
+@pytest.fixture
+def frozen_clock(monkeypatch):
+    monkeypatch.setattr(result_store_mod, "time",
+                        types.SimpleNamespace(time=lambda: FROZEN_UNIX))
 
+
+def _leftovers(store):
+    return sorted(p.name for p in store.root.rglob("*") if p.is_file())
+
+
+class TestEnvelopeBytes:
     def test_put_writes_the_pinned_bytes(self, tmp_path, frozen_clock):
         store = ResultStore(tmp_path)
         path = store.put(KEY, PINNED_PAYLOAD)
@@ -221,47 +228,30 @@ class TestEnvelopeBytes:
         assert len(batch) == len(payloads)
         assert tree(tmp_path / "single") == batch
 
-    @staticmethod
-    def _leftovers(store):
-        return sorted(p.name for p in store.root.rglob("*") if p.is_file())
-
     def test_failed_write_removes_the_temp_file(self, tmp_path, monkeypatch):
         store = ResultStore(tmp_path)
         store.put("b" * 64, {"x": 1})            # the shard directory exists
-        real_open = Path.open
 
-        class FullDisk:
-            def __init__(self, fh):
-                self.fh = fh
+        def full_disk(fd, data):
+            raise OSError(errno.ENOSPC, "no space left on device")
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                self.fh.close()
-                return False
-
-            def write(self, data):
-                raise OSError(errno.ENOSPC, "no space left on device")
-
-        monkeypatch.setattr(Path, "open",
-                            lambda self, *a, **k: FullDisk(real_open(self, *a, **k)))
+        monkeypatch.setattr(os, "write", full_disk)
         with pytest.raises(OSError):
             store.put(KEY, {"x": 2})
         monkeypatch.undo()
-        assert self._leftovers(store) == [f"{'b' * 64}.json"]
+        assert _leftovers(store) == [f"{'b' * 64}.json"]
 
     def test_failed_rename_removes_the_temp_file(self, tmp_path, monkeypatch):
         store = ResultStore(tmp_path)
 
-        def refuse(self, target):
+        def refuse(src, dst):
             raise OSError(errno.EACCES, "permission denied")
 
-        monkeypatch.setattr(Path, "replace", refuse)
+        monkeypatch.setattr(os, "replace", refuse)
         with pytest.raises(OSError):
             store.put(KEY, {"x": 2})
         monkeypatch.undo()
-        assert self._leftovers(store) == []
+        assert _leftovers(store) == []
         assert store.get(KEY) is None
 
     def test_removed_shard_directory_is_recreated(self, tmp_path):
@@ -272,3 +262,78 @@ class TestEnvelopeBytes:
         (tmp_path / "results").rmdir()
         assert store.put(KEY, {"x": 2}) == path
         assert ResultStore(tmp_path).get(KEY) == {"x": 2}
+
+
+# JSON values as a reader decodes them: string keys, nested containers,
+# floats at the edges of the double range, non-ASCII text.
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers()
+    | st.floats(allow_nan=False) | st.text(),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(), children, max_size=4),
+    max_leaves=16)
+
+
+class TestWritePath:
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @example(value={"z": -0.0, "big": 1e300, "tiny": 5e-324,
+                    "name": "café ✓ 日本", "rows": [[], {}, [None, True]]})
+    @example(value=[-0.0, 1e300, 5e-324, float("inf"), "ü"])
+    @given(value=json_values)
+    def test_one_encode_writes_the_dumps_bytes(self, tmp_path, frozen_clock,
+                                               value):
+        store = ResultStore(tmp_path)
+        path = store.put(KEY, value)
+        envelope = {"v": 1, "key": KEY, "namespace": "results",
+                    "created_unix": FROZEN_UNIX,
+                    "checksum": content_checksum(value), "payload": value}
+        assert path.read_bytes() == json.dumps(
+            envelope, separators=(",", ":")).encode()
+        # A cold reader (another process) accepts the record.
+        assert ResultStore(tmp_path).get(KEY) == value
+
+    def test_non_string_keys_read_back_in_a_cold_store(self, tmp_path):
+        # The checksum is taken over what a reader decodes ("true"/"null"
+        # keys), not over str(True)/str(None).
+        store = ResultStore(tmp_path)
+        store.put(KEY, {True: 1, None: 2, "x": 3})
+        cold = ResultStore(tmp_path)
+        assert cold.get(KEY) == {"true": 1, "null": 2, "x": 3}
+        assert cold.verify() == {"checked": 1, "ok": 1, "quarantined": 0}
+
+    def test_put_many_skips_a_failing_record(self, tmp_path):
+        store = ResultStore(tmp_path)
+        keys = ["1" * 64, "2" * 64, "3" * 64]
+        with pytest.raises(TypeError):
+            store.put_many([(keys[0], {"n": 0}), (keys[1], {"n": object()}),
+                            (keys[2], {"n": 2})])
+        assert store.counters()["writes"] == 2
+        cold = ResultStore(tmp_path)
+        assert [cold.get(k) for k in keys] == [{"n": 0}, None, {"n": 2}]
+        assert _leftovers(store) == [f"{keys[0]}.json", f"{keys[2]}.json"]
+        assert store.put_many([]) == 0
+
+    def test_a_budgeted_batch_walks_the_tree_once(self, tmp_path,
+                                                  monkeypatch):
+        payloads = _mixed_payloads()
+        probe = ResultStore(tmp_path / "probe")
+        Engine(store=probe).solve_batch(
+            SolveBatchRequest.from_dict({"problems": payloads}))
+        budget = probe.size_bytes() // 2
+        store = ResultStore(tmp_path / "store", max_bytes=budget)
+        walks = []
+        real_rglob = Path.rglob
+
+        def counting_rglob(self, pattern):
+            walks.append(self)
+            return real_rglob(self, pattern)
+
+        monkeypatch.setattr(Path, "rglob", counting_rglob)
+        status, body = Service(Engine(store=store)).handle(
+            "POST", "/v1/solve-batch", json.dumps({"problems": payloads}))
+        monkeypatch.undo()
+        assert status == 200 and len(body["results"]) == len(payloads)
+        assert len(walks) == 1                  # one eviction, not one a row
+        assert 0 < store.size_bytes() <= budget
+        assert store.counters()["evictions"] > 0
