@@ -5,9 +5,11 @@ for ``/healthz``, then POSTs one ``/v1/solve`` and one ``/v1/solve-batch``
 and asserts HTTP 200 with the documented response schema.  Phase 2 boots a
 ``--workers 2`` fleet sharing one persistent store and asserts that both
 workers answer on the advertised port and that a solve computed by one
-worker is served ``cached: true`` by the other.  Exits non-zero (with the
-server log on stderr) on any failure, so CI catches a broken serve path
-even when the in-process tests pass.
+worker is served ``cached: true`` by the other.  Last, ``verify()`` re-checks
+every record the two phases wrote to their shared store and fails on any
+quarantined one.  Exits non-zero (with the server log on stderr) on any
+failure, so CI catches a broken serve path even when the in-process tests
+pass.
 
 Usage::
 
@@ -196,11 +198,25 @@ def fleet_phase(store_dir: str) -> None:
         sys.stderr.write("--- fleet log ---\n" + out)
 
 
+def verify_phase(store_dir: str) -> None:
+    """Every record the single server and the fleet wrote to the shared
+    store passes a cold checksum pass; a quarantined record fails."""
+    from repro.store import ResultStore
+
+    report = ResultStore(store_dir).verify()
+    assert report["checked"] >= 1, f"no record to verify: {report}"
+    assert report["quarantined"] == 0 and report["ok"] == report["checked"], \
+        f"store records failed their checksum: {report}"
+    print(f"serve-smoke OK: verify() passed all {report['checked']} "
+          f"record(s) of the shared store")
+
+
 def main() -> int:
     try:
         with tempfile.TemporaryDirectory(prefix="repro-smoke-store-") as tmp:
             single_server_phase(tmp)
             fleet_phase(tmp)
+            verify_phase(tmp)
         return 0
     except Exception as exc:  # noqa: BLE001 - report and fail the gate
         print(f"serve-smoke FAILED: {exc}", file=sys.stderr)

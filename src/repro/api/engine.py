@@ -56,13 +56,24 @@ from ..core.gcscope import paused_gc
 from ..core.problems import BiCritProblem, SolveResult
 from ..simulation import run_monte_carlo
 from ..solvers import SolverContext, get_solver
-from ..solvers.batch import LazyScheduleResult, ScheduleBuilder, schedule_executions
+from ..solvers.batch import (
+    DISPATCH_KEYS,
+    LazyScheduleResult,
+    ScheduleBuilder,
+    schedule_executions,
+)
 from ..solvers.batch import solve_batch as _kernel_solve_batch
 # Not called here; kept because perfbench/spans.py patches it by name.
 from ..solvers.dispatch import solve as _kernel_solve
 from ..store import Coalescer, Flight, ResultStore
 from ..store.canonical import canonical_blob as _canonical_blob
-from ..store.canonical import canonicalize
+from ..store.canonical import (
+    CanonicalText,
+    canonical_object,
+    canonicalize,
+    plain_text,
+    scalar_text,
+)
 from .errors import (
     INTERNAL_ERROR,
     INVALID_PROBLEM,
@@ -115,6 +126,18 @@ _RETRY = object()
 
 # ``problem_content_key`` lives in ``repro.core.columnar``; it is
 # re-exported above for existing consumers.
+
+
+def _emitted_order(dispatch: Any) -> Any:
+    """A stored ``dispatch`` record with its keys in the order the solvers
+    emit them (:data:`~repro.solvers.batch.DISPATCH_KEYS`), any other
+    keys after them in record order."""
+    if not isinstance(dispatch, dict):
+        return dispatch
+    ordered = {k: dispatch[k] for k in DISPATCH_KEYS if k in dispatch}
+    if len(ordered) < len(dispatch):
+        ordered.update(dispatch)
+    return ordered
 
 
 class _LRU:
@@ -308,10 +331,11 @@ class Engine:
         solve)."""
         if self.store is None:
             return
-        records: list[tuple[str, dict[str, Any]]] = []
+        records: list[tuple[str, CanonicalText]] = []
+        shared: dict[int, tuple[Any, str]] = {}
         for key, result in zip(keys, results):
             try:
-                records.append((key, self._result_to_payload(result)))
+                records.append((key, self._render_record(result, shared)))
             except (TypeError, ValueError):
                 continue
         try:
@@ -320,36 +344,54 @@ class Engine:
             pass
 
     @staticmethod
-    def _result_to_payload(result: SolveResult) -> dict[str, Any]:
-        """A JSON-rebuildable record of one solve.
+    def _render_record(result: SolveResult,
+                       shared: dict[int, tuple[Any, str]]) -> CanonicalText:
+        """A JSON-rebuildable record of one solve, as canonical JSON text.
 
-        The schedule is stored as the full per-execution interval lists
-        (not the flat wire ``speeds`` view, which conflates VDD-hopping
-        intra-task intervals with re-executions), so the stored form
-        round-trips to a real :class:`Schedule` against the row's problem --
-        simulate and the object layer work on a store hit.
+        The record is ``{"energy", "makespan", "metadata", "schedule",
+        "solver", "status"}``.  The schedule is stored as the full
+        per-execution interval lists (not the flat wire ``speeds`` view,
+        which conflates VDD-hopping intra-task intervals with
+        re-executions), so the stored form round-trips to a real
+        :class:`Schedule` against the row's problem -- simulate and the
+        object layer work on a store hit.
         :func:`~repro.solvers.batch.schedule_executions` owns that format
         (columnar rows give it without building a ``Problem`` or
         ``Schedule``).  The wire ``makespan`` rides along, so a hit answers
-        without walking a schedule.
+        without walking a schedule.  Metadata values go through
+        ``canonicalize``; one that cannot is dropped and the record kept.
+
+        The text is rendered once, in its canonical form (keys sorted at
+        every level, every scalar as the canonical encoder spells it), so
+        the store writes it verbatim and hashes it once.  A metadata dict
+        that rows share (the kernels' ``dispatch`` record) is rendered
+        once per ``shared`` memo, which keeps each such dict alive under
+        its ``id``.
         """
-        executions = schedule_executions(result)
-        payload: dict[str, Any] = {
-            "status": result.status,
-            "solver": result.solver,
-            "energy": float(result.energy),
-            "makespan": Engine._wire_view(result)["makespan"],
-            "metadata": {},
-            "schedule": None,
-        }
+        metadata: dict[str, str] = {}
         for k, v in result.metadata.items():
-            try:
-                payload["metadata"][str(k)] = canonicalize(v)
-            except TypeError:
-                continue       # drop non-JSON metadata, keep the record
-        if executions is not None:
-            payload["schedule"] = {"executions": executions}
-        return payload
+            if type(v) is float or type(v) is str:
+                text = scalar_text(v)
+            elif type(v) is dict and id(v) in shared:
+                text = shared[id(v)][1]
+            else:
+                try:
+                    text = plain_text(canonicalize(v))
+                except TypeError:
+                    continue       # drop non-JSON metadata, keep the record
+                if type(v) is dict:
+                    shared[id(v)] = (v, text)
+            metadata[str(k)] = text
+        executions = schedule_executions(result)
+        return canonical_object({
+            "energy": scalar_text(float(result.energy)),
+            "makespan": scalar_text(Engine._wire_view(result)["makespan"]),
+            "metadata": canonical_object(metadata),
+            "schedule": plain_text(None if executions is None
+                                   else {"executions": executions}),
+            "solver": scalar_text(result.solver),
+            "status": scalar_text(result.status),
+        })
 
     @staticmethod
     def _result_from_record(record: Any, row: Any,
@@ -363,21 +405,29 @@ class Engine:
         them), and the schedule is deferred to a
         :class:`~repro.solvers.batch.ScheduleBuilder` over the stored
         executions and ``row`` (the row's ``Problem`` or wire payload).
-        The record fits when it names exactly the row's tasks.
+        The record fits when it names exactly the row's tasks.  A record
+        written in canonical form lists its keys sorted, so the tasks are
+        taken in the row's order and the ``dispatch`` record in the order
+        the solvers emit it: the response is the same bytes whichever
+        writer stored the record.
         """
         if not isinstance(record, Mapping):
             return None
         try:
             metadata = dict(record.get("metadata") or {})
+            if "dispatch" in metadata:
+                metadata["dispatch"] = _emitted_order(metadata["dispatch"])
             stored = record["schedule"]
             builder = None
             speeds: dict[str, list[float]] = {}
             num_reexecuted = 0
             if stored is not None:
-                runs = stored["executions"]
-                if runs.keys() != set(task_names):
+                stored_runs = stored["executions"]
+                if stored_runs.keys() != set(task_names):
                     return None
-                for name, task_runs in runs.items():
+                runs = {}
+                for name in task_names:
+                    runs[name] = task_runs = stored_runs[name]
                     speeds[name] = [f for run in task_runs for f, _ in run]
                     num_reexecuted += len(task_runs) == 2
                 builder = ScheduleBuilder(row, runs=runs)

@@ -633,7 +633,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--store-max-bytes", type=parse_bytes, default=0,
                         help="byte budget for the store (500000, 100k, 64m, "
                              "2g); writes evict least-recently-used records "
-                             "beyond it (0 = unlimited)")
+                             "beyond it (0 = unlimited).  Each worker sees "
+                             "only its own writes between walks of the "
+                             "tree, so N workers can hold up to (N-1) x "
+                             "10%% of it over it, plus one request's "
+                             "records per worker")
     parser.add_argument("--max-body-bytes", type=int,
                         default=DEFAULT_MAX_BODY_BYTES,
                         help="reject request bodies larger than this with "

@@ -664,29 +664,39 @@ def schedule_executions(result: SolveResult
             for t, decision in schedule.decisions.items()}
 
 
+#: The keys of a ``metadata["dispatch"]`` record, in the order
+#: :func:`_scalar_solve` (``SolverContext.describe()``'s order) and
+#: :func:`_columnar_dispatch` emit them; a store hit puts a stored record
+#: back in this order.
+DISPATCH_KEYS = ("solver", "auto", "exactness", "kind", "speed_model",
+                 "structure", "tasks", "positive_tasks", "processors",
+                 "single_processor", "one_task_per_processor")
+
+
 def _columnar_dispatch(batch: ProblemBatch, i: int, solver_name: str,
                        auto: bool) -> dict:
     """The ``metadata["dispatch"]`` record, built from columns only.
 
-    Key order and value types match :func:`_scalar_solve`'s record +
-    ``SolverContext.describe()`` exactly (both kernel solvers are exact and
-    CONTINUOUS; parser-verified rows are chains or forks, and the context's
-    structure label probes ``is_chain`` first).
+    Key order (:data:`DISPATCH_KEYS`) and value types match
+    :func:`_scalar_solve`'s record + ``SolverContext.describe()`` exactly
+    (both kernel solvers are exact and CONTINUOUS; parser-verified rows
+    are chains or forks, and the context's structure label probes
+    ``is_chain`` first).
     """
     cols = batch.columns
-    return {
-        "solver": solver_name,
-        "auto": auto,
-        "exactness": "exact",
-        "kind": "tricrit" if cols["kind"][i] == KIND_TRICRIT else "bicrit",
-        "speed_model": "continuous",
-        "structure": "chain" if cols["is_chain"][i] else "fork",
-        "tasks": int(cols["num_tasks"][i]),
-        "positive_tasks": int(cols["num_positive"][i]),
-        "processors": int(cols["mapping_processors"][i]),
-        "single_processor": bool(cols["single_processor"][i]),
-        "one_task_per_processor": bool(cols["one_task_per_processor"][i]),
-    }
+    return dict(zip(DISPATCH_KEYS, (
+        solver_name,
+        auto,
+        "exact",
+        "tricrit" if cols["kind"][i] == KIND_TRICRIT else "bicrit",
+        "continuous",
+        "chain" if cols["is_chain"][i] else "fork",
+        int(cols["num_tasks"][i]),
+        int(cols["num_positive"][i]),
+        int(cols["mapping_processors"][i]),
+        bool(cols["single_processor"][i]),
+        bool(cols["one_task_per_processor"][i]),
+    ), strict=True))
 
 
 def _padded_weights(batch: ProblemBatch, rows: np.ndarray, *,

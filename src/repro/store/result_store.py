@@ -15,20 +15,35 @@ JSON; this module gives those keys a durable, multi-process home:
   ``checksum`` is the SHA-256 of the canonical JSON of the payload a reader
   decodes from the file.  Keys hash the *request* configuration, not the
   stored content, so the envelope checksum is what lets ``verify`` detect
-  bit rot or foreign tampering.  Both sides take it with
-  :func:`~repro.store.canonical.decoded_checksum`: the writer over the
-  decoded bytes it writes, a reader over the payload it decoded;
+  bit rot or foreign tampering.  A reader takes it with
+  :func:`~repro.store.canonical.decoded_checksum` over the payload it
+  decoded.  The engine's records arrive as
+  :class:`~repro.store.canonical.CanonicalText`, already in canonical form
+  (keys sorted), and are written verbatim with the SHA-256 of that text;
+  any other payload (campaign rows, whose column order is part of their
+  contract) is written in insertion order with ``decoded_checksum`` of
+  its bytes decoded again.  The rule is the same either way, so every
+  version of the writer reads every other's records;
 * **in-memory index** -- a small LRU of deserialised payloads keyed by
   ``(namespace, key)`` and invalidated by file ``(mtime_ns, size)``, so a
   hot read is a ``stat`` instead of a read+parse while writes from *other
-  processes* are still picked up;
+  processes* are still picked up (a record written as text is held as
+  text and decoded at its first index hit);
 * **quarantine** -- unreadable or checksum-mismatched entries are moved
   aside to ``<key>.json.corrupt`` (outside the ``*.json`` glob), so a torn
   or rotted record costs exactly one miss and never shadows a recomputed
   result;
 * **LRU-by-size eviction** -- ``evict_to(max_bytes)`` deletes
   oldest-accessed records first until the tree fits the budget; a store
-  constructed with ``max_bytes`` self-evicts on write.
+  constructed with ``max_bytes`` self-evicts on write.  It keeps a byte
+  estimate (the total of its last walk plus its own writes since) and
+  walks the tree only when the estimate crosses the budget or it has
+  written 10% of the budget since its last walk; a walk that finds the
+  tree over budget evicts to 90% of it.  So a process writes at least
+  10% of the budget for every two walks, and a budgeted write stats O(1)
+  files amortised.  The estimate misses other processes' writes, so N
+  processes sharing a root can hold up to (N-1) x 10% of the budget
+  over it (plus one write call each) before a walk brings it back.
 
 The store sits *below* :mod:`repro.campaign` and :mod:`repro.api` in the
 layer diagram (see DESIGN.md) and must not import either.
@@ -46,7 +61,7 @@ from collections.abc import Iterable, Iterator
 from pathlib import Path
 from typing import Any
 
-from .canonical import decoded_checksum
+from .canonical import CanonicalText, decoded_checksum
 
 __all__ = ["ResultStore", "StoreError", "DEFAULT_STORE_DIR",
            "resolve_store_root", "parse_bytes"]
@@ -69,6 +84,17 @@ _KEY = re.compile(r"[0-9a-f]{3,}")
 #: Insertion-order, whitespace-free C encoder of a record's payload: the
 #: bytes ``json.dumps(envelope, separators=(",", ":"))`` writes for it.
 _RECORD_ENCODER = json.JSONEncoder(separators=(",", ":"))
+
+#: A budgeted store walks its tree again once it has written this share
+#: of its budget since its last walk, even when its byte estimate fits:
+#: writes by other processes sharing the root are not in the estimate.
+#: Between walks a process writes at least this share of the budget (or
+#: the walk evicts), so a walk's cost is spread over that many bytes.
+_REWALK_SHARE = 0.1
+
+#: A budgeted store's walk that finds the tree over budget evicts down to
+#: this share of it, so the walk buys that much headroom.
+_EVICT_LOW_WATER = 0.9
 
 _WRITE_FLAGS = os.O_WRONLY | os.O_CREAT | os.O_TRUNC | getattr(os, "O_CLOEXEC", 0)
 
@@ -166,6 +192,11 @@ class ResultStore:
         self._lock = threading.Lock()
         self._counters = {"hits": 0, "misses": 0, "writes": 0,  # guarded-by: _lock
                           "evictions": 0, "quarantined": 0}
+        # Bytes on disk at the last whole-tree walk plus this process's
+        # writes since (``None``: no walk yet), and those writes alone; a
+        # budgeted store walks again only when it is due (:meth:`_walk_due`).
+        self._estimate: int | None = None  # guarded-by: _lock
+        self._written_since_walk = 0  # guarded-by: _lock
 
     # -- addressing ----------------------------------------------------
     def path_for(self, key: str, namespace: str = "results") -> Path:
@@ -207,9 +238,14 @@ class ResultStore:
             entry = self._index.get(cache_key)
             if entry is not None and entry[0] == stat.st_mtime_ns \
                     and entry[1] == stat.st_size:
+                payload = entry[2]
+                if type(payload) is CanonicalText:
+                    # Written by this process as text: decode it once.
+                    payload = json.loads(payload)
+                    self._index[cache_key] = (entry[0], entry[1], payload)
                 self._index.move_to_end(cache_key)
                 self._counters["hits"] += 1
-                return entry[2]
+                return payload
         payload = self._read_envelope(path, key, namespace)
         if payload is None:
             self._bump("misses")
@@ -286,17 +322,21 @@ class ResultStore:
         """Persist ``(key, payload)`` records atomically; returns how many
         were written.
 
-        Each payload is encoded once, in insertion order, and those bytes
-        are the envelope's payload; the checksum is taken over what a
-        reader decodes from them, so every record reads back in every
-        process.  Each write goes through a per-process/thread temp file
-        and an atomic rename, so a concurrent reader sees either the
-        previous complete record or this one -- never a prefix.  The
-        records share one timestamp and one index update, and a store with
-        a byte budget evicts once, after the writes.  A record that cannot
-        be written (``OSError``, or a ``TypeError``/``ValueError`` from
-        encoding it) is skipped; the others are still written, and the
-        first such error is raised after them.
+        A :class:`~repro.store.canonical.CanonicalText` payload is written
+        verbatim and its checksum is the SHA-256 of the text.  Any other
+        payload is encoded once, in insertion order, and those bytes are
+        the envelope's payload; the checksum is taken over what a reader
+        decodes from them.  Either way it is the checksum a reader computes,
+        so every record reads back in every process.  Each write goes
+        through a per-process/thread temp file and an atomic rename, so a
+        concurrent reader sees either the previous complete record or this
+        one -- never a prefix.  The records share one timestamp and one
+        index update, and a store with a byte budget walks its tree only
+        when a walk is due (:meth:`_walk_due`), after the writes.  A
+        record that cannot be written (``OSError``, or a
+        ``TypeError``/``ValueError`` from encoding it) is skipped; the
+        others are still written, and the first such error is raised
+        after them.
         """
         ns_dir = f"{self._root}/{namespace}/"
         records = [(self._path(key, ns_dir), key, payload)
@@ -309,8 +349,11 @@ class ResultStore:
         error: Exception | None = None
         for path, key, payload in records:
             try:
-                body = _RECORD_ENCODER.encode(payload)
-                checksum = decoded_checksum(json.loads(body))
+                if type(payload) is CanonicalText:
+                    body, checksum = payload, payload.checksum()
+                else:
+                    body = _RECORD_ENCODER.encode(payload)
+                    checksum = decoded_checksum(json.loads(body))
                 data = (f'{{"v":{ENVELOPE_VERSION},"key":"{key}{middle}'
                         f'{checksum}","payload":{body}}}').encode()
                 stat = _write_atomically(path, path[:-5] + suffix, data)
@@ -323,8 +366,10 @@ class ResultStore:
             for key, payload, stat in written:
                 self._remember((namespace, key), stat.st_mtime_ns,
                                stat.st_size, payload)
-        if written and self.max_bytes is not None:
-            self.evict_to(self.max_bytes)
+        budget = self.max_bytes
+        if written and budget is not None and self._walk_due(
+                budget, sum(stat.st_size for _, _, stat in written)):
+            self._evict(budget, int(budget * _EVICT_LOW_WATER))
         if error is not None:
             raise error
         return len(written)
@@ -380,6 +425,18 @@ class ResultStore:
             self._index.pop((path.parent.parent.name, path.stem), None)
         return target
 
+    def _walk_due(self, budget: int, nbytes: int) -> bool:
+        """Add ``nbytes`` written to the byte estimate; True when the tree
+        must be walked: no walk yet, the estimate over ``budget``, or
+        :data:`_REWALK_SHARE` of ``budget`` written since the last walk."""
+        with self._lock:
+            if self._estimate is None:
+                return True
+            self._estimate += nbytes
+            self._written_since_walk += nbytes
+            return (self._estimate > budget
+                    or self._written_since_walk >= budget * _REWALK_SHARE)
+
     def evict_to(self, max_bytes: int, namespace: str | None = None) -> int:
         """Delete least-recently-used records until the tree fits the
         budget; returns the number of records evicted.
@@ -389,6 +446,13 @@ class ResultStore:
         honest guarantee a multi-process store can give without a shared
         access log).
         """
+        return self._evict(max_bytes, max_bytes, namespace)
+
+    def _evict(self, max_bytes: int, target: int,
+               namespace: str | None = None) -> int:
+        """:meth:`evict_to`, evicting down to ``target`` once the tree is
+        over ``max_bytes``.  A walk of the whole tree restarts the
+        write-side byte estimate (:meth:`_walk_due`) from its total."""
         entries: list[tuple[float, int, Path]] = []
         total = 0
         for ns in ([namespace] if namespace else self.namespaces()):
@@ -402,24 +466,25 @@ class ResultStore:
                     continue
                 entries.append((stat.st_mtime, stat.st_size, path))
                 total += stat.st_size
-        if total <= max_bytes:
-            return 0
         evicted = 0
-        entries.sort()                      # oldest mtime first
-        for _, size, path in entries:
-            if total <= max_bytes:
-                break
-            try:
-                path.unlink()
-            except OSError:
-                continue
-            total -= size
-            evicted += 1
-            with self._lock:
-                self._index.pop((path.parent.parent.name, path.stem), None)
-        if evicted:
-            with self._lock:
-                self._counters["evictions"] += evicted
+        if total > max_bytes:
+            entries.sort()                  # oldest mtime first
+            for _, size, path in entries:
+                if total <= target:
+                    break
+                try:
+                    path.unlink()
+                except OSError:
+                    continue
+                total -= size
+                evicted += 1
+                with self._lock:
+                    self._index.pop((path.parent.parent.name, path.stem), None)
+        with self._lock:
+            self._counters["evictions"] += evicted
+            if namespace is None:
+                self._estimate = total
+                self._written_since_walk = 0
         return evicted
 
     def verify(self, namespace: str | None = None) -> dict[str, int]:

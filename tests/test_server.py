@@ -505,13 +505,18 @@ class TestFleet:
 class TestFleetProcess:
     """End-to-end: ``python -m repro serve --workers 2`` as a subprocess."""
 
-    def test_two_workers_share_port_and_store_then_drain(self, tmp_path):
+    def test_two_workers_share_port_and_store_then_drain(self, tmp_path,
+                                                         chain_payload):
         import os
         import re
         import signal
         import subprocess
         import sys
 
+        from repro.store import ResultStore
+        from repro.store.result_store import _REWALK_SHARE
+
+        budget = 20_000
         env = dict(os.environ)
         src = str(Path(__file__).resolve().parent.parent / "src")
         env["PYTHONPATH"] = os.pathsep.join(
@@ -519,7 +524,8 @@ class TestFleetProcess:
         proc = subprocess.Popen(
             [sys.executable, "-m", "repro", "serve", "--host", "127.0.0.1",
              "--port", "0", "--workers", "2", "--max-tasks", "16",
-             "--store-dir", str(tmp_path / "store"), "--drain-grace", "5"],
+             "--store-dir", str(tmp_path / "store"), "--drain-grace", "5",
+             "--store-max-bytes", str(budget)],
             stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
             env=env)
         banner = re.compile(r"fleet listening on http://([\w.\-]+):(\d+)")
@@ -555,9 +561,39 @@ class TestFleetProcess:
                 pids.add(worker)
             # Both workers answer on the one advertised port.
             assert len(pids) == 2, f"only saw workers {pids}"
+
+            # Distinct solves, a connection each, fill the shared budgeted
+            # store past its budget from both workers.
+            writers = set()
+            solves = 80
+            for i in range(solves):
+                problem = {**chain_payload, "deadline":
+                           chain_payload["deadline"] * (1 + 0.01 * i)}
+                conn = http.client.HTTPConnection(host, port, timeout=10)
+                try:
+                    conn.request("POST", "/v1/solve",
+                                 body=json.dumps({"problem": problem}),
+                                 headers={"Content-Type": "application/json"})
+                    response = conn.getresponse()
+                    assert response.status == 200, response.read()
+                    response.read()
+                    writers.add(response.getheader("X-Repro-Worker"))
+                finally:
+                    conn.close()
             proc.send_signal(signal.SIGTERM)
             out, _ = proc.communicate(timeout=30)
             assert proc.returncode == 0, out
+            assert len(writers) == 2, f"only {writers} wrote"
+            # Each worker's byte estimate misses the other's writes, so the
+            # tree may hold the other's share over the budget (plus one
+            # record each), never more; and records were evicted.
+            store = ResultStore(tmp_path / "store")
+            record = max(p.stat().st_size
+                         for p in (tmp_path / "store").rglob("*.json"))
+            assert store.size_bytes() <= budget * (1 + _REWALK_SHARE) \
+                + 2 * record
+            assert 0 < store.count() < solves
+            assert store.verify()["quarantined"] == 0
         finally:
             if proc.poll() is None:
                 proc.kill()
