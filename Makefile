@@ -14,6 +14,7 @@
 #   make bench          - full benchmark/experiment suite (writes BENCH_*.json)
 #   make check          - lint + analyze + typecheck + coverage + smoke + campaign-smoke
 #                         + serve-smoke + boot-check + distributed-smoke: what CI runs on every PR
+#   make loc            - lines added/removed/net under src tests benchmarks scripts since BASE (default HEAD~1)
 
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
@@ -29,11 +30,11 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 # non-ternary branches are house style here.
 RUFF_RULES ?= E9,F63,F7,F82,B006,B008,B011,UP006,UP015,UP035,C400,C401,C402,C403,C404,C405,C413,C414,C416,C419,SIM101,SIM103,SIM110,SIM115,SIM118,SIM201,SIM202,SIM300
 
-.PHONY: help test lint analyze typecheck smoke campaign-smoke serve-smoke boot-check distributed-smoke bench check coverage refresh-golden
+.PHONY: help test lint analyze typecheck smoke campaign-smoke serve-smoke boot-check distributed-smoke bench check coverage refresh-golden loc
 
 # Print the target catalogue above (kept in one place: this header).
 help:
-	@sed -n '2,17p' Makefile | sed 's/^#//'
+	@sed -n '2,18p' Makefile | sed 's/^#//'
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -129,3 +130,16 @@ bench:
 	$(PYTHON) -m pytest benchmarks/bench_*.py -q -s
 
 check: lint analyze typecheck coverage smoke campaign-smoke serve-smoke boot-check distributed-smoke
+
+# Net line count of a change: `git diff --numstat` of the working tree
+# (uncommitted edits to tracked files included; stage a new file, or
+# `git add -N` it, to count it) against BASE, per directory and in total.
+BASE ?= HEAD~1
+LOC_DIRS = src tests benchmarks scripts
+loc:
+	@git diff --numstat $(BASE) -- $(LOC_DIRS) | awk -v dirs="$(LOC_DIRS)" ' \
+		$$1 != "-" { split($$3, p, "/"); add[p[1]] += $$1; del[p[1]] += $$2 } \
+		END { n = split(dirs, d, " "); d[n + 1] = "total"; \
+			for (i = 1; i <= n; i++) { add["total"] += add[d[i]]; del["total"] += del[d[i]] } \
+			for (i = 1; i <= n + 1; i++) \
+				printf "%-11s +%-6d -%-6d net %d\n", d[i], add[d[i]], del[d[i]], add[d[i]] - del[d[i]] }'

@@ -6,7 +6,7 @@ across handler threads behind ``threading`` locks.  The convention -- and
 what this rule machine-checks -- is that every such attribute *declares*
 its lock where it is initialised::
 
-    self._index: OrderedDict[...] = OrderedDict()   # guarded-by: _lock
+    self._results = _LRU(cache_size)  # guarded-by: _lock
 
 and is then only read or written inside ``with self._lock:`` (or
 ``with _lock:`` for module-level globals declared the same way).  A helper

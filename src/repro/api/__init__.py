@@ -11,9 +11,9 @@ with four different call conventions:
   (``inadmissible_solver``, ``no_admissible_solver``, ``invalid_problem``,
   ``size_limit``, ...) and the :class:`ApiError` carrier;
 * :mod:`repro.api.engine` -- the long-lived :class:`Engine` owning the
-  shared hot-path state: the problem pool (interned instances with their
-  memoized solver contexts), the LRU result cache, and the batched submit
-  path that routes homogeneous groups through the vectorized kernels;
+  shared hot-path state: the LRU result cache over the persistent store,
+  request coalescing, and the batched submit path that routes homogeneous
+  groups through the vectorized kernels;
 * :mod:`repro.api.service` / :mod:`repro.api.server` -- the HTTP surface
   behind ``python -m repro serve``.
 

@@ -1,22 +1,20 @@
 """The long-lived :class:`Engine`: shared hot-path state behind the v1 API.
 
 Before this facade existed every caller paid per-call setup that a service
-must amortise: each ``solve()`` parsed its own problem, built its own
-:class:`~repro.solvers.context.SolverContext`, and repeated solves of the
-same instance re-ran the full solver.  The engine owns that state once, for
-the life of the process:
+must amortise: repeated solves of the same instance re-ran the full
+solver.  The engine owns that state once, for the life of the process:
 
 * **one request path** -- every entry point (a single solve is a batch of
   one) turns its instances into a columnar
   :class:`~repro.core.columnar.ProblemBatch`, peels cache hits off by key,
   and hands the misses to :func:`repro.solvers.batch.solve_batch`, which
   solves each route (chain, fork, TRI-CRIT chain) as one array program;
-* a **problem pool** -- the problems a request has to materialise are
-  interned by content hash, so repeated requests for the same instance
-  reuse one problem object and its memoized derived state;
-* an **LRU result cache** -- solve results keyed by the same canonical
-  content hash the campaign cache uses (problem JSON + solver + options);
-  a repeat solve is a dictionary lookup, flagged ``cached`` in the response;
+  a row the columnar parser declines is parsed by its batch
+  (:meth:`~repro.core.columnar.ProblemBatch.problem`);
+* an **LRU result cache**, the one in-memory copy of a result -- solve
+  results keyed by the same canonical content hash the campaign cache
+  uses (problem JSON + solver + options); a repeat solve is a dictionary
+  lookup, flagged ``cached`` in the response;
 * an optional **persistent store tier** -- when constructed with a
   :class:`repro.store.ResultStore`, the LRU becomes a write-through view
   over the shared on-disk tier (``results`` namespace): computed results
@@ -104,8 +102,6 @@ DEFAULT_MAX_TASKS = 512
 DEFAULT_MAX_BATCH = 4096
 #: Result-cache capacity (LRU entries).
 DEFAULT_CACHE_SIZE = 2048
-#: Problem-pool capacity (interned parsed problems).
-DEFAULT_POOL_SIZE = 4096
 #: Per-route latency ring-buffer length for the p50/p99 metrics.
 DEFAULT_LATENCY_WINDOW = 2048
 
@@ -171,10 +167,11 @@ def _percentile(sorted_values: list[float], q: float) -> float:
 
 
 class Engine:
-    """Long-lived solver service state: caches, batch routing, metrics."""
+    """Long-lived solver service state: the result LRU (the one in-memory
+    copy of a result, over the optional persistent store), request
+    coalescing, batch routing and metrics."""
 
     def __init__(self, *, cache_size: int = DEFAULT_CACHE_SIZE,
-                 problem_pool_size: int = DEFAULT_POOL_SIZE,
                  max_tasks: int | None = DEFAULT_MAX_TASKS,
                  max_batch: int | None = DEFAULT_MAX_BATCH,
                  latency_window: int = DEFAULT_LATENCY_WINDOW,
@@ -193,7 +190,6 @@ class Engine:
         self.max_batch = max_batch
         self.store = store
         self._results = _LRU(cache_size)  # guarded-by: _lock
-        self._problems = _LRU(problem_pool_size)  # guarded-by: _lock
         self._coalescer = Coalescer()
         self._coalesce_timeout = coalesce_timeout
         self._lock = threading.RLock()
@@ -208,44 +204,22 @@ class Engine:
     # ------------------------------------------------------------------
     # problem intake
     # ------------------------------------------------------------------
-    def resolve_problem(self, payload: Any,
-                        pool_key: str | None = None) -> BiCritProblem:
-        """A problem object from wire or in-process form.
-
-        Dicts are parsed through :func:`repro.core.problem_io` and interned
-        by content hash, so identical payloads share one problem object (and
-        its memoized :class:`SolverContext`); problem objects pass through.
-        A caller that holds the row's content key passes it as ``pool_key``
-        instead of having the payload hashed.  Parse failures raise
-        ``invalid_problem``.
-        """
-        if isinstance(payload, BiCritProblem):
-            return payload
-        if not isinstance(payload, Mapping):
+    @staticmethod
+    def _materialise(batch: ProblemBatch, i: int) -> None:
+        """Parse fallback row ``i`` (a payload the strict columnar parser
+        declined) into the batch's ``Problem``; a row that is not a JSON
+        object, or does not parse, raises ``invalid_problem``."""
+        payload = batch.payloads[i]
+        if not isinstance(payload, (Mapping, BiCritProblem)):
             raise ApiError(INVALID_PROBLEM,
                            "problem must be a JSON object (the schema of "
                            f"repro.core.problem_io), got {type(payload).__name__}")
         try:
-            pool_key = pool_key or hashlib.sha256(
-                _canonical_blob(payload)).hexdigest()
-        except TypeError as exc:
-            raise ApiError(INVALID_PROBLEM,
-                           f"problem payload is not JSON-canonicalisable: {exc}") from exc
-        with self._lock:
-            problem = self._problems.get(pool_key)
-        if problem is not None:
-            return problem
-        from ..core.problem_io import problem_from_dict
-
-        try:
-            problem = problem_from_dict(dict(payload))
+            batch.problem(i)
         except (KeyError, ValueError, TypeError) as exc:
             raise ApiError(INVALID_PROBLEM,
                            f"cannot parse problem payload: "
                            f"{type(exc).__name__}: {exc}") from exc
-        with self._lock:
-            self._problems.put(pool_key, problem)
-        return problem
 
     def _check_size(self, problem: BiCritProblem) -> None:
         if self.max_tasks is None:
@@ -472,11 +446,10 @@ class Engine:
                            f"limit is {self.max_batch}",
                            detail={"instances": n_rows,
                                    "max_batch": self.max_batch})
-        # Fallback rows (payloads the strict columnar parser declined)
-        # materialise through the interning resolver, in row order, so the
-        # first bad row raises its parse error; fast rows cannot fail.
+        # Fallback rows materialise in row order, so the first bad row
+        # raises its parse error; fast rows cannot fail.
         for i in batch.fallback_indices():
-            batch.set_problem(i, self.resolve_problem(batch.payloads[i]))
+            self._materialise(batch, i)
         if self.max_tasks is not None:
             fallback = batch.columns["fallback"]
             num_positive = batch.columns["num_positive"]
@@ -822,7 +795,6 @@ class Engine:
                 "cache": {
                     "result_entries": len(self._results),
                     "result_capacity": self._results.capacity,
-                    "problem_pool_entries": len(self._problems),
                     "hits": hits,
                     "misses": misses,
                     "coalesced_hits": self._counters["coalesced_hits"],

@@ -64,8 +64,8 @@ class ResultCache:
 
     Addresses the ``campaign`` namespace of a :class:`ResultStore` rooted at
     ``root`` (default ``$REPRO_CACHE_DIR`` or ``.repro-cache``).  An
-    existing store instance can be injected to share one in-memory index
-    with other consumers in the process.
+    existing store instance can be injected to share its counters and byte
+    budget with other consumers in the process.
     """
 
     def __init__(self, root: str | os.PathLike | None = None, *,

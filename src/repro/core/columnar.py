@@ -595,11 +595,6 @@ class ProblemBatch:
     def row_weights(self, i: int) -> np.ndarray:
         return self.weights[self.offsets[i]:self.offsets[i + 1]]
 
-    def set_problem(self, i: int, problem: BiCritProblem) -> None:
-        """Attach an externally materialised problem (the engine does this
-        for fallback rows so interning is shared with the problem pool)."""
-        self._problems[i] = problem
-
     def problem(self, i: int) -> BiCritProblem:
         """Materialise (and memoise) the ``Problem`` object for one row.
 

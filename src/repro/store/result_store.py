@@ -23,12 +23,12 @@ JSON; this module gives those keys a durable, multi-process home:
   any other payload (campaign rows, whose column order is part of their
   contract) is written in insertion order with ``decoded_checksum`` of
   its bytes decoded again.  The rule is the same either way, so every
-  version of the writer reads every other's records;
-* **in-memory index** -- a small LRU of deserialised payloads keyed by
-  ``(namespace, key)`` and invalidated by file ``(mtime_ns, size)``, so a
-  hot read is a ``stat`` instead of a read+parse while writes from *other
-  processes* are still picked up (a record written as text is held as
-  text and decoded at its first index hit);
+  version of the writer reads every other's records.  An envelope counts
+  only in its own file: one whose ``key`` names another record is damage
+  to :meth:`~ResultStore.get`, :meth:`~ResultStore.records` and
+  :meth:`~ResultStore.verify` alike.  The store holds no payload in
+  memory: every read is a file read, so other processes' writes show at
+  once (the engine's result LRU is the in-memory tier);
 * **quarantine** -- unreadable or checksum-mismatched entries are moved
   aside to ``<key>.json.corrupt`` (outside the ``*.json`` glob), so a torn
   or rotted record costs exactly one miss and never shadows a recomputed
@@ -56,7 +56,6 @@ import os
 import re
 import threading
 import time
-from collections import OrderedDict
 from collections.abc import Iterable, Iterator
 from pathlib import Path
 from typing import Any
@@ -73,9 +72,6 @@ DEFAULT_STORE_DIR = ".repro-cache"
 
 #: Envelope schema version; bump if the envelope layout itself changes.
 ENVELOPE_VERSION = 1
-
-#: Deserialised-payload LRU entries held per store instance.
-DEFAULT_INDEX_ENTRIES = 1024
 
 #: A store key: a hex content hash (at least the two shard characters and
 #: one more).
@@ -142,9 +138,18 @@ def _load(path: str | os.PathLike) -> Any:
         return json.loads(fh.read().decode("utf-8"))
 
 
-def _write_atomically(path: str, tmp: str, data: bytes) -> os.stat_result:
-    """Write ``data`` to ``tmp`` and rename it onto ``path``; the temp
-    file's ``fstat`` (the rename keeps its mtime and size).  The shard
+def _is_record_of(envelope: Any, key: str) -> bool:
+    """True when a decoded envelope file is a sound record of ``key``: an
+    object with a payload whose checksum matches and whose ``key`` field,
+    if any, is ``key`` (an envelope copied to another key's path is not)."""
+    return (isinstance(envelope, dict) and "payload" in envelope
+            and envelope.get("key") in (None, key)
+            and envelope.get("checksum")
+            == decoded_checksum(envelope["payload"]))
+
+
+def _write_atomically(path: str, tmp: str, data: bytes) -> None:
+    """Write ``data`` to ``tmp`` and rename it onto ``path``.  The shard
     directory is created only when opening the temp file finds it missing,
     and the temp file is removed if anything fails."""
     try:
@@ -158,7 +163,6 @@ def _write_atomically(path: str, tmp: str, data: bytes) -> os.stat_result:
             view = memoryview(data)
             while view:
                 view = view[os.write(fd, view):]
-            stat = os.fstat(fd)
         finally:
             os.close(fd)
         os.replace(tmp, path)
@@ -168,27 +172,23 @@ def _write_atomically(path: str, tmp: str, data: bytes) -> os.stat_result:
         except OSError:
             pass
         raise
-    return stat
 
 
 class ResultStore:
     """Sharded JSON-file store addressed by hex content-hash keys.
 
     All public methods are thread-safe; cross-process safety comes from the
-    atomic rename write path and the mtime-validated in-memory index, not
-    from any lock file -- there is no coordination to deadlock on.
+    atomic rename write path, not from any lock file -- there is no
+    coordination to deadlock on.
     """
 
     def __init__(self, root: str | os.PathLike | None = None, *,
-                 max_bytes: int | None = None,
-                 index_entries: int = DEFAULT_INDEX_ENTRIES) -> None:
+                 max_bytes: int | None = None) -> None:
         self.root = resolve_store_root(root)
         self._root = os.fspath(self.root)
         if max_bytes is not None and max_bytes < 0:
             raise StoreError(f"max_bytes must be >= 0, got {max_bytes}")
         self.max_bytes = max_bytes
-        self._index: OrderedDict[tuple[str, str], tuple[int, int, Any]] = OrderedDict()  # guarded-by: _lock
-        self._index_entries = max(0, index_entries)
         self._lock = threading.Lock()
         self._counters = {"hits": 0, "misses": 0, "writes": 0,  # guarded-by: _lock
                           "evictions": 0, "quarantined": 0}
@@ -217,96 +217,57 @@ class ResultStore:
         return sorted(p.name for p in self.root.iterdir()
                       if p.is_dir() and not p.name.startswith("."))
 
+    def _files(self, namespace: str | None = None, pattern: str = "*.json",
+               *, ordered: bool = False) -> Iterator[Path]:
+        """The files matching ``pattern`` in ``namespace`` (every namespace
+        when ``None``), namespace by namespace; sorted within each one when
+        ``ordered``."""
+        for ns in ([namespace] if namespace else self.namespaces()):
+            ns_dir = self.root / ns
+            if ns_dir.is_dir():
+                paths = ns_dir.rglob(pattern)
+                yield from sorted(paths) if ordered else paths
+
     # -- read ----------------------------------------------------------
     def get(self, key: str, namespace: str = "results") -> Any | None:
         """The payload stored under ``key``, or ``None`` on a miss.
 
-        Corrupt or checksum-mismatched entries are quarantined (moved to
-        ``<key>.json.corrupt``) and count as a miss exactly once.  A valid
-        read refreshes the in-memory index; index entries are trusted only
-        while the file's ``(mtime_ns, size)`` is unchanged, so writes from
-        other processes invalidate naturally.
+        Every call reads the file, so a write by any process shows at
+        once.  Corrupt, checksum-mismatched or misfiled entries are
+        quarantined (moved to ``<key>.json.corrupt``) and count as a miss
+        exactly once.
         """
-        path = self._path(key, f"{self._root}/{namespace}/")
-        try:
-            stat = os.stat(path)
-        except OSError:
-            self._bump("misses")
-            return None
-        cache_key = (namespace, key)
-        with self._lock:
-            entry = self._index.get(cache_key)
-            if entry is not None and entry[0] == stat.st_mtime_ns \
-                    and entry[1] == stat.st_size:
-                payload = entry[2]
-                if type(payload) is CanonicalText:
-                    # Written by this process as text: decode it once.
-                    payload = json.loads(payload)
-                    self._index[cache_key] = (entry[0], entry[1], payload)
-                self._index.move_to_end(cache_key)
-                self._counters["hits"] += 1
-                return payload
-        payload = self._read_envelope(path, key, namespace)
-        if payload is None:
-            self._bump("misses")
-            return None
-        with self._lock:
-            self._remember(cache_key, stat.st_mtime_ns, stat.st_size, payload)
-            self._counters["hits"] += 1
-        return payload
+        envelope = self._read_envelope(
+            self._path(key, f"{self._root}/{namespace}/"), key)
+        self._bump("misses" if envelope is None else "hits")
+        return None if envelope is None else envelope["payload"]
 
-    def _read_envelope(self, path: str, key: str, namespace: str) -> Any | None:
-        """Parse + integrity-check one envelope file; quarantine on damage."""
+    def _read_envelope(self, path: str | os.PathLike,
+                       key: str) -> dict | None:
+        """The envelope in ``path`` when it is a sound record of ``key``
+        (:func:`_is_record_of`), else ``None``; quarantine on damage."""
         try:
             envelope = _load(path)
-        except FileNotFoundError:
+        except OSError:
             return None
         # ValueError covers JSONDecodeError and the UnicodeDecodeError a
         # torn write can leave behind.
         except ValueError:
-            self.quarantine(path)
-            return None
-        except OSError:
-            return None
-        if (not isinstance(envelope, dict) or "payload" not in envelope
-                or envelope.get("key") not in (None, key)
-                or envelope.get("checksum")
-                != decoded_checksum(envelope["payload"])):
-            self.quarantine(path)
-            return None
-        return envelope["payload"]
-
-    def _remember(self, cache_key: tuple[str, str], mtime_ns: int,
-                  size: int, payload: Any) -> None:  # requires: _lock
-        if self._index_entries <= 0:
-            return
-        self._index[cache_key] = (mtime_ns, size, payload)
-        self._index.move_to_end(cache_key)
-        while len(self._index) > self._index_entries:
-            self._index.popitem(last=False)
+            envelope = None
+        if _is_record_of(envelope, key):
+            return envelope
+        self.quarantine(path)
+        return None
 
     def records(self, namespace: str = "results") -> Iterator[dict]:
         """All readable envelopes in ``namespace``, in key order.
 
         Damaged files are quarantined and skipped, mirroring :meth:`get`.
         """
-        ns_dir = self.root / namespace
-        if not ns_dir.is_dir():
-            return
-        for path in sorted(ns_dir.rglob("*.json")):
-            try:
-                envelope = _load(path)
-            except ValueError:
-                self.quarantine(path)
-                continue
-            except OSError:
-                continue
-            if (not isinstance(envelope, dict) or "payload" not in envelope
-                    or envelope.get("checksum")
-                    != decoded_checksum(envelope["payload"])):
-                self.quarantine(path)
-                continue
-            yield envelope
+        for path in self._files(namespace, ordered=True):
+            envelope = self._read_envelope(path, path.stem)
+            if envelope is not None:
+                yield envelope
 
     # -- write ---------------------------------------------------------
     def put(self, key: str, payload: Any, namespace: str = "results") -> Path:
@@ -330,13 +291,12 @@ class ResultStore:
         so every record reads back in every process.  Each write goes
         through a per-process/thread temp file and an atomic rename, so a
         concurrent reader sees either the previous complete record or this
-        one -- never a prefix.  The records share one timestamp and one
-        index update, and a store with a byte budget walks its tree only
-        when a walk is due (:meth:`_walk_due`), after the writes.  A
-        record that cannot be written (``OSError``, or a
-        ``TypeError``/``ValueError`` from encoding it) is skipped; the
-        others are still written, and the first such error is raised
-        after them.
+        one -- never a prefix.  The records share one timestamp, and a
+        store with a byte budget walks its tree only when a walk is due
+        (:meth:`_walk_due`), after the writes.  A record that cannot be
+        written (``OSError``, or a ``TypeError``/``ValueError`` from
+        encoding it) is skipped; the others are still written, and the
+        first such error is raised after them.
         """
         ns_dir = f"{self._root}/{namespace}/"
         records = [(self._path(key, ns_dir), key, payload)
@@ -345,7 +305,7 @@ class ResultStore:
         middle = (f'","namespace":{_RECORD_ENCODER.encode(namespace)},'
                   f'"created_unix":{time.time()!r},"checksum":"')
         suffix = f".tmp-{os.getpid()}-{threading.get_ident()}"
-        written: list[tuple[str, Any, os.stat_result]] = []
+        written = nbytes = 0
         error: Exception | None = None
         for path, key, payload in records:
             try:
@@ -356,31 +316,25 @@ class ResultStore:
                     checksum = decoded_checksum(json.loads(body))
                 data = (f'{{"v":{ENVELOPE_VERSION},"key":"{key}{middle}'
                         f'{checksum}","payload":{body}}}').encode()
-                stat = _write_atomically(path, path[:-5] + suffix, data)
+                _write_atomically(path, path[:-5] + suffix, data)
             except (OSError, TypeError, ValueError) as exc:
                 error = error or exc
                 continue
-            written.append((key, payload, stat))
+            written += 1
+            nbytes += len(data)
         with self._lock:
-            self._counters["writes"] += len(written)
-            for key, payload, stat in written:
-                self._remember((namespace, key), stat.st_mtime_ns,
-                               stat.st_size, payload)
+            self._counters["writes"] += written
         budget = self.max_bytes
-        if written and budget is not None and self._walk_due(
-                budget, sum(stat.st_size for _, _, stat in written)):
+        if written and budget is not None and self._walk_due(budget, nbytes):
             self._evict(budget, int(budget * _EVICT_LOW_WATER))
         if error is not None:
             raise error
-        return len(written)
+        return written
 
     def delete(self, key: str, namespace: str = "results") -> bool:
         """Remove one record; True if a file was deleted."""
-        path = self.path_for(key, namespace)
-        with self._lock:
-            self._index.pop((namespace, key), None)
         try:
-            path.unlink()
+            self.path_for(key, namespace).unlink()
             return True
         except OSError:
             return False
@@ -388,22 +342,12 @@ class ResultStore:
     def clear(self, namespace: str | None = None) -> int:
         """Delete every record (in one namespace, or all); returns count."""
         removed = 0
-        for ns in ([namespace] if namespace else self.namespaces()):
-            ns_dir = self.root / ns
-            if not ns_dir.is_dir():
-                continue
-            for path in ns_dir.rglob("*.json"):
-                try:
-                    path.unlink()
-                    removed += 1
-                except OSError:
-                    pass
-        with self._lock:
-            if namespace is None:
-                self._index.clear()
-            else:
-                for cache_key in [k for k in self._index if k[0] == namespace]:
-                    del self._index[cache_key]
+        for path in self._files(namespace):
+            try:
+                path.unlink()
+                removed += 1
+            except OSError:
+                pass
         return removed
 
     # -- maintenance ---------------------------------------------------
@@ -421,8 +365,6 @@ class ResultStore:
         except OSError:
             return None
         self._bump("quarantined")
-        with self._lock:
-            self._index.pop((path.parent.parent.name, path.stem), None)
         return target
 
     def _walk_due(self, budget: int, nbytes: int) -> bool:
@@ -455,17 +397,13 @@ class ResultStore:
         write-side byte estimate (:meth:`_walk_due`) from its total."""
         entries: list[tuple[float, int, Path]] = []
         total = 0
-        for ns in ([namespace] if namespace else self.namespaces()):
-            ns_dir = self.root / ns
-            if not ns_dir.is_dir():
+        for path in self._files(namespace):
+            try:
+                stat = path.stat()
+            except OSError:
                 continue
-            for path in ns_dir.rglob("*.json"):
-                try:
-                    stat = path.stat()
-                except OSError:
-                    continue
-                entries.append((stat.st_mtime, stat.st_size, path))
-                total += stat.st_size
+            entries.append((stat.st_mtime, stat.st_size, path))
+            total += stat.st_size
         evicted = 0
         if total > max_bytes:
             entries.sort()                  # oldest mtime first
@@ -478,8 +416,6 @@ class ResultStore:
                     continue
                 total -= size
                 evicted += 1
-                with self._lock:
-                    self._index.pop((path.parent.parent.name, path.stem), None)
         with self._lock:
             self._counters["evictions"] += evicted
             if namespace is None:
@@ -493,29 +429,23 @@ class ResultStore:
         Returns ``{"checked", "ok", "quarantined"}``.  Store keys hash the
         request configuration, not the stored content, so this pass is the
         only way bit rot or an interrupted write that survived rename (e.g.
-        on a non-POSIX filesystem) gets detected before it is served.
+        on a non-POSIX filesystem) gets detected before it is served.  A
+        record is sound by the rule :meth:`get` serves by
+        (:func:`_is_record_of`).
         """
         checked = ok = quarantined = 0
-        for ns in ([namespace] if namespace else self.namespaces()):
-            ns_dir = self.root / ns
-            if not ns_dir.is_dir():
+        for path in self._files(namespace, ordered=True):
+            checked += 1
+            try:
+                valid = _is_record_of(_load(path), path.stem)
+            except ValueError:
+                valid = False
+            except OSError:
                 continue
-            for path in sorted(ns_dir.rglob("*.json")):
-                checked += 1
-                try:
-                    envelope = _load(path)
-                    valid = (isinstance(envelope, dict)
-                             and "payload" in envelope
-                             and envelope.get("checksum")
-                             == decoded_checksum(envelope["payload"]))
-                except ValueError:
-                    valid = False
-                except OSError:
-                    continue
-                if valid:
-                    ok += 1
-                elif self.quarantine(path) is not None:
-                    quarantined += 1
+            if valid:
+                ok += 1
+            elif self.quarantine(path) is not None:
+                quarantined += 1
         return {"checked": checked, "ok": ok, "quarantined": quarantined}
 
     # -- observability -------------------------------------------------
@@ -529,22 +459,15 @@ class ResultStore:
             return dict(self._counters)
 
     def count(self, namespace: str = "results") -> int:
-        ns_dir = self.root / namespace
-        if not ns_dir.is_dir():
-            return 0
-        return sum(1 for _ in ns_dir.rglob("*.json"))
+        return sum(1 for _ in self._files(namespace))
 
     def size_bytes(self, namespace: str | None = None) -> int:
         total = 0
-        for ns in ([namespace] if namespace else self.namespaces()):
-            ns_dir = self.root / ns
-            if not ns_dir.is_dir():
-                continue
-            for path in ns_dir.rglob("*.json"):
-                try:
-                    total += path.stat().st_size
-                except OSError:
-                    pass
+        for path in self._files(namespace):
+            try:
+                total += path.stat().st_size
+            except OSError:
+                pass
         return total
 
     def stats(self) -> dict[str, Any]:
@@ -554,15 +477,14 @@ class ResultStore:
         per_namespace = {}
         corrupt = 0
         for ns in self.namespaces():
-            ns_dir = self.root / ns
             entries = size = 0
-            for path in ns_dir.rglob("*.json"):
+            for path in self._files(ns):
                 try:
                     size += path.stat().st_size
                 except OSError:
                     continue
                 entries += 1
-            corrupt += sum(1 for _ in ns_dir.rglob("*.json.corrupt"))
+            corrupt += sum(1 for _ in self._files(ns, "*.json.corrupt"))
             per_namespace[ns] = {"entries": entries, "bytes": size}
         return {
             "root": str(self.root),

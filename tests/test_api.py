@@ -30,7 +30,7 @@ from repro.api.errors import (
     error_from_exception,
 )
 from repro.core import BiCritProblem, DiscreteSpeeds, TriCritProblem, VddHoppingSpeeds
-from repro.core.problem_io import problem_to_dict
+from repro.core.problem_io import problem_from_dict, problem_to_dict
 from repro.core.reliability import ReliabilityModel
 from repro.platform import Mapping, Platform
 from repro.solvers import solve as registry_solve
@@ -196,11 +196,6 @@ class TestEngineSolve:
         resp = engine.solve(api.SolveRequest(problem=chain_payload))
         assert resp.cached
 
-    def test_problem_pool_interns_payloads(self, engine, chain_payload):
-        a = engine.resolve_problem(json.loads(json.dumps(chain_payload)))
-        b = engine.resolve_problem(json.loads(json.dumps(chain_payload)))
-        assert a is b
-
     def test_named_solver_and_options_key_the_cache(self, engine,
                                                     chain_payload):
         auto = engine.solve(api.SolveRequest(problem=chain_payload))
@@ -237,7 +232,7 @@ class TestEngineBatch:
         batch = engine.solve_batch(request)
         assert len(batch.results) == 2
         for payload, got in zip(payloads, batch.results):
-            direct = registry_solve(engine.resolve_problem(payload))
+            direct = registry_solve(problem_from_dict(payload))
             assert got.energy == pytest.approx(direct.energy, rel=1e-9)
             assert got.solver == direct.solver
 
@@ -320,6 +315,25 @@ class TestEngineErrors:
         with pytest.raises(ApiError) as info:
             engine.solve(api.SolveRequest(problem={"kind": "bicrit"}))
         assert info.value.code == INVALID_PROBLEM
+
+    def test_first_unparseable_fallback_row_names_its_parse_error(
+            self, engine, chain_payload):
+        bad, worse = {"kind": "bicrit"}, {"kind": "nope"}
+        with pytest.raises(KeyError) as parse:
+            problem_from_dict(dict(bad))
+        with pytest.raises(ApiError) as info:
+            engine.submit_batch([chain_payload, bad, worse])
+        assert info.value.code == INVALID_PROBLEM
+        assert info.value.response.message == (
+            f"cannot parse problem payload: KeyError: {parse.value}")
+
+    def test_a_non_object_problem_is_invalid(self):
+        with pytest.raises(ApiError) as info:
+            api.Engine().submit(42)
+        assert info.value.code == INVALID_PROBLEM
+        assert info.value.response.message.startswith(
+            "problem must be a JSON object")
+        assert info.value.response.message.endswith("got int")
 
     def test_instance_size_limit(self, small_chain_problem):
         tight = api.Engine(max_tasks=2)
@@ -454,8 +468,6 @@ class TestDefaultEngine:
         assert key1 == key2
         assert len(key1) == 64
         # A round-tripped copy of the same instance hashes identically.
-        from repro.core.problem_io import problem_from_dict
-
         clone = problem_from_dict(problem_to_dict(small_chain_problem))
         assert api.problem_content_key(clone) == key1
 

@@ -1,7 +1,7 @@
 """Tests of the persistent shared result-store tier.
 
 Covers the store itself (atomic sharded writes, envelope checksums,
-quarantine, eviction, the mtime-invalidated index), request coalescing,
+quarantine, eviction, cross-instance freshness), request coalescing,
 the engine's write-through integration (restart persistence without solver
 dispatch, batch peeling, metrics), the one-tier property shared with the
 campaign cache, multi-process contention, and the ``repro cache`` CLI.
@@ -142,15 +142,40 @@ class TestResultStore:
         # A clean second pass.
         assert store.verify() == {"checked": 1, "ok": 1, "quarantined": 0}
 
-    def test_index_sees_writes_from_other_instances(self, tmp_path):
+    @staticmethod
+    def _misfiled(root):
+        """A store holding record A under its own key and a byte copy of
+        it at key B's path."""
+        store = ResultStore(root)
+        source = store.put(KEY_A, {"n": 1})
+        target = store.path_for(KEY_B)
+        target.parent.mkdir(parents=True, exist_ok=True)
+        target.write_bytes(source.read_bytes())
+        return store, target
+
+    def test_a_misfiled_record_is_damage_to_every_reader(self, tmp_path):
+        store, target = self._misfiled(tmp_path / "verify")
+        assert store.verify() == {"checked": 2, "ok": 1, "quarantined": 1}
+        assert target.with_suffix(".json.corrupt").exists()
+
+        store, _ = self._misfiled(tmp_path / "records")
+        assert [(e["key"], e["payload"]) for e in store.records()] == [
+            (KEY_A, {"n": 1})]
+
+        store, target = self._misfiled(tmp_path / "get")
+        assert store.get(KEY_B) is None
+        assert not target.exists()
+        assert store.get(KEY_A) == {"n": 1}
+
+    def test_reads_see_rewrites_by_other_instances(self, tmp_path):
         writer = ResultStore(tmp_path)
         reader = ResultStore(tmp_path)
         writer.put(KEY_A, {"generation": 1})
         assert reader.get(KEY_A) == {"generation": 1}
         time.sleep(0.01)       # ensure a distinct mtime on coarse filesystems
         writer.put(KEY_A, {"generation": 2})
-        # The reader's in-memory index entry is stale; (mtime, size)
-        # invalidation must force a re-read.
+        # A reader that has already served the record must not answer
+        # from anything it kept: the rewrite shows at the next read.
         assert reader.get(KEY_A) == {"generation": 2}
 
     def test_records_iterates_envelopes(self, tmp_path):
@@ -804,6 +829,11 @@ class TestCacheCli:
         assert parse_bytes("1g") == 1024 ** 3
         with pytest.raises(Exception):
             parse_bytes("banana")
+
+    def test_verify_fails_on_a_misfiled_record(self, tmp_path, capsys):
+        TestResultStore._misfiled(tmp_path)
+        assert self._main("cache", "verify", "--cache-dir", str(tmp_path)) == 1
+        assert "1 ok, 1 quarantined" in capsys.readouterr().out
 
     def test_verify_clean_then_tampered(self, tmp_path, capsys):
         store = ResultStore(tmp_path)
